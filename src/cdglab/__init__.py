@@ -14,6 +14,7 @@ from .degradation import (
     map_ratio,
 )
 from .diffusion import (
+    Chain,
     GmmConditionalModel,
     SamplerRun,
     SigmaSchedule,
@@ -21,7 +22,7 @@ from .diffusion import (
     denoise,
     log_density,
     sample,
-    sample_final_batch,
+    sample_batch,
     score,
 )
 from .encoder import (
@@ -32,7 +33,7 @@ from .encoder import (
     ToyTextEncoder,
     tokenize,
 )
-from .errors import CdgError
+from .errors import CdgError, NumericalError
 from .geometry import (
     GeometryReport,
     PredictionStack,

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import degradation, geometry, importance
 from .config import RunConfig, config_echo, load_config
-from .diffusion import attention_provider, sample
+from .diffusion import Chain, sample, sample_batch
 from .encoder import TokenType, tokenize
-from .errors import CdgError, ConfigError
+from .errors import CdgError, ConfigError, NumericalError
 from .guidance import GuidanceConfig, GuidanceMode
 
 EXIT_OK = 0
@@ -45,7 +45,11 @@ def _write_text(path: Path, text: str, force: bool) -> None:
 
 
 def _write_json(path: Path, obj, force: bool) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", force)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"refusing to write {path}: {exc}") from exc
+    _write_text(path, text + "\n", force)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], force: bool) -> None:
@@ -197,26 +201,34 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
             reuse_first_step_mask=base.reuse_first_step_mask,
         )
     reference = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
+    tokens = [tokenize(prompt, cfg.encoder) for prompt in cfg.prompts]
+    cells = [(r_deg, p) for r_deg in grid for p in range(len(tokens))]
+
+    def run_all(chains: list[Chain]):
+        return sample_batch(
+            model, schedule, encoder, chains,
+            fusion=cfg.fusion, attention_bias_weight=cfg.attention_bias_weight,
+        )
+
+    refs = run_all([Chain(t, reference, cfg.seed) for t in tokens])
+    runs = run_all([
+        Chain(tokens[p], replace(base, r_deg=r_deg), cfg.seed) for r_deg, p in cells
+    ])
     rows = []
-    for r_deg in grid:
-        for p, prompt in enumerate(cfg.prompts):
-            ref = _run_prompt(cfg, model, schedule, encoder, prompt, reference)
-            run = _run_prompt(
-                cfg, model, schedule, encoder, prompt, replace(base, r_deg=r_deg)
-            )
-            mask = run.masks_used[0]
-            rows.append(
-                [
-                    float(r_deg),
-                    p,
-                    prompt,
-                    len(mask.replaced_indices),
-                    mask.k_content,
-                    mask.k_ctxagg,
-                    run.wpr_call_count,
-                    float(np.linalg.norm(run.final - ref.final)),
-                ]
-            )
+    for (r_deg, p), run in zip(cells, runs):
+        mask = run.masks_used[0]
+        rows.append(
+            [
+                float(r_deg),
+                p,
+                cfg.prompts[p],
+                len(mask.replaced_indices),
+                mask.k_content,
+                mask.k_ctxagg,
+                run.wpr_call_count,
+                float(np.linalg.norm(run.final - refs[p].final)),
+            ]
+        )
     _write_csv(
         out / "sweep.csv",
         ["r_deg", "prompt_index", "prompt", "replaced_count", "k_content",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,6 +120,10 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> RunConfig:
             kwargs[key] = doc.pop(key)
     if doc:
         raise ConfigError(f"unknown config keys: {sorted(doc)}")
+    weight = kwargs.get("attention_bias_weight", 0.0)
+    is_number = isinstance(weight, (int, float)) and not isinstance(weight, bool)
+    if not (is_number and math.isfinite(weight)):
+        raise ConfigError(f"attention_bias_weight must be a finite number, got {weight!r}")
     try:
         return RunConfig(**kwargs)
     except (TypeError, CdgError) as exc:

@@ -4,27 +4,29 @@ The data distribution given a pooled condition embedding e is a Gaussian
 mixture whose component means are linear in e. The posterior-mean denoiser
 is therefore available in closed form, and sampling integrates the
 probability-flow ODE dx = -sigma * score dsigma with Euler steps over a
-decreasing sigma schedule. The guided sampling loop supports CFG, CDG, and
-CFG*, with one-time or per-step mask computation.
+decreasing sigma schedule. The guided sampling loop integrates a batch of
+chains at once and supports CFG, CDG, and CFG*, with one-time or per-step
+mask computation.
 """
 
 from __future__ import annotations
 
-import math
 import weakref
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .degradation import (
     DegradationMask,
+    DegradationRatios,
     apply_mask,
     build_mask,
     content_boundary_mask,
     map_ratio,
 )
 from .encoder import Condition, TokenSequence, ToyTextEncoder
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .guidance import (
     GuidanceConfig,
     GuidanceMode,
@@ -83,8 +85,15 @@ class GmmConditionalModel:
         return self.maps.shape[2]
 
     def means(self, e: np.ndarray) -> np.ndarray:
-        """Component means for condition embedding e: (J, d_x)."""
-        return self.maps @ np.asarray(e, dtype=np.float64)
+        """Component means: (J, d_x) for e of shape (d_c,), (B, J, d_x) for (B, d_c).
+
+        The batched form is a stack of one matrix-vector product per row and
+        component, so a row's means do not depend on the rest of the batch.
+        """
+        e = np.asarray(e, dtype=np.float64)
+        if e.ndim == 1:
+            return self.maps @ e
+        return (self.maps @ e[:, None, :, None])[..., 0]
 
     @classmethod
     def random(
@@ -135,12 +144,15 @@ class SigmaSchedule:
 def _posterior_stats(
     model: GmmConditionalModel, x: np.ndarray, sigma: float, e: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log joint weights (..., J) and per-component posterior means (..., J, d_x)."""
-    m = model.means(e)  # (J, d_x)
+    """Log joint weights (..., J) and per-component posterior means (..., J, d_x).
+
+    e is one embedding (d_c,) shared by every latent, or one per latent (B, d_c).
+    """
+    m = model.means(e)  # (J, d_x) or (B, J, d_x)
     var = model.spreads**2 + sigma * sigma  # (J,)
-    xe = np.expand_dims(x, -2)  # (..., 1, d_x)
+    xe = x[..., None, :]  # (..., 1, d_x)
     diff = xe - m
-    sq = np.sum(diff * diff, axis=-1)  # (..., J)
+    sq = (diff * diff).sum(axis=-1)  # (..., J)
     logw = (
         np.log(model.weights)
         - 0.5 * model.d_x * np.log(2.0 * np.pi * var)
@@ -162,7 +174,7 @@ def denoise(
     logw = logw - logw.max(axis=-1, keepdims=True)
     g = np.exp(logw)
     g = g / g.sum(axis=-1, keepdims=True)
-    return np.sum(g[..., None] * comp, axis=-2)
+    return (g[..., None] * comp).sum(axis=-2)
 
 
 def log_density(
@@ -231,7 +243,7 @@ class SamplerRun:
     config: GuidanceConfig
     seed: int
     sigmas: tuple[float, ...]
-    trajectory: list[np.ndarray]  # steps + 1 latents
+    trajectory: np.ndarray  # (steps + 1, d_x), a view into the batch's array
     masks_used: list[DegradationMask | None]  # one entry per step
     wpr_call_count: int
 
@@ -302,29 +314,185 @@ def _compute_importance(
     return _fuse_stack(_stationary_scores(weights), True, None)
 
 
-def _guided_eps(
-    model: GmmConditionalModel,
-    x: np.ndarray,
-    sigma: float,
-    config: GuidanceConfig,
-    e_c: np.ndarray,
-    e_null: np.ndarray | None,
-    e_deg: np.ndarray | None,
-) -> np.ndarray:
-    def eps(e: np.ndarray) -> np.ndarray:
-        return denoiser_to_eps(denoise(model, x, sigma, e), x, sigma)
+def _combine(
+    mode: GuidanceMode, positive: Prediction, negative: Prediction, w: float
+) -> Prediction:
+    if mode is GuidanceMode.CFG:
+        return combine_cfg(positive, negative, w)
+    if mode is GuidanceMode.CDG:
+        return combine_cdg(positive, negative, w)
+    return combine_cfg_star(positive, negative, w)
 
-    w = config.guidance_scale
-    if config.mode is GuidanceMode.NONE:
-        return eps(e_c)
-    if config.mode is GuidanceMode.CFG:
-        pair = Prediction(eps(e_c), sigma), Prediction(eps(e_null), sigma)
-        return combine_cfg(*pair, w).value
-    if config.mode is GuidanceMode.CDG:
-        pair = Prediction(eps(e_c), sigma), Prediction(eps(e_deg), sigma)
-        return combine_cdg(*pair, w).value
-    pair = Prediction(eps(e_deg), sigma), Prediction(eps(e_null), sigma)
-    return combine_cfg_star(*pair, w).value
+
+def _rows(indices: list[int], n: int) -> slice | np.ndarray:
+    """Index for a subset of the batch; a slice when it covers every row."""
+    return slice(None) if len(indices) == n else np.asarray(indices, dtype=np.intp)
+
+
+def _check_finite(x: np.ndarray, step: int) -> None:
+    if not np.isfinite(x).all():
+        chain = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        raise NumericalError(f"non-finite latent at step {step} in chain {chain}")
+
+
+@dataclass(frozen=True)
+class Chain:
+    """One sampler chain: its prompt, guidance settings and noise seed."""
+
+    tokens: TokenSequence
+    config: GuidanceConfig
+    seed: int
+
+
+def sample_batch(
+    model: GmmConditionalModel,
+    schedule: SigmaSchedule,
+    encoder: ToyTextEncoder,
+    chains: Sequence[Chain],
+    fusion: FusionConfig | None = None,
+    attention_bias_weight: float = DEFAULT_ATTENTION_BIAS_WEIGHT,
+) -> list[SamplerRun]:
+    """Guided probability-flow ODE sampling (Euler) of many chains at once.
+
+    Each chain draws its initial noise from its own seed and follows the
+    arithmetic of a lone chain, so a chain's run does not depend on the
+    rest of the batch: sample() is the one-chain case. Per step there is
+    one denoise over every chain at its positive condition, one over the
+    chains that have a negative condition, and one combine per
+    (mode, scale) group. The trajectories are row views of one
+    (steps + 1, B, d_x) array.
+
+    Masks for the degradation modes are built from the intervention block's
+    attention map; with reuse_first_step_mask the importance ranking is
+    computed once at the first step and reused, and at the ratio-1.0
+    boundary the type-only mask bypasses importance computation entirely.
+    The degraded embedding is re-pooled only when a chain's mask changes.
+    Raises NumericalError at the first non-finite latent.
+    """
+    if not chains:
+        return []
+    sigmas = schedule.sigmas
+    steps = len(sigmas) - 1
+    n = len(chains)
+    d_c = model.d_c
+
+    conditions: dict[tuple[int, ...], tuple[Condition, np.ndarray]] = {}
+    for chain in chains:
+        if chain.tokens.ids not in conditions:
+            c = encoder.encode(chain.tokens)
+            conditions[chain.tokens.ids] = (c, encoder.pool(c, d_c))
+    null = encoder.null_condition()
+    modes = [chain.config.mode for chain in chains]
+    e_null = None
+    if GuidanceMode.CFG in modes or GuidanceMode.CFG_STAR in modes:
+        e_null = encoder.pool(null, d_c)
+
+    # each chain denoises at one positive and at most one negative embedding;
+    # the degraded embedding is CFG*'s positive and CDG's negative
+    pos = np.empty((n, d_c))
+    neg = np.empty((n, d_c))
+    ratios: list[DegradationRatios | None] = [None] * n
+    boundary: list[int] = []
+    first_step: list[int] = []  # chains ranking tokens at step 0
+    every_step: list[int] = []  # chains ranking tokens at every later step
+    groups: dict[tuple[GuidanceMode, float], list[int]] = {}
+    for b, (chain, mode) in enumerate(zip(chains, modes)):
+        if mode is not GuidanceMode.CFG_STAR:
+            pos[b] = conditions[chain.tokens.ids][1]
+        if mode in (GuidanceMode.CFG, GuidanceMode.CFG_STAR):
+            neg[b] = e_null
+        if mode is not GuidanceMode.NONE:
+            groups.setdefault((mode, chain.config.guidance_scale), []).append(b)
+        if not mode.uses_degradation:
+            continue
+        if chain.config.r_deg == 1.0:
+            boundary.append(b)
+            continue
+        ratios[b] = map_ratio(chain.config.r_deg)
+        first_step.append(b)
+        if not chain.config.reuse_first_step_mask:
+            every_step.append(b)
+
+    guided = [b for b, mode in enumerate(modes) if mode is not GuidanceMode.NONE]
+    guided_rows = _rows(guided, n) if guided else None
+    neg_at = {b: k for k, b in enumerate(guided)}
+    combines = [
+        (mode, w, _rows(rows, n), _rows([neg_at[b] for b in rows], len(guided)))
+        for (mode, w), rows in groups.items()
+    ]
+
+    trajectory = np.empty((steps + 1, n, model.d_x))
+    trajectory[0] = np.stack(
+        [np.random.default_rng(chain.seed).normal(size=model.d_x) for chain in chains]
+    ) * sigmas[0]
+    _check_finite(trajectory[0], 0)
+
+    wpr_calls = [0] * n
+    masks_used: list[list[DegradationMask | None]] = [[] for _ in range(n)]
+    mask_bits: list[bytes | None] = [None] * n
+
+    def use_mask(b: int, mask: DegradationMask) -> None:
+        masks_used[b].append(mask)
+        bits = mask.bits.tobytes()
+        if bits != mask_bits[b]:
+            mask_bits[b] = bits
+            c = conditions[chains[b].tokens.ids][0]
+            e_deg = encoder.pool(apply_mask(c, null, mask), d_c)
+            if modes[b] is GuidanceMode.CFG_STAR:
+                pos[b] = e_deg
+            else:
+                neg[b] = e_deg
+
+    for b in boundary:
+        # type-only boundary mask, no importance needed
+        use_mask(b, content_boundary_mask(chains[b].tokens))
+
+    x = trajectory[0]
+    for i in range(steps):
+        sigma = sigmas[i]
+        for b in first_step if i == 0 else every_step:
+            chain = chains[b]
+            imp = _compute_importance(
+                encoder, chain.tokens, x[b], sigma, chain.config.lambda_block,
+                fusion, attention_bias_weight,
+            )
+            wpr_calls[b] += 1
+            use_mask(b, build_mask(chain.tokens, imp, ratios[b]))
+
+        eps_hat = denoiser_to_eps(denoise(model, x, sigma, pos), x, sigma)
+        if guided_rows is not None:
+            xg = x[guided_rows]
+            eps_neg = denoiser_to_eps(
+                denoise(model, xg, sigma, neg[guided_rows]), xg, sigma
+            )
+            for mode, w, rows, neg_rows in combines:
+                eps_hat[rows] = _combine(
+                    mode,
+                    Prediction(eps_hat[rows], sigma),
+                    Prediction(eps_neg[neg_rows], sigma),
+                    w,
+                ).value
+        # PF-ODE: dx/dsigma = -sigma * score = (x - D) / sigma = eps
+        x = np.add(x, (sigmas[i + 1] - sigma) * eps_hat, out=trajectory[i + 1])
+        _check_finite(x, i + 1)
+
+    runs = []
+    for b, chain in enumerate(chains):
+        used = masks_used[b]
+        if len(used) != steps:
+            # one mask for the whole chain, or none at all
+            used = (used or [None]) * steps
+        runs.append(
+            SamplerRun(
+                config=chain.config,
+                seed=chain.seed,
+                sigmas=sigmas,
+                trajectory=trajectory[:, b],
+                masks_used=used,
+                wpr_call_count=wpr_calls[b],
+            )
+        )
+    return runs
 
 
 def sample(
@@ -337,98 +505,8 @@ def sample(
     fusion: FusionConfig | None = None,
     attention_bias_weight: float = DEFAULT_ATTENTION_BIAS_WEIGHT,
 ) -> SamplerRun:
-    """Guided probability-flow ODE sampling (Euler) from pure noise.
-
-    Masks for the degradation modes are built from the intervention block's
-    attention map; with reuse_first_step_mask the importance ranking is
-    computed once at the first step and reused, and at the ratio-1.0
-    boundary the type-only mask bypasses importance computation entirely.
-    """
-    sigmas = schedule.sigmas
-    c = encoder.encode(tokens)
-    null = encoder.null_condition()
-    e_c = encoder.pool(c, model.d_c)
-    e_null = None
-    if config.mode in (GuidanceMode.CFG, GuidanceMode.CFG_STAR):
-        e_null = encoder.pool(null, model.d_c)
-
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=model.d_x) * sigmas[0]
-
-    trajectory = [x.copy()]
-    masks_used: list[DegradationMask | None] = []
-    wpr_calls = 0
-    cached_mask: DegradationMask | None = None
-    cached_bits: bytes | None = None
-    e_deg: np.ndarray | None = None
-    degrading = config.mode.uses_degradation
-    boundary = degrading and config.r_deg == 1.0
-    ratios = map_ratio(config.r_deg) if degrading else None
-
-    for i in range(len(sigmas) - 1):
-        sigma = sigmas[i]
-        mask = None
-        if degrading:
-            if boundary:
-                # type-only boundary mask, no importance needed
-                mask = cached_mask or content_boundary_mask(tokens)
-            elif config.reuse_first_step_mask and cached_mask is not None:
-                mask = cached_mask
-            else:
-                imp = _compute_importance(
-                    encoder, tokens, x, sigma, config.lambda_block,
-                    fusion, attention_bias_weight,
-                )
-                wpr_calls += 1
-                mask = build_mask(tokens, imp, ratios)
-            if mask is not cached_mask:
-                cached_mask = mask
-                bits_key = mask.bits.tobytes()
-                if bits_key != cached_bits:
-                    e_deg = encoder.pool(apply_mask(c, null, mask), model.d_c)
-                    cached_bits = bits_key
-        masks_used.append(mask)
-
-        eps_hat = _guided_eps(model, x, sigma, config, e_c, e_null, e_deg)
-        # PF-ODE: dx/dsigma = -sigma * score = (x - D) / sigma = eps
-        x = x + (sigmas[i + 1] - sigma) * eps_hat
-        trajectory.append(x.copy())
-
-    return SamplerRun(
-        config=config,
-        seed=seed,
-        sigmas=sigmas,
-        trajectory=trajectory,
-        masks_used=masks_used,
-        wpr_call_count=wpr_calls,
-    )
-
-
-def sample_final_batch(
-    model: GmmConditionalModel,
-    schedule: SigmaSchedule,
-    encoder: ToyTextEncoder,
-    tokens: TokenSequence,
-    config: GuidanceConfig,
-    seeds: list[int],
-) -> np.ndarray:
-    """Final latents of many independent runs, integrated as one batch.
-
-    Restricted to the non-degradation modes, where every chain shares the
-    same guidance arithmetic; each chain's initial noise is drawn exactly as
-    sample() draws it, and the integration matches sample() per chain.
-    """
-    if config.mode.uses_degradation:
-        raise InvalidInputError("batch sampling supports modes none and cfg only")
-    sigmas = schedule.sigmas
-    e_c = encoder.pool(encoder.encode(tokens), model.d_c)
-    e_null = None
-    if config.mode is GuidanceMode.CFG:
-        e_null = encoder.pool(encoder.null_condition(), model.d_c)
-    x = np.stack(
-        [np.random.default_rng(s).normal(size=model.d_x) for s in seeds]
-    ) * sigmas[0]
-    for i in range(len(sigmas) - 1):
-        eps_hat = _guided_eps(model, x, sigmas[i], config, e_c, e_null, None)
-        x = x + (sigmas[i + 1] - sigmas[i]) * eps_hat
-    return x
+    """Guided sampling of one chain: sample_batch with a batch of one."""
+    return sample_batch(
+        model, schedule, encoder, [Chain(tokens, config, seed)],
+        fusion=fusion, attention_bias_weight=attention_bias_weight,
+    )[0]

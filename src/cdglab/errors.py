@@ -33,5 +33,9 @@ class UndefinedMetricError(CdgError):
     """Geometry metric requested for a zero guidance delta."""
 
 
+class NumericalError(CdgError):
+    """A computation produced a non-finite value."""
+
+
 class ConfigError(CdgError):
     """Unreadable or invalid run configuration."""

@@ -8,6 +8,7 @@ only through rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,8 +37,9 @@ class GuidanceConfig:
     reuse_first_step_mask: bool = True
 
     def __post_init__(self):
-        if self.guidance_scale < 1.0:
-            raise InvalidInputError("guidance_scale must be >= 1")
+        # written so that NaN fails too: nan < 1.0 is False
+        if not (math.isfinite(self.guidance_scale) and self.guidance_scale >= 1.0):
+            raise InvalidInputError("guidance_scale must be finite and >= 1")
         if self.mode.uses_degradation and self.r_deg is None:
             raise InvalidInputError(f"mode {self.mode.value} requires r_deg")
         if not self.mode.uses_degradation and self.r_deg is not None:

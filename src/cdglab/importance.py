@@ -207,6 +207,10 @@ def _stationary_scores(heads: np.ndarray) -> np.ndarray:
         if info != 0:
             raise DegenerateGraphError("stationary system is singular")
         out[i] = sol
+    # overflowing weights (e.g. a huge attention bias) turn into NaN rows
+    # that dgesv still solves with info == 0
+    if not np.isfinite(out).all():
+        raise DegenerateGraphError("stationary solution is not finite")
     return out
 
 

@@ -20,12 +20,13 @@ from cdglab.degradation import (
     map_ratio,
 )
 from cdglab.diffusion import (
+    Chain,
     GmmConditionalModel,
     SigmaSchedule,
     denoise,
     log_density,
     sample,
-    sample_final_batch,
+    sample_batch,
 )
 from cdglab.encoder import EncoderParams, TokenType, tokenize
 from cdglab.geometry import decoupling, interference, run_geometry_sweep
@@ -240,9 +241,13 @@ def test_criterion_5_sampler_statistics(encoder, params):
     means = model.means(e)
     schedule = SigmaSchedule.log_spaced(200, 20.0, 0.005)
     config = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
-    finals = sample_final_batch(
-        model, schedule, encoder, tokens, config, list(range(10_000))
-    )
+
+    def sample_finals(schedule: SigmaSchedule, seeds) -> np.ndarray:
+        chains = [Chain(tokens, config, s) for s in seeds]
+        runs = sample_batch(model, schedule, encoder, chains)
+        return np.stack([run.final for run in runs])
+
+    finals = sample_finals(schedule, range(10_000))
     assign = np.argmin(
         np.linalg.norm(finals[:, None, :] - means[None, :, :], axis=2), axis=1
     )
@@ -254,16 +259,10 @@ def test_criterion_5_sampler_statistics(encoder, params):
         assert err < 0.05 * np.linalg.norm(means[j]), f"mean {j}: {err}"
     # Euler order: halving the step size roughly halves the terminal error
     seeds = list(range(32))
-    reference = sample_final_batch(
-        model, SigmaSchedule.log_spaced(6400, 20.0, 0.005), encoder, tokens,
-        config, seeds,
-    )
+    reference = sample_finals(SigmaSchedule.log_spaced(6400, 20.0, 0.005), seeds)
     err = {}
     for steps in (200, 400):
-        finals_n = sample_final_batch(
-            model, SigmaSchedule.log_spaced(steps, 20.0, 0.005), encoder, tokens,
-            config, seeds,
-        )
+        finals_n = sample_finals(SigmaSchedule.log_spaced(steps, 20.0, 0.005), seeds)
         err[steps] = np.linalg.norm(finals_n - reference, axis=1).mean()
     ratio = err[200] / err[400]
     assert 1.5 <= ratio <= 2.5, f"Euler error ratio {ratio}"

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cdglab.cli import main
+from cdglab.cli import _write_json, main
+from cdglab.config import parse_config
+from cdglab.diffusion import sample
+from cdglab.encoder import tokenize
+from cdglab.errors import NumericalError
+from cdglab.guidance import GuidanceConfig, GuidanceMode
 
 BASE_CONFIG = {
     "encoder": {"seq_len": 16, "seed": 10},
@@ -68,6 +75,48 @@ class TestErrors:
         code = main(["sweep", "--config", str(config_file), "--grid", "a,b",
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_non_finite_guidance_scale(self, tmp_path, scale):
+        # Python's json reads the non-standard Infinity and NaN literals
+        doc = dict(BASE_CONFIG, guidance={"mode": "cfg", "guidance_scale": scale})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), "a", True])
+    def test_bad_attention_bias_weight(self, tmp_path, weight):
+        doc = dict(BASE_CONFIG, attention_bias_weight=weight)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_overflowing_attention_bias_is_runtime_error(self, tmp_path, capsys):
+        doc = dict(BASE_CONFIG, attention_bias_weight=1e6,
+                   guidance={"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            code = main(["sample", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_finite_latent_exits_1(self, tmp_path, capsys):
+        doc = dict(BASE_CONFIG, guidance={"mode": "cfg", "guidance_scale": 1e300})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            code = main(["sample", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite latent at step" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "metadata.json").exists()
+
+    def test_json_output_is_strict(self, tmp_path):
+        with pytest.raises(NumericalError):
+            _write_json(tmp_path / "m.json", {"value": float("nan")}, force=False)
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestRankTokens:
@@ -193,6 +242,53 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
         rows = _read_csv(out / "sweep.csv")
         assert len(rows) == 21 * 8  # default grid 0.0..2.0 step 0.1
+
+
+def _per_chain_sweep_rows(doc: dict, grid: list[float]) -> list[dict]:
+    """sweep.csv rows as one sample() call per chain computes them."""
+    cfg = parse_config(doc)
+    model, schedule = cfg.build_model(), cfg.build_schedule()
+    encoder = cfg.build_encoder()
+    reference = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
+    kwargs = {"fusion": cfg.fusion, "attention_bias_weight": cfg.attention_bias_weight}
+    rows = []
+    for r_deg in grid:
+        for p, prompt in enumerate(cfg.prompts):
+            tokens = tokenize(prompt, cfg.encoder)
+            ref = sample(model, schedule, encoder, tokens, reference, cfg.seed, **kwargs)
+            run = sample(model, schedule, encoder, tokens,
+                         replace(cfg.guidance, r_deg=r_deg), cfg.seed, **kwargs)
+            mask = run.masks_used[0]
+            rows.append({
+                "r_deg": repr(float(r_deg)),
+                "prompt_index": str(p),
+                "prompt": prompt,
+                "replaced_count": str(len(mask.replaced_indices)),
+                "k_content": str(mask.k_content),
+                "k_ctxagg": str(mask.k_ctxagg),
+                "wpr_call_count": str(run.wpr_call_count),
+                "final_distance_to_conditional": repr(
+                    float(np.linalg.norm(run.final - ref.final))
+                ),
+            })
+    return rows
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+def test_sweep_matches_per_chain_loop(tmp_path, reuse):
+    doc = dict(
+        BASE_CONFIG,
+        prompts=["a man is cooking", "a cat sits on the mat", ""],
+        guidance={"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5,
+                  "reuse_first_step_mask": reuse},
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    grid = [0.0, 0.3, 0.5, 1.0, 1.4, 2.0]
+    assert main(["sweep", "--config", str(path), "--out", str(out),
+                 "--grid", ",".join(map(str, grid))]) == 0
+    assert _read_csv(out / "sweep.csv") == _per_chain_sweep_rows(doc, grid)
 
 
 class TestDiagnose:

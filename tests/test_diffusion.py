@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdglab.diffusion import (
+    Chain,
     GmmConditionalModel,
     SigmaSchedule,
     attention_provider,
     denoise,
     log_density,
     sample,
-    sample_final_batch,
+    sample_batch,
     score,
 )
 from cdglab.encoder import tokenize
-from cdglab.errors import InvalidInputError
+from cdglab.errors import DegenerateGraphError, InvalidInputError, NumericalError
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 
 CFG = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
@@ -97,6 +98,21 @@ class TestDenoise:
         for i in range(5):
             np.testing.assert_allclose(
                 batched[i], denoise(model, xs[i], 0.8, e), atol=1e-14
+            )
+
+    def test_per_row_embeddings(self, model):
+        rng = np.random.default_rng(2)
+        es = rng.normal(size=(7, model.d_c))
+        xs = rng.normal(size=(7, model.d_x))
+        assert model.means(es).shape == (7, model.n_components, model.d_x)
+        batched = denoise(model, xs, 0.8, es)
+        for i in range(7):
+            # a row of the batch does not depend on the other rows
+            np.testing.assert_array_equal(
+                batched[i], denoise(model, xs[i : i + 1], 0.8, es[i : i + 1])[0]
+            )
+            np.testing.assert_allclose(
+                batched[i], denoise(model, xs[i], 0.8, es[i]), atol=1e-14
             )
 
 
@@ -250,15 +266,82 @@ class TestSample:
 
     def test_batch_matches_individual_runs(self, model, schedule, encoder, tokens):
         seeds = [0, 1, 2, 3]
-        batch = sample_final_batch(model, schedule, encoder, tokens, CFG, seeds)
+        batch = sample_batch(
+            model, schedule, encoder, [Chain(tokens, CFG, s) for s in seeds]
+        )
         for i, s in enumerate(seeds):
             run = sample(model, schedule, encoder, tokens, CFG, s)
-            np.testing.assert_array_equal(batch[i], run.final)
+            np.testing.assert_array_equal(batch[i].final, run.final)
 
-    def test_batch_rejects_degradation_modes(self, model, schedule, encoder, tokens):
-        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0)
-        with pytest.raises(InvalidInputError):
-            sample_final_batch(model, schedule, encoder, tokens, cdg, [0])
+    def test_mixed_batch_matches_per_chain(self, model, schedule, encoder, params):
+        configs = [
+            UNGUIDED,
+            CFG,
+            GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5),
+            GuidanceConfig(
+                mode=GuidanceMode.CDG, guidance_scale=2.5, r_deg=0.7,
+                reuse_first_step_mask=False,
+            ),
+            GuidanceConfig(mode=GuidanceMode.CFG_STAR, guidance_scale=3.0, r_deg=0.5),
+            GuidanceConfig(
+                mode=GuidanceMode.CFG_STAR, guidance_scale=2.0, r_deg=1.3,
+                reuse_first_step_mask=False,
+            ),
+            GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0),
+        ]
+        prompts = ["a man is cooking", "a cat sits on the mat", ""]
+        chains = [
+            Chain(tokenize(prompt, params), config, seed=7 * p + k)
+            for p, prompt in enumerate(prompts)
+            for k, config in enumerate(configs)
+        ]
+        batch = sample_batch(model, schedule, encoder, chains)
+        assert len(batch) == len(chains)
+        for chain, run in zip(chains, batch):
+            alone = sample(
+                model, schedule, encoder, chain.tokens, chain.config, chain.seed
+            )
+            assert run.config == chain.config and run.seed == chain.seed
+            np.testing.assert_array_equal(run.trajectory, alone.trajectory)
+            assert run.wpr_call_count == alone.wpr_call_count
+            assert len(run.masks_used) == len(alone.masks_used) == schedule.steps
+            for a, b in zip(run.masks_used, alone.masks_used):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_array_equal(a.bits, b.bits)
+
+    def test_batch_encodes_each_prompt_once(self, model, schedule, params, monkeypatch):
+        from cdglab.encoder import ToyTextEncoder
+
+        encoder = ToyTextEncoder(params)
+        encoder.null_condition()  # encoded once per encoder, not per batch
+        calls = []
+        original = encoder.encode
+        monkeypatch.setattr(encoder, "encode", lambda t: calls.append(t) or original(t))
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
+        tokens = [tokenize(p, params) for p in ("a man is cooking", "a dog")]
+        sample_batch(
+            model, schedule, encoder, [Chain(t, cdg, s) for s in range(3) for t in tokens]
+        )
+        assert sorted(t.ids for t in calls) == sorted(t.ids for t in tokens)
+
+    def test_empty_batch(self, model, schedule, encoder):
+        assert sample_batch(model, schedule, encoder, []) == []
+
+    def test_non_finite_latent_names_step_and_chain(
+        self, model, schedule, encoder, tokens
+    ):
+        huge = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=1e300)
+        chains = [Chain(tokens, CFG, 0), Chain(tokens, huge, 1)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match=r"step \d+ in chain 1"):
+                sample_batch(model, schedule, encoder, chains)
+
+    def test_overflowing_attention_bias_rejected(self, model, schedule, encoder, tokens):
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DegenerateGraphError):
+                sample(model, schedule, encoder, tokens, cdg, 0, attention_bias_weight=1e6)
 
 
 class TestSamplerStatistics:

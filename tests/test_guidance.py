@@ -143,6 +143,12 @@ class TestGuidanceConfig:
         with pytest.raises(InvalidInputError):
             GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=0.5)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        # nan < 1.0 is False, so a plain lower-bound check lets NaN through
+        with pytest.raises(InvalidInputError):
+            GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=scale)
+
     def test_degradation_mode_requires_ratio(self):
         with pytest.raises(InvalidInputError):
             GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=2.0)

@@ -16,6 +16,7 @@ from cdglab.importance import (
     AttentionMap,
     FusionConfig,
     ImportanceScores,
+    _stationary_scores,
     cross_attention_baseline,
     fuse_heads,
     head_variance,
@@ -150,6 +151,23 @@ class TestWprAllHeads:
             AttentionMap(heads=np.ones((2, 3, 4)))
         with pytest.raises(InvalidInputError):
             AttentionMap(heads=-np.ones((2, 3, 3)))
+
+
+class TestStationaryScores:
+    def test_matches_power_iteration(self):
+        stack = np.stack([positive_matrix(s, 6) for s in range(3)])
+        out = _stationary_scores(stack)
+        for head, scores in zip(stack, out):
+            np.testing.assert_allclose(scores, power_iteration_oracle(head), atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_solution_rejected(self, bad):
+        # an overflowing attention weight makes NaN rows that the LAPACK
+        # solve accepts without reporting a singular system
+        stack = np.stack([positive_matrix(s, 5) for s in range(2)])
+        stack[1, 2, 3] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(DegenerateGraphError):
+            _stationary_scores(stack)
 
 
 class TestHeadVariance:
