@@ -18,7 +18,6 @@ from .diffusion import (
     GmmConditionalModel,
     SamplerRun,
     SigmaSchedule,
-    attention_provider,
     denoise,
     log_density,
     sample,
@@ -28,6 +27,7 @@ from .diffusion import (
 from .encoder import (
     Condition,
     EncoderParams,
+    PromptState,
     TokenSequence,
     TokenType,
     ToyTextEncoder,
@@ -52,13 +52,12 @@ from .guidance import (
     guidance_delta,
 )
 from .importance import (
-    AttentionMap,
     FusionConfig,
     ImportanceScores,
     cross_attention_baseline,
     fuse_heads,
     head_variance,
-    wpr_all_heads,
+    stationary_scores,
     wpr_single_head,
 )
 from .linalg import (

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import degradation, geometry, importance
 from .config import RunConfig, config_echo, load_config
-from .diffusion import Chain, sample, sample_batch
+from .diffusion import Chain, sample_batch
 from .encoder import TokenType, tokenize
 from .errors import CdgError, ConfigError, NumericalError
 from .guidance import GuidanceConfig, GuidanceMode
@@ -62,12 +62,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list], force: bool) -> 
 
 
 def _fused_importance(cfg: RunConfig, encoder, tokens):
-    amap = importance.AttentionMap(
-        heads=encoder.attention_at_block(tokens, cfg.guidance.lambda_block)
+    per_head = importance.stationary_scores(
+        encoder.attention_at_block(tokens, cfg.guidance.lambda_block)
     )
-    per_head = importance.wpr_all_heads(amap)
-    fused = importance.fuse_heads(per_head, cfg.fusion)
-    return per_head, fused
+    return per_head, importance.fuse_heads(per_head, cfg.fusion)
 
 
 def cmd_rank_tokens(cfg: RunConfig, prompt: str, out: Path, force: bool) -> int:
@@ -81,7 +79,7 @@ def cmd_rank_tokens(cfg: RunConfig, prompt: str, out: Path, force: bool) -> int:
         {
             "prompt": prompt,
             "lambda_block": cfg.guidance.lambda_block,
-            "per_head_scores": [h.scores.tolist() for h in per_head],
+            "per_head_scores": per_head.tolist(),
             "tokens": [
                 {
                     "position": i,
@@ -151,28 +149,27 @@ def cmd_build_mask(cfg: RunConfig, prompt: str, r_deg: float, out: Path, force: 
     return EXIT_OK
 
 
-def _run_prompt(cfg: RunConfig, model, schedule, encoder, prompt: str, config: GuidanceConfig):
-    tokens = tokenize(prompt, cfg.encoder)
-    return sample(
-        model, schedule, encoder, tokens, config, cfg.seed,
-        fusion=cfg.fusion, attention_bias_weight=cfg.attention_bias_weight,
-    )
-
-
 def cmd_sample(cfg: RunConfig, out: Path, force: bool) -> int:
     model = cfg.build_model()
     schedule = cfg.build_schedule()
     encoder = cfg.build_encoder()
+    chains = [
+        Chain(tokenize(prompt, cfg.encoder), cfg.guidance, cfg.seed)
+        for prompt in cfg.prompts
+    ]
+    t0 = time.perf_counter()
+    runs = sample_batch(
+        model, schedule, encoder, chains,
+        fusion=cfg.fusion, attention_bias_weight=cfg.attention_bias_weight,
+    )
+    elapsed = time.perf_counter() - t0
     meta = {"config": config_echo(cfg), "runs": []}
-    for p, prompt in enumerate(cfg.prompts):
-        t0 = time.perf_counter()
-        run = _run_prompt(cfg, model, schedule, encoder, prompt, cfg.guidance)
-        elapsed = time.perf_counter() - t0
+    header = ["step", "sigma"] + [f"x{i}" for i in range(model.d_x)]
+    for p, (prompt, run) in enumerate(zip(cfg.prompts, runs)):
         rows = [
             [step, float(run.sigmas[step])] + [float(v) for v in x]
             for step, x in enumerate(run.trajectory)
         ]
-        header = ["step", "sigma"] + [f"x{i}" for i in range(model.d_x)]
         _write_csv(out / f"trajectory_{p:03d}.csv", header, rows, force)
         meta["runs"].append(
             {
@@ -182,7 +179,7 @@ def cmd_sample(cfg: RunConfig, out: Path, force: bool) -> int:
                 "final": [float(v) for v in run.final],
             }
         )
-        print(f"[sample] prompt {p}: {elapsed:.3f}s", file=sys.stderr)
+    print(f"[sample] {len(runs)} prompts: {elapsed:.3f}s", file=sys.stderr)
     _write_json(out / "metadata.json", meta, force)
     return EXIT_OK
 
@@ -321,6 +318,8 @@ def run(argv: list[str] | None = None) -> int:
         raise ConfigError("--config is required")
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         cfg.seed = args.seed
     out = args.out if args.out is not None else Path(cfg.out_dir)
     force = args.force

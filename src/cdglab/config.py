@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .degradation import map_ratio
 from .diffusion import GmmConditionalModel, SigmaSchedule
 from .encoder import EncoderParams, ToyTextEncoder
 from .errors import CdgError, ConfigError
 from .guidance import GuidanceConfig, GuidanceMode
 from .importance import FusionConfig
+
+
+# bounds the schedule parse_config builds to check it
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -23,12 +28,26 @@ class ModelConfig:
     spread_min: float = 0.3
     spread_max: float = 1.0
 
+    def __post_init__(self):
+        if min(self.n_components, self.d_x, self.d_c) < 1:
+            raise ConfigError("n_components, d_x and d_c must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not 0.0 < self.spread_min <= self.spread_max < math.inf:
+            raise ConfigError("need 0 < spread_min <= spread_max, both finite")
+
 
 @dataclass(frozen=True)
 class ScheduleConfig:
     steps: int = 28
     sigma_max: float = 10.0
     sigma_min: float = 0.01
+
+    def __post_init__(self):
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ConfigError(f"steps must be between 1 and {MAX_STEPS}")
+        if not 0.0 < self.sigma_min < self.sigma_max < math.inf:
+            raise ConfigError("need 0 < sigma_min < sigma_max, both finite")
 
 
 @dataclass
@@ -63,9 +82,41 @@ class RunConfig:
         return SigmaSchedule.log_spaced(s.steps, s.sigma_max, s.sigma_min)
 
 
+# the JSON values a field accepts, by the name of its annotated type; the
+# config modules postpone annotations, so each is a string such as "int | None"
+_ACCEPTS = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,), "None": ()}
+
+
+def _check_types(cls, data: dict, prefix: str) -> dict:
+    """Reject a JSON value that does not fit the annotated type of its field.
+
+    Returns the data with the number of every float field made a float.
+    """
+    annotations = {f.name: f.type for f in fields(cls)}
+    checked = dict(data)
+    for key, value in data.items():
+        allowed = annotations.get(key, "").split(" | ")
+        if not all(name in _ACCEPTS for name in allowed):
+            continue  # unknown keys are reported by the constructor, enums by the caller
+        ok = value is None and "None" in allowed
+        ok = ok or any(isinstance(value, _ACCEPTS[name]) for name in allowed)
+        if isinstance(value, bool):
+            ok = "bool" in allowed
+        if not ok:
+            names = " or ".join(allowed).replace("None", "null")
+            raise ConfigError(f"'{prefix}{key}' must be {names}, got {value!r}")
+        if "float" in allowed and isinstance(value, int):
+            try:
+                checked[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"'{prefix}{key}' is out of float range") from None
+    return checked
+
+
 def _build(cls, data: dict, section: str):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{section}' must be an object")
+    data = _check_types(cls, data, f"{section}.")
     try:
         return cls(**data)
     except TypeError as exc:
@@ -81,9 +132,15 @@ def _parse_guidance(data: dict) -> GuidanceConfig:
     mode = data.pop("mode", "cfg")
     try:
         data["mode"] = GuidanceMode(mode)
-    except ValueError as exc:
-        raise ConfigError(f"unknown guidance mode '{mode}'") from exc
-    return _build(GuidanceConfig, data, "guidance")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"unknown guidance mode {mode!r}") from exc
+    guidance = _build(GuidanceConfig, data, "guidance")
+    if guidance.r_deg is not None:
+        try:
+            map_ratio(guidance.r_deg)
+        except CdgError as exc:
+            raise ConfigError(f"invalid section 'guidance': {exc}") from exc
+    return guidance
 
 
 def parse_config(doc: dict, base_dir: Path | None = None) -> RunConfig:
@@ -102,32 +159,49 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> RunConfig:
     if "fusion" in doc:
         kwargs["fusion"] = _build(FusionConfig, doc.pop("fusion"), "fusion")
     if "prompts_file" in doc:
-        path = Path(doc.pop("prompts_file"))
+        name = doc.pop("prompts_file")
+        if not isinstance(name, str):
+            raise ConfigError("'prompts_file' must be a string")
+        path = Path(name)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         if not path.is_file():
             raise ConfigError(f"prompts file not found: {path}")
-        kwargs["prompts"] = [
-            line.strip() for line in path.read_text().splitlines() if line.strip()
-        ]
+        try:
+            lines = path.read_text().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read prompts file {path}: {exc}") from exc
+        kwargs["prompts"] = [line.strip() for line in lines if line.strip()]
     if "prompts" in doc:
         prompts = doc.pop("prompts")
         if not isinstance(prompts, list) or not all(isinstance(p, str) for p in prompts):
             raise ConfigError("'prompts' must be a list of strings")
         kwargs["prompts"] = prompts
-    for key in ("seed", "out_dir", "geometry_k", "attention_bias_weight"):
-        if key in doc:
-            kwargs[key] = doc.pop(key)
+    scalars = {
+        key: doc.pop(key)
+        for key in ("seed", "out_dir", "geometry_k", "attention_bias_weight")
+        if key in doc
+    }
+    kwargs.update(_check_types(RunConfig, scalars, ""))
     if doc:
         raise ConfigError(f"unknown config keys: {sorted(doc)}")
-    weight = kwargs.get("attention_bias_weight", 0.0)
-    is_number = isinstance(weight, (int, float)) and not isinstance(weight, bool)
-    if not (is_number and math.isfinite(weight)):
-        raise ConfigError(f"attention_bias_weight must be a finite number, got {weight!r}")
+    cfg = RunConfig(**kwargs)
+    if not cfg.prompts:
+        raise ConfigError("no prompts given")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if cfg.geometry_k is not None and cfg.geometry_k < 1:
+        raise ConfigError("geometry_k must be >= 1")
+    if not math.isfinite(cfg.attention_bias_weight):
+        raise ConfigError("attention_bias_weight must be finite")
+    if not 0 <= cfg.guidance.lambda_block < cfg.encoder.n_blocks:
+        raise ConfigError(f"lambda_block must be in [0, n_blocks = {cfg.encoder.n_blocks})")
     try:
-        return RunConfig(**kwargs)
-    except (TypeError, CdgError) as exc:
-        raise ConfigError(str(exc)) from exc
+        # close sigma bounds can round to a schedule that is not decreasing
+        cfg.build_schedule()
+    except CdgError as exc:
+        raise ConfigError(f"invalid section 'schedule': {exc}") from exc
+    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:

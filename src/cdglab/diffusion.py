@@ -11,7 +11,6 @@ mask computation.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .degradation import (
     content_boundary_mask,
     map_ratio,
 )
-from .encoder import Condition, TokenSequence, ToyTextEncoder
+from .encoder import Condition, PromptState, TokenSequence, ToyTextEncoder
 from .errors import InvalidInputError, NumericalError
 from .guidance import (
     GuidanceConfig,
@@ -36,15 +35,7 @@ from .guidance import (
     combine_cfg_star,
     denoiser_to_eps,
 )
-from .importance import (
-    AttentionMap,
-    FusionConfig,
-    ImportanceScores,
-    _fuse_stack,
-    _stationary_scores,
-    fuse_heads,
-    wpr_all_heads,
-)
+from .importance import FusionConfig, ImportanceScores, fuse_heads, stationary_scores
 
 DEFAULT_ATTENTION_BIAS_WEIGHT = 0.1
 
@@ -196,48 +187,6 @@ def score(
     return (denoise(model, x, sigma, e) - x) / (sigma * sigma)
 
 
-_BIAS_MAPS: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def _state_bias_map(encoder: ToyTextEncoder, d_x: int) -> np.ndarray:
-    key = (encoder.params.seed, encoder.params.d_model, d_x)
-    if key not in _BIAS_MAPS:
-        rng = np.random.default_rng([encoder.params.seed, 3, d_x])
-        _BIAS_MAPS[key] = rng.normal(
-            size=(encoder.params.d_model, d_x + 1)
-        ) / np.sqrt(d_x + 1)
-    return _BIAS_MAPS[key]
-
-
-def attention_provider(
-    encoder: ToyTextEncoder,
-    tokens: TokenSequence,
-    x: np.ndarray,
-    sigma: float,
-    lambda_block: int,
-    bias_weight: float = DEFAULT_ATTENTION_BIAS_WEIGHT,
-) -> AttentionMap:
-    """Self-attention at the intervention block, conditioned on the latent state.
-
-    A seeded linear map of (x, sigma), scaled by bias_weight, is added to
-    every query row, so the extracted map varies with the denoising state.
-    With bias_weight 0 this is exactly the static encoder attention.
-    """
-    if lambda_block < 0 or lambda_block >= encoder.params.n_blocks:
-        raise InvalidInputError(f"lambda_block {lambda_block} out of range")
-    bias = None
-    if bias_weight != 0.0:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        z = np.concatenate([x, [sigma]])
-        bias = bias_weight * (_state_bias_map(encoder, x.size) @ z)
-    attn = encoder.attention_at_block(tokens, lambda_block, bias)
-    # softmax output is strictly positive and finite by construction, so the
-    # constructor's validation pass is skipped on this hot path
-    amap = AttentionMap.__new__(AttentionMap)
-    amap.heads = attn
-    return amap
-
-
 @dataclass
 class SamplerRun:
     config: GuidanceConfig
@@ -252,66 +201,46 @@ class SamplerRun:
         return self.trajectory[-1]
 
 
-_FAST_STATE: "weakref.WeakKeyDictionary[ToyTextEncoder, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _fast_state(
-    encoder: ToyTextEncoder, tokens: TokenSequence, block: int, d_x: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (exp static logits, bias-response map) for the fast path.
-
-    The query bias shifts every logit row by the same per-key vector, which
-    is linear in (x, sigma); W0 holds exp of the static logits and Z maps
-    (x, sigma) straight to that shift, so a step's attention weights cost
-    one small exp and a broadcast multiply. The per-row exp normalization
-    dropped here is absorbed by WPR's row normalization.
-    """
-    per_encoder = _FAST_STATE.setdefault(encoder, {})
-    key = (tokens.ids, block, d_x)
-    cached = per_encoder.get(key)
-    if cached is None:
-        logits0 = encoder.attention_logits(tokens, block)
-        w0 = np.exp(logits0 - logits0.max(axis=2, keepdims=True))
-        kt_scaled = encoder._qk_cache[(tokens.ids, block)][1]
-        m = _state_bias_map(encoder, d_x).reshape(
-            encoder.params.n_heads, encoder.d_head, d_x + 1
-        )
-        z_map = np.einsum("hdm,hdn->hnm", m, kt_scaled)
-        cached = (w0, np.ascontiguousarray(z_map))
-        per_encoder[key] = cached
-    return cached
-
-
 def _compute_importance(
-    encoder: ToyTextEncoder,
-    tokens: TokenSequence,
+    state: PromptState,
     x: np.ndarray,
     sigma: float,
-    lambda_block: int,
     fusion: FusionConfig | None,
     bias_weight: float,
 ) -> ImportanceScores:
-    if fusion is not None and fusion.enabled:
-        amap = attention_provider(encoder, tokens, x, sigma, lambda_block, bias_weight)
-        return fuse_heads(wpr_all_heads(amap), fusion)
-    # filter disabled: WPR row-normalizes, so softmax normalization is
-    # redundant and unnormalized exp(logits) feeds the solve directly; the
-    # exact per-head fixed points come from direct solves and are fused
-    # straight from the score stack (this runs inside the sampler's loop)
-    if lambda_block < 0 or lambda_block >= encoder.params.n_blocks:
-        raise InvalidInputError(f"lambda_block {lambda_block} out of range")
-    w0, z_map = _fast_state(encoder, tokens, lambda_block, x.size)
-    if bias_weight != 0.0:
-        z = np.empty(x.size + 1)
-        z[:-1] = x
-        z[-1] = sigma
-        shift = bias_weight * (z_map @ z)
-        weights = w0 * np.exp(shift)[:, None, :]
+    """Fused token importance at latent x and noise level sigma."""
+    return fuse_heads(stationary_scores(state.weights(x, sigma, bias_weight)), fusion)
+
+
+def degraded_embedding(
+    encoder: ToyTextEncoder,
+    tokens: TokenSequence,
+    c: Condition,
+    ratios: DegradationRatios,
+    state: PromptState | None,
+    x: np.ndarray,
+    sigma: float,
+    d_c: int,
+    fusion: FusionConfig | None,
+    bias_weight: float,
+    previous: DegradationMask | None = None,
+) -> tuple[DegradationMask, np.ndarray | None]:
+    """The degradation mask of a prompt at (x, sigma) and its pooled embedding.
+
+    At the ratio-1.0 boundary the type-only mask needs no importance, and
+    state may be None; otherwise the tokens are ranked from the intervention
+    block's attention (state) at the latent state. The embedding is None when
+    the mask has the bits of `previous`, whose embedding still holds.
+    """
+    if ratios.r_deg == 1.0:
+        mask = content_boundary_mask(tokens)
     else:
-        weights = w0
-    return _fuse_stack(_stationary_scores(weights), True, None)
+        imp = _compute_importance(state, x, sigma, fusion, bias_weight)
+        mask = build_mask(tokens, imp, ratios)
+    if previous is not None and previous.bits.tobytes() == mask.bits.tobytes():
+        return mask, None
+    null = encoder.null_condition()
+    return mask, encoder.pool(apply_mask(c, null, mask), d_c)
 
 
 def _combine(
@@ -392,8 +321,11 @@ def sample_batch(
     pos = np.empty((n, d_c))
     neg = np.empty((n, d_c))
     ratios: list[DegradationRatios | None] = [None] * n
-    boundary: list[int] = []
-    first_step: list[int] = []  # chains ranking tokens at step 0
+    # the prompt states of the ranked chains, held for the whole call, so a
+    # batch of more prompts than the encoder's store keeps builds each once
+    states: dict[tuple, PromptState] = {}
+    chain_states: list[PromptState | None] = [None] * n
+    first_step: list[int] = []  # chains building a mask at step 0
     every_step: list[int] = []  # chains ranking tokens at every later step
     groups: dict[tuple[GuidanceMode, float], list[int]] = {}
     for b, (chain, mode) in enumerate(zip(chains, modes)):
@@ -405,11 +337,17 @@ def sample_batch(
             groups.setdefault((mode, chain.config.guidance_scale), []).append(b)
         if not mode.uses_degradation:
             continue
-        if chain.config.r_deg == 1.0:
-            boundary.append(b)
-            continue
         ratios[b] = map_ratio(chain.config.r_deg)
         first_step.append(b)
+        # the ratio-1.0 boundary mask does not depend on the latent
+        if chain.config.r_deg == 1.0:
+            continue
+        key = (chain.tokens.ids, chain.config.lambda_block)
+        if key not in states:
+            states[key] = encoder.prompt_state(
+                chain.tokens, chain.config.lambda_block, model.d_x
+            )
+        chain_states[b] = states[key]
         if not chain.config.reuse_first_step_mask:
             every_step.append(b)
 
@@ -429,35 +367,30 @@ def sample_batch(
 
     wpr_calls = [0] * n
     masks_used: list[list[DegradationMask | None]] = [[] for _ in range(n)]
-    mask_bits: list[bytes | None] = [None] * n
 
-    def use_mask(b: int, mask: DegradationMask) -> None:
-        masks_used[b].append(mask)
-        bits = mask.bits.tobytes()
-        if bits != mask_bits[b]:
-            mask_bits[b] = bits
-            c = conditions[chains[b].tokens.ids][0]
-            e_deg = encoder.pool(apply_mask(c, null, mask), d_c)
-            if modes[b] is GuidanceMode.CFG_STAR:
-                pos[b] = e_deg
-            else:
-                neg[b] = e_deg
-
-    for b in boundary:
-        # type-only boundary mask, no importance needed
-        use_mask(b, content_boundary_mask(chains[b].tokens))
+    def degrade(b: int, x_b: np.ndarray, sigma: float) -> None:
+        chain = chains[b]
+        used = masks_used[b]
+        mask, e_deg = degraded_embedding(
+            encoder, chain.tokens, conditions[chain.tokens.ids][0], ratios[b],
+            chain_states[b], x_b, sigma, d_c, fusion, attention_bias_weight,
+            previous=used[-1] if used else None,
+        )
+        used.append(mask)
+        if chain.config.r_deg != 1.0:  # the boundary mask ranks no tokens
+            wpr_calls[b] += 1
+        if e_deg is None:
+            return
+        if modes[b] is GuidanceMode.CFG_STAR:
+            pos[b] = e_deg
+        else:
+            neg[b] = e_deg
 
     x = trajectory[0]
     for i in range(steps):
         sigma = sigmas[i]
         for b in first_step if i == 0 else every_step:
-            chain = chains[b]
-            imp = _compute_importance(
-                encoder, chain.tokens, x[b], sigma, chain.config.lambda_block,
-                fusion, attention_bias_weight,
-            )
-            wpr_calls[b] += 1
-            use_mask(b, build_mask(chain.tokens, imp, ratios[b]))
+            degrade(b, x[b], sigma)
 
         eps_hat = denoiser_to_eps(denoise(model, x, sigma, pos), x, sigma)
         if guided_rows is not None:

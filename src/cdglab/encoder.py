@@ -10,7 +10,7 @@ always produces the same condition.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,6 +21,8 @@ PAD_ID = 0
 BOS_ID = 1
 EOS_ID = 2
 _NUM_SPECIAL = 3
+# the most prompt states one encoder keeps; the least recently used goes first
+PROMPT_STATE_CAP = 64
 
 
 class TokenType(Enum):
@@ -38,6 +40,10 @@ class EncoderParams:
     seed: int = 10
 
     def __post_init__(self):
+        if min(self.d_model, self.n_heads) < 1:
+            raise InvalidInputError("d_model and n_heads must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
         if self.d_model % self.n_heads != 0:
             raise InvalidInputError("d_model must be divisible by n_heads")
         if self.n_blocks < 1:
@@ -107,6 +113,35 @@ def tokenize(prompt: str, params: EncoderParams) -> TokenSequence:
     return TokenSequence(ids=tuple(ids), types=tuple(types), texts=tuple(texts))
 
 
+@dataclass(frozen=True)
+class PromptState:
+    """Latent-independent attention data of one (tokens, block, d_x).
+
+    The query bias is a linear map of the latent state (x, sigma), shared by
+    every query row, so it shifts each head's logit rows by one per-key
+    vector. `static` holds exp of the static logits (each row shifted by its
+    max), and `shift_map` takes (x, sigma) straight to that shift, so the
+    attention weights at a latent state cost one small exp and a broadcast
+    multiply.
+    """
+
+    static: np.ndarray  # (H, N, N)
+    shift_map: np.ndarray  # (H, N, d_x + 1)
+
+    def weights(self, x: np.ndarray, sigma: float, bias_weight: float) -> np.ndarray:
+        """Unnormalized attention weights (H, N, N) at latent x and noise sigma.
+
+        Each row is the softmax row times a positive factor; WPR's row
+        normalization absorbs it. With bias_weight 0 this is the static map.
+        """
+        if bias_weight == 0.0:
+            return self.static
+        z = np.empty(x.size + 1)
+        z[:-1] = x
+        z[-1] = sigma
+        return self.static * np.exp(bias_weight * (self.shift_map @ z))[:, None, :]
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -133,24 +168,21 @@ class ToyTextEncoder:
         self.w_o = rng.normal(size=(p.n_blocks, p.d_model, p.d_model)) * scale
         self._null: Condition | None = None
         self._pool_maps: dict[int, np.ndarray] = {}
-        # (token ids, block) -> (static scaled logits, per-head K^T); the
-        # map extraction path runs once per sampler step, so the
-        # bias-independent projections are worth keeping around
-        self._qk_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._bias_maps: dict[int, np.ndarray] = {}
+        # (token ids, block, d_x) -> PromptState, least recently used first
+        self._states: dict[tuple, PromptState] = {}
 
     @property
     def d_head(self) -> int:
         return self.params.d_model // self.params.n_heads
 
     def _block_attention(
-        self, x: np.ndarray, block: int, query_bias: np.ndarray | None = None
+        self, x: np.ndarray, block: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Returns (new hidden state, per-head attention (H, N, N))."""
         p = self.params
         n, dh = p.seq_len, self.d_head
         q = x @ self.w_q[block]
-        if query_bias is not None:
-            q = q + query_bias  # same bias added to every query row
         k = x @ self.w_k[block]
         v = x @ self.w_v[block]
         q = q.reshape(n, p.n_heads, dh).transpose(1, 0, 2)
@@ -178,46 +210,55 @@ class ToyTextEncoder:
         """Per-block, per-head row-stochastic attention maps (each H x N x N)."""
         return self._forward(tokens)[1]
 
-    def attention_at_block(
-        self, tokens: TokenSequence, block: int, query_bias: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Attention of one block, optionally with an additive query bias."""
-        return _softmax_rows(self.attention_logits(tokens, block, query_bias))
+    def attention_at_block(self, tokens: TokenSequence, block: int) -> np.ndarray:
+        """Attention of one block (H x N x N)."""
+        return _softmax_rows(self.attention_logits(tokens, block)[0])
 
     def attention_logits(
-        self, tokens: TokenSequence, block: int, query_bias: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Scaled pre-softmax attention logits of one block (H x N x N).
-
-        The attention map needs only the block's logits. The bias is shared
-        by every query row, so its contribution to the logits is a single
-        per-head row vector (bias_h K_h^T); the bias-independent logits and
-        the key projections are cached per (tokens, block).
-        """
+        self, tokens: TokenSequence, block: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled logits (H, N, N) of one block and its scaled K^T (H, d_head, N)."""
         if block < 0 or block >= self.params.n_blocks:
             raise InvalidInputError(f"block {block} out of range")
         p = self.params
         n, dh = p.seq_len, self.d_head
-        key = (tokens.ids, block)
-        cached = self._qk_cache.get(key)
-        if cached is None:
-            x = self.tok_emb[list(tokens.ids)] + self.pos_emb
-            for b in range(block):
-                x, _ = self._block_attention(x, b)
-            qh = (x @ self.w_q[block]).reshape(n, p.n_heads, dh).transpose(1, 0, 2)
-            kt = np.ascontiguousarray(
-                (x @ self.w_k[block]).reshape(n, p.n_heads, dh).transpose(1, 2, 0)
-            )
-            kt_scaled = kt / np.sqrt(dh)
-            cached = (qh @ kt_scaled, kt_scaled)
-            self._qk_cache[key] = cached
-        logits, kt_scaled = cached
-        if query_bias is not None:
-            row_shift = np.einsum(
-                "hd,hdn->hn", query_bias.reshape(p.n_heads, dh), kt_scaled
-            )
-            logits = logits + row_shift[:, None, :]
-        return logits
+        x = self.tok_emb[list(tokens.ids)] + self.pos_emb
+        for b in range(block):
+            x, _ = self._block_attention(x, b)
+        qh = (x @ self.w_q[block]).reshape(n, p.n_heads, dh).transpose(1, 0, 2)
+        kt = np.ascontiguousarray(
+            (x @ self.w_k[block]).reshape(n, p.n_heads, dh).transpose(1, 2, 0)
+        )
+        kt_scaled = kt / np.sqrt(dh)
+        return qh @ kt_scaled, kt_scaled
+
+    def prompt_state(self, tokens: TokenSequence, block: int, d_x: int) -> PromptState:
+        """The PromptState of (tokens, block, d_x), built on first use.
+
+        The query bias is a fixed seeded linear map of (x, sigma). The
+        encoder keeps the PROMPT_STATE_CAP most recently used states, which
+        every caller shares, so their arrays are read-only.
+        """
+        p = self.params
+        key = (tokens.ids, block, d_x)
+        state = self._states.pop(key, None)
+        if state is None:
+            logits, kt_scaled = self.attention_logits(tokens, block)
+            static = np.exp(logits - logits.max(axis=2, keepdims=True))
+            static.flags.writeable = False
+            if d_x not in self._bias_maps:
+                rng = np.random.default_rng([p.seed, 3, d_x])
+                self._bias_maps[d_x] = rng.normal(
+                    size=(p.d_model, d_x + 1)
+                ) / np.sqrt(d_x + 1)
+            m = self._bias_maps[d_x].reshape(p.n_heads, self.d_head, d_x + 1)
+            shift_map = np.ascontiguousarray(np.einsum("hdm,hdn->hnm", m, kt_scaled))
+            shift_map.flags.writeable = False
+            state = PromptState(static=static, shift_map=shift_map)
+            if len(self._states) >= PROMPT_STATE_CAP:
+                del self._states[next(iter(self._states))]
+        self._states[key] = state
+        return state
 
     def null_condition(self) -> Condition:
         """Encoding of the empty prompt; computed once and cached."""

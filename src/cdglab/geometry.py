@@ -13,13 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degradation import apply_mask, build_mask, content_boundary_mask, map_ratio
-from .diffusion import (
-    GmmConditionalModel,
-    SigmaSchedule,
-    _compute_importance,
-    denoise,
-)
+from .degradation import map_ratio
+from .diffusion import GmmConditionalModel, SigmaSchedule, degraded_embedding, denoise
 from .encoder import TokenSequence, ToyTextEncoder
 from .errors import InvalidInputError, RankDeficientError, UndefinedMetricError
 from .guidance import GuidanceConfig, GuidanceMode, denoiser_to_eps
@@ -101,32 +96,6 @@ class GeometryReport:
     detail: list[dict] = field(default_factory=list)
 
 
-def _negative_embedding(
-    method: GuidanceConfig,
-    model: GmmConditionalModel,
-    encoder: ToyTextEncoder,
-    tokens: TokenSequence,
-    c,
-    null,
-    x: np.ndarray,
-    sigma: float,
-    fusion: FusionConfig | None,
-    bias_weight: float,
-) -> np.ndarray:
-    if method.mode is GuidanceMode.CFG:
-        return encoder.pool(null, model.d_c)
-    if method.mode is GuidanceMode.CDG:
-        if method.r_deg == 1.0:
-            mask = content_boundary_mask(tokens)
-        else:
-            imp = _compute_importance(
-                encoder, tokens, x, sigma, method.lambda_block, fusion, bias_weight
-            )
-            mask = build_mask(tokens, imp, map_ratio(method.r_deg))
-        return encoder.pool(apply_mask(c, null, mask), model.d_c)
-    raise InvalidInputError(f"unsupported geometry method {method.mode}")
-
-
 def run_geometry_sweep(
     model: GmmConditionalModel,
     schedule: SigmaSchedule,
@@ -148,14 +117,22 @@ def run_geometry_sweep(
     defaults to the smallest k capturing 90% of squared singular-value mass,
     capped at num_prompts - 1.
     """
+    if config_cfg.mode is not GuidanceMode.CFG or config_cdg.mode is not GuidanceMode.CDG:
+        raise InvalidInputError("geometry compares a CFG config with a CDG config")
     if config_cfg.guidance_scale != config_cdg.guidance_scale:
         raise InvalidInputError("both methods must share the guidance scale")
     n_prompts = len(prompts_tokens)
     if n_prompts < 2:
         raise InvalidInputError("need at least 2 prompts")
     conditions = [encoder.encode(t) for t in prompts_tokens]
-    null = encoder.null_condition()
     e_cs = [encoder.pool(c, model.d_c) for c in conditions]
+    e_null = encoder.pool(encoder.null_condition(), model.d_c)
+    ratios = map_ratio(config_cdg.r_deg)
+    states = [
+        None if ratios.r_deg == 1.0
+        else encoder.prompt_state(t, config_cdg.lambda_block, model.d_x)
+        for t in prompts_tokens
+    ]
 
     report = GeometryReport()
     for si, sigma in enumerate(schedule.sigmas[:-1]):
@@ -178,11 +155,14 @@ def run_geometry_sweep(
         for name, method in (("cfg", config_cfg), ("cdg", config_cdg)):
             decs, intfs, deltas = [], [], []
             for p in range(n_prompts):
-                e_neg = _negative_embedding(
-                    method, model, encoder, prompts_tokens[p],
-                    conditions[p], null, lat[p], sigma,
-                    fusion, attention_bias_weight,
-                )
+                if method.mode is GuidanceMode.CFG:
+                    e_neg = e_null
+                else:
+                    _, e_neg = degraded_embedding(
+                        encoder, prompts_tokens[p], conditions[p], ratios,
+                        states[p], lat[p], sigma, model.d_c,
+                        fusion, attention_bias_weight,
+                    )
                 eps_neg = denoiser_to_eps(
                     denoise(model, lat[p], sigma, e_neg), lat[p], sigma
                 )

@@ -1,41 +1,25 @@
 """Token importance from attention graphs.
 
-Per-head scores come from a weighted PageRank power iteration on the
-row-normalized attention matrix (no damping: softmax attention is strictly
-positive, so the chain is irreducible and the iteration converges). Head
-fusion combines a variance filter with root-mean-square aggregation, and a
-cross-attention column-sum baseline is provided for comparison.
+A head's score vector is its weighted-PageRank fixed point: the stationary
+distribution of the row-normalized attention matrix (no damping: softmax
+attention is strictly positive, so the chain is irreducible and the fixed
+point unique). stationary_scores computes it exactly for a stack of heads
+with one batched linear solve; wpr_single_head is the power iteration that
+converges to it, kept as the reference. Head fusion is root-mean-square
+aggregation behind an optional variance filter, and a cross-attention
+column-sum baseline is provided for comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 from .errors import AllHeadsFilteredError, DegenerateGraphError, InvalidInputError
 
 DEFAULT_EPSILON = 1e-8
 DEFAULT_MAX_ITERS = 1000
-
-
-@dataclass
-class AttentionMap:
-    """Stack of per-head nonnegative N x N matrices."""
-
-    heads: np.ndarray  # (H, N, N)
-
-    def __post_init__(self):
-        self.heads = np.asarray(self.heads, dtype=np.float64)
-        if self.heads.ndim != 3 or self.heads.shape[1] != self.heads.shape[2]:
-            raise InvalidInputError("expected shape (heads, N, N)")
-        if (self.heads < 0).any() or not np.isfinite(self.heads).all():
-            raise InvalidInputError("attention entries must be finite and >= 0")
-
-    @property
-    def n_heads(self) -> int:
-        return self.heads.shape[0]
 
 
 @dataclass
@@ -50,24 +34,33 @@ def _rank(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _make_scores(raw: np.ndarray, converged: bool = True) -> ImportanceScores:
+def _make_scores(raw: np.ndarray) -> ImportanceScores:
     total = raw.sum()
     if total <= 0:
         raise InvalidInputError("scores must have positive mass")
     s = raw / total
-    return ImportanceScores(scores=s, sorted_indices=_rank(s), converged=converged)
+    return ImportanceScores(scores=s, sorted_indices=_rank(s))
 
 
-def _row_normalized_transpose(a: np.ndarray) -> np.ndarray:
+def _row_normalized(a: np.ndarray, ndim: int) -> np.ndarray:
+    """Checked attention weights, each row scaled to sum to 1.
+
+    a is one square matrix (ndim 2) or a stack of heads (ndim 3).
+    """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError("attention matrix must be square")
-    if (a < 0).any() or not np.isfinite(a).all():
-        raise InvalidInputError("attention entries must be finite and >= 0")
-    row_sums = a.sum(axis=1)
-    if (row_sums == 0).any():
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or 0 in a.shape:
+        shape = "(heads, N, N)" if ndim == 3 else "(N, N)"
+        raise InvalidInputError(f"expected attention of shape {shape}, N >= 1")
+    if a.min() < 0:
+        raise InvalidInputError("attention weights must be >= 0")
+    row_sums = a.sum(axis=-1, keepdims=True)
+    # a NaN or infinite weight, e.g. one overflowed by a huge attention bias,
+    # makes its row sum non-finite
+    if not np.isfinite(row_sums).all():
+        raise DegenerateGraphError("attention weights are not finite")
+    if row_sums.min() == 0:
         raise DegenerateGraphError("attention matrix has an all-zero row")
-    return np.ascontiguousarray((a / row_sums[:, None]).T)
+    return a / row_sums
 
 
 def wpr_single_head(
@@ -82,7 +75,7 @@ def wpr_single_head(
     iteration budget runs out, the last iterate is returned with
     converged=False.
     """
-    at = _row_normalized_transpose(a)
+    at = np.ascontiguousarray(_row_normalized(a, 2).T)
     n = at.shape[0]
     s = np.full(n, 1.0 / n)
     converged = False
@@ -95,60 +88,6 @@ def wpr_single_head(
             break
         s = new
     return ImportanceScores(scores=s, sorted_indices=_rank(s), converged=converged)
-
-
-def _wpr_core(
-    heads: np.ndarray, epsilon: float, max_iters: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-operator power iteration over a stack of heads.
-
-    Converges to the same fixed point as wpr_single_head per head. Instead
-    of applying the column-stochastic operator B = row_norm(A)ᵀ one step at
-    a time, it squares B repeatedly, so the iterate after k rounds equals
-    the plain iterate after 2^k steps; the squaring stops once every head's
-    successive iterates differ by less than epsilon in L1 (a strictly
-    tighter stop than the sequential rule, since the gap shrinks doubly
-    exponentially). max_iters caps the equivalent number of plain steps.
-    Returns (scores (H, N), converged flags (H,)).
-    """
-    h, n = heads.shape[0], heads.shape[1]
-    row_sums = heads.sum(axis=2)
-    if (row_sums == 0).any():
-        raise DegenerateGraphError("attention head has an all-zero row")
-    power = np.ascontiguousarray(np.swapaxes(heads / row_sums[:, :, None], 1, 2))
-    prev = np.full((h, n), 1.0 / n)
-    applied = 1
-    while True:
-        # power stays column-stochastic up to rounding, so power @ uniform
-        # is the current normalized iterate.
-        cur = power.mean(axis=2)
-        diffs = np.abs(cur - prev).sum(axis=1)
-        done = diffs < epsilon
-        if done.all() or applied >= max_iters:
-            break
-        prev = cur
-        power = power @ power
-        applied *= 2
-    cur /= cur.sum(axis=1, keepdims=True)
-    return cur, done
-
-
-def wpr_all_heads(
-    amap: AttentionMap,
-    epsilon: float = DEFAULT_EPSILON,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> list[ImportanceScores]:
-    """Power iteration for every head at once, accelerated by squaring.
-
-    Per head this reaches the same fixed point as wpr_single_head (both
-    stop once successive iterates differ by less than epsilon in L1).
-    """
-    scores, done = _wpr_core(amap.heads, epsilon, max_iters)
-    ranks = np.argsort(-scores, axis=1, kind="stable")
-    return [
-        ImportanceScores(scores=scores[i], sorted_indices=ranks[i], converged=bool(done[i]))
-        for i in range(amap.n_heads)
-    ]
 
 
 def head_variance(scores: ImportanceScores) -> float:
@@ -175,69 +114,49 @@ class FusionConfig:
         return cls(v_min=float(lo), v_max=float(hi), enabled=True)
 
 
-def _stationary_scores(heads: np.ndarray) -> np.ndarray:
-    """Exact WPR fixed points for a stack of heads via direct linear solve.
+def stationary_scores(weights: np.ndarray) -> np.ndarray:
+    """Exact WPR fixed points of a stack of attention heads, shape (H, N).
 
     The power iteration's limit is the stationary vector of the
     column-stochastic operator B = row_norm(A)ᵀ, i.e. the solution of
-    (B - I) s = 0 with sum(s) = 1; for strictly positive attention it is
-    unique. One batched solve replaces the iteration at machine precision,
-    which matters on the sampler's per-step path. Returns scores (H, N).
+    (B - I) s = 0 with sum(s) = 1. One batched linear solve finds it for
+    every head at machine precision. Rows need not be normalized on input:
+    the row normalization absorbs any per-row scale, such as the softmax's.
     """
-    h, n = heads.shape[0], heads.shape[1]
-    row_sums = heads.sum(axis=2)
-    if (row_sums == 0).any():
-        raise DegenerateGraphError("attention head has an all-zero row")
-    m = np.swapaxes(heads / row_sums[:, :, None], 1, 2)
-    # subtract I in place through the transposed view (the divide above
-    # already produced a fresh array)
-    diag = np.arange(n)
-    m[:, diag, diag] -= 1.0
-    # (B - I) has rank n-1; the normalization constraint replaces one row
-    m[:, -1, :] = 1.0
-    # per-head dgesv: at these sizes numpy's batched solve spends most of
-    # its time in dispatch, so the direct LAPACK binding wins handily
-    out = np.empty((h, n))
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    for i in range(h):
-        _, _, sol, info = _lapack.dgesv(
-            m[i], rhs.copy(), overwrite_a=True, overwrite_b=True
-        )
-        if info != 0:
-            raise DegenerateGraphError("stationary system is singular")
-        out[i] = sol
-    # overflowing weights (e.g. a huge attention bias) turn into NaN rows
-    # that dgesv still solves with info == 0
+    # a fresh array, so B - I is built in place: B is its transpose per head
+    p = np.ascontiguousarray(_row_normalized(weights, 3))
+    h, n = p.shape[0], p.shape[1]
+    p.reshape(h, n * n)[:, :: n + 1] -= 1.0
+    # (B - I) has rank n-1; the normalization constraint replaces its last
+    # row, which is the last column of p
+    p[:, :, -1] = 1.0
+    rhs = np.zeros((h, n, 1))
+    rhs[:, -1] = 1.0
+    try:
+        out = np.linalg.solve(np.swapaxes(p, 1, 2), rhs)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateGraphError("stationary system is singular") from exc
     if not np.isfinite(out).all():
         raise DegenerateGraphError("stationary solution is not finite")
     return out
 
 
-def _fuse_stack(
-    stack: np.ndarray, converged: bool, cfg: FusionConfig | None
-) -> ImportanceScores:
+def fuse_heads(scores: np.ndarray, cfg: FusionConfig | None = None) -> ImportanceScores:
+    """Root-mean-square fusion of a per-head score stack (H, N).
+
+    With the variance filter enabled, only heads whose score variance lies
+    in [v_min, v_max] take part; a disabled or absent filter keeps every head.
+    """
+    stack = np.asarray(scores, dtype=np.float64)
+    if stack.ndim != 2 or stack.shape[0] == 0:
+        raise InvalidInputError("expected a non-empty (heads, N) score stack")
     if cfg is not None and cfg.enabled:
         variances = np.var(stack, axis=1)
         keep = (variances >= cfg.v_min) & (variances <= cfg.v_max)
         if not keep.any():
             raise AllHeadsFilteredError("variance filter rejected every head")
         stack = stack[keep]
-    fused = np.sqrt((stack**2).mean(axis=0))
-    out = _make_scores(fused)
-    out.converged = converged
-    return out
-
-
-def fuse_heads(
-    per_head: list[ImportanceScores], cfg: FusionConfig | None = None
-) -> ImportanceScores:
-    """Root-mean-square fusion over heads passing the variance filter."""
-    if not per_head:
-        raise InvalidInputError("need at least one head")
-    stack = np.stack([h.scores for h in per_head])
-    converged = all(h.converged for h in per_head)
-    return _fuse_stack(stack, converged, cfg)
+    return _make_scores(np.sqrt((stack**2).mean(axis=0)))
 
 
 def cross_attention_baseline(c: np.ndarray) -> ImportanceScores:

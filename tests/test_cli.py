@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cdglab.cli import _write_json, main
-from cdglab.config import parse_config
+from cdglab.config import config_echo, parse_config
 from cdglab.diffusion import sample
 from cdglab.encoder import tokenize
 from cdglab.errors import NumericalError
@@ -112,6 +112,39 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "non-finite latent at step" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "metadata.json").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"seed": "x"},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"model": {"d_x": "a"}},
+            {"guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": "a"}},
+            {"guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 2.5}},
+            {"schedule": {"steps": 0}},
+            {"schedule": {"sigma_min": 20.0, "sigma_max": 10.0}},
+            {"guidance": {"mode": "cfg", "lambda_block": 2}},
+            {"encoder": {"n_heads": 0}},
+            {"prompts": []},
+            {"out_dir": 5},
+            {"geometry_k": 0},
+        ],
+        ids=lambda override: json.dumps(override),
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, override):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, **override)))
+        code = main(["sample", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_override_exits_2(self, config_file, tmp_path):
+        code = main(["sample", "--config", str(config_file), "--seed", "-1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
 
     def test_json_output_is_strict(self, tmp_path):
         with pytest.raises(NumericalError):
@@ -289,6 +322,53 @@ def test_sweep_matches_per_chain_loop(tmp_path, reuse):
     assert main(["sweep", "--config", str(path), "--out", str(out),
                  "--grid", ",".join(map(str, grid))]) == 0
     assert _read_csv(out / "sweep.csv") == _per_chain_sweep_rows(doc, grid)
+
+
+@pytest.mark.parametrize(
+    "guidance",
+    [
+        {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5},
+        {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.7, "reuse_first_step_mask": False},
+        {"mode": "cfg_star", "guidance_scale": 2.0, "r_deg": 1.3,
+         "reuse_first_step_mask": False},
+        {"mode": "cfg", "guidance_scale": 3.0},
+    ],
+    ids=lambda g: f"{g['mode']}-{g.get('r_deg')}",
+)
+def test_sample_matches_per_prompt_loop(tmp_path, guidance):
+    doc = dict(
+        BASE_CONFIG, guidance=guidance,
+        prompts=["a man is cooking", "a cat sits on the mat", "", "a man is cooking"],
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
+
+    cfg = parse_config(doc)
+    model, schedule = cfg.build_model(), cfg.build_schedule()
+    encoder = cfg.build_encoder()
+    header = ",".join(["step", "sigma"] + [f"x{i}" for i in range(model.d_x)])
+    runs = []
+    for p, prompt in enumerate(cfg.prompts):
+        run = sample(model, schedule, encoder, tokenize(prompt, cfg.encoder),
+                     cfg.guidance, cfg.seed, fusion=cfg.fusion,
+                     attention_bias_weight=cfg.attention_bias_weight)
+        lines = [header] + [
+            ",".join([str(step), repr(float(run.sigmas[step]))]
+                     + [repr(float(v)) for v in x])
+            for step, x in enumerate(run.trajectory)
+        ]
+        assert (out / f"trajectory_{p:03d}.csv").read_text() == "\n".join(lines) + "\n"
+        runs.append({"prompt": prompt, "prompt_index": p,
+                     "wpr_call_count": run.wpr_call_count,
+                     "final": [float(v) for v in run.final]})
+    meta = {"config": config_echo(cfg), "runs": runs}
+    expected = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert (out / "metadata.json").read_text() == expected
+    assert sorted(f.name for f in out.iterdir()) == sorted(
+        ["metadata.json"] + [f"trajectory_{p:03d}.csv" for p in range(len(cfg.prompts))]
+    )
 
 
 class TestDiagnose:

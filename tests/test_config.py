@@ -1,0 +1,142 @@
+"""Run-config parsing: every JSON document is a config or a ConfigError."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdglab.config import RunConfig, parse_config
+from cdglab.errors import ConfigError
+
+SECTIONS = {
+    "encoder": ["vocab_size", "d_model", "n_heads", "n_blocks", "seq_len", "seed"],
+    "model": ["n_components", "d_x", "d_c", "seed", "spread_min", "spread_max"],
+    "schedule": ["steps", "sigma_max", "sigma_min"],
+    "guidance": ["mode", "guidance_scale", "r_deg", "lambda_block",
+                 "reuse_first_step_mask"],
+    "fusion": ["v_min", "v_max", "enabled"],
+}
+TOP_LEVEL = ["prompts", "seed", "out_dir", "geometry_k", "attention_bias_weight"]
+
+# Python's json reads NaN and Infinity, so documents may hold them
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-3, 40)
+    | st.sampled_from([10**400, -(10**400)])  # beyond the float range
+    | st.floats()
+    | st.sampled_from(["", "x", "cdg", "cfg", "none", "cfg_star"])
+    | st.text(max_size=8)
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _partial(keys: list[str], values) -> st.SearchStrategy[dict]:
+    return st.dictionaries(st.sampled_from(keys), values, max_size=len(keys))
+
+
+sections = st.fixed_dictionaries(
+    {},
+    optional={name: _partial(keys, json_values) | json_values
+              for name, keys in SECTIONS.items()},
+)
+top_level = _partial(TOP_LEVEL + ["bogus"], json_values | st.lists(st.text(max_size=6)))
+documents = st.builds(lambda a, b: {**a, **b}, sections, top_level) | json_values
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=documents)
+def test_any_document_is_config_or_config_error(doc):
+    # a document round-trips through JSON text, as the CLI reads it
+    doc = json.loads(json.dumps(doc))
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    # an accepted config builds, whenever it is small enough to try here
+    cfg.build_schedule()
+    m, e = cfg.model, cfg.encoder
+    if m.n_components * m.d_x * m.d_c <= 10**5:
+        cfg.build_model()
+    if (e.vocab_size + e.seq_len + 4 * e.n_blocks * e.d_model) * e.d_model <= 10**6:
+        cfg.build_encoder()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"seed": "x"},
+        {"seed": 1.5},
+        {"seed": True},
+        {"model": {"d_x": "a"}},
+        {"model": {"spread_min": 0.0}},
+        {"encoder": {"d_model": "32"}},
+        {"guidance": {"mode": "cdg", "r_deg": "0.5"}},
+        {"guidance": {"mode": "cdg", "r_deg": -0.1}},
+        {"guidance": {"mode": "cfg", "lambda_block": -1}},
+        {"guidance": {"mode": "cfg", "reuse_first_step_mask": 1}},
+        {"guidance": {"mode": ["cdg"]}},
+        {"schedule": {"steps": 0}},
+        {"schedule": {"sigma_min": 0.0}},
+        {"schedule": {"sigma_max": float("inf")}},
+        {"schedule": {"steps": 100_001}},
+        {"schedule": {"steps": 40, "sigma_min": 1.0, "sigma_max": 1.0000000000000002}},
+        {"fusion": {"enabled": "yes"}},
+        {"prompts": []},
+        {"prompts_file": 5},
+        {"out_dir": None},
+        {"geometry_k": 0},
+        {"geometry_k": 2.0},
+        {"attention_bias_weight": 10**400},
+        {"schedule": {"sigma_max": 10**400}},
+        {"guidance": {"mode": "cfg", "guidance_scale": 10**400}},
+    ],
+    ids=lambda doc: json.dumps(doc),
+)
+def test_bad_values_rejected(doc):
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
+def test_empty_prompts_file_rejected(tmp_path):
+    (tmp_path / "prompts.txt").write_text("\n  \n")
+    with pytest.raises(ConfigError):
+        parse_config({"prompts_file": "prompts.txt"}, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"geometry_k": None},
+        {"geometry_k": 3},
+        {"guidance": {"mode": "cdg", "guidance_scale": 3, "r_deg": 1}},
+        {"guidance": {"mode": "cfg", "lambda_block": 0}},
+        {"fusion": {"enabled": True, "v_min": 0, "v_max": float("inf")}},
+        {"schedule": {"steps": 1}},
+    ],
+    ids=lambda doc: json.dumps(doc),
+)
+def test_good_values_accepted(doc):
+    assert isinstance(parse_config(doc), RunConfig)
+
+
+def test_integer_for_float_field_becomes_float():
+    cfg = parse_config(
+        {"schedule": {"sigma_max": 10},
+         "guidance": {"mode": "cfg", "guidance_scale": 3},
+         "attention_bias_weight": 0}
+    )
+    for value in (cfg.schedule.sigma_max, cfg.guidance.guidance_scale,
+                  cfg.attention_bias_weight):
+        assert type(value) is float

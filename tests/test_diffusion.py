@@ -11,7 +11,6 @@ from cdglab.diffusion import (
     Chain,
     GmmConditionalModel,
     SigmaSchedule,
-    attention_provider,
     denoise,
     log_density,
     sample,
@@ -168,30 +167,41 @@ class TestScore:
         assert abs(log_density(model, x, sigma, e) - np.log(mix)) < 1e-10
 
 
+def _row_normalized(weights: np.ndarray) -> np.ndarray:
+    return weights / weights.sum(axis=2, keepdims=True)
+
+
 class TestAttentionProvider:
+    """The latent-conditioned attention the sampler ranks tokens from.
+
+    A PromptState gives unnormalized weights; row-normalized they are the
+    block's attention under a query bias linear in (x, sigma).
+    """
+
     def test_zero_bias_equals_static(self, encoder, tokens):
-        amap = attention_provider(
-            encoder, tokens, np.zeros(8), 1.0, 1, bias_weight=0.0
-        )
+        state = encoder.prompt_state(tokens, 1, 8)
         np.testing.assert_array_equal(
-            amap.heads, encoder.attention_at_block(tokens, 1)
+            _row_normalized(state.weights(np.zeros(8), 1.0, 0.0)),
+            encoder.attention_at_block(tokens, 1),
         )
 
     def test_latent_dependence(self, encoder, tokens):
-        a = attention_provider(encoder, tokens, np.zeros(8), 1.0, 1)
-        b = attention_provider(encoder, tokens, np.ones(8), 1.0, 1)
-        assert np.abs(a.heads - b.heads).max() > 0
+        state = encoder.prompt_state(tokens, 1, 8)
+        a = _row_normalized(state.weights(np.zeros(8), 1.0, 0.1))
+        b = _row_normalized(state.weights(np.ones(8), 1.0, 0.1))
+        assert np.abs(a - b).max() > 0
 
     def test_rows_stochastic(self, encoder, tokens):
-        amap = attention_provider(
-            encoder, tokens, np.random.default_rng(0).normal(size=8), 0.5, 0
+        state = encoder.prompt_state(tokens, 0, 8)
+        heads = _row_normalized(
+            state.weights(np.random.default_rng(0).normal(size=8), 0.5, 0.1)
         )
-        assert (amap.heads > 0).all()
-        np.testing.assert_allclose(amap.heads.sum(axis=2), 1.0, atol=1e-9)
+        assert (heads > 0).all()
+        np.testing.assert_allclose(heads.sum(axis=2), 1.0, atol=1e-9)
 
     def test_bad_block_rejected(self, encoder, tokens):
         with pytest.raises(InvalidInputError):
-            attention_provider(encoder, tokens, np.zeros(8), 1.0, 5)
+            encoder.prompt_state(tokens, 5, 8)
 
 
 class TestSample:

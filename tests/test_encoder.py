@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdglab.diffusion import Chain, SigmaSchedule, sample, sample_batch
 from cdglab.encoder import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    PROMPT_STATE_CAP,
     EncoderParams,
     TokenType,
     ToyTextEncoder,
     tokenize,
 )
 from cdglab.errors import InvalidInputError, PromptTooLongError
+from cdglab.guidance import GuidanceConfig, GuidanceMode
 
 words_strategy = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8),
@@ -152,9 +155,10 @@ class TestAttention:
             )
 
     def test_query_bias_changes_map(self, encoder, params, tokens):
+        # the query bias is the prompt state's latent-dependent logit shift
         base = encoder.attention_at_block(tokens, 1)
-        bias = np.full(params.d_model, 0.5)
-        biased = encoder.attention_at_block(tokens, 1, bias)
+        weights = encoder.prompt_state(tokens, 1, 8).weights(np.ones(8), 1.0, 0.5)
+        biased = weights / weights.sum(axis=2, keepdims=True)
         assert np.abs(base - biased).max() > 0
         np.testing.assert_allclose(biased.sum(axis=2), 1.0, atol=1e-9)
 
@@ -165,6 +169,72 @@ class TestAttention:
             encoder.attention_logits(tokens, -1)
 
     def test_cached_logits_bitwise_stable(self, encoder, tokens):
-        first = encoder.attention_logits(tokens, 1)
-        second = encoder.attention_logits(tokens, 1)
-        np.testing.assert_array_equal(first, second)
+        first_logits, first_keys = encoder.attention_logits(tokens, 1)
+        second_logits, second_keys = encoder.attention_logits(tokens, 1)
+        np.testing.assert_array_equal(first_logits, second_logits)
+        np.testing.assert_array_equal(first_keys, second_keys)
+
+
+def distinct_prompts(params, count: int) -> list:
+    """Token sequences of `count` prompts with pairwise different token ids."""
+    seen = {}
+    i = 0
+    while len(seen) < count:
+        t = tokenize(f"prompt number {i}", params)
+        seen.setdefault(t.ids, t)
+        i += 1
+    return list(seen.values())
+
+
+class TestPromptState:
+    def test_reused_across_calls(self, params, tokens):
+        encoder = ToyTextEncoder(params)
+        assert encoder.prompt_state(tokens, 1, 8) is encoder.prompt_state(tokens, 1, 8)
+        assert encoder.prompt_state(tokens, 1, 8) is not encoder.prompt_state(tokens, 0, 8)
+
+    def test_static_weights_read_only(self, encoder, tokens):
+        state = encoder.prompt_state(tokens, 1, 8)
+        with pytest.raises(ValueError):
+            state.weights(np.zeros(8), 1.0, 0.0)[0, 0, 0] = 1.0
+
+    def test_store_stays_at_cap(self, params, model):
+        # one chain per new prompt, as a long-lived service samples them
+        encoder = ToyTextEncoder(params)
+        schedule = SigmaSchedule.log_spaced(3, 10.0, 0.01)
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
+        for i, t in enumerate(distinct_prompts(params, PROMPT_STATE_CAP + 10)):
+            sample(model, schedule, encoder, t, cdg, i)
+        assert len(encoder._states) == PROMPT_STATE_CAP
+
+    def test_batch_builds_each_state_once(self, params, model, monkeypatch):
+        # more per-step chains than the store keeps, one prompt each
+        encoder = ToyTextEncoder(params)
+        built = []
+        logits = encoder.attention_logits
+        monkeypatch.setattr(
+            encoder, "attention_logits",
+            lambda t, b: built.append(t.ids) or logits(t, b),
+        )
+        cdg = GuidanceConfig(
+            mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
+            reuse_first_step_mask=False,
+        )
+        prompts = distinct_prompts(params, PROMPT_STATE_CAP + 1)
+        runs = sample_batch(
+            model, SigmaSchedule.log_spaced(4, 10.0, 0.01), encoder,
+            [Chain(t, cdg, i) for i, t in enumerate(prompts)],
+        )
+        assert all(run.wpr_call_count == 4 for run in runs)
+        assert sorted(built) == sorted(t.ids for t in prompts)
+
+    def test_least_recently_used_dropped_first(self, params):
+        encoder = ToyTextEncoder(params)
+        prompts = distinct_prompts(params, PROMPT_STATE_CAP + 1)
+        first = encoder.prompt_state(prompts[0], 1, 8)
+        second = encoder.prompt_state(prompts[1], 1, 8)
+        for t in prompts[2:-1]:
+            encoder.prompt_state(t, 1, 8)
+        assert encoder.prompt_state(prompts[0], 1, 8) is first  # now most recent
+        encoder.prompt_state(prompts[-1], 1, 8)  # evicts prompts[1]
+        assert encoder.prompt_state(prompts[0], 1, 8) is first
+        assert encoder.prompt_state(prompts[1], 1, 8) is not second

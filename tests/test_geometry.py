@@ -195,3 +195,10 @@ class TestSweep:
             run_geometry_sweep(
                 model, schedule, encoder, self._tokens(params)[:1], cfg, cdg
             )
+
+    def test_other_modes_rejected(self, model, schedule, encoder, params):
+        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
+        star = GuidanceConfig(mode=GuidanceMode.CFG_STAR, guidance_scale=3.0, r_deg=0.5)
+        for pair in ((cfg, star), (star, cfg), (cfg, cfg)):
+            with pytest.raises(InvalidInputError):
+                run_geometry_sweep(model, schedule, encoder, self._tokens(params), *pair)

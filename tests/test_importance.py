@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +18,12 @@ from cdglab.errors import (
     InvalidInputError,
 )
 from cdglab.importance import (
-    AttentionMap,
     FusionConfig,
     ImportanceScores,
-    _stationary_scores,
     cross_attention_baseline,
     fuse_heads,
     head_variance,
-    wpr_all_heads,
+    stationary_scores,
     wpr_single_head,
 )
 
@@ -131,43 +134,67 @@ class TestWprSingleHead:
 
 
 class TestWprAllHeads:
+    """stationary_scores solves every head of a stack at once."""
+
     def test_matches_single_head(self):
         heads = np.stack([positive_matrix(s, 16) for s in range(4)])
-        batched = wpr_all_heads(AttentionMap(heads=heads))
-        for head, out in zip(heads, batched):
+        batched = stationary_scores(heads)
+        for head, scores in zip(heads, batched):
             single = wpr_single_head(head)
-            assert np.abs(out.scores - single.scores).sum() < 1e-6
-            np.testing.assert_array_equal(out.sorted_indices, single.sorted_indices)
-            assert out.converged
+            assert np.abs(scores - single.scores).sum() < 1e-6
+            np.testing.assert_array_equal(
+                np.argsort(-scores, kind="stable"), single.sorted_indices
+            )
+            assert single.converged
 
     def test_zero_row_rejected(self):
         heads = np.ones((2, 4, 4))
         heads[1, 2] = 0.0
         with pytest.raises(DegenerateGraphError):
-            wpr_all_heads(AttentionMap(heads=heads))
+            stationary_scores(heads)
 
     def test_attention_map_validation(self):
         with pytest.raises(InvalidInputError):
-            AttentionMap(heads=np.ones((2, 3, 4)))
+            stationary_scores(np.ones((2, 3, 4)))
         with pytest.raises(InvalidInputError):
-            AttentionMap(heads=-np.ones((2, 3, 3)))
+            stationary_scores(-np.ones((2, 3, 3)))
+        for shape in [(4, 4), (0, 3, 3), (2, 0, 0)]:
+            with pytest.raises(InvalidInputError):
+                stationary_scores(np.ones(shape))
 
 
 class TestStationaryScores:
     def test_matches_power_iteration(self):
         stack = np.stack([positive_matrix(s, 6) for s in range(3)])
-        out = _stationary_scores(stack)
+        out = stationary_scores(stack)
         for head, scores in zip(stack, out):
             np.testing.assert_allclose(scores, power_iteration_oracle(head), atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_solution_rejected(self, bad):
-        # an overflowing attention weight makes NaN rows that the LAPACK
+        # an overflowing attention weight would make NaN rows that a linear
         # solve accepts without reporting a singular system
         stack = np.stack([positive_matrix(s, 5) for s in range(2)])
         stack[1, 2, 3] = bad
         with np.errstate(invalid="ignore"), pytest.raises(DegenerateGraphError):
-            _stationary_scores(stack)
+            stationary_scores(stack)
+
+    def test_row_scale_invariant(self):
+        # softmax normalization is redundant: any positive per-row scale
+        # leaves the fixed point unchanged
+        stack = np.stack([positive_matrix(s, 7) for s in range(3)])
+        scale = np.random.default_rng(9).uniform(0.1, 10.0, size=(3, 7, 1))
+        np.testing.assert_allclose(
+            stationary_scores(stack * scale), stationary_scores(stack), atol=1e-14
+        )
+
+    def test_singular_system_rejected(self):
+        # two disconnected components: the stationary vector is not unique
+        a = np.zeros((4, 4))
+        a[:2, :2] = 1.0
+        a[2:, 2:] = 1.0
+        with pytest.raises(DegenerateGraphError):
+            stationary_scores(a[None])
 
 
 class TestHeadVariance:
@@ -191,45 +218,52 @@ class TestHeadVariance:
 
 
 class TestFuseHeads:
-    def _scores(self, values) -> ImportanceScores:
+    def _scores(self, values) -> np.ndarray:
         raw = np.asarray(values, dtype=np.float64)
-        s = raw / raw.sum()
-        return ImportanceScores(
-            scores=s, sorted_indices=np.argsort(-s, kind="stable")
-        )
+        return raw / raw.sum()
 
     def test_single_head_identity_on_ranking(self):
         head = self._scores([0.1, 0.5, 0.2, 0.2])
-        fused = fuse_heads([head], FusionConfig())
-        np.testing.assert_array_equal(fused.sorted_indices, head.sorted_indices)
-        np.testing.assert_allclose(fused.scores, head.scores, atol=1e-12)
+        fused = fuse_heads(head[None], FusionConfig())
+        np.testing.assert_array_equal(
+            fused.sorted_indices, np.argsort(-head, kind="stable")
+        )
+        np.testing.assert_allclose(fused.scores, head, atol=1e-12)
 
     def test_identical_heads_fuse_to_each(self):
         head = self._scores([0.4, 0.3, 0.2, 0.1])
-        fused = fuse_heads([head, head, head], None)
-        np.testing.assert_allclose(fused.scores, head.scores, atol=1e-12)
+        fused = fuse_heads(np.stack([head, head, head]), None)
+        np.testing.assert_allclose(fused.scores, head, atol=1e-12)
 
     def test_variance_filter_excludes_uniform_head(self):
         uniform = self._scores([1.0, 1.0, 1.0, 1.0])
         peaked = self._scores([0.7, 0.1, 0.1, 0.1])
         cfg = FusionConfig(v_min=1e-6, v_max=1.0, enabled=True)
-        fused = fuse_heads([uniform, peaked], cfg)
-        np.testing.assert_allclose(fused.scores, peaked.scores, atol=1e-12)
+        fused = fuse_heads(np.stack([uniform, peaked]), cfg)
+        np.testing.assert_allclose(fused.scores, peaked, atol=1e-12)
 
     def test_all_heads_filtered_rejected(self):
         uniform = self._scores([1.0, 1.0, 1.0, 1.0])
         cfg = FusionConfig(v_min=1e-6, v_max=1.0, enabled=True)
         with pytest.raises(AllHeadsFilteredError):
-            fuse_heads([uniform], cfg)
+            fuse_heads(uniform[None], cfg)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            fuse_heads([], None)
+            fuse_heads(np.empty((0, 4)), None)
+        with pytest.raises(InvalidInputError):
+            fuse_heads(np.ones(4), None)
 
     def test_fused_scores_normalized(self):
-        heads = [self._scores([0.5, 0.3, 0.2]), self._scores([0.1, 0.8, 0.1])]
+        heads = np.stack([self._scores([0.5, 0.3, 0.2]), self._scores([0.1, 0.8, 0.1])])
         fused = fuse_heads(heads, None)
         assert abs(fused.scores.sum() - 1.0) < 1e-9
+
+    def test_disabled_filter_equals_no_filter(self):
+        heads = np.stack([self._scores([0.5, 0.3, 0.2]), self._scores([0.1, 0.8, 0.1])])
+        np.testing.assert_array_equal(
+            fuse_heads(heads, FusionConfig()).scores, fuse_heads(heads, None).scores
+        )
 
     def test_bad_config_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -265,3 +299,15 @@ class TestCrossAttentionBaseline:
         self_attn[:, 1] = 0.88
         assert cross_attention_baseline(cross).sorted_indices[0] == 3
         assert wpr_single_head(self_attn).sorted_indices[0] == 1
+
+
+def test_import_loads_no_scipy():
+    import cdglab
+
+    src = str(Path(cdglab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cdglab; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
