@@ -4,6 +4,8 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+# Run from a plain checkout: the package lives under src/.
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 CONFIG=scripts/demo_config.json
 
 echo "== rank-tokens: attention-graph token importance =="

@@ -113,6 +113,8 @@ class SigmaSchedule:
         s = self.sigmas
         if len(s) < 2 or s[-1] != 0.0:
             raise InvalidInputError("schedule needs at least one sigma and terminal 0")
+        if not np.isfinite(s).all():
+            raise InvalidInputError("sigmas must be finite")
         if any(a <= b for a, b in zip(s, s[1:])) or s[-2] <= 0.0:
             raise InvalidInputError("sigmas must be strictly decreasing and positive")
 

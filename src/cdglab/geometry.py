@@ -19,7 +19,7 @@ from .encoder import TokenSequence, ToyTextEncoder
 from .errors import InvalidInputError, RankDeficientError, UndefinedMetricError
 from .guidance import GuidanceConfig, GuidanceMode, denoiser_to_eps
 from .importance import FusionConfig
-from .linalg import RANK_RTOL, principal_angle_sines_squared, project_onto, thin_svd
+from .linalg import SvdResult, principal_angle_sines_squared, project_onto, thin_svd
 
 _ZERO_DELTA_TOL = 1e-300
 
@@ -41,7 +41,10 @@ class PredictionStack:
 
 def estimate_subspace(stack: PredictionStack, k: int) -> np.ndarray:
     """Orthonormal basis (d_x x k) of the top-k right-singular subspace."""
-    svd = thin_svd(stack.rows)
+    return _top_subspace(thin_svd(stack.rows), k)
+
+
+def _top_subspace(svd: SvdResult, k: int) -> np.ndarray:
     if k < 1 or k > svd.rank:
         raise RankDeficientError(f"k={k} exceeds numerical rank {svd.rank}")
     return svd.vt[:k].T.copy()
@@ -146,11 +149,9 @@ def run_geometry_sweep(
                 for p in range(n_prompts)
             ]
         )
-        stack = PredictionStack(sigma=sigma, rows=eps_c)
         svd = thin_svd(eps_c)
         k_eff = k if k is not None else min(energy_rank(svd.s), n_prompts - 1)
-        k_eff = min(k_eff, svd.rank)
-        basis = estimate_subspace(stack, k_eff)
+        basis = _top_subspace(svd, min(k_eff, svd.rank))
 
         for name, method in (("cfg", config_cfg), ("cdg", config_cdg)):
             decs, intfs, deltas = [], [], []

@@ -1,24 +1,21 @@
 """Dense linear algebra kernels: thin SVD, orthonormal bases, projections, principal angles.
 
-Matrices are plain float64 numpy arrays. The SVD is a one-sided Jacobi
-implementation: at the sizes used here (a few hundred per side at most) it is
-simple, deterministic, and accurate to near machine precision.
+Matrices are plain float64 numpy arrays. `thin_svd` is numpy's LAPACK SVD
+behind input checks and typed errors: a malformed or non-finite matrix raises
+InvalidInputError, and a decomposition that fails to converge raises
+NumericalError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 
 # Singular values below RANK_RTOL * s_max count as numerically zero.
 RANK_RTOL = 1e-12
-
-_JACOBI_TOL = 1e-15
-_MAX_SWEEPS = 60
 
 
 @dataclass
@@ -43,92 +40,13 @@ def _check_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi on a with rows >= cols. Returns (u, s, v)."""
-    a = a.copy()
-    n = a.shape[1]
-    v = np.eye(n)
-    for _ in range(_MAX_SWEEPS):
-        worst = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                ap = a[:, p]
-                aq = a[:, q]
-                alpha = float(ap @ ap)
-                beta = float(aq @ aq)
-                gamma = float(ap @ aq)
-                denom = math.sqrt(alpha * beta)
-                if denom == 0.0:
-                    continue
-                worst = max(worst, abs(gamma) / denom)
-                if abs(gamma) <= _JACOBI_TOL * denom:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                new_p = c * ap - s * aq
-                new_q = s * ap + c * aq
-                a[:, p] = new_p
-                a[:, q] = new_q
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if worst <= _JACOBI_TOL:
-            break
-
-    norms = np.linalg.norm(a, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    a = a[:, order]
-    v = v[:, order]
-    s = norms[order]
-
-    u = np.zeros_like(a)
-    floor = s[0] * 1e-200 if s[0] > 0.0 else 0.0
-    dead = []
-    for i in range(n):
-        if s[i] > floor and s[i] > 0.0:
-            u[:, i] = a[:, i] / s[i]
-        else:
-            s[i] = 0.0
-            dead.append(i)
-    if dead:
-        _complete_basis(u, dead)
-    return u, s, v
-
-
-def _complete_basis(u: np.ndarray, dead: list[int]) -> None:
-    """Fill zero columns of u with an orthonormal completion (in place)."""
-    live = [i for i in range(u.shape[1]) if i not in dead]
-    basis = [u[:, i] for i in live]
-    cand = 0
-    for j in dead:
-        while True:
-            vec = np.zeros(u.shape[0])
-            vec[cand % u.shape[0]] = 1.0
-            cand += 1
-            for b in basis:  # two rounds of Gram-Schmidt for stability
-                vec -= (b @ vec) * b
-            for b in basis:
-                vec -= (b @ vec) * b
-            norm = np.linalg.norm(vec)
-            if norm > 1e-6:
-                vec /= norm
-                u[:, j] = vec
-                basis.append(vec)
-                break
-
-
 def thin_svd(m: np.ndarray) -> SvdResult:
     """Thin SVD of m: m == u @ diag(s) @ vt with s descending."""
-    m = _check_matrix(m)
-    rows, cols = m.shape
-    if rows >= cols:
-        u, s, v = _jacobi(m)
-        return SvdResult(u=u, s=s, vt=v.T)
-    # work on the transpose, then swap the factors
-    u, s, v = _jacobi(m.T)
-    return SvdResult(u=v, s=s, vt=u.T)
+    try:
+        u, s, vt = np.linalg.svd(_check_matrix(m), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK SVD failed: {exc}") from exc
+    return SvdResult(u=u, s=s, vt=vt)
 
 
 def orthonormal_basis(m: np.ndarray, k: int) -> np.ndarray:

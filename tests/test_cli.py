@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -384,3 +387,27 @@ class TestDiagnose:
                     assert 0.0 <= float(row[key]) <= 1.0
         detail = json.loads((out / "geometry.json").read_text())
         assert detail["detail"]
+
+
+def test_artifacts_identical_across_blas_thread_counts(config_file, tmp_path):
+    """Fresh interpreters with 1 and 2 BLAS threads write the same bytes."""
+    import cdglab
+
+    src = str(Path(cdglab.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        for command in ("diagnose", "sample"):
+            out = tmp_path / f"{command}_{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "cdglab.cli", command,
+                 "--config", str(config_file), "--out", str(out)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs[command, threads] = {
+                p.name: p.read_bytes() for p in sorted(out.iterdir())
+            }
+    for command in ("diagnose", "sample"):
+        assert outputs[command, "1"], command
+        assert outputs[command, "1"] == outputs[command, "2"], command

@@ -68,6 +68,21 @@ class TestSchedule:
         with pytest.raises(InvalidInputError):
             SigmaSchedule(sigmas=(1.0, 0.5))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SigmaSchedule.log_spaced(5, 10.0, float("nan")),
+            lambda: SigmaSchedule.log_spaced(5, float("nan"), 0.01),
+            lambda: SigmaSchedule(sigmas=(float("inf"), 1.0, 0.0)),
+            lambda: SigmaSchedule(sigmas=(2.0, float("nan"), 0.0)),
+            lambda: SigmaSchedule(sigmas=(1.0, float("-inf"), 0.0)),
+        ],
+        ids=["nan_min", "nan_max", "inf_first", "nan_middle", "minus_inf"],
+    )
+    def test_non_finite_sigma_rejected(self, build):
+        with pytest.raises(InvalidInputError):
+            build()
+
 
 class TestDenoise:
     def test_single_component_closed_form(self):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdglab import geometry
+from cdglab.diffusion import SigmaSchedule
 from cdglab.encoder import tokenize
 from cdglab.errors import (
     InvalidInputError,
@@ -22,6 +24,7 @@ from cdglab.geometry import (
     run_geometry_sweep,
 )
 from cdglab.guidance import GuidanceConfig, GuidanceMode
+from cdglab.linalg import thin_svd
 
 E1 = np.array([[1.0], [0.0]])
 
@@ -202,3 +205,25 @@ class TestSweep:
         for pair in ((cfg, star), (star, cfg), (cfg, cfg)):
             with pytest.raises(InvalidInputError):
                 run_geometry_sweep(model, schedule, encoder, self._tokens(params), *pair)
+
+    def test_stack_decomposed_once_per_sigma(self, model, encoder, params, monkeypatch):
+        shapes = []
+
+        def counting_svd(m):
+            shapes.append(np.shape(m))
+            return thin_svd(m)
+
+        monkeypatch.setattr(geometry, "thin_svd", counting_svd)
+        short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
+        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0)
+        run_geometry_sweep(model, short, encoder, self._tokens(params), cfg, cdg)
+        assert shapes.count((len(PROMPTS), model.d_x)) == short.steps
+
+    def test_zero_k_rejected(self, model, schedule, encoder, params):
+        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0)
+        with pytest.raises(RankDeficientError):
+            run_geometry_sweep(
+                model, schedule, encoder, self._tokens(params), cfg, cdg, k=0
+            )

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdglab.errors import InvalidInputError
+from cdglab.cli import main
+from cdglab.errors import InvalidInputError, NumericalError
 from cdglab.linalg import (
     orthonormal_basis,
     principal_angle_sines_squared,
@@ -18,6 +21,16 @@ from cdglab.linalg import (
 
 def _random_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(rows, cols))
+
+
+def _contract_matrix(seed: int, shape: tuple[int, int], kind: str) -> np.ndarray:
+    """Dense Gaussian, rank min(shape) - 1 (a product of thin factors), or zero."""
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "low_rank":
+        inner = min(shape) - 1
+        return _random_matrix(seed, shape[0], inner) @ _random_matrix(seed + 1, inner, shape[1])
+    return _random_matrix(seed, *shape)
 
 
 matrix_shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
@@ -53,16 +66,47 @@ class TestThinSvd:
         np.testing.assert_allclose(out.u @ np.diag(out.s) @ out.vt, m, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10_000), shape=matrix_shapes)
-    def test_svd_contract(self, seed, shape):
-        m = _random_matrix(seed, *shape)
-        out = thin_svd(m)
+    @given(
+        seed=st.integers(0, 10_000),
+        shape=matrix_shapes,
+        kind=st.sampled_from(["dense", "low_rank", "zero"]),
+        scale=st.sampled_from([1.0, 1e-300, 1e300]),
+    )
+    def test_svd_contract(self, seed, shape, kind, scale):
+        m = _contract_matrix(seed, shape, kind)
+        out = thin_svd(m * scale)
+        # reconstruct in unscaled units: norms of 1e300-scaled matrices overflow
         norm = np.linalg.norm(m)
-        assert np.linalg.norm(m - out.u @ np.diag(out.s) @ out.vt) <= 1e-10 * max(norm, 1.0)
+        assert np.linalg.norm(m - out.u @ np.diag(out.s / scale) @ out.vt) <= 1e-10 * max(norm, 1.0)
         assert (np.diff(out.s) <= 1e-14).all()
         k = out.u.shape[1]
         assert np.abs(out.u.T @ out.u - np.eye(k)).max() < 1e-10
         assert np.abs(out.vt @ out.vt.T - np.eye(out.vt.shape[0])).max() < 1e-10
+        # singular values scale with the input
+        s = thin_svd(m).s
+        assert np.abs(out.s - scale * s).max() <= 1e-12 * scale * s[0]
+        if kind == "low_rank":
+            assert out.rank == min(shape) - 1
+        if kind == "zero":
+            assert out.rank == 0 and not out.s.any()
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError, match="SVD did not converge"):
+            thin_svd(np.eye(3))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"n_components": 4, "d_x": 8, "d_c": 8},
+            "schedule": {"steps": 4},
+            "prompts": ["a man is cooking", "a cat sits on the mat"],
+        }))
+        code = main(["diagnose", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "SVD did not converge" in err and "Traceback" not in err
 
 
 class TestOrthonormalBasis:
