@@ -23,7 +23,7 @@ from . import degradation, geometry, importance
 from .config import RunConfig, config_echo, load_config
 from .diffusion import Chain, sample_batch
 from .encoder import TokenType, tokenize
-from .errors import CdgError, ConfigError, NumericalError
+from .errors import CdgError, ConfigError, InvalidRatioError, NumericalError
 from .guidance import GuidanceConfig, GuidanceMode
 
 EXIT_OK = 0
@@ -242,18 +242,9 @@ def cmd_diagnose(cfg: RunConfig, out: Path, force: bool) -> int:
     encoder = cfg.build_encoder()
     tokens = [tokenize(p, cfg.encoder) for p in cfg.prompts]
     g = cfg.guidance
-    config_cfg = GuidanceConfig(
-        mode=GuidanceMode.CFG, guidance_scale=g.guidance_scale,
-        lambda_block=g.lambda_block,
-    )
-    r_deg = g.r_deg if g.mode.uses_degradation else 1.0
-    config_cdg = GuidanceConfig(
-        mode=GuidanceMode.CDG, guidance_scale=g.guidance_scale, r_deg=r_deg,
-        lambda_block=g.lambda_block,
-        reuse_first_step_mask=g.reuse_first_step_mask,
-    )
     report = geometry.run_geometry_sweep(
-        model, schedule, encoder, tokens, config_cfg, config_cdg,
+        model, schedule, encoder, tokens,
+        g.r_deg if g.mode.uses_degradation else 1.0, g.lambda_block,
         k=cfg.geometry_k, seed=cfg.seed, fusion=cfg.fusion,
         attention_bias_weight=cfg.attention_bias_weight,
     )
@@ -275,9 +266,17 @@ def cmd_diagnose(cfg: RunConfig, out: Path, force: bool) -> int:
     return EXIT_OK
 
 
+def _ratio(value: float) -> float:
+    """A degradation ratio given on the command line; out of range is a usage error."""
+    try:
+        return degradation.map_ratio(value).r_deg
+    except InvalidRatioError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [_ratio(float(v)) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
     if not values:
@@ -330,7 +329,7 @@ def run(argv: list[str] | None = None) -> int:
         r_deg = args.r_deg
         if r_deg is None:
             r_deg = cfg.guidance.r_deg if cfg.guidance.r_deg is not None else 1.0
-        return cmd_build_mask(cfg, args.prompt, r_deg, out, force)
+        return cmd_build_mask(cfg, args.prompt, _ratio(r_deg), out, force)
     if args.command == "sample":
         return cmd_sample(cfg, out, force)
     if args.command == "sweep":

@@ -17,7 +17,7 @@ from .degradation import map_ratio
 from .diffusion import GmmConditionalModel, SigmaSchedule, degraded_embedding, denoise
 from .encoder import TokenSequence, ToyTextEncoder
 from .errors import InvalidInputError, RankDeficientError, UndefinedMetricError
-from .guidance import GuidanceConfig, GuidanceMode, denoiser_to_eps
+from .guidance import denoiser_to_eps
 from .importance import FusionConfig
 from .linalg import SvdResult, principal_angle_sines_squared, project_onto, thin_svd
 
@@ -99,13 +99,47 @@ class GeometryReport:
     detail: list[dict] = field(default_factory=list)
 
 
+def _method_record(
+    detail: list[dict], sigma: float, method: str, deltas: np.ndarray, basis: np.ndarray
+) -> dict:
+    """Per-prompt and pooled metrics of one method's (num_prompts, d_x) deltas.
+
+    A single vector's decoupling is exactly 1 - interference, so the
+    per-prompt values need no decomposition; only the pooled pair does.
+    """
+    valid, intfs = [], []
+    for p, delta in enumerate(deltas):
+        try:
+            intf = interference(delta, basis)
+        except UndefinedMetricError:
+            dec = intf = None
+        else:
+            valid.append(p)
+            intfs.append(intf)
+            dec = 1.0 - intf
+        detail.append(
+            {"sigma": sigma, "method": method, "prompt_index": p, "decoupling": dec,
+             "interference": intf, "note": "zero delta" if intf is None else ""}
+        )
+    pooled = deltas[valid].T  # (d_x, valid): the span of all valid deltas
+    return {
+        "sigma": sigma,
+        "method": method,
+        "decoupling_mean": 1.0 - float(np.mean(intfs)) if valid else None,
+        "interference_mean": float(np.mean(intfs)) if valid else None,
+        "num_valid_prompts": len(valid),
+        "decoupling_pooled": decoupling(pooled, basis) if valid else None,
+        "interference_pooled": interference(pooled, basis) if valid else None,
+    }
+
+
 def run_geometry_sweep(
     model: GmmConditionalModel,
     schedule: SigmaSchedule,
     encoder: ToyTextEncoder,
     prompts_tokens: list[TokenSequence],
-    config_cfg: GuidanceConfig,
-    config_cdg: GuidanceConfig,
+    r_deg: float,
+    lambda_block: int = 1,
     k: int | None = None,
     seed: int = 0,
     fusion: FusionConfig | None = None,
@@ -113,92 +147,51 @@ def run_geometry_sweep(
 ) -> GeometryReport:
     """Decoupling/interference of CFG vs CDG deltas across the sigma schedule.
 
-    At each sigma one latent is drawn per prompt (shared by both methods),
-    the denoising subspace is estimated from the stacked conditional noise
+    The deltas are unscaled: the conditional prediction minus the null one
+    (CFG), or minus that of the prompt degraded at r_deg, ranked at
+    lambda_block (CDG). At each sigma one latent is drawn per prompt, the
+    denoising subspace is estimated from the stacked conditional noise
     predictions, and per-prompt metrics are averaged. Zero deltas are
     skipped and reported through num_valid_prompts. The subspace dimension
     defaults to the smallest k capturing 90% of squared singular-value mass,
     capped at num_prompts - 1.
     """
-    if config_cfg.mode is not GuidanceMode.CFG or config_cdg.mode is not GuidanceMode.CDG:
-        raise InvalidInputError("geometry compares a CFG config with a CDG config")
-    if config_cfg.guidance_scale != config_cdg.guidance_scale:
-        raise InvalidInputError("both methods must share the guidance scale")
     n_prompts = len(prompts_tokens)
     if n_prompts < 2:
         raise InvalidInputError("need at least 2 prompts")
+    ratios = map_ratio(r_deg)
     conditions = [encoder.encode(t) for t in prompts_tokens]
-    e_cs = [encoder.pool(c, model.d_c) for c in conditions]
-    e_null = encoder.pool(encoder.null_condition(), model.d_c)
-    ratios = map_ratio(config_cdg.r_deg)
+    e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
+    # shaped like e_c, so a negative equal to a prompt's embedding gives delta 0
+    e_null = np.tile(encoder.pool(encoder.null_condition(), model.d_c), (n_prompts, 1))
     states = [
         None if ratios.r_deg == 1.0
-        else encoder.prompt_state(t, config_cdg.lambda_block, model.d_x)
+        else encoder.prompt_state(t, lambda_block, model.d_x)
         for t in prompts_tokens
     ]
 
     report = GeometryReport()
     for si, sigma in enumerate(schedule.sigmas[:-1]):
-        lat = [
+        x = np.stack([
             np.random.default_rng([seed, si, p]).normal(size=model.d_x) * sigma
             for p in range(n_prompts)
-        ]
-        eps_c = np.stack(
-            [
-                denoiser_to_eps(denoise(model, lat[p], sigma, e_cs[p]), lat[p], sigma)
-                for p in range(n_prompts)
-            ]
+        ])
+        e_deg = np.stack([
+            degraded_embedding(
+                encoder, prompts_tokens[p], conditions[p], ratios, states[p],
+                x[p], sigma, model.d_c, fusion, attention_bias_weight,
+            )[1]
+            for p in range(n_prompts)
+        ])
+        eps_c, eps_null, eps_deg = (
+            denoiser_to_eps(denoise(model, x, sigma, e), x, sigma)
+            for e in (e_c, e_null, e_deg)
         )
         svd = thin_svd(eps_c)
         k_eff = k if k is not None else min(energy_rank(svd.s), n_prompts - 1)
         basis = _top_subspace(svd, min(k_eff, svd.rank))
-
-        for name, method in (("cfg", config_cfg), ("cdg", config_cdg)):
-            decs, intfs, deltas = [], [], []
-            for p in range(n_prompts):
-                if method.mode is GuidanceMode.CFG:
-                    e_neg = e_null
-                else:
-                    _, e_neg = degraded_embedding(
-                        encoder, prompts_tokens[p], conditions[p], ratios,
-                        states[p], lat[p], sigma, model.d_c,
-                        fusion, attention_bias_weight,
-                    )
-                eps_neg = denoiser_to_eps(
-                    denoise(model, lat[p], sigma, e_neg), lat[p], sigma
-                )
-                delta = eps_c[p] - eps_neg
-                try:
-                    dec = decoupling(delta, basis)
-                    intf = interference(delta, basis)
-                except UndefinedMetricError:
-                    report.detail.append(
-                        {"sigma": sigma, "method": name, "prompt_index": p,
-                         "decoupling": None, "interference": None,
-                         "note": "zero delta"}
-                    )
-                    continue
-                decs.append(dec)
-                intfs.append(intf)
-                deltas.append(delta)
-                report.detail.append(
-                    {"sigma": sigma, "method": name, "prompt_index": p,
-                     "decoupling": dec, "interference": intf, "note": ""}
-                )
-            rec = {
-                "sigma": sigma,
-                "method": name,
-                "decoupling_mean": float(np.mean(decs)) if decs else None,
-                "interference_mean": float(np.mean(intfs)) if intfs else None,
-                "num_valid_prompts": len(decs),
-            }
-            # pooled variant: span of all valid deltas against the same basis
-            if deltas:
-                pooled = np.stack(deltas).T  # (d_x, valid)
-                rec["decoupling_pooled"] = decoupling(pooled, basis)
-                rec["interference_pooled"] = interference(pooled, basis)
-            else:
-                rec["decoupling_pooled"] = None
-                rec["interference_pooled"] = None
-            report.records.append(rec)
+        for method, eps_neg in (("cfg", eps_null), ("cdg", eps_deg)):
+            report.records.append(
+                _method_record(report.detail, sigma, method, eps_c - eps_neg, basis)
+            )
     return report

@@ -294,11 +294,7 @@ def test_criterion_6_geometry_oracle(model, schedule, encoder, params):
         s = decoupling(delta, b) + interference(delta, b)
         assert abs(s - 1.0) < 1e-12
     tokens = [tokenize(p, params) for p in PROMPTS_5]
-    report = run_geometry_sweep(
-        model, schedule, encoder, tokens,
-        GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0),
-        GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0),
-    )
+    report = run_geometry_sweep(model, schedule, encoder, tokens, 1.0)
     for rec in report.records:
         for key in ("decoupling_mean", "interference_mean",
                     "decoupling_pooled", "interference_pooled"):

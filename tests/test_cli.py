@@ -72,12 +72,32 @@ class TestErrors:
     def test_invalid_r_deg(self, config_file, tmp_path):
         code = main(["build-mask", "--config", str(config_file), "--prompt", "hi",
                      "--r-deg", "3.0", "--out", str(tmp_path / "out")])
-        assert code == 1
+        assert code == 2
 
     def test_bad_grid(self, config_file, tmp_path):
         code = main(["sweep", "--config", str(config_file), "--grid", "a,b",
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["build-mask", "--prompt", "hi", "--r-deg=nan"],
+            ["sweep", "--grid=0,3"],
+            ["sweep", "--grid=nan"],
+            ["sweep", "--grid=-0.5"],
+            ["sweep", "--grid=0,2.5"],
+        ],
+        ids=lambda args: args[-1],
+    )
+    def test_out_of_range_ratio_flag(self, config_file, tmp_path, monkeypatch, args):
+        def no_sampling(*_args, **_kwargs):
+            raise AssertionError("sampled before the ratio was checked")
+
+        monkeypatch.setattr("cdglab.cli.sample_batch", no_sampling)
+        code = main(args + ["--config", str(config_file), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
     def test_non_finite_guidance_scale(self, tmp_path, scale):

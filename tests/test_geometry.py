@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdglab import geometry
-from cdglab.diffusion import SigmaSchedule
+from cdglab.diffusion import SigmaSchedule, denoise
 from cdglab.encoder import tokenize
 from cdglab.errors import (
     InvalidInputError,
+    InvalidRatioError,
     RankDeficientError,
     UndefinedMetricError,
 )
@@ -23,7 +24,6 @@ from cdglab.geometry import (
     interference,
     run_geometry_sweep,
 )
-from cdglab.guidance import GuidanceConfig, GuidanceMode
 from cdglab.linalg import thin_svd
 
 E1 = np.array([[1.0], [0.0]])
@@ -140,21 +140,13 @@ class TestSweep:
         return [tokenize(p, params) for p in PROMPTS]
 
     def test_degenerate_zero_ratio_flagged(self, model, schedule, encoder, params):
-        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
-        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.0)
-        report = run_geometry_sweep(
-            model, schedule, encoder, self._tokens(params), cfg, cdg
-        )
+        report = run_geometry_sweep(model, schedule, encoder, self._tokens(params), 0.0)
         cdg_rows = [r for r in report.records if r["method"] == "cdg"]
         assert cdg_rows and all(r["num_valid_prompts"] == 0 for r in cdg_rows)
         assert all(r["decoupling_mean"] is None for r in cdg_rows)
 
     def test_full_ratio_matches_cfg(self, model, schedule, encoder, params):
-        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
-        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=2.0)
-        report = run_geometry_sweep(
-            model, schedule, encoder, self._tokens(params), cfg, cdg
-        )
+        report = run_geometry_sweep(model, schedule, encoder, self._tokens(params), 2.0)
         by_sigma: dict[float, dict[str, dict]] = {}
         for rec in report.records:
             by_sigma.setdefault(rec["sigma"], {})[rec["method"]] = rec
@@ -167,11 +159,7 @@ class TestSweep:
             )
 
     def test_metrics_in_unit_interval(self, model, schedule, encoder, params):
-        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
-        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0)
-        report = run_geometry_sweep(
-            model, schedule, encoder, self._tokens(params), cfg, cdg
-        )
+        report = run_geometry_sweep(model, schedule, encoder, self._tokens(params), 1.0)
         assert len(report.records) == 2 * schedule.steps
         for rec in report.records:
             for key in (
@@ -183,47 +171,75 @@ class TestSweep:
                 if rec[key] is not None:
                     assert 0.0 <= rec[key] <= 1.0
 
-    def test_scale_mismatch_rejected(self, model, schedule, encoder, params):
-        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
-        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=4.0, r_deg=1.0)
-        with pytest.raises(InvalidInputError):
-            run_geometry_sweep(
-                model, schedule, encoder, self._tokens(params), cfg, cdg
-            )
-
     def test_too_few_prompts_rejected(self, model, schedule, encoder, params):
-        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
-        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0)
         with pytest.raises(InvalidInputError):
             run_geometry_sweep(
-                model, schedule, encoder, self._tokens(params)[:1], cfg, cdg
+                model, schedule, encoder, self._tokens(params)[:1], 1.0
             )
 
-    def test_other_modes_rejected(self, model, schedule, encoder, params):
-        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
-        star = GuidanceConfig(mode=GuidanceMode.CFG_STAR, guidance_scale=3.0, r_deg=0.5)
-        for pair in ((cfg, star), (star, cfg), (cfg, cfg)):
-            with pytest.raises(InvalidInputError):
-                run_geometry_sweep(model, schedule, encoder, self._tokens(params), *pair)
+    def test_invalid_ratio_rejected(self, model, schedule, encoder, params):
+        with pytest.raises(InvalidRatioError):
+            run_geometry_sweep(model, schedule, encoder, self._tokens(params), 2.5)
 
     def test_stack_decomposed_once_per_sigma(self, model, encoder, params, monkeypatch):
         shapes = []
+        denoised = []
 
         def counting_svd(m):
             shapes.append(np.shape(m))
             return thin_svd(m)
 
+        def counting_denoise(model, x, sigma, e):
+            denoised.append((np.shape(x), np.shape(e)))
+            return denoise(model, x, sigma, e)
+
         monkeypatch.setattr(geometry, "thin_svd", counting_svd)
+        monkeypatch.setattr(geometry, "denoise", counting_denoise)
         short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
-        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
-        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0)
-        run_geometry_sweep(model, short, encoder, self._tokens(params), cfg, cdg)
-        assert shapes.count((len(PROMPTS), model.d_x)) == short.steps
+        run_geometry_sweep(model, short, encoder, self._tokens(params), 1.0)
+        n = len(PROMPTS)
+        assert shapes.count((n, model.d_x)) == short.steps
+        # the stack, then the pooled CFG and CDG delta spans
+        assert len(shapes) == 3 * short.steps
+        # one batched call each for the conditional, null and degraded stacks
+        assert denoised == [((n, model.d_x), (n, model.d_c))] * (3 * short.steps)
+
+    def test_per_prompt_decoupling_matches_reference(
+        self, model, encoder, params, monkeypatch
+    ):
+        calls = []
+
+        def recording_interference(delta, basis):
+            if np.ndim(delta) == 1:
+                calls.append((np.array(delta), np.array(basis)))
+            return interference(delta, basis)
+
+        monkeypatch.setattr(geometry, "interference", recording_interference)
+        short = SigmaSchedule.log_spaced(6, 10.0, 0.01)
+        report = run_geometry_sweep(model, short, encoder, self._tokens(params), 0.5)
+        valid = [row for row in report.detail if row["decoupling"] is not None]
+        assert valid and len(valid) == len(calls)
+        for row, (delta, basis) in zip(valid, calls):
+            assert abs(row["decoupling"] - decoupling(delta, basis)) < 1e-12
+
+    def test_null_prompt_has_zero_cfg_delta(self, model, encoder, params):
+        prompts = PROMPTS + [""]
+        tokens = [tokenize(p, params) for p in prompts]
+        short = SigmaSchedule.log_spaced(6, 10.0, 0.01)
+        report = run_geometry_sweep(model, short, encoder, tokens, 0.5)
+        blank = len(prompts) - 1
+        cfg_blank = [
+            row for row in report.detail
+            if row["method"] == "cfg" and row["prompt_index"] == blank
+        ]
+        assert len(cfg_blank) == short.steps
+        assert all(row["note"] == "zero delta" for row in cfg_blank)
+        assert all(row["decoupling"] is None for row in cfg_blank)
+        cfg_rows = [r for r in report.records if r["method"] == "cfg"]
+        assert all(r["num_valid_prompts"] == len(prompts) - 1 for r in cfg_rows)
 
     def test_zero_k_rejected(self, model, schedule, encoder, params):
-        cfg = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
-        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0)
         with pytest.raises(RankDeficientError):
             run_geometry_sweep(
-                model, schedule, encoder, self._tokens(params), cfg, cdg, k=0
+                model, schedule, encoder, self._tokens(params), 1.0, k=0
             )
