@@ -9,6 +9,7 @@ corresponding rows of the null condition.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +98,23 @@ def content_boundary_mask(tokens: TokenSequence) -> DegradationMask:
     )
 
 
-def apply_mask(c: Condition, null: Condition, mask: DegradationMask) -> Condition:
-    """Row-wise interpolation: keep rows where the bit is 1, else take null's row."""
-    if c.embeddings.shape != null.embeddings.shape:
+def apply_mask(
+    c: Condition,
+    null: Condition,
+    mask: DegradationMask | Sequence[DegradationMask],
+) -> Condition:
+    """Row-wise interpolation: keep rows where the bit is 1, else take null's row.
+
+    A condition (N, d_model) takes one mask; a stack (B, N, d_model) takes a
+    sequence of B masks, one per condition, all against the one null.
+    """
+    if isinstance(mask, DegradationMask):
+        bits = mask.bits
+    else:
+        bits = np.array([m.bits for m in mask])
+    if c.embeddings.shape[-2:] != null.embeddings.shape:
         raise InvalidInputError("condition and null shapes differ")
-    if mask.bits.shape[0] != c.embeddings.shape[0]:
+    if bits.shape != c.embeddings.shape[:-1]:
         raise InvalidInputError("mask length does not match condition rows")
-    keep = mask.bits[:, None].astype(bool)
+    keep = bits[..., None].astype(bool)
     return Condition(embeddings=np.where(keep, c.embeddings, null.embeddings))

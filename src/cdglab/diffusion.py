@@ -12,7 +12,7 @@ mask computation.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .degradation import (
     map_ratio,
 )
 from .encoder import Condition, PromptState, TokenSequence, ToyTextEncoder
-from .errors import InvalidInputError, NumericalError
+from .errors import AllHeadsFilteredError, InvalidInputError, NumericalError
 from .guidance import (
     GuidanceConfig,
     GuidanceMode,
@@ -48,6 +48,9 @@ class GmmConditionalModel:
     spreads: np.ndarray  # (J,) isotropic stds, > 0
     weights: np.ndarray  # (J,) summing to 1
     seed: int = 0
+    # per-component constants of every denoise call, derived from the above
+    log_weights: np.ndarray = field(init=False, repr=False)
+    variances: np.ndarray = field(init=False, repr=False)  # spreads**2
 
     def __post_init__(self):
         self.maps = np.asarray(self.maps, dtype=np.float64)
@@ -62,6 +65,8 @@ class GmmConditionalModel:
             raise InvalidInputError("spreads must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12 or (self.weights < 0).any():
             raise InvalidInputError("weights must be nonnegative and sum to 1")
+        self.log_weights = np.log(self.weights)
+        self.variances = self.spreads**2
 
     @property
     def n_components(self) -> int:
@@ -142,17 +147,17 @@ def _posterior_stats(
     e is one embedding (d_c,) shared by every latent, or one per latent (B, d_c).
     """
     m = model.means(e)  # (J, d_x) or (B, J, d_x)
-    var = model.spreads**2 + sigma * sigma  # (J,)
+    var = model.variances + sigma * sigma  # (J,)
     xe = x[..., None, :]  # (..., 1, d_x)
     diff = xe - m
     sq = (diff * diff).sum(axis=-1)  # (..., J)
     logw = (
-        np.log(model.weights)
+        model.log_weights
         - 0.5 * model.d_x * np.log(2.0 * np.pi * var)
         - sq / (2.0 * var)
     )
-    comp = (model.spreads**2)[:, None] * xe + (sigma * sigma) * m
-    comp = comp / var[:, None]
+    comp = model.variances[:, None] * xe + (sigma * sigma) * m
+    comp /= var[:, None]
     return logw, comp
 
 
@@ -203,46 +208,86 @@ class SamplerRun:
         return self.trajectory[-1]
 
 
-def _compute_importance(
-    state: PromptState,
-    x: np.ndarray,
-    sigma: float,
-    fusion: FusionConfig | None,
-    bias_weight: float,
-) -> ImportanceScores:
-    """Fused token importance at latent x and noise level sigma."""
-    return fuse_heads(stationary_scores(state.weights(x, sigma, bias_weight)), fusion)
+def _compute_importance(weights: list[np.ndarray]) -> np.ndarray:
+    """Per-head token importance (K, H, N) of K attention stacks (H, N, N).
+
+    One stationary solve covers every head of every stack; a head's result
+    does not depend on the rest of the stack.
+    """
+    stack = weights[0] if len(weights) == 1 else np.concatenate(weights)
+    return stationary_scores(stack).reshape(len(weights), -1, stack.shape[-1])
 
 
-def degraded_embedding(
+@dataclass(frozen=True)
+class DegradeRow:
+    """A prompt to degrade at a latent state: a sampler chain or a geometry prompt."""
+
+    label: str  # names the row in errors, e.g. "chain 3"
+    tokens: TokenSequence
+    condition: Condition
+    ratios: DegradationRatios
+    state: PromptState | None  # the ranking attention; None at ratio 1.0
+
+
+def degrade_rows(
     encoder: ToyTextEncoder,
-    tokens: TokenSequence,
-    c: Condition,
-    ratios: DegradationRatios,
-    state: PromptState | None,
+    rows: Sequence[DegradeRow],
     x: np.ndarray,
     sigma: float,
     d_c: int,
     fusion: FusionConfig | None,
     bias_weight: float,
-    previous: DegradationMask | None = None,
-) -> tuple[DegradationMask, np.ndarray | None]:
-    """The degradation mask of a prompt at (x, sigma) and its pooled embedding.
+    previous: Sequence[DegradationMask] | None = None,
+) -> tuple[list[DegradationMask], list[int], np.ndarray | None]:
+    """Degradation masks of rows at latents x (B, d_x) and one sigma.
 
-    At the ratio-1.0 boundary the type-only mask needs no importance, and
-    state may be None; otherwise the tokens are ranked from the intervention
-    block's attention (state) at the latent state. The embedding is None when
-    the mask has the bits of `previous`, whose embedding still holds.
+    At the ratio-1.0 boundary the type-only mask needs no importance. The
+    other rows are ranked from their prompt state at their latent: rows
+    sharing a state and a latent are ranked once, every distinct input in
+    one stacked solve, then fused and masked per row. Returns every row's
+    mask, the indices of the rows whose bits differ from `previous` (every
+    row when it is None), and those rows' pooled degraded embeddings
+    (C, d_c), or None when no row changed; the other rows' embeddings
+    still hold.
     """
-    if ratios.r_deg == 1.0:
-        mask = content_boundary_mask(tokens)
-    else:
-        imp = _compute_importance(state, x, sigma, fusion, bias_weight)
-        mask = build_mask(tokens, imp, ratios)
-    if previous is not None and previous.bits.tobytes() == mask.bits.tobytes():
-        return mask, None
-    null = encoder.null_condition()
-    return mask, encoder.pool(apply_mask(c, null, mask), d_c)
+    # each distinct (prompt state, latent) is ranked once, at its first row
+    index: dict[tuple[int, bytes], int] = {}
+    weights: list[np.ndarray] = []
+    keys = [-1] * len(rows)
+    for r, row in enumerate(rows):
+        if row.ratios.r_deg == 1.0:
+            continue
+        x_r = x[r]
+        k = keys[r] = index.setdefault((id(row.state), x_r.tobytes()), len(weights))
+        if k == len(weights):
+            weights.append(row.state.weights(x_r, sigma, bias_weight))
+    scores = _compute_importance(weights) if weights else None
+    fused: list[ImportanceScores] = []
+    masks: list[DegradationMask] = []
+    changed: list[int] = []
+    for r, (row, k) in enumerate(zip(rows, keys)):
+        if k < 0:
+            mask = content_boundary_mask(row.tokens)
+        else:
+            if k == len(fused):  # the first row with this input
+                try:
+                    fused.append(fuse_heads(scores[k], fusion))
+                except AllHeadsFilteredError as exc:
+                    raise AllHeadsFilteredError(
+                        f"{exc} for {row.label} at sigma {sigma}"
+                    ) from exc
+            mask = build_mask(row.tokens, fused[k], row.ratios)
+        masks.append(mask)
+        if previous is None or mask.bits.tobytes() != previous[r].bits.tobytes():
+            changed.append(r)
+    if not changed:
+        return masks, changed, None
+    degraded = apply_mask(
+        Condition(np.array([rows[r].condition.embeddings for r in changed])),
+        encoder.null_condition(),
+        [masks[r] for r in changed],
+    )
+    return masks, changed, encoder.pool(degraded, d_c)
 
 
 def _combine(
@@ -294,7 +339,8 @@ def sample_batch(
     (steps + 1, B, d_x) array.
 
     Masks for the degradation modes are built from the intervention block's
-    attention map; with reuse_first_step_mask the importance ranking is
+    attention map, by one degrade_rows call per step over the chains that
+    build one then; with reuse_first_step_mask the importance ranking is
     computed once at the first step and reused, and at the ratio-1.0
     boundary the type-only mask bypasses importance computation entirely.
     The degraded embedding is re-pooled only when a chain's mask changes.
@@ -322,11 +368,11 @@ def sample_batch(
     # the degraded embedding is CFG*'s positive and CDG's negative
     pos = np.empty((n, d_c))
     neg = np.empty((n, d_c))
-    ratios: list[DegradationRatios | None] = [None] * n
+    degraded_into = [pos if mode is GuidanceMode.CFG_STAR else neg for mode in modes]
     # the prompt states of the ranked chains, held for the whole call, so a
     # batch of more prompts than the encoder's store keeps builds each once
     states: dict[tuple, PromptState] = {}
-    chain_states: list[PromptState | None] = [None] * n
+    row_of: dict[int, DegradeRow] = {}
     first_step: list[int] = []  # chains building a mask at step 0
     every_step: list[int] = []  # chains ranking tokens at every later step
     groups: dict[tuple[GuidanceMode, float], list[int]] = {}
@@ -339,19 +385,29 @@ def sample_batch(
             groups.setdefault((mode, chain.config.guidance_scale), []).append(b)
         if not mode.uses_degradation:
             continue
-        ratios[b] = map_ratio(chain.config.r_deg)
         first_step.append(b)
+        state = None
         # the ratio-1.0 boundary mask does not depend on the latent
-        if chain.config.r_deg == 1.0:
-            continue
-        key = (chain.tokens.ids, chain.config.lambda_block)
-        if key not in states:
-            states[key] = encoder.prompt_state(
-                chain.tokens, chain.config.lambda_block, model.d_x
-            )
-        chain_states[b] = states[key]
-        if not chain.config.reuse_first_step_mask:
-            every_step.append(b)
+        if chain.config.r_deg != 1.0:
+            key = (chain.tokens.ids, chain.config.lambda_block)
+            if key not in states:
+                states[key] = encoder.prompt_state(
+                    chain.tokens, chain.config.lambda_block, model.d_x
+                )
+            state = states[key]
+            if not chain.config.reuse_first_step_mask:
+                every_step.append(b)
+        row_of[b] = DegradeRow(
+            f"chain {b}", chain.tokens, conditions[chain.tokens.ids][0],
+            map_ratio(chain.config.r_deg), state,
+        )
+    # (chains, their batch index, their rows) degraded at step 0 and later
+    degraded_at = [
+        (active, _rows(active, n), [row_of[b] for b in active])
+        for active in (first_step, every_step)
+    ]
+    first_at = {b: p for p, b in enumerate(first_step)}
+    every_at = {b: j for j, b in enumerate(every_step)}
 
     guided = [b for b, mode in enumerate(modes) if mode is not GuidanceMode.NONE]
     guided_rows = _rows(guided, n) if guided else None
@@ -367,32 +423,29 @@ def sample_batch(
     ) * sigmas[0]
     _check_finite(trajectory[0], 0)
 
-    wpr_calls = [0] * n
-    masks_used: list[list[DegradationMask | None]] = [[] for _ in range(n)]
-
-    def degrade(b: int, x_b: np.ndarray, sigma: float) -> None:
-        chain = chains[b]
-        used = masks_used[b]
-        mask, e_deg = degraded_embedding(
-            encoder, chain.tokens, conditions[chain.tokens.ids][0], ratios[b],
-            chain_states[b], x_b, sigma, d_c, fusion, attention_bias_weight,
-            previous=used[-1] if used else None,
-        )
-        used.append(mask)
-        if chain.config.r_deg != 1.0:  # the boundary mask ranks no tokens
-            wpr_calls[b] += 1
-        if e_deg is None:
-            return
-        if modes[b] is GuidanceMode.CFG_STAR:
-            pos[b] = e_deg
-        else:
-            neg[b] = e_deg
+    # the masks of the first_step chains at step 0, then of the every_step
+    # chains at each step
+    first_masks: list[DegradationMask] = []
+    later_masks: list[list[DegradationMask]] = []
 
     x = trajectory[0]
     for i in range(steps):
         sigma = sigmas[i]
-        for b in first_step if i == 0 else every_step:
-            degrade(b, x[b], sigma)
+        active, index, active_rows = degraded_at[i > 0]
+        if active:
+            masks, changed, e_deg = degrade_rows(
+                encoder, active_rows, x[index], sigma, d_c, fusion,
+                attention_bias_weight, later_masks[-1] if i else None,
+            )
+            if i:
+                later_masks.append(masks)
+            else:
+                first_masks = masks
+                later_masks.append([masks[first_at[b]] for b in every_step])
+            if changed:
+                for r, e in zip(changed, e_deg):
+                    b = active[r]
+                    degraded_into[b][b] = e
 
         eps_hat = denoiser_to_eps(denoise(model, x, sigma, pos), x, sigma)
         if guided_rows is not None:
@@ -413,10 +466,16 @@ def sample_batch(
 
     runs = []
     for b, chain in enumerate(chains):
-        used = masks_used[b]
-        if len(used) != steps:
-            # one mask for the whole chain, or none at all
-            used = (used or [None]) * steps
+        # every mask a chain built ranked its tokens, except the boundary mask
+        if b in every_at:
+            used = [m[every_at[b]] for m in later_masks]
+            wpr_calls = steps
+        elif b in first_at:
+            used = [first_masks[first_at[b]]] * steps
+            wpr_calls = int(row_of[b].state is not None)
+        else:
+            used = [None] * steps
+            wpr_calls = 0
         runs.append(
             SamplerRun(
                 config=chain.config,
@@ -424,7 +483,7 @@ def sample_batch(
                 sigmas=sigmas,
                 trajectory=trajectory[:, b],
                 masks_used=used,
-                wpr_call_count=wpr_calls[b],
+                wpr_call_count=wpr_calls,
             )
         )
     return runs

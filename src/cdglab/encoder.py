@@ -78,7 +78,7 @@ class TokenSequence:
 
 @dataclass
 class Condition:
-    embeddings: np.ndarray  # seq_len x d_model
+    embeddings: np.ndarray  # (seq_len, d_model), or a (B, seq_len, d_model) stack
 
 
 def _word_id(word: str, vocab_size: int) -> int:
@@ -192,10 +192,19 @@ class ToyTextEncoder:
         out = (attn @ v).transpose(1, 0, 2).reshape(n, p.d_model)
         return x + out @ self.w_o[block], attn
 
+    def _embed(self, tokens: TokenSequence) -> np.ndarray:
+        """Token plus position embeddings (N, d_model) of a checked sequence."""
+        p = self.params
+        if len(tokens) != p.seq_len:
+            raise InvalidInputError(
+                f"token sequence has length {len(tokens)}, expected {p.seq_len}"
+            )
+        if min(tokens.ids) < 0 or max(tokens.ids) >= p.vocab_size:
+            raise InvalidInputError(f"token id outside [0, {p.vocab_size})")
+        return self.tok_emb[list(tokens.ids)] + self.pos_emb
+
     def _forward(self, tokens: TokenSequence) -> tuple[np.ndarray, list[np.ndarray]]:
-        if len(tokens) != self.params.seq_len:
-            raise InvalidInputError("token sequence length mismatch")
-        x = self.tok_emb[list(tokens.ids)] + self.pos_emb
+        x = self._embed(tokens)
         attns = []
         for b in range(self.params.n_blocks):
             x, attn = self._block_attention(x, b)
@@ -222,7 +231,7 @@ class ToyTextEncoder:
             raise InvalidInputError(f"block {block} out of range")
         p = self.params
         n, dh = p.seq_len, self.d_head
-        x = self.tok_emb[list(tokens.ids)] + self.pos_emb
+        x = self._embed(tokens)
         for b in range(block):
             x, _ = self._block_attention(x, b)
         qh = (x @ self.w_q[block]).reshape(n, p.n_heads, dh).transpose(1, 0, 2)
@@ -267,10 +276,17 @@ class ToyTextEncoder:
         return self._null
 
     def pool(self, c: Condition, d_c: int) -> np.ndarray:
-        """Mean over token rows followed by a fixed seeded linear map to d_c."""
+        """Mean over token rows followed by a fixed seeded linear map to d_c.
+
+        Embeddings (N, d_model) pool to (d_c,), and a stack (B, N, d_model) to
+        (B, d_c) as one vector-matrix product per row, so a row's result does
+        not depend on the rest of the stack (a (B, d_model) GEMM would round
+        differently).
+        """
         if d_c not in self._pool_maps:
             rng = np.random.default_rng([self.params.seed, 1, d_c])
             self._pool_maps[d_c] = rng.normal(
                 size=(self.params.d_model, d_c)
             ) / np.sqrt(self.params.d_model)
-        return c.embeddings.mean(axis=0) @ self._pool_maps[d_c]
+        mean = c.embeddings.mean(axis=-2)
+        return (mean[..., None, :] @ self._pool_maps[d_c])[..., 0, :]

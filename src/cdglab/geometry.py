@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .degradation import map_ratio
-from .diffusion import GmmConditionalModel, SigmaSchedule, degraded_embedding, denoise
+from .diffusion import (
+    DegradeRow,
+    GmmConditionalModel,
+    SigmaSchedule,
+    degrade_rows,
+    denoise,
+)
 from .encoder import TokenSequence, ToyTextEncoder
 from .errors import InvalidInputError, RankDeficientError, UndefinedMetricError
 from .guidance import denoiser_to_eps
@@ -164,10 +170,13 @@ def run_geometry_sweep(
     e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
     # shaped like e_c, so a negative equal to a prompt's embedding gives delta 0
     e_null = np.tile(encoder.pool(encoder.null_condition(), model.d_c), (n_prompts, 1))
-    states = [
-        None if ratios.r_deg == 1.0
-        else encoder.prompt_state(t, lambda_block, model.d_x)
-        for t in prompts_tokens
+    rows = [
+        DegradeRow(
+            f"prompt {p}", t, c, ratios,
+            None if ratios.r_deg == 1.0
+            else encoder.prompt_state(t, lambda_block, model.d_x),
+        )
+        for p, (t, c) in enumerate(zip(prompts_tokens, conditions))
     ]
 
     report = GeometryReport()
@@ -176,13 +185,9 @@ def run_geometry_sweep(
             np.random.default_rng([seed, si, p]).normal(size=model.d_x) * sigma
             for p in range(n_prompts)
         ])
-        e_deg = np.stack([
-            degraded_embedding(
-                encoder, prompts_tokens[p], conditions[p], ratios, states[p],
-                x[p], sigma, model.d_c, fusion, attention_bias_weight,
-            )[1]
-            for p in range(n_prompts)
-        ])
+        e_deg = degrade_rows(
+            encoder, rows, x, sigma, model.d_c, fusion, attention_bias_weight
+        )[2]
         eps_c, eps_null, eps_deg = (
             denoiser_to_eps(denoise(model, x, sigma, e), x, sigma)
             for e in (e_c, e_null, e_deg)

@@ -156,7 +156,7 @@ def fuse_heads(scores: np.ndarray, cfg: FusionConfig | None = None) -> Importanc
         if not keep.any():
             raise AllHeadsFilteredError("variance filter rejected every head")
         stack = stack[keep]
-    return _make_scores(np.sqrt((stack**2).mean(axis=0)))
+    return _make_scores(np.sqrt((stack**2).sum(axis=0) / len(stack)))
 
 
 def cross_attention_baseline(c: np.ndarray) -> ImportanceScores:

@@ -161,3 +161,26 @@ class TestApplyMask:
         short = Condition(embeddings=null.embeddings[:-1])
         with pytest.raises(InvalidInputError):
             apply_mask(c, short, content_boundary_mask(tokens))
+
+    def test_stack_matches_one_at_a_time(self, encoder, params):
+        seqs = [tokenize(p, params) for p in ("a red cat", "the dog runs home")]
+        masks = [content_boundary_mask(t) for t in seqs]
+        conds = [encoder.encode(t) for t in seqs]
+        null = encoder.null_condition()
+        stack = apply_mask(
+            Condition(np.array([c.embeddings for c in conds])), null, masks
+        )
+        for row, c, m in zip(stack.embeddings, conds, masks):
+            np.testing.assert_array_equal(row, apply_mask(c, null, m).embeddings)
+
+    def test_stack_needs_one_mask_per_condition(self, encoder, tokens):
+        c = encoder.encode(tokens)
+        stack = Condition(np.array([c.embeddings, c.embeddings]))
+        null = encoder.null_condition()
+        mask = content_boundary_mask(tokens)
+        with pytest.raises(InvalidInputError):
+            apply_mask(stack, null, mask)
+        with pytest.raises(InvalidInputError):
+            apply_mask(stack, null, [mask])
+        with pytest.raises(InvalidInputError):
+            apply_mask(c, null, [mask])

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdglab import diffusion
 from cdglab.diffusion import (
+    DEFAULT_ATTENTION_BIAS_WEIGHT,
     Chain,
     GmmConditionalModel,
     SigmaSchedule,
@@ -18,11 +20,58 @@ from cdglab.diffusion import (
     score,
 )
 from cdglab.encoder import tokenize
-from cdglab.errors import DegenerateGraphError, InvalidInputError, NumericalError
+from cdglab.errors import (
+    AllHeadsFilteredError,
+    DegenerateGraphError,
+    InvalidInputError,
+    NumericalError,
+)
 from cdglab.guidance import GuidanceConfig, GuidanceMode
+from cdglab.importance import FusionConfig, stationary_scores
 
 CFG = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
 UNGUIDED = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
+
+
+def recorded_solves(monkeypatch) -> list[tuple[int, ...]]:
+    """The input shape of every stationary solve the sampler makes from now on."""
+    shapes = []
+
+    def recording(weights):
+        shapes.append(np.shape(weights))
+        return stationary_scores(weights)
+
+    monkeypatch.setattr(diffusion, "stationary_scores", recording)
+    return shapes
+
+
+def head_variances(encoder, tokens) -> np.ndarray:
+    """Each head's score variance at attention bias 0, where the attention,
+    and so the variance, does not depend on the latent."""
+    static = encoder.prompt_state(tokens, 1, 8).static
+    return np.var(stationary_scores(static), axis=1)
+
+
+def window_around_first_head(encoder, keep, drop) -> FusionConfig:
+    """A variance filter keeping only head 0 of `keep`, and no head of `drop`,
+    at attention bias 0."""
+    v = head_variances(encoder, keep)[0]
+    fusion = FusionConfig(v_min=v * (1 - 1e-9), v_max=v * (1 + 1e-9), enabled=True)
+    v_drop = head_variances(encoder, drop)
+    assert not ((v_drop >= fusion.v_min) & (v_drop <= fusion.v_max)).any()
+    return fusion
+
+
+def window_below_top_heads(encoder, prompts) -> FusionConfig:
+    """A variance filter keeping some but not all heads of every prompt, at
+    attention bias 0: it drops each prompt's highest-variance head."""
+    per_prompt = [head_variances(encoder, t) for t in prompts]
+    fusion = FusionConfig(
+        v_min=0.0, v_max=min(v.max() for v in per_prompt) * (1 - 1e-9), enabled=True
+    )
+    for v in per_prompt:
+        assert 0 < (v <= fusion.v_max).sum() < len(v)
+    return fusion
 
 
 def _single_component_model(d_x=2, d_c=3, spread=0.7) -> GmmConditionalModel:
@@ -279,8 +328,6 @@ class TestSample:
         np.testing.assert_array_equal(np.stack(a.trajectory), np.stack(b.trajectory))
 
     def test_fusion_path_matches_fast_path(self, model, schedule, encoder, tokens):
-        from cdglab.importance import FusionConfig
-
         cfg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
         fast = sample(model, schedule, encoder, tokens, cfg, 2, fusion=None)
         wide = FusionConfig(v_min=0.0, v_max=np.inf, enabled=True)
@@ -320,20 +367,81 @@ class TestSample:
             for p, prompt in enumerate(prompts)
             for k, config in enumerate(configs)
         ]
-        batch = sample_batch(model, schedule, encoder, chains)
-        assert len(batch) == len(chains)
-        for chain, run in zip(chains, batch):
-            alone = sample(
-                model, schedule, encoder, chain.tokens, chain.config, chain.seed
+        # chains that share a prompt state and a latent: exact duplicates
+        # (per-step, so they share one at every step) and one seed across
+        # ratios and modes, ranked once per step in the batch
+        chains += [chains[3], chains[3], chains[12], chains[5]]
+        chains += [
+            Chain(chains[0].tokens, config, seed=99) for config in configs[2:]
+        ]
+        # no filter, a filter keeping every head, and one keeping a strict,
+        # non-empty subset of every prompt's heads
+        cases = [
+            (None, DEFAULT_ATTENTION_BIAS_WEIGHT),
+            (FusionConfig(v_min=0.0, v_max=1.0, enabled=True), DEFAULT_ATTENTION_BIAS_WEIGHT),
+            (window_below_top_heads(encoder, [c.tokens for c in chains]), 0.0),
+        ]
+        for fusion, bias in cases:
+            batch = sample_batch(
+                model, schedule, encoder, chains, fusion=fusion, attention_bias_weight=bias
             )
-            assert run.config == chain.config and run.seed == chain.seed
-            np.testing.assert_array_equal(run.trajectory, alone.trajectory)
-            assert run.wpr_call_count == alone.wpr_call_count
-            assert len(run.masks_used) == len(alone.masks_used) == schedule.steps
-            for a, b in zip(run.masks_used, alone.masks_used):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    np.testing.assert_array_equal(a.bits, b.bits)
+            assert len(batch) == len(chains)
+            for chain, run in zip(chains, batch):
+                alone = sample(
+                    model, schedule, encoder, chain.tokens, chain.config, chain.seed,
+                    fusion=fusion, attention_bias_weight=bias,
+                )
+                assert run.config == chain.config and run.seed == chain.seed
+                np.testing.assert_array_equal(run.trajectory, alone.trajectory)
+                assert run.wpr_call_count == alone.wpr_call_count
+                assert len(run.masks_used) == len(alone.masks_used) == schedule.steps
+                for a, b in zip(run.masks_used, alone.masks_used):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        np.testing.assert_array_equal(a.bits, b.bits)
+
+    def test_shared_inputs_solved_once(self, model, schedule, encoder, params, monkeypatch):
+        # a sweep's shape: P prompts x an R grid, one seed, first-step reuse
+        shapes = recorded_solves(monkeypatch)
+        prompts = [tokenize(p, params) for p in ("a man is cooking", "a dog", "")]
+        grid = [0.0, 0.5, 1.0, 1.5, 2.0]
+        sample_batch(model, schedule, encoder, [
+            Chain(t, GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=r), 0)
+            for r in grid for t in prompts
+        ])
+        n, h = params.seq_len, params.n_heads
+        # one stacked call at step 0; the R=1 boundary needs no solve
+        assert shapes == [(len(prompts) * h, n, n)]
+
+    def test_per_step_batch_one_solve_per_step(
+        self, model, schedule, encoder, params, monkeypatch
+    ):
+        shapes = recorded_solves(monkeypatch)
+        per_step = GuidanceConfig(
+            mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
+            reuse_first_step_mask=False,
+        )
+        prompts = [tokenize(p, params) for p in ("a man is cooking", "a dog", "")]
+        runs = sample_batch(
+            model, schedule, encoder, [Chain(t, per_step, i) for i, t in enumerate(prompts)]
+        )
+        n, h = params.seq_len, params.n_heads
+        assert shapes == [(len(prompts) * h, n, n)] * schedule.steps
+        assert all(run.wpr_call_count == schedule.steps for run in runs)
+
+    def test_all_heads_filtered_names_chain(self, model, schedule, encoder, params):
+        keep, drop = (tokenize(p, params) for p in ("a man is cooking", "a dog"))
+        fusion = window_around_first_head(encoder, keep, drop)
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
+        sample_batch(
+            model, schedule, encoder, [Chain(keep, cdg, 0)],
+            fusion=fusion, attention_bias_weight=0.0,
+        )
+        with pytest.raises(AllHeadsFilteredError, match="chain 1 at sigma"):
+            sample_batch(
+                model, schedule, encoder, [Chain(keep, cdg, 0), Chain(drop, cdg, 1)],
+                fusion=fusion, attention_bias_weight=0.0,
+            )
 
     def test_batch_encodes_each_prompt_once(self, model, schedule, params, monkeypatch):
         from cdglab.encoder import ToyTextEncoder

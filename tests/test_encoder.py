@@ -14,6 +14,7 @@ from cdglab.encoder import (
     PAD_ID,
     PROMPT_STATE_CAP,
     EncoderParams,
+    TokenSequence,
     TokenType,
     ToyTextEncoder,
     tokenize,
@@ -108,6 +109,35 @@ class TestEncode:
         small = tokenize("", EncoderParams(seq_len=8))
         with pytest.raises(InvalidInputError):
             encoder.encode(small)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda enc, t: enc.attention_logits(t, 1),
+            lambda enc, t: enc.attention_at_block(t, 1),
+            lambda enc, t: enc.prompt_state(t, 1, 8),
+        ],
+        ids=["attention_logits", "attention_at_block", "prompt_state"],
+    )
+    def test_length_mismatch_rejected_by_attention(self, params, call):
+        encoder = ToyTextEncoder(params)
+        for seq_len in (8, params.seq_len + 4):
+            with pytest.raises(InvalidInputError, match="length"):
+                call(encoder, tokenize("a dog", EncoderParams(seq_len=seq_len)))
+
+    @pytest.mark.parametrize("bad_id", [-1, 256, 10**6])
+    def test_out_of_vocabulary_id_rejected(self, params, bad_id):
+        encoder = ToyTextEncoder(params)
+        good = tokenize("a man is cooking", params)
+        ids = (good.ids[0], bad_id) + good.ids[2:]
+        bad = TokenSequence(ids=ids, types=good.types, texts=good.texts)
+        for call in (
+            encoder.encode,
+            lambda t: encoder.attention_logits(t, 1),
+            lambda t: encoder.prompt_state(t, 1, 8),
+        ):
+            with pytest.raises(InvalidInputError, match="token id"):
+                call(bad)
 
 
 class TestPool:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdglab import geometry
+from cdglab import diffusion, geometry
 from cdglab.diffusion import SigmaSchedule, denoise
 from cdglab.encoder import tokenize
 from cdglab.errors import (
+    AllHeadsFilteredError,
     InvalidInputError,
     InvalidRatioError,
     RankDeficientError,
@@ -24,6 +25,7 @@ from cdglab.geometry import (
     interference,
     run_geometry_sweep,
 )
+from cdglab.importance import FusionConfig, stationary_scores
 from cdglab.linalg import thin_svd
 
 E1 = np.array([[1.0], [0.0]])
@@ -203,6 +205,37 @@ class TestSweep:
         assert len(shapes) == 3 * short.steps
         # one batched call each for the conditional, null and degraded stacks
         assert denoised == [((n, model.d_x), (n, model.d_c))] * (3 * short.steps)
+
+    def test_one_solve_per_sigma(self, model, encoder, params, monkeypatch):
+        shapes = []
+
+        def recording(weights):
+            shapes.append(np.shape(weights))
+            return stationary_scores(weights)
+
+        monkeypatch.setattr(diffusion, "stationary_scores", recording)
+        short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
+        run_geometry_sweep(model, short, encoder, self._tokens(params), 0.5)
+        n, h = params.seq_len, params.n_heads
+        assert shapes == [(len(PROMPTS) * h, n, n)] * short.steps
+
+    def test_all_heads_filtered_names_prompt_and_sigma(self, model, encoder, params):
+        tokens = self._tokens(params)
+        variances = [
+            np.var(stationary_scores(encoder.prompt_state(t, 1, model.d_x).static), axis=1)
+            for t in tokens
+        ]
+        v = variances[0][0]
+        fusion = FusionConfig(v_min=v * (1 - 1e-9), v_max=v * (1 + 1e-9), enabled=True)
+        assert not ((variances[1] >= fusion.v_min) & (variances[1] <= fusion.v_max)).any()
+        short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
+        with pytest.raises(
+            AllHeadsFilteredError, match=f"prompt 1 at sigma {short.sigmas[0]}"
+        ):
+            run_geometry_sweep(
+                model, short, encoder, tokens, 0.5,
+                fusion=fusion, attention_bias_weight=0.0,
+            )
 
     def test_per_prompt_decoupling_matches_reference(
         self, model, encoder, params, monkeypatch
