@@ -5,11 +5,12 @@
 #
 # Runs all five CLI commands (rank-tokens, build-mask at R=1.25 and R=0.4,
 # sample, sweep, diagnose) on scripts/demo_config.json and on a CDG R=0.5
-# per-step fusion config, once with the code of REV and once with the
-# working tree, both reading the working tree's configs. The fusion
-# window keeps some but not all heads (1 to 3 of 4) at every ranking of
-# every command on that config. Then `diff -r`
-# compares the two output trees. Exits 0 when every artifact is
+# per-step fusion config, and `sample` alone on a CFG w=3 config and on a
+# CFG* w=2.5 R=0.5 per-step config, so every guidance role reaches an
+# artifact. Each runs once with the code of REV and once with the working
+# tree, both reading the working tree's configs. The fusion window keeps
+# some but not all heads (1 to 3 of 4) at every ranking of every command
+# on that config. Then `diff -r` compares the two output trees. Exits 0 when every artifact is
 # byte-identical, 1 on any difference or failed command, 2 on a usage error.
 set -euo pipefail
 
@@ -47,27 +48,53 @@ cat >"$tmp/fusion_config.json" <<'JSON'
 }
 JSON
 
-# run_all CODE_ROOT OUT: every command on both configs, outputs under OUT
+cat >"$tmp/cfg_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cfg", "guidance_scale": 3.0},
+  "prompts": ["a man is cooking", "the dog runs in a park", "a man is cooking"],
+  "seed": 0
+}
+JSON
+
+cat >"$tmp/cfg_star_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cfg_star", "guidance_scale": 2.5, "r_deg": 0.5,
+               "reuse_first_step_mask": false},
+  "prompts": ["a man is cooking", "the dog runs in a park", "a man is cooking"],
+  "seed": 0
+}
+JSON
+
+# run_all CODE_ROOT OUT: every command on the demo and fusion configs and
+# `sample` on the role configs, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
+    cli() {
+        local dir=$1
+        shift
+        if ! PYTHONPATH="$code/src" python3 -m cdglab.cli "$@" \
+            --config "$config" --out "$out/$name/$dir" --force 2>"$tmp/stderr.log"; then
+            cat "$tmp/stderr.log" >&2
+            echo "error: cdglab $1 failed on $name with the code in $code" >&2
+            exit 1
+        fi
+    }
     for config in "$root/scripts/demo_config.json" "$tmp/fusion_config.json"; do
         name=$(basename "$config" .json)
-        cli() {
-            local dir=$1
-            shift
-            if ! PYTHONPATH="$code/src" python3 -m cdglab.cli "$@" \
-                --config "$config" --out "$out/$name/$dir" --force 2>"$tmp/stderr.log"; then
-                cat "$tmp/stderr.log" >&2
-                echo "error: cdglab $1 failed on $name with the code in $code" >&2
-                exit 1
-            fi
-        }
         cli rank-tokens rank-tokens --prompt "a man is cooking"
         cli build-mask-1.25 build-mask --prompt "a man is cooking" --r-deg 1.25
         cli build-mask-0.4 build-mask --prompt "a man is cooking" --r-deg 0.4
         cli sample sample
         cli sweep sweep
         cli diagnose diagnose
+    done
+    for config in "$tmp/cfg_config.json" "$tmp/cfg_star_config.json"; do
+        name=$(basename "$config" .json)
+        cli sample sample
     done
 }
 

@@ -42,15 +42,7 @@ from .geometry import (
     interference,
     run_geometry_sweep,
 )
-from .guidance import (
-    GuidanceConfig,
-    GuidanceMode,
-    Prediction,
-    combine_cdg,
-    combine_cfg,
-    combine_cfg_star,
-    guidance_delta,
-)
+from .guidance import GuidanceConfig, GuidanceMode, combine
 from .importance import (
     FusionConfig,
     ImportanceScores,

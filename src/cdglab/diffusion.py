@@ -26,15 +26,7 @@ from .degradation import (
 )
 from .encoder import Condition, PromptState, TokenSequence, ToyTextEncoder
 from .errors import AllHeadsFilteredError, InvalidInputError, NumericalError
-from .guidance import (
-    GuidanceConfig,
-    GuidanceMode,
-    Prediction,
-    combine_cdg,
-    combine_cfg,
-    combine_cfg_star,
-    denoiser_to_eps,
-)
+from .guidance import GuidanceConfig, GuidanceMode, combine, denoiser_to_eps
 from .importance import FusionConfig, ImportanceScores, fuse_heads, stationary_scores
 
 DEFAULT_ATTENTION_BIAS_WEIGHT = 0.1
@@ -165,8 +157,9 @@ def denoise(
     model: GmmConditionalModel, x: np.ndarray, sigma: float, e: np.ndarray
 ) -> np.ndarray:
     """Exact posterior mean E[x0 | x_sigma = x, e]; vectorized over leading axes."""
-    if sigma <= 0:
-        raise InvalidInputError("sigma must be positive")
+    # written so that NaN fails too: nan <= 0 is False
+    if not 0.0 < sigma < np.inf:
+        raise InvalidInputError("sigma must be positive and finite")
     x = np.asarray(x, dtype=np.float64)
     logw, comp = _posterior_stats(model, x, sigma, e)
     logw = logw - logw.max(axis=-1, keepdims=True)
@@ -290,16 +283,6 @@ def degrade_rows(
     return masks, changed, encoder.pool(degraded, d_c)
 
 
-def _combine(
-    mode: GuidanceMode, positive: Prediction, negative: Prediction, w: float
-) -> Prediction:
-    if mode is GuidanceMode.CFG:
-        return combine_cfg(positive, negative, w)
-    if mode is GuidanceMode.CDG:
-        return combine_cdg(positive, negative, w)
-    return combine_cfg_star(positive, negative, w)
-
-
 def _rows(indices: list[int], n: int) -> slice | np.ndarray:
     """Index for a subset of the batch; a slice when it covers every row."""
     return slice(None) if len(indices) == n else np.asarray(indices, dtype=np.intp)
@@ -334,9 +317,10 @@ def sample_batch(
     arithmetic of a lone chain, so a chain's run does not depend on the
     rest of the batch: sample() is the one-chain case. Per step there is
     one denoise over every chain at its positive condition, one over the
-    chains that have a negative condition, and one combine per
-    (mode, scale) group. The trajectories are row views of one
-    (steps + 1, B, d_x) array.
+    guided chains at their negative condition, and one combine over the
+    guided chains with a column of their scales. A chain at w = 1 is not
+    guided: its prediction is the positive one, so it skips the negative.
+    The trajectories are row views of one (steps + 1, B, d_x) array.
 
     Masks for the degradation modes are built from the intervention block's
     attention map, by one degrade_rows call per step over the chains that
@@ -375,14 +359,11 @@ def sample_batch(
     row_of: dict[int, DegradeRow] = {}
     first_step: list[int] = []  # chains building a mask at step 0
     every_step: list[int] = []  # chains ranking tokens at every later step
-    groups: dict[tuple[GuidanceMode, float], list[int]] = {}
     for b, (chain, mode) in enumerate(zip(chains, modes)):
         if mode is not GuidanceMode.CFG_STAR:
             pos[b] = conditions[chain.tokens.ids][1]
         if mode in (GuidanceMode.CFG, GuidanceMode.CFG_STAR):
             neg[b] = e_null
-        if mode is not GuidanceMode.NONE:
-            groups.setdefault((mode, chain.config.guidance_scale), []).append(b)
         if not mode.uses_degradation:
             continue
         first_step.append(b)
@@ -409,13 +390,14 @@ def sample_batch(
     first_at = {b: p for p, b in enumerate(first_step)}
     every_at = {b: j for j, b in enumerate(every_step)}
 
-    guided = [b for b, mode in enumerate(modes) if mode is not GuidanceMode.NONE]
-    guided_rows = _rows(guided, n) if guided else None
-    neg_at = {b: k for k, b in enumerate(guided)}
-    combines = [
-        (mode, w, _rows(rows, n), _rows([neg_at[b] for b in rows], len(guided)))
-        for (mode, w), rows in groups.items()
+    # chains at w = 1 stay out of the combine, which would turn a -0.0 of
+    # their positive prediction into +0.0
+    guided = [
+        b for b, (chain, mode) in enumerate(zip(chains, modes))
+        if mode is not GuidanceMode.NONE and chain.config.guidance_scale != 1.0
     ]
+    guided_rows = _rows(guided, n)
+    w_col = np.array([[chains[b].config.guidance_scale] for b in guided])
 
     trajectory = np.empty((steps + 1, n, model.d_x))
     trajectory[0] = np.stack(
@@ -448,18 +430,12 @@ def sample_batch(
                     degraded_into[b][b] = e
 
         eps_hat = denoiser_to_eps(denoise(model, x, sigma, pos), x, sigma)
-        if guided_rows is not None:
+        if guided:
             xg = x[guided_rows]
             eps_neg = denoiser_to_eps(
                 denoise(model, xg, sigma, neg[guided_rows]), xg, sigma
             )
-            for mode, w, rows, neg_rows in combines:
-                eps_hat[rows] = _combine(
-                    mode,
-                    Prediction(eps_hat[rows], sigma),
-                    Prediction(eps_neg[neg_rows], sigma),
-                    w,
-                ).value
+            eps_hat[guided_rows] = combine(eps_hat[guided_rows], eps_neg, w_col)
         # PF-ODE: dx/dsigma = -sigma * score = (x - D) / sigma = eps
         x = np.add(x, (sigmas[i + 1] - sigma) * eps_hat, out=trajectory[i + 1])
         _check_finite(x, i + 1)

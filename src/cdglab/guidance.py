@@ -1,9 +1,9 @@
 """Guided-prediction arithmetic: CFG, CDG, the CFG* probe, and space conversions.
 
-All combinations share one affine form, positive + (w-1) * (positive -
-negative), which commutes with the linear maps between denoiser output,
-noise prediction, and score, so the choice of working space is observable
-only through rounding.
+All three modes share one affine form, combine(positive, negative, w) =
+positive + (w-1) * (positive - negative), which commutes with the linear
+maps between denoiser output, noise prediction, and score, so the choice of
+working space is observable only through rounding.
 """
 
 from __future__ import annotations
@@ -46,48 +46,20 @@ class GuidanceConfig:
             raise InvalidInputError(f"mode {self.mode.value} does not take r_deg")
 
 
-@dataclass
-class Prediction:
-    """A denoiser output (or its noise form) at one noise level."""
+def combine(
+    positive: np.ndarray, negative: np.ndarray, w: float | np.ndarray
+) -> np.ndarray:
+    """Guided prediction positive + (w - 1) * (positive - negative).
 
-    value: np.ndarray
-    sigma: float
-
-
-def _check_pair(a: Prediction, b: Prediction) -> None:
-    if a.sigma != b.sigma:
-        raise InvalidInputError(f"sigma mismatch: {a.sigma} vs {b.sigma}")
-    if a.value.shape != b.value.shape:
+    The guidance mode only picks the roles: CFG contrasts the prompt with the
+    null condition, CDG with the degraded prompt, and CFG* the degraded prompt
+    with the null condition. w is a scalar or a (G, 1) column of per-row
+    scales for a (G, d) stack of predictions. At w = 1 the guided prediction
+    is the positive one; this form gives it up to the sign of a zero.
+    """
+    if positive.shape != negative.shape:
         raise InvalidInputError("prediction shapes differ")
-
-
-def _combine(positive: Prediction, negative: Prediction, w: float) -> Prediction:
-    _check_pair(positive, negative)
-    if w == 1.0:
-        return Prediction(value=positive.value.copy(), sigma=positive.sigma)
-    value = positive.value + (w - 1.0) * (positive.value - negative.value)
-    return Prediction(value=value, sigma=positive.sigma)
-
-
-def combine_cfg(cond: Prediction, uncond: Prediction, w: float) -> Prediction:
-    """Extrapolate from the unconditional toward the conditional prediction."""
-    return _combine(cond, uncond, w)
-
-
-def combine_cdg(cond: Prediction, degraded: Prediction, w: float) -> Prediction:
-    """Like CFG, but the negative is the degraded-condition prediction."""
-    return _combine(cond, degraded, w)
-
-
-def combine_cfg_star(degraded: Prediction, uncond: Prediction, w: float) -> Prediction:
-    """Probe variant: the degraded condition plays the positive role."""
-    return _combine(degraded, uncond, w)
-
-
-def guidance_delta(cond: Prediction, negative: Prediction) -> np.ndarray:
-    """Difference of noise predictions; the direction scaled by (w - 1)."""
-    _check_pair(cond, negative)
-    return cond.value - negative.value
+    return positive + (w - 1.0) * (positive - negative)
 
 
 def denoiser_to_eps(d_value: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:

@@ -25,13 +25,13 @@ DEFAULT_MAX_ITERS = 1000
 @dataclass
 class ImportanceScores:
     scores: np.ndarray  # N nonnegative reals summing to 1
-    sorted_indices: np.ndarray  # descending score, ties by ascending position
     converged: bool = True
 
-
-def _rank(scores: np.ndarray) -> np.ndarray:
-    # stable sort on negated scores: ties resolve to the lower position index
-    return np.argsort(-scores, kind="stable")
+    @property
+    def sorted_indices(self) -> np.ndarray:
+        """Positions by descending score; a stable sort on the negated scores,
+        so ties resolve to the lower position."""
+        return np.argsort(-self.scores, kind="stable")
 
 
 def _make_scores(raw: np.ndarray) -> ImportanceScores:
@@ -39,7 +39,7 @@ def _make_scores(raw: np.ndarray) -> ImportanceScores:
     if total <= 0:
         raise InvalidInputError("scores must have positive mass")
     s = raw / total
-    return ImportanceScores(scores=s, sorted_indices=_rank(s))
+    return ImportanceScores(scores=s)
 
 
 def _row_normalized(a: np.ndarray, ndim: int) -> np.ndarray:
@@ -87,7 +87,7 @@ def wpr_single_head(
             converged = True
             break
         s = new
-    return ImportanceScores(scores=s, sorted_indices=_rank(s), converged=converged)
+    return ImportanceScores(scores=s, converged=converged)
 
 
 def head_variance(scores: ImportanceScores) -> float:

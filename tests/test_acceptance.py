@@ -33,8 +33,7 @@ from cdglab.geometry import decoupling, interference, run_geometry_sweep
 from cdglab.guidance import (
     GuidanceConfig,
     GuidanceMode,
-    Prediction,
-    combine_cfg,
+    combine,
     denoiser_to_score,
 )
 from cdglab.importance import (
@@ -89,10 +88,7 @@ def test_criterion_2_mask_exactness(params):
         tokens = tokenize(random_prompt(rng, params.seq_len - 2), params)
         n = len(tokens)
         raw = rng.uniform(0.01, 1.0, size=n)
-        imp = ImportanceScores(
-            scores=raw / raw.sum(),
-            sorted_indices=np.argsort(-raw, kind="stable"),
-        )
+        imp = ImportanceScores(scores=raw / raw.sum())
         content = set(tokens.positions_of(TokenType.CONTENT))
         ctxagg = set(tokens.positions_of(TokenType.CTX_AGG))
         prev: set[int] = set()
@@ -119,10 +115,7 @@ def test_criterion_2_mask_exactness(params):
         for trial in range(3):
             adv_raw = rng.uniform(0.0, 1.0, size=n) ** 5
             adv_raw[0] = 10.0  # stack mass on a CtxAgg position
-            adv = ImportanceScores(
-                scores=adv_raw / adv_raw.sum(),
-                sorted_indices=np.argsort(-adv_raw, kind="stable"),
-            )
+            adv = ImportanceScores(scores=adv_raw / adv_raw.sum())
             slow = build_mask(tokens, adv, map_ratio(1.0))
             fast = content_boundary_mask(tokens)
             np.testing.assert_array_equal(slow.bits, fast.bits)
@@ -314,9 +307,7 @@ def test_criterion_7_space_equivalence():
         w = float(rng.uniform(1.0, 10.0))
         x = rng.normal(size=4)
         d_cond, d_neg = rng.normal(size=4), rng.normal(size=4)
-        combined = combine_cfg(
-            Prediction(d_cond, sigma), Prediction(d_neg, sigma), w
-        ).value
+        combined = combine(d_cond, d_neg, w)
         via_d = denoiser_to_score(combined, x, sigma)
         s_c = denoiser_to_score(d_cond, x, sigma)
         s_n = denoiser_to_score(d_neg, x, sigma)

@@ -23,7 +23,7 @@ from cdglab.importance import ImportanceScores
 def _importance(seed: int, n: int) -> ImportanceScores:
     raw = np.random.default_rng(seed).uniform(0.01, 1.0, size=n)
     s = raw / raw.sum()
-    return ImportanceScores(scores=s, sorted_indices=np.argsort(-s, kind="stable"))
+    return ImportanceScores(scores=s)
 
 
 class TestMapRatio:

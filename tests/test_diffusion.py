@@ -153,6 +153,13 @@ class TestDenoise:
         with pytest.raises(InvalidInputError):
             denoise(model, np.zeros(model.d_x), 0.0, np.zeros(model.d_c))
 
+    @pytest.mark.parametrize("fn", [denoise, score])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, model, fn, sigma):
+        # nan <= 0 is False, so a plain sign check lets NaN through
+        with pytest.raises(InvalidInputError):
+            fn(model, np.zeros(model.d_x), sigma, np.zeros(model.d_c))
+
     def test_vectorized_matches_loop(self, model):
         rng = np.random.default_rng(1)
         e = rng.normal(size=model.d_c)
@@ -360,6 +367,17 @@ class TestSample:
                 reuse_first_step_mask=False,
             ),
             GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0),
+            # unit-scale chains, which skip the combine, and a second CFG scale
+            GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=1.0),
+            GuidanceConfig(
+                mode=GuidanceMode.CDG, guidance_scale=1.0, r_deg=0.6,
+                reuse_first_step_mask=False,
+            ),
+            GuidanceConfig(
+                mode=GuidanceMode.CFG_STAR, guidance_scale=1.0, r_deg=0.4,
+                reuse_first_step_mask=False,
+            ),
+            GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=5.5),
         ]
         prompts = ["a man is cooking", "a cat sits on the mat", ""]
         chains = [
@@ -370,7 +388,7 @@ class TestSample:
         # chains that share a prompt state and a latent: exact duplicates
         # (per-step, so they share one at every step) and one seed across
         # ratios and modes, ranked once per step in the batch
-        chains += [chains[3], chains[3], chains[12], chains[5]]
+        chains += [chains[3], chains[3], chains[len(configs) + 5], chains[5]]
         chains += [
             Chain(chains[0].tokens, config, seed=99) for config in configs[2:]
         ]
@@ -399,6 +417,36 @@ class TestSample:
                     assert (a is None) == (b is None)
                     if a is not None:
                         np.testing.assert_array_equal(a.bits, b.bits)
+
+    def test_unit_scale_skips_negative(self, model, schedule, encoder, tokens, monkeypatch):
+        rows: list[int] = []
+        real = diffusion.denoise
+
+        def counting(model, x, sigma, e):
+            rows.append(x.shape[0])
+            return real(model, x, sigma, e)
+
+        monkeypatch.setattr(diffusion, "denoise", counting)
+        unit = [
+            GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=1.0),
+            GuidanceConfig(
+                mode=GuidanceMode.CDG, guidance_scale=1.0, r_deg=0.5,
+                reuse_first_step_mask=False,
+            ),
+            GuidanceConfig(
+                mode=GuidanceMode.CFG_STAR, guidance_scale=1.0, r_deg=0.5,
+                reuse_first_step_mask=False,
+            ),
+        ]
+        chains = [Chain(tokens, c, 0) for c in [UNGUIDED, CFG, *unit]]
+        runs = sample_batch(model, schedule, encoder, chains)
+        # every chain at its positive condition, then only the w=3 chain
+        assert rows == [len(chains), 1] * schedule.steps
+        for run in runs[2:]:
+            if run.config.mode.uses_degradation:
+                # unit-scale degradation chains still build their masks
+                assert run.wpr_call_count == schedule.steps
+                assert all(m is not None for m in run.masks_used)
 
     def test_shared_inputs_solved_once(self, model, schedule, encoder, params, monkeypatch):
         # a sweep's shape: P prompts x an R grid, one seed, first-step reuse

@@ -11,68 +11,59 @@ from cdglab.errors import InvalidInputError
 from cdglab.guidance import (
     GuidanceConfig,
     GuidanceMode,
-    Prediction,
-    combine_cdg,
-    combine_cfg,
-    combine_cfg_star,
+    combine,
     denoiser_to_eps,
     denoiser_to_score,
     eps_to_denoiser,
-    guidance_delta,
 )
 
 
-def _pred(values, sigma=1.0) -> Prediction:
-    return Prediction(value=np.asarray(values, dtype=np.float64), sigma=sigma)
+def _arr(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestCombine:
     def test_cfg_identity_at_unit_scale(self):
-        cond, uncond = _pred([1.0, 2.0]), _pred([0.0, 5.0])
-        np.testing.assert_array_equal(combine_cfg(cond, uncond, 1.0).value, cond.value)
+        cond, uncond = _arr([1.0, 2.0]), _arr([0.0, 5.0])
+        np.testing.assert_array_equal(combine(cond, uncond, 1.0), cond)
 
     def test_cfg_equal_predictions(self):
-        cond = _pred([3.0, -1.0])
-        out = combine_cfg(cond, _pred([3.0, -1.0]), 9.0)
-        np.testing.assert_allclose(out.value, cond.value, atol=1e-12)
+        cond = _arr([3.0, -1.0])
+        out = combine(cond, _arr([3.0, -1.0]), 9.0)
+        np.testing.assert_allclose(out, cond, atol=1e-12)
 
     def test_cfg_arithmetic(self):
-        out = combine_cfg(_pred([1.0, 0.0]), _pred([0.0, 0.0]), 7.0)
-        np.testing.assert_allclose(out.value, [7.0, 0.0], atol=1e-12)
+        out = combine(_arr([1.0, 0.0]), _arr([0.0, 0.0]), 7.0)
+        np.testing.assert_allclose(out, [7.0, 0.0], atol=1e-12)
 
     def test_cdg_arithmetic(self):
-        out = combine_cdg(_pred([1.0, 1.0]), _pred([1.0, 0.0]), 3.0)
-        np.testing.assert_allclose(out.value, [1.0, 3.0], atol=1e-12)
-
-    def test_cdg_with_null_negative_equals_cfg(self):
-        cond, null = _pred([2.0, 1.0]), _pred([0.5, -0.5])
-        np.testing.assert_array_equal(
-            combine_cdg(cond, null, 4.0).value, combine_cfg(cond, null, 4.0).value
-        )
+        out = combine(_arr([1.0, 1.0]), _arr([1.0, 0.0]), 3.0)
+        np.testing.assert_allclose(out, [1.0, 3.0], atol=1e-12)
 
     def test_cfg_star_reductions(self):
-        cond, uncond = _pred([2.0, 1.0]), _pred([0.5, -0.5])
-        # degraded == cond (no degradation) collapses to CFG
-        np.testing.assert_array_equal(
-            combine_cfg_star(cond, uncond, 4.0).value,
-            combine_cfg(cond, uncond, 4.0).value,
-        )
-        # w=1 returns the degraded prediction itself
-        np.testing.assert_array_equal(
-            combine_cfg_star(uncond, cond, 1.0).value, uncond.value
-        )
+        cond, uncond = _arr([2.0, 1.0]), _arr([0.5, -0.5])
+        # w=1 returns the degraded (positive) prediction itself
+        np.testing.assert_array_equal(combine(uncond, cond, 1.0), uncond)
         # degraded == uncond collapses to the unconditional prediction
         np.testing.assert_allclose(
-            combine_cfg_star(uncond, uncond, 4.0).value, uncond.value, atol=1e-12
+            combine(uncond, uncond, 4.0), uncond, atol=1e-12
         )
-
-    def test_sigma_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            combine_cfg(_pred([1.0], sigma=1.0), _pred([1.0], sigma=2.0), 2.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            combine_cfg(_pred([1.0]), _pred([1.0, 2.0]), 2.0)
+            combine(_arr([1.0]), _arr([1.0, 2.0]), 2.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), rows=st.integers(1, 6))
+    def test_scale_column_matches_rows(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        pos, neg = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
+        w = rng.uniform(1.0, 10.0, size=rows)
+        batched = combine(pos, neg, w[:, None])
+        for g in range(rows):
+            np.testing.assert_array_equal(
+                batched[g], combine(pos[g], neg[g], float(w[g]))
+            )
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -83,29 +74,19 @@ class TestCombine:
     )
     def test_affine_equivariance(self, seed, w, a, b):
         rng = np.random.default_rng(seed)
-        cond, neg = _pred(rng.normal(size=4)), _pred(rng.normal(size=4))
-        direct = combine_cfg(
-            _pred(a * cond.value + b), _pred(a * neg.value + b), w
-        ).value
-        mapped = a * combine_cfg(cond, neg, w).value + b
+        cond, neg = rng.normal(size=4), rng.normal(size=4)
+        direct = combine(a * cond + b, a * neg + b, w)
+        mapped = a * combine(cond, neg, w) + b
         np.testing.assert_allclose(direct, mapped, atol=1e-10)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000), w=st.floats(1.0, 10.0, allow_nan=False))
     def test_delta_identity(self, seed, w):
         rng = np.random.default_rng(seed)
-        cond, neg = _pred(rng.normal(size=4)), _pred(rng.normal(size=4))
-        delta = guidance_delta(cond, neg)
+        cond, neg = rng.normal(size=4), rng.normal(size=4)
+        delta = cond - neg
         np.testing.assert_allclose(
-            combine_cfg(cond, neg, w).value,
-            cond.value + (w - 1.0) * delta,
-            atol=1e-12,
-        )
-
-    def test_zero_delta_for_equal_predictions(self):
-        cond = _pred([1.0, 2.0])
-        np.testing.assert_array_equal(
-            guidance_delta(cond, _pred([1.0, 2.0])), [0.0, 0.0]
+            combine(cond, neg, w), cond + (w - 1.0) * delta, atol=1e-12
         )
 
 
@@ -120,9 +101,7 @@ class TestSpaceConversions:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=4)
         d_cond, d_neg = rng.normal(size=4), rng.normal(size=4)
-        combined_d = combine_cfg(
-            Prediction(d_cond, sigma), Prediction(d_neg, sigma), w
-        ).value
+        combined_d = combine(d_cond, d_neg, w)
         via_d = denoiser_to_score(combined_d, x, sigma)
         s_cond = denoiser_to_score(d_cond, x, sigma)
         s_neg = denoiser_to_score(d_neg, x, sigma)

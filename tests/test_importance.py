@@ -199,13 +199,11 @@ class TestStationaryScores:
 
 class TestHeadVariance:
     def test_uniform_scores_zero(self):
-        s = ImportanceScores(scores=np.full(4, 0.25), sorted_indices=np.arange(4))
+        s = ImportanceScores(scores=np.full(4, 0.25))
         assert head_variance(s) == 0.0
 
     def test_one_hot_scores(self):
-        s = ImportanceScores(
-            scores=np.array([1.0, 0.0, 0.0, 0.0]), sorted_indices=np.arange(4)
-        )
+        s = ImportanceScores(scores=np.array([1.0, 0.0, 0.0, 0.0]))
         # population variance of {1, 0, 0, 0}
         assert abs(head_variance(s) - 0.1875) < 1e-15
 
@@ -213,7 +211,7 @@ class TestHeadVariance:
     @given(seed=st.integers(0, 10_000))
     def test_nonnegative(self, seed):
         raw = np.random.default_rng(seed).uniform(size=8)
-        s = ImportanceScores(scores=raw / raw.sum(), sorted_indices=np.arange(8))
+        s = ImportanceScores(scores=raw / raw.sum())
         assert head_variance(s) >= 0.0
 
 
