@@ -5,13 +5,17 @@
 #
 # Runs all five CLI commands (rank-tokens, build-mask at R=1.25 and R=0.4,
 # sample, sweep, diagnose) on scripts/demo_config.json and on a CDG R=0.5
-# per-step fusion config, and `sample` alone on a CFG w=3 config and on a
+# per-step fusion config; `sample` alone on a CFG w=3 config and on a
 # CFG* w=2.5 R=0.5 per-step config, so every guidance role reaches an
+# artifact; and `sample` and `sweep` on a CFG* w=2.5 per-step config that
+# lists a 12-word prompt twice, so duplicate per-step chains, and the
+# R=1.0 boundary beside R=1.1 and R=1.2 of equal mask extent, reach an
 # artifact. Each runs once with the code of REV and once with the working
 # tree, both reading the working tree's configs. The fusion window keeps
 # some but not all heads (1 to 3 of 4) at every ranking of every command
-# on that config. Then `diff -r` compares the two output trees. Exits 0 when every artifact is
-# byte-identical, 1 on any difference or failed command, 2 on a usage error.
+# on that config. Then `diff -r` compares the two output trees. Exits 0
+# when every artifact is byte-identical, 1 on any difference or failed
+# command, 2 on a usage error.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -69,8 +73,24 @@ cat >"$tmp/cfg_star_config.json" <<'JSON'
 }
 JSON
 
-# run_all CODE_ROOT OUT: every command on the demo and fusion configs and
-# `sample` on the role configs, outputs under OUT
+cat >"$tmp/duplicates_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cfg_star", "guidance_scale": 2.5, "r_deg": 0.5,
+               "reuse_first_step_mask": false},
+  "prompts": [
+    "the old man and the young woman cook dinner in a kitchen",
+    "a man is cooking",
+    "the old man and the young woman cook dinner in a kitchen"
+  ],
+  "seed": 0
+}
+JSON
+
+# run_all CODE_ROOT OUT: every command on the demo and fusion configs,
+# `sample` on the role configs and `sample` and `sweep` on the duplicates
+# config, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
     cli() {
@@ -96,6 +116,10 @@ run_all() {
         name=$(basename "$config" .json)
         cli sample sample
     done
+    config=$tmp/duplicates_config.json
+    name=duplicates_config
+    cli sample sample
+    cli sweep sweep
 }
 
 run_all "$tmp/rev" "$tmp/out-rev"

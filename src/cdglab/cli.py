@@ -201,16 +201,14 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
     tokens = [tokenize(prompt, cfg.encoder) for prompt in cfg.prompts]
     cells = [(r_deg, p) for r_deg in grid for p in range(len(tokens))]
 
-    def run_all(chains: list[Chain]):
-        return sample_batch(
-            model, schedule, encoder, chains,
-            fusion=cfg.fusion, attention_bias_weight=cfg.attention_bias_weight,
-        )
-
-    refs = run_all([Chain(t, reference, cfg.seed) for t in tokens])
-    runs = run_all([
-        Chain(tokens[p], replace(base, r_deg=r_deg), cfg.seed) for r_deg, p in cells
-    ])
+    # one batch: the unguided reference of each prompt, then the grid
+    runs = sample_batch(
+        model, schedule, encoder,
+        [Chain(t, reference, cfg.seed) for t in tokens]
+        + [Chain(tokens[p], replace(base, r_deg=r_deg), cfg.seed) for r_deg, p in cells],
+        fusion=cfg.fusion, attention_bias_weight=cfg.attention_bias_weight,
+    )
+    refs, runs = runs[: len(tokens)], runs[len(tokens) :]
     rows = []
     for (r_deg, p), run in zip(cells, runs):
         mask = run.masks_used[0]

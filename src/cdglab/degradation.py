@@ -45,15 +45,12 @@ class DegradationMask:
     replaced_indices: tuple[int, ...]  # sorted positions with bit 0
 
 
-def _top_k_by_importance(
-    positions: list[int], scores: np.ndarray, k: int
-) -> list[int]:
-    if k == 0 or not positions:
-        return []
-    sub = np.asarray(positions)
-    # positions are ascending, so a stable sort breaks ties by lower index
-    order = np.argsort(-scores[sub], kind="stable")
-    return [int(p) for p in sub[order[:k]]]
+def mask_extent(tokens: TokenSequence, ratios: DegradationRatios) -> tuple[int, int]:
+    """(k_content, k_ctxagg): floor(ratio * count) positions of each type."""
+    return (
+        math.floor(ratios.r_content * len(tokens.positions_of(TokenType.CONTENT))),
+        math.floor(ratios.r_ctxagg * len(tokens.positions_of(TokenType.CTX_AGG))),
+    )
 
 
 def build_mask(
@@ -65,16 +62,21 @@ def build_mask(
     n = len(tokens)
     if importance.scores.shape[0] != n:
         raise InvalidInputError("importance length does not match token count")
-    content = tokens.positions_of(TokenType.CONTENT)
-    ctxagg = tokens.positions_of(TokenType.CTX_AGG)
-    k_content = math.floor(ratios.r_content * len(content))
-    k_ctxagg = math.floor(ratios.r_ctxagg * len(ctxagg))
-    replaced = _top_k_by_importance(content, importance.scores, k_content)
-    replaced += _top_k_by_importance(ctxagg, importance.scores, k_ctxagg)
-    bits = np.ones(n, dtype=np.int64)
-    bits[replaced] = 0
+    k_content, k_ctxagg = mask_extent(tokens, ratios)
+    replaced: list[int] = []
+    if k_content or k_ctxagg:
+        # by descending importance; the sort is stable, so within each type
+        # ties still go to the lower position
+        order = importance.sorted_indices.tolist()
+        types = tokens.types
+        for ttype, k in ((TokenType.CONTENT, k_content), (TokenType.CTX_AGG, k_ctxagg)):
+            if k:
+                replaced += [p for p in order if types[p] is ttype][:k]
+    bits = [1] * n
+    for p in replaced:
+        bits[p] = 0
     return DegradationMask(
-        bits=bits,
+        bits=np.array(bits, dtype=np.int64),
         k_content=k_content,
         k_ctxagg=k_ctxagg,
         replaced_indices=tuple(sorted(replaced)),

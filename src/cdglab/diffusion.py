@@ -23,6 +23,7 @@ from .degradation import (
     build_mask,
     content_boundary_mask,
     map_ratio,
+    mask_extent,
 )
 from .encoder import Condition, PromptState, TokenSequence, ToyTextEncoder
 from .errors import AllHeadsFilteredError, InvalidInputError, NumericalError
@@ -132,13 +133,13 @@ class SigmaSchedule:
 
 
 def _posterior_stats(
-    model: GmmConditionalModel, x: np.ndarray, sigma: float, e: np.ndarray
+    model: GmmConditionalModel, x: np.ndarray, sigma: float, m: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log joint weights (..., J) and per-component posterior means (..., J, d_x).
 
-    e is one embedding (d_c,) shared by every latent, or one per latent (B, d_c).
+    m holds the component means of one embedding (J, d_x), shared by every
+    latent, or of one embedding per latent (B, J, d_x): model.means(e).
     """
-    m = model.means(e)  # (J, d_x) or (B, J, d_x)
     var = model.variances + sigma * sigma  # (J,)
     xe = x[..., None, :]  # (..., 1, d_x)
     diff = xe - m
@@ -153,6 +154,17 @@ def _posterior_stats(
     return logw, comp
 
 
+def _denoise(
+    model: GmmConditionalModel, x: np.ndarray, sigma: float, m: np.ndarray
+) -> np.ndarray:
+    """denoise at the component means m = model.means(e), for a checked sigma."""
+    logw, comp = _posterior_stats(model, x, sigma, m)
+    logw = logw - logw.max(axis=-1, keepdims=True)
+    g = np.exp(logw)
+    g = g / g.sum(axis=-1, keepdims=True)
+    return (g[..., None] * comp).sum(axis=-2)
+
+
 def denoise(
     model: GmmConditionalModel, x: np.ndarray, sigma: float, e: np.ndarray
 ) -> np.ndarray:
@@ -160,20 +172,19 @@ def denoise(
     # written so that NaN fails too: nan <= 0 is False
     if not 0.0 < sigma < np.inf:
         raise InvalidInputError("sigma must be positive and finite")
-    x = np.asarray(x, dtype=np.float64)
-    logw, comp = _posterior_stats(model, x, sigma, e)
-    logw = logw - logw.max(axis=-1, keepdims=True)
-    g = np.exp(logw)
-    g = g / g.sum(axis=-1, keepdims=True)
-    return (g[..., None] * comp).sum(axis=-2)
+    return _denoise(model, np.asarray(x, dtype=np.float64), sigma, model.means(e))
 
 
 def log_density(
     model: GmmConditionalModel, x: np.ndarray, sigma: float, e: np.ndarray
 ) -> np.ndarray:
-    """log p(x; sigma | e) of the sigma-smoothed mixture."""
+    """log p(x; sigma | e) of the sigma-smoothed mixture; sigma 0 is the clean one."""
+    # written so that NaN fails too; sigma enters only squared, so a negative
+    # one would pass for its absolute value
+    if not 0.0 <= sigma < np.inf:
+        raise InvalidInputError("sigma must be nonnegative and finite")
     x = np.asarray(x, dtype=np.float64)
-    logw, _ = _posterior_stats(model, x, sigma, e)
+    logw, _ = _posterior_stats(model, x, sigma, model.means(e))
     peak = logw.max(axis=-1, keepdims=True)
     out = peak[..., 0] + np.log(np.exp(logw - peak).sum(axis=-1))
     return out
@@ -288,10 +299,10 @@ def _rows(indices: list[int], n: int) -> slice | np.ndarray:
     return slice(None) if len(indices) == n else np.asarray(indices, dtype=np.intp)
 
 
-def _check_finite(x: np.ndarray, step: int) -> None:
+def _check_finite(x: np.ndarray, step: int, labels: Sequence[int]) -> None:
     if not np.isfinite(x).all():
-        chain = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-        raise NumericalError(f"non-finite latent at step {step} in chain {chain}")
+        row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        raise NumericalError(f"non-finite latent at step {step} in chain {labels[row]}")
 
 
 @dataclass(frozen=True)
@@ -301,6 +312,33 @@ class Chain:
     tokens: TokenSequence
     config: GuidanceConfig
     seed: int
+
+
+def _chain_key(chain: Chain) -> tuple:
+    """Everything that decides a chain's trajectory within one sample_batch call.
+
+    A degradation mode's ratio enters only through the mask's extent: the
+    same prompt at the same latent ranks its tokens the same way, so equal
+    extents give equal masks at every step. The ratio-1.0 boundary stays
+    apart, because its mask skips the ranking.
+    """
+    config = chain.config
+    key = (chain.tokens.ids, chain.seed, config.mode, config.guidance_scale)
+    if not config.mode.uses_degradation:
+        return key
+    return key + (
+        config.lambda_block,
+        config.reuse_first_step_mask,
+        config.r_deg == 1.0,
+        mask_extent(chain.tokens, map_ratio(config.r_deg)),
+    )
+
+
+def _rankings(config: GuidanceConfig, steps: int) -> int:
+    """How many masks a chain builds by ranking its tokens."""
+    if not config.mode.uses_degradation or config.r_deg == 1.0:
+        return 0
+    return 1 if config.reuse_first_step_mask else steps
 
 
 def sample_batch(
@@ -315,23 +353,71 @@ def sample_batch(
 
     Each chain draws its initial noise from its own seed and follows the
     arithmetic of a lone chain, so a chain's run does not depend on the
-    rest of the batch: sample() is the one-chain case. Per step there is
-    one denoise over every chain at its positive condition, one over the
-    guided chains at their negative condition, and one combine over the
-    guided chains with a column of their scales. A chain at w = 1 is not
+    rest of the batch: sample() is the one-chain case. Chains that agree on
+    everything deciding a trajectory (prompt, seed, mode, scale and, for
+    the degradation modes, block, mask reuse, the ratio-1.0 boundary and
+    the mask's extent) are integrated once, as one row. Per step there is
+    one denoise over every row at its positive condition, one over the
+    guided rows at their negative condition, and one combine over the
+    guided rows with a column of their scales. A chain at w = 1 is not
     guided: its prediction is the positive one, so it skips the negative.
-    The trajectories are row views of one (steps + 1, B, d_x) array.
+    Each condition's component means are computed once per call, and a
+    degraded one's again only when its mask changes. The trajectories are
+    row views of one (steps + 1, B, d_x) array, a row per chain.
 
     Masks for the degradation modes are built from the intervention block's
-    attention map, by one degrade_rows call per step over the chains that
+    attention map, by one degrade_rows call per step over the rows that
     build one then; with reuse_first_step_mask the importance ranking is
     computed once at the first step and reused, and at the ratio-1.0
     boundary the type-only mask bypasses importance computation entirely.
-    The degraded embedding is re-pooled only when a chain's mask changes.
-    Raises NumericalError at the first non-finite latent.
+    The degraded embedding is re-pooled only when a row's mask changes.
+    Raises NumericalError at the first non-finite latent, naming the
+    first chain of its row.
     """
     if not chains:
         return []
+    # each distinct chain is integrated once, as the row of its first
+    # occurrence: firsts[u] is row u's first chain, row_at[b] chain b's row
+    if len(chains) == 1:
+        firsts, row_at = [0], [0]
+    else:
+        firsts, row_at = [], []
+        index: dict[tuple, int] = {}
+        for b, chain in enumerate(chains):
+            u = index.setdefault(_chain_key(chain), len(firsts))
+            if u == len(firsts):
+                firsts.append(b)
+            row_at.append(u)
+    trajectory, masks = _integrate(
+        model, schedule, encoder, [chains[b] for b in firsts], firsts,
+        fusion, attention_bias_weight,
+    )
+    if len(firsts) < len(chains):
+        trajectory = trajectory[:, row_at]  # a copy: no run shares its rows
+    return [
+        SamplerRun(
+            config=chain.config,
+            seed=chain.seed,
+            sigmas=schedule.sigmas,
+            trajectory=trajectory[:, b],
+            masks_used=list(masks[u]),
+            wpr_call_count=_rankings(chain.config, schedule.steps),
+        )
+        for b, (chain, u) in enumerate(zip(chains, row_at))
+    ]
+
+
+def _integrate(
+    model: GmmConditionalModel,
+    schedule: SigmaSchedule,
+    encoder: ToyTextEncoder,
+    chains: Sequence[Chain],
+    labels: Sequence[int],
+    fusion: FusionConfig | None,
+    attention_bias_weight: float,
+) -> tuple[np.ndarray, list[list[DegradationMask | None]]]:
+    """Trajectories (steps + 1, B, d_x) of distinct chains and each one's
+    mask per step; labels[b] is the batch index naming chain b in errors."""
     sigmas = schedule.sigmas
     steps = len(sigmas) - 1
     n = len(chains)
@@ -342,17 +428,40 @@ def sample_batch(
         if chain.tokens.ids not in conditions:
             c = encoder.encode(chain.tokens)
             conditions[chain.tokens.ids] = (c, encoder.pool(c, d_c))
-    null = encoder.null_condition()
     modes = [chain.config.mode for chain in chains]
-    e_null = None
-    if GuidanceMode.CFG in modes or GuidanceMode.CFG_STAR in modes:
-        e_null = encoder.pool(null, d_c)
 
-    # each chain denoises at one positive and at most one negative embedding;
-    # the degraded embedding is CFG*'s positive and CDG's negative
-    pos = np.empty((n, d_c))
-    neg = np.empty((n, d_c))
-    degraded_into = [pos if mode is GuidanceMode.CFG_STAR else neg for mode in modes]
+    # chains at w = 1 stay out of the combine, which would turn a -0.0 of
+    # their positive prediction into +0.0
+    guided = [
+        b for b, (chain, mode) in enumerate(zip(chains, modes))
+        if mode is not GuidanceMode.NONE and chain.config.guidance_scale != 1.0
+    ]
+    guided_rows = _rows(guided, n)
+    w_col = np.array([[chains[b].config.guidance_scale] for b in guided])
+
+    # each chain denoises at the component means of one positive embedding
+    # and, when guided, one negative; the degraded embedding is CFG*'s
+    # positive and CDG's negative, and its means are filled in when its mask
+    # changes
+    shape = (model.n_components, model.d_x)
+    pos_m = np.empty((n, *shape))
+    neg_m = np.empty((len(guided), *shape))
+    prompt_pos = [b for b, mode in enumerate(modes) if mode is not GuidanceMode.CFG_STAR]
+    if prompt_pos:
+        pos_m[prompt_pos] = model.means(
+            np.array([conditions[chains[b].tokens.ids][1] for b in prompt_pos])
+        )
+    null_neg = [g for g, b in enumerate(guided) if modes[b] is not GuidanceMode.CDG]
+    if null_neg:
+        neg_m[null_neg] = model.means(encoder.pool(encoder.null_condition(), d_c)[None])
+    guided_at = {b: g for g, b in enumerate(guided)}
+    degraded_into = [
+        (pos_m, b) if mode is GuidanceMode.CFG_STAR
+        else (neg_m, guided_at[b]) if b in guided_at
+        else None  # a w = 1 CDG chain never reads its negative
+        for b, mode in enumerate(modes)
+    ]
+
     # the prompt states of the ranked chains, held for the whole call, so a
     # batch of more prompts than the encoder's store keeps builds each once
     states: dict[tuple, PromptState] = {}
@@ -360,10 +469,6 @@ def sample_batch(
     first_step: list[int] = []  # chains building a mask at step 0
     every_step: list[int] = []  # chains ranking tokens at every later step
     for b, (chain, mode) in enumerate(zip(chains, modes)):
-        if mode is not GuidanceMode.CFG_STAR:
-            pos[b] = conditions[chain.tokens.ids][1]
-        if mode in (GuidanceMode.CFG, GuidanceMode.CFG_STAR):
-            neg[b] = e_null
         if not mode.uses_degradation:
             continue
         first_step.append(b)
@@ -379,7 +484,7 @@ def sample_batch(
             if not chain.config.reuse_first_step_mask:
                 every_step.append(b)
         row_of[b] = DegradeRow(
-            f"chain {b}", chain.tokens, conditions[chain.tokens.ids][0],
+            f"chain {labels[b]}", chain.tokens, conditions[chain.tokens.ids][0],
             map_ratio(chain.config.r_deg), state,
         )
     # (chains, their batch index, their rows) degraded at step 0 and later
@@ -390,20 +495,14 @@ def sample_batch(
     first_at = {b: p for p, b in enumerate(first_step)}
     every_at = {b: j for j, b in enumerate(every_step)}
 
-    # chains at w = 1 stay out of the combine, which would turn a -0.0 of
-    # their positive prediction into +0.0
-    guided = [
-        b for b, (chain, mode) in enumerate(zip(chains, modes))
-        if mode is not GuidanceMode.NONE and chain.config.guidance_scale != 1.0
-    ]
-    guided_rows = _rows(guided, n)
-    w_col = np.array([[chains[b].config.guidance_scale] for b in guided])
-
+    # one draw per distinct seed
+    noise: dict[int, np.ndarray] = {}
+    for chain in chains:
+        if chain.seed not in noise:
+            noise[chain.seed] = np.random.default_rng(chain.seed).normal(size=model.d_x)
     trajectory = np.empty((steps + 1, n, model.d_x))
-    trajectory[0] = np.stack(
-        [np.random.default_rng(chain.seed).normal(size=model.d_x) for chain in chains]
-    ) * sigmas[0]
-    _check_finite(trajectory[0], 0)
+    trajectory[0] = np.stack([noise[chain.seed] for chain in chains]) * sigmas[0]
+    _check_finite(trajectory[0], 0, labels)
 
     # the masks of the first_step chains at step 0, then of the every_step
     # chains at each step
@@ -425,44 +524,29 @@ def sample_batch(
                 first_masks = masks
                 later_masks.append([masks[first_at[b]] for b in every_step])
             if changed:
-                for r, e in zip(changed, e_deg):
-                    b = active[r]
-                    degraded_into[b][b] = e
+                for r, m in zip(changed, model.means(e_deg)):
+                    into = degraded_into[active[r]]
+                    if into is not None:
+                        into[0][into[1]] = m
 
-        eps_hat = denoiser_to_eps(denoise(model, x, sigma, pos), x, sigma)
+        eps_hat = denoiser_to_eps(_denoise(model, x, sigma, pos_m), x, sigma)
         if guided:
             xg = x[guided_rows]
-            eps_neg = denoiser_to_eps(
-                denoise(model, xg, sigma, neg[guided_rows]), xg, sigma
-            )
+            eps_neg = denoiser_to_eps(_denoise(model, xg, sigma, neg_m), xg, sigma)
             eps_hat[guided_rows] = combine(eps_hat[guided_rows], eps_neg, w_col)
         # PF-ODE: dx/dsigma = -sigma * score = (x - D) / sigma = eps
         x = np.add(x, (sigmas[i + 1] - sigma) * eps_hat, out=trajectory[i + 1])
-        _check_finite(x, i + 1)
+        _check_finite(x, i + 1, labels)
 
-    runs = []
-    for b, chain in enumerate(chains):
-        # every mask a chain built ranked its tokens, except the boundary mask
+    masks_used: list[list[DegradationMask | None]] = []
+    for b in range(n):
         if b in every_at:
-            used = [m[every_at[b]] for m in later_masks]
-            wpr_calls = steps
+            masks_used.append([m[every_at[b]] for m in later_masks])
         elif b in first_at:
-            used = [first_masks[first_at[b]]] * steps
-            wpr_calls = int(row_of[b].state is not None)
+            masks_used.append([first_masks[first_at[b]]] * steps)
         else:
-            used = [None] * steps
-            wpr_calls = 0
-        runs.append(
-            SamplerRun(
-                config=chain.config,
-                seed=chain.seed,
-                sigmas=sigmas,
-                trajectory=trajectory[:, b],
-                masks_used=used,
-                wpr_call_count=wpr_calls,
-            )
-        )
-    return runs
+            masks_used.append([None] * steps)
+    return trajectory, masks_used
 
 
 def sample(

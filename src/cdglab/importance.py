@@ -31,7 +31,7 @@ class ImportanceScores:
     def sorted_indices(self) -> np.ndarray:
         """Positions by descending score; a stable sort on the negated scores,
         so ties resolve to the lower position."""
-        return np.argsort(-self.scores, kind="stable")
+        return (-self.scores).argsort(kind="stable")
 
 
 def _make_scores(raw: np.ndarray) -> ImportanceScores:
@@ -51,14 +51,16 @@ def _row_normalized(a: np.ndarray, ndim: int) -> np.ndarray:
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or 0 in a.shape:
         shape = "(heads, N, N)" if ndim == 3 else "(N, N)"
         raise InvalidInputError(f"expected attention of shape {shape}, N >= 1")
-    if a.min() < 0:
+    lo = a.min()
+    if lo < 0:
         raise InvalidInputError("attention weights must be >= 0")
     row_sums = a.sum(axis=-1, keepdims=True)
     # a NaN or infinite weight, e.g. one overflowed by a huge attention bias,
-    # makes its row sum non-finite
-    if not np.isfinite(row_sums).all():
+    # makes its row sum non-finite, and the largest sum NaN or infinite
+    if not row_sums.max() < np.inf:
         raise DegenerateGraphError("attention weights are not finite")
-    if row_sums.min() == 0:
+    # only a zero weight can leave a row summing to zero
+    if lo == 0 and row_sums.min() == 0:
         raise DegenerateGraphError("attention matrix has an all-zero row")
     return a / row_sums
 
@@ -110,7 +112,10 @@ class FusionConfig:
     @classmethod
     def from_percentiles(cls, variances: list[float]) -> "FusionConfig":
         """Data-adaptive bounds: 10th / 90th percentile of observed variances."""
-        lo, hi = np.percentile(np.asarray(variances, dtype=np.float64), [10, 90])
+        v = np.asarray(variances, dtype=np.float64)
+        if v.size == 0:
+            raise InvalidInputError("need at least one head variance")
+        lo, hi = np.percentile(v, [10, 90])
         return cls(v_min=float(lo), v_max=float(hi), enabled=True)
 
 
@@ -133,7 +138,7 @@ def stationary_scores(weights: np.ndarray) -> np.ndarray:
     rhs = np.zeros((h, n, 1))
     rhs[:, -1] = 1.0
     try:
-        out = np.linalg.solve(np.swapaxes(p, 1, 2), rhs)[..., 0]
+        out = np.linalg.solve(p.transpose(0, 2, 1), rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateGraphError("stationary system is singular") from exc
     if not np.isfinite(out).all():

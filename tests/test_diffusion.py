@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,20 @@ class TestDenoise:
         # nan <= 0 is False, so a plain sign check lets NaN through
         with pytest.raises(InvalidInputError):
             fn(model, np.zeros(model.d_x), sigma, np.zeros(model.d_c))
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_log_density_rejects_bad_sigma(self, model, sigma):
+        # sigma enters only squared, so -1.0 would return the value at 1.0
+        with pytest.raises(InvalidInputError):
+            log_density(model, np.zeros(model.d_x), sigma, np.zeros(model.d_c))
+
+    def test_log_density_at_sigma_zero_is_clean_density(self):
+        model = _single_component_model(d_x=2, d_c=3, spread=0.5)
+        e = np.array([0.3, -1.0, 0.2])
+        x = np.array([0.4, 0.1])
+        m = model.maps[0] @ e
+        expected = -np.log(2 * np.pi * 0.25) - ((x - m) ** 2).sum() / (2 * 0.25)
+        assert abs(log_density(model, x, 0.0, e) - expected) < 1e-12
 
     def test_vectorized_matches_loop(self, model):
         rng = np.random.default_rng(1)
@@ -418,15 +434,133 @@ class TestSample:
                     if a is not None:
                         np.testing.assert_array_equal(a.bits, b.bits)
 
+    def test_duplicate_chains_match_per_chain(self, model, schedule, encoder, params):
+        short = tokenize("a man is cooking", params)  # 4 content words
+        # 12 content words and 4 context-aggregating positions: R=1.0, 1.1
+        # and 1.2 all replace every content word and nothing else
+        long = tokenize("the old man and the young woman cook dinner in a kitchen", params)
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
+        chains = [
+            Chain(short, UNGUIDED, 0),
+            Chain(short, CFG, 0),
+            Chain(short, cdg, 0),
+            # R=0.6 floors to cdg's extent of 2 content words
+            Chain(short, replace(cdg, r_deg=0.6), 0),
+            Chain(short, GuidanceConfig(
+                mode=GuidanceMode.CDG, guidance_scale=2.5, r_deg=0.5,
+                reuse_first_step_mask=False), 1),
+            Chain(short, GuidanceConfig(
+                mode=GuidanceMode.CDG, guidance_scale=2.5, r_deg=0.6,
+                reuse_first_step_mask=False), 1),
+            Chain(short, GuidanceConfig(
+                mode=GuidanceMode.CFG_STAR, guidance_scale=2.5, r_deg=0.5,
+                reuse_first_step_mask=False), 2),
+            Chain(short, GuidanceConfig(
+                mode=GuidanceMode.CFG_STAR, guidance_scale=2.5, r_deg=0.55,
+                reuse_first_step_mask=False), 2),
+        ] + [
+            Chain(long, GuidanceConfig(
+                mode=GuidanceMode.CFG_STAR, guidance_scale=2.5, r_deg=r,
+                reuse_first_step_mask=False), 3)
+            for r in (1.0, 1.1, 1.2)
+        ]
+        chains += chains  # and every chain again
+        batch = sample_batch(model, schedule, encoder, chains)
+        for chain, run in zip(chains, batch):
+            alone = sample(model, schedule, encoder, chain.tokens, chain.config, chain.seed)
+            assert run.config == chain.config and run.seed == chain.seed
+            np.testing.assert_array_equal(run.trajectory, alone.trajectory)
+            assert run.wpr_call_count == alone.wpr_call_count
+            for a, b in zip(run.masks_used, alone.masks_used, strict=True):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_array_equal(a.bits, b.bits)
+                    assert (a.k_content, a.k_ctxagg) == (b.k_content, b.k_ctxagg)
+        # the boundary ranks nothing; the chains beside it rank every step
+        assert [run.wpr_call_count for run in batch[8:11]] == [0] + [schedule.steps] * 2
+
+    def test_duplicate_runs_own_their_trajectories(self, model, schedule, encoder, tokens):
+        a, b = sample_batch(model, schedule, encoder, [Chain(tokens, CFG, 0)] * 2)
+        np.testing.assert_array_equal(a.trajectory, b.trajectory)
+        a.masks_used.append(None)
+        a.trajectory[:] = 0.0
+        np.testing.assert_array_equal(
+            b.trajectory, sample(model, schedule, encoder, tokens, CFG, 0).trajectory
+        )
+        assert len(b.masks_used) == schedule.steps
+
+    def test_sweep_batch_integrates_each_distinct_chain_once(
+        self, model, schedule, encoder, params, monkeypatch
+    ):
+        rows: list[int] = []
+        real = diffusion._denoise
+
+        def counting(model, x, sigma, m):
+            rows.append(x.shape[0])
+            return real(model, x, sigma, m)
+
+        monkeypatch.setattr(diffusion, "_denoise", counting)
+        # a sweep's shape: the references, then P prompts x an R grid, one seed
+        prompts = [tokenize(p, params) for p in ("a man is cooking", "a dog", "")]
+        grid = [i / 10 for i in range(21)]
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0)
+        chains = [Chain(t, UNGUIDED, 0) for t in prompts] + [
+            Chain(t, replace(cdg, r_deg=r), 0) for r in grid for t in prompts
+        ]
+        runs = sample_batch(model, schedule, encoder, chains)
+        distinct = {
+            (chain.tokens.ids, run.config.r_deg == 1.0,
+             run.masks_used[0].k_content, run.masks_used[0].k_ctxagg)
+            for chain, run in zip(chains[3:], runs[3:])
+        }
+        assert len(distinct) < len(grid) * len(prompts)
+        # per step: every distinct chain at its positive, the guided ones at
+        # their negative
+        assert rows == [len(prompts) + len(distinct), len(distinct)] * schedule.steps
+
+    def test_means_once_per_embedding(self, model, schedule, encoder, params, monkeypatch):
+        seen: list[int] = []
+        real = model.means
+
+        def counting(e):
+            seen.append(len(np.atleast_2d(e)))
+            return real(e)
+
+        monkeypatch.setattr(model, "means", counting)
+        per_step = {"reuse_first_step_mask": False, "guidance_scale": 3.0}
+        configs = [
+            UNGUIDED,
+            CFG,
+            GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=2.0),
+            GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5),
+            GuidanceConfig(mode=GuidanceMode.CDG, r_deg=0.5, **per_step),
+            GuidanceConfig(mode=GuidanceMode.CFG_STAR, r_deg=1.5, **per_step),
+        ]
+        prompts = [tokenize(p, params) for p in ("a man is cooking", "a cat sits on the mat")]
+        chains = [Chain(t, c, s) for s, t in enumerate(prompts) for c in configs]
+        runs = sample_batch(model, schedule, encoder, chains)
+        changed = 0
+        for run in runs:
+            masks = run.masks_used
+            if masks[0] is not None:
+                changed += 1 + sum(
+                    a.bits.tobytes() != b.bits.tobytes() for a, b in zip(masks, masks[1:])
+                )
+        assert changed > 3 * len(prompts)  # some per-step masks change
+        # each prompt's positive rows (not CFG*'s, which is degraded), the
+        # null negative once, then each degraded embedding whenever it changes
+        positives = sum(c.config.mode is not GuidanceMode.CFG_STAR for c in chains)
+        assert sum(seen) == positives + 1 + changed
+
     def test_unit_scale_skips_negative(self, model, schedule, encoder, tokens, monkeypatch):
         rows: list[int] = []
-        real = diffusion.denoise
+        real = diffusion._denoise
 
-        def counting(model, x, sigma, e):
+        def counting(model, x, sigma, m):
             rows.append(x.shape[0])
-            return real(model, x, sigma, e)
+            return real(model, x, sigma, m)
 
-        monkeypatch.setattr(diffusion, "denoise", counting)
+        monkeypatch.setattr(diffusion, "_denoise", counting)
         unit = [
             GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=1.0),
             GuidanceConfig(
@@ -516,6 +650,13 @@ class TestSample:
         chains = [Chain(tokens, CFG, 0), Chain(tokens, huge, 1)]
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match=r"step \d+ in chain 1"):
+                sample_batch(model, schedule, encoder, chains)
+
+    def test_non_finite_latent_names_first_duplicate(self, model, schedule, encoder, tokens):
+        huge = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=1e300)
+        chains = [Chain(tokens, CFG, 0)] * 2 + [Chain(tokens, huge, 1)] * 2
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match=r"step \d+ in chain 2"):
                 sample_batch(model, schedule, encoder, chains)
 
     def test_overflowing_attention_bias_rejected(self, model, schedule, encoder, tokens):

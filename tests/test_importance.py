@@ -271,6 +271,12 @@ class TestFuseHeads:
         cfg = FusionConfig.from_percentiles([0.1, 0.2, 0.3, 0.4])
         assert cfg.enabled and cfg.v_min <= cfg.v_max
 
+    @pytest.mark.parametrize("variances", [[], [float("nan")]], ids=["empty", "nan"])
+    def test_percentile_constructor_rejects_bad_input(self, variances):
+        # np.percentile of an empty array raises a raw IndexError
+        with pytest.raises(InvalidInputError):
+            FusionConfig.from_percentiles(variances)
+
 
 class TestCrossAttentionBaseline:
     def test_single_hot_column(self):
