@@ -10,10 +10,14 @@
 # artifact; and `sample` and `sweep` on a CFG* w=2.5 per-step config that
 # lists a 12-word prompt twice, so duplicate per-step chains, and the
 # R=1.0 boundary beside R=1.1 and R=1.2 of equal mask extent, reach an
-# artifact. Each runs once with the code of REV and once with the working
-# tree, both reading the working tree's configs. The fusion window keeps
-# some but not all heads (1 to 3 of 4) at every ranking of every command
-# on that config. Then `diff -r` compares the two output trees. Exits 0
+# artifact; and `diagnose` on a CDG R=1.5 config with `geometry_k: 2` that
+# lists an empty prompt among three others, so zero deltas (a `None` per
+# prompt and a lower `num_valid_prompts`), an explicit subspace dimension
+# and R>1 reach an artifact. Each runs once with the code of REV and once
+# with the working tree, both reading the working tree's configs. The
+# fusion windows of the fusion and diagnose configs keep some but not all
+# heads (1 to 3 of 4) at every ranking of every command on them. Then
+# `diff -r` compares the two output trees. Exits 0
 # when every artifact is byte-identical, 1 on any difference or failed
 # command, 2 on a usage error.
 set -euo pipefail
@@ -88,9 +92,26 @@ cat >"$tmp/duplicates_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/diagnose_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 1.5},
+  "fusion": {"enabled": true, "v_min": 0.00015, "v_max": 0.0025},
+  "geometry_k": 2,
+  "prompts": [
+    "a man is cooking",
+    "",
+    "the dog runs in a park",
+    "a woman paints the old wall"
+  ],
+  "seed": 0
+}
+JSON
+
 # run_all CODE_ROOT OUT: every command on the demo and fusion configs,
-# `sample` on the role configs and `sample` and `sweep` on the duplicates
-# config, outputs under OUT
+# `sample` on the role configs, `sample` and `sweep` on the duplicates
+# config and `diagnose` on the diagnose config, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
     cli() {
@@ -120,6 +141,9 @@ run_all() {
     name=duplicates_config
     cli sample sample
     cli sweep sweep
+    config=$tmp/diagnose_config.json
+    name=diagnose_config
+    cli diagnose diagnose
 }
 
 run_all "$tmp/rev" "$tmp/out-rev"

@@ -235,6 +235,8 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
 
 
 def cmd_diagnose(cfg: RunConfig, out: Path, force: bool) -> int:
+    if len(cfg.prompts) < 2:
+        raise ConfigError("diagnose needs at least 2 prompts")
     model = cfg.build_model()
     schedule = cfg.build_schedule()
     encoder = cfg.build_encoder()
@@ -340,7 +342,10 @@ def run(argv: list[str] | None = None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return run(argv)
+        # an overflow or invalid value reaches a finite check that raises a
+        # typed error, so numpy's warning would only print noise before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -111,12 +111,11 @@ def apply_mask(
     sequence of B masks, one per condition, all against the one null.
     """
     if isinstance(mask, DegradationMask):
-        bits = mask.bits
+        keep = mask.bits.astype(bool)
     else:
-        bits = np.array([m.bits for m in mask])
+        keep = np.array([m.bits for m in mask], dtype=bool)
     if c.embeddings.shape[-2:] != null.embeddings.shape:
         raise InvalidInputError("condition and null shapes differ")
-    if bits.shape != c.embeddings.shape[:-1]:
+    if keep.shape != c.embeddings.shape[:-1]:
         raise InvalidInputError("mask length does not match condition rows")
-    keep = bits[..., None].astype(bool)
-    return Condition(embeddings=np.where(keep, c.embeddings, null.embeddings))
+    return Condition(embeddings=np.where(keep[..., None], c.embeddings, null.embeddings))

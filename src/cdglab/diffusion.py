@@ -28,7 +28,13 @@ from .degradation import (
 from .encoder import Condition, PromptState, TokenSequence, ToyTextEncoder
 from .errors import AllHeadsFilteredError, InvalidInputError, NumericalError
 from .guidance import GuidanceConfig, GuidanceMode, combine, denoiser_to_eps
-from .importance import FusionConfig, ImportanceScores, fuse_heads, stationary_scores
+from .importance import (
+    FusionConfig,
+    ImportanceScores,
+    fuse_head_stacks,
+    stationary_scores,
+)
+from .linalg import all_finite
 
 DEFAULT_ATTENTION_BIAS_WEIGHT = 0.1
 
@@ -133,14 +139,17 @@ class SigmaSchedule:
 
 
 def _posterior_stats(
-    model: GmmConditionalModel, x: np.ndarray, sigma: float, m: np.ndarray
+    model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, m: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log joint weights (..., J) and per-component posterior means (..., J, d_x).
 
     m holds the component means of one embedding (J, d_x), shared by every
     latent, or of one embedding per latent (B, J, d_x): model.means(e).
+    sigma is one float for every latent, or a (B, 1) column of one per
+    latent row; each row's arithmetic is the same either way.
     """
-    var = model.variances + sigma * sigma  # (J,)
+    s2 = sigma * sigma
+    var = model.variances + s2  # (J,), or (B, J) for a column
     xe = x[..., None, :]  # (..., 1, d_x)
     diff = xe - m
     sq = (diff * diff).sum(axis=-1)  # (..., J)
@@ -149,13 +158,15 @@ def _posterior_stats(
         - 0.5 * model.d_x * np.log(2.0 * np.pi * var)
         - sq / (2.0 * var)
     )
-    comp = model.variances[:, None] * xe + (sigma * sigma) * m
-    comp /= var[:, None]
+    if isinstance(s2, np.ndarray):
+        s2 = s2[..., None]  # (B, 1, 1), against m's (B, J, d_x)
+    comp = model.variances[:, None] * xe + s2 * m
+    comp /= var[..., None]
     return logw, comp
 
 
 def _denoise(
-    model: GmmConditionalModel, x: np.ndarray, sigma: float, m: np.ndarray
+    model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, m: np.ndarray
 ) -> np.ndarray:
     """denoise at the component means m = model.means(e), for a checked sigma."""
     logw, comp = _posterior_stats(model, x, sigma, m)
@@ -166,13 +177,24 @@ def _denoise(
 
 
 def denoise(
-    model: GmmConditionalModel, x: np.ndarray, sigma: float, e: np.ndarray
+    model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, e: np.ndarray
 ) -> np.ndarray:
-    """Exact posterior mean E[x0 | x_sigma = x, e]; vectorized over leading axes."""
-    # written so that NaN fails too: nan <= 0 is False
-    if not 0.0 < sigma < np.inf:
+    """Exact posterior mean E[x0 | x_sigma = x, e]; vectorized over leading axes.
+
+    sigma is one noise level, or a (B, 1) column of one per row of x (B, d_x).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(sigma, np.ndarray):
+        if x.ndim != 2 or sigma.shape != (len(x), 1):
+            raise InvalidInputError(
+                f"sigma column of shape {sigma.shape} for latents of shape {x.shape}"
+            )
+        # written so that NaN fails too: nan > 0 is False
+        if not ((sigma > 0.0) & (sigma < np.inf)).all():
+            raise InvalidInputError("sigma must be positive and finite")
+    elif not 0.0 < sigma < np.inf:
         raise InvalidInputError("sigma must be positive and finite")
-    return _denoise(model, np.asarray(x, dtype=np.float64), sigma, model.means(e))
+    return _denoise(model, x, sigma, model.means(e))
 
 
 def log_density(
@@ -248,11 +270,11 @@ def degrade_rows(
     At the ratio-1.0 boundary the type-only mask needs no importance. The
     other rows are ranked from their prompt state at their latent: rows
     sharing a state and a latent are ranked once, every distinct input in
-    one stacked solve, then fused and masked per row. Returns every row's
-    mask, the indices of the rows whose bits differ from `previous` (every
-    row when it is None), and those rows' pooled degraded embeddings
-    (C, d_c), or None when no row changed; the other rows' embeddings
-    still hold.
+    one stacked solve and fused in one stacked call, then masked per row.
+    Returns every row's mask, the indices of the rows whose bits differ
+    from `previous` (every row when it is None), and those rows' pooled
+    degraded embeddings (C, d_c), or None when no row changed; the other
+    rows' embeddings still hold.
     """
     # each distinct (prompt state, latent) is ranked once, at its first row
     index: dict[tuple[int, bytes], int] = {}
@@ -265,7 +287,15 @@ def degrade_rows(
         k = keys[r] = index.setdefault((id(row.state), x_r.tobytes()), len(weights))
         if k == len(weights):
             weights.append(row.state.weights(x_r, sigma, bias_weight))
-    scores = _compute_importance(weights) if weights else None
+    if weights:
+        scores = _compute_importance(weights)
+        try:
+            stacks = fuse_head_stacks(scores, fusion)
+        except AllHeadsFilteredError as exc:
+            row = rows[keys.index(exc.index)]
+            raise AllHeadsFilteredError(
+                f"{exc} for {row.label} at sigma {sigma}", exc.index
+            ) from exc
     fused: list[ImportanceScores] = []
     masks: list[DegradationMask] = []
     changed: list[int] = []
@@ -274,12 +304,7 @@ def degrade_rows(
             mask = content_boundary_mask(row.tokens)
         else:
             if k == len(fused):  # the first row with this input
-                try:
-                    fused.append(fuse_heads(scores[k], fusion))
-                except AllHeadsFilteredError as exc:
-                    raise AllHeadsFilteredError(
-                        f"{exc} for {row.label} at sigma {sigma}"
-                    ) from exc
+                fused.append(ImportanceScores(stacks[k]))
             mask = build_mask(row.tokens, fused[k], row.ratios)
         masks.append(mask)
         if previous is None or mask.bits.tobytes() != previous[r].bits.tobytes():
@@ -300,7 +325,7 @@ def _rows(indices: list[int], n: int) -> slice | np.ndarray:
 
 
 def _check_finite(x: np.ndarray, step: int, labels: Sequence[int]) -> None:
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
         raise NumericalError(f"non-finite latent at step {step} in chain {labels[row]}")
 

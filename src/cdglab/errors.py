@@ -18,7 +18,14 @@ class DegenerateGraphError(CdgError):
 
 
 class AllHeadsFilteredError(CdgError):
-    """Variance filter rejected every attention head."""
+    """Variance filter rejected every attention head.
+
+    index names the first stack of a stacked fusion with no head left.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class InvalidRatioError(CdgError):

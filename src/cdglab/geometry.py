@@ -105,38 +105,50 @@ class GeometryReport:
     detail: list[dict] = field(default_factory=list)
 
 
-def _method_record(
-    detail: list[dict], sigma: float, method: str, deltas: np.ndarray, basis: np.ndarray
-) -> dict:
-    """Per-prompt and pooled metrics of one method's (num_prompts, d_x) deltas.
+_METHODS = ("cfg", "cdg")
 
-    A single vector's decoupling is exactly 1 - interference, so the
-    per-prompt values need no decomposition; only the pooled pair does.
+
+def _sigma_records(
+    report: GeometryReport, sigma: float, deltas: np.ndarray, basis: np.ndarray
+) -> None:
+    """Per-prompt and pooled metrics at one sigma, appended to report.
+
+    deltas (len(_METHODS) * num_prompts, d_x) holds each method's per-prompt
+    deltas in _METHODS order. Every per-prompt delta is projected in one
+    stacked call. A single vector's decoupling is exactly 1 - interference,
+    so the per-prompt values need no decomposition; only the pooled pair
+    does.
     """
-    valid, intfs = [], []
-    for p, delta in enumerate(deltas):
-        try:
-            intf = interference(delta, basis)
-        except UndefinedMetricError:
-            dec = intf = None
-        else:
-            valid.append(p)
-            intfs.append(intf)
-            dec = 1.0 - intf
-        detail.append(
-            {"sigma": sigma, "method": method, "prompt_index": p, "decoupling": dec,
-             "interference": intf, "note": "zero delta" if intf is None else ""}
-        )
-    pooled = deltas[valid].T  # (d_x, valid): the span of all valid deltas
-    return {
-        "sigma": sigma,
-        "method": method,
-        "decoupling_mean": 1.0 - float(np.mean(intfs)) if valid else None,
-        "interference_mean": float(np.mean(intfs)) if valid else None,
-        "num_valid_prompts": len(valid),
-        "decoupling_pooled": decoupling(pooled, basis) if valid else None,
-        "interference_pooled": interference(pooled, basis) if valid else None,
-    }
+    n_prompts = len(deltas) // len(_METHODS)
+    totals = (deltas * deltas).sum(axis=1).tolist()
+    proj = project_onto(basis, deltas[:, :, None])[..., 0]
+    energies = (proj * proj).sum(axis=1).tolist()
+    for m, method in enumerate(_METHODS):
+        valid, intfs = [], []
+        for p in range(n_prompts):
+            i = m * n_prompts + p
+            if totals[i] <= _ZERO_DELTA_TOL:
+                dec = intf = None
+            else:
+                intf = min(energies[i] / totals[i], 1.0)
+                valid.append(p)
+                intfs.append(intf)
+                dec = 1.0 - intf
+            report.detail.append(
+                {"sigma": sigma, "method": method, "prompt_index": p, "decoupling": dec,
+                 "interference": intf, "note": "zero delta" if intf is None else ""}
+            )
+        # (d_x, valid): the span of all valid deltas
+        pooled = deltas[m * n_prompts : (m + 1) * n_prompts][valid].T
+        report.records.append({
+            "sigma": sigma,
+            "method": method,
+            "decoupling_mean": 1.0 - float(np.mean(intfs)) if valid else None,
+            "interference_mean": float(np.mean(intfs)) if valid else None,
+            "num_valid_prompts": len(valid),
+            "decoupling_pooled": decoupling(pooled, basis) if valid else None,
+            "interference_pooled": interference(pooled, basis) if valid else None,
+        })
 
 
 def run_geometry_sweep(
@@ -155,12 +167,22 @@ def run_geometry_sweep(
 
     The deltas are unscaled: the conditional prediction minus the null one
     (CFG), or minus that of the prompt degraded at r_deg, ranked at
-    lambda_block (CDG). At each sigma one latent is drawn per prompt, the
-    denoising subspace is estimated from the stacked conditional noise
-    predictions, and per-prompt metrics are averaged. Zero deltas are
-    skipped and reported through num_valid_prompts. The subspace dimension
-    defaults to the smallest k capturing 90% of squared singular-value mass,
-    capped at num_prompts - 1.
+    lambda_block (CDG). At each sigma one latent is drawn per prompt, from
+    its own seed [seed, sigma index, prompt index], the denoising subspace
+    is estimated from the stacked conditional noise predictions, and
+    per-prompt metrics are averaged. Zero deltas are skipped and reported
+    through num_valid_prompts. The subspace dimension defaults to the
+    smallest k capturing 90% of squared singular-value mass, capped at
+    num_prompts - 1.
+
+    The sweep is one pass over every (sigma, prompt) row, sigma-major: one
+    latent stack, three denoise calls (conditional, null, degraded) with a
+    column of per-row sigmas, one stacked SVD of the conditional
+    predictions, and one stacked projection of the per-prompt deltas per
+    sigma. The degrade step runs once per sigma, so only one sigma's
+    attention weights are held at a time. Each row's arithmetic is that of
+    a per-sigma computation, so the report does not depend on the
+    stacking.
     """
     n_prompts = len(prompts_tokens)
     if n_prompts < 2:
@@ -168,8 +190,7 @@ def run_geometry_sweep(
     ratios = map_ratio(r_deg)
     conditions = [encoder.encode(t) for t in prompts_tokens]
     e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
-    # shaped like e_c, so a negative equal to a prompt's embedding gives delta 0
-    e_null = np.tile(encoder.pool(encoder.null_condition(), model.d_c), (n_prompts, 1))
+    e_null = encoder.pool(encoder.null_condition(), model.d_c)
     rows = [
         DegradeRow(
             f"prompt {p}", t, c, ratios,
@@ -179,24 +200,40 @@ def run_geometry_sweep(
         for p, (t, c) in enumerate(zip(prompts_tokens, conditions))
     ]
 
-    report = GeometryReport()
-    for si, sigma in enumerate(schedule.sigmas[:-1]):
-        x = np.stack([
-            np.random.default_rng([seed, si, p]).normal(size=model.d_x) * sigma
-            for p in range(n_prompts)
-        ])
-        e_deg = degrade_rows(
-            encoder, rows, x, sigma, model.d_c, fusion, attention_bias_weight
+    sigmas = schedule.sigmas[:-1]
+    n_sigmas = len(sigmas)
+    sigma_col = np.repeat(sigmas, n_prompts)[:, None]
+    x = np.stack([
+        np.random.default_rng([seed, si, p]).normal(size=model.d_x)
+        for si in range(n_sigmas) for p in range(n_prompts)
+    ]) * sigma_col
+    e_deg = np.concatenate([
+        degrade_rows(
+            encoder, rows, x[si * n_prompts : (si + 1) * n_prompts], sigma,
+            model.d_c, fusion, attention_bias_weight,
         )[2]
-        eps_c, eps_null, eps_deg = (
-            denoiser_to_eps(denoise(model, x, sigma, e), x, sigma)
-            for e in (e_c, e_null, e_deg)
+        for si, sigma in enumerate(sigmas)
+    ])
+    # every embedding is one row per latent, so a negative equal to a
+    # prompt's embedding gives delta 0
+    eps_c, eps_null, eps_deg = (
+        denoiser_to_eps(denoise(model, x, sigma_col, e), x, sigma_col)
+        for e in (
+            np.tile(e_c, (n_sigmas, 1)), np.tile(e_null, (len(x), 1)), e_deg
         )
-        svd = thin_svd(eps_c)
-        k_eff = k if k is not None else min(energy_rank(svd.s), n_prompts - 1)
-        basis = _top_subspace(svd, min(k_eff, svd.rank))
-        for method, eps_neg in (("cfg", eps_null), ("cdg", eps_deg)):
-            report.records.append(
-                _method_record(report.detail, sigma, method, eps_c - eps_neg, basis)
-            )
+    )
+    stack_shape = (n_sigmas, n_prompts, model.d_x)
+    svd = thin_svd(eps_c.reshape(stack_shape))
+    # (S, len(_METHODS) * P, d_x): each sigma's CFG deltas, then its CDG ones
+    deltas = np.concatenate(
+        [(eps_c - eps_neg).reshape(stack_shape) for eps_neg in (eps_null, eps_deg)],
+        axis=1,
+    )
+
+    report = GeometryReport()
+    for si, sigma in enumerate(sigmas):
+        svd_at = svd[si]
+        k_eff = k if k is not None else min(energy_rank(svd_at.s), n_prompts - 1)
+        basis = _top_subspace(svd_at, min(k_eff, svd_at.rank))
+        _sigma_records(report, sigma, deltas[si], basis)
     return report

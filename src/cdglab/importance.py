@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllHeadsFilteredError, DegenerateGraphError, InvalidInputError
+from .linalg import all_finite
 
 DEFAULT_EPSILON = 1e-8
 DEFAULT_MAX_ITERS = 1000
@@ -56,11 +57,11 @@ def _row_normalized(a: np.ndarray, ndim: int) -> np.ndarray:
         raise InvalidInputError("attention weights must be >= 0")
     row_sums = a.sum(axis=-1, keepdims=True)
     # a NaN or infinite weight, e.g. one overflowed by a huge attention bias,
-    # makes its row sum non-finite, and the largest sum NaN or infinite
-    if not row_sums.max() < np.inf:
+    # makes its row sum non-finite
+    if not all_finite(row_sums):
         raise DegenerateGraphError("attention weights are not finite")
     # only a zero weight can leave a row summing to zero
-    if lo == 0 and row_sums.min() == 0:
+    if lo == 0 and np.count_nonzero(row_sums) < row_sums.size:
         raise DegenerateGraphError("attention matrix has an all-zero row")
     return a / row_sums
 
@@ -141,27 +142,57 @@ def stationary_scores(weights: np.ndarray) -> np.ndarray:
         out = np.linalg.solve(p.transpose(0, 2, 1), rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateGraphError("stationary system is singular") from exc
-    if not np.isfinite(out).all():
+    if not all_finite(out):
         raise DegenerateGraphError("stationary solution is not finite")
     return out
 
 
-def fuse_heads(scores: np.ndarray, cfg: FusionConfig | None = None) -> ImportanceScores:
-    """Root-mean-square fusion of a per-head score stack (H, N).
+def fuse_head_stacks(scores: np.ndarray, cfg: FusionConfig | None = None) -> np.ndarray:
+    """Root-mean-square fusion of K per-head score stacks (K, H, N) to (K, N).
 
-    With the variance filter enabled, only heads whose score variance lies
-    in [v_min, v_max] take part; a disabled or absent filter keeps every head.
+    Each fused row is normalized to sum to 1. With the variance filter
+    enabled, only the heads of a stack whose score variance lies in
+    [v_min, v_max] take part in its row; a disabled or absent filter keeps
+    every head. A dropped head adds an exact zero to its row's sum of
+    squares, so each row equals the fusion of its own stack alone. Raises
+    AllHeadsFilteredError, with the index of the first stack whose every
+    head the filter rejects.
     """
     stack = np.asarray(scores, dtype=np.float64)
-    if stack.ndim != 2 or stack.shape[0] == 0:
-        raise InvalidInputError("expected a non-empty (heads, N) score stack")
+    if stack.ndim != 3 or 0 in stack.shape[:2]:
+        raise InvalidInputError("expected a non-empty (stacks, heads, N) score stack")
+    squares = stack**2
+    kept = stack.shape[1]
     if cfg is not None and cfg.enabled:
-        variances = np.var(stack, axis=1)
+        variances = np.var(stack, axis=2)
         keep = (variances >= cfg.v_min) & (variances <= cfg.v_max)
-        if not keep.any():
-            raise AllHeadsFilteredError("variance filter rejected every head")
-        stack = stack[keep]
-    return _make_scores(np.sqrt((stack**2).sum(axis=0) / len(stack)))
+        kept = keep.sum(axis=1, keepdims=True)  # (K, 1) heads per stack
+        if not kept.all():
+            raise AllHeadsFilteredError(
+                "variance filter rejected every head", index=int(kept.argmin())
+            )
+        squares[~keep] = 0.0
+    raw = squares.sum(axis=1)
+    raw /= kept
+    np.sqrt(raw, out=raw)
+    total = raw.sum(axis=1, keepdims=True)
+    # a root mean square is >= 0 (or NaN), so a row lacks positive mass
+    # only at a total of exactly 0
+    if np.count_nonzero(total) < len(total):
+        raise InvalidInputError("scores must have positive mass")
+    raw /= total
+    return raw
+
+
+def fuse_heads(scores: np.ndarray, cfg: FusionConfig | None = None) -> ImportanceScores:
+    """Root-mean-square fusion of one per-head score stack (H, N).
+
+    The one-stack case of fuse_head_stacks.
+    """
+    stack = np.asarray(scores, dtype=np.float64)
+    if stack.ndim != 2:
+        raise InvalidInputError("expected a non-empty (heads, N) score stack")
+    return ImportanceScores(scores=fuse_head_stacks(stack[None], cfg)[0])
 
 
 def cross_attention_baseline(c: np.ndarray) -> ImportanceScores:

@@ -3,7 +3,8 @@
 Matrices are plain float64 numpy arrays. `thin_svd` is numpy's LAPACK SVD
 behind input checks and typed errors: a malformed or non-finite matrix raises
 InvalidInputError, and a decomposition that fails to converge raises
-NumericalError.
+NumericalError. `thin_svd` and `project_onto` also take a stack (..., m, n)
+of matrices, and each member's result equals that of its own call.
 """
 
 from __future__ import annotations
@@ -24,26 +25,46 @@ class SvdResult:
     s: np.ndarray  # singular values, descending
     vt: np.ndarray  # right singular vectors, orthonormal rows
 
+    def __getitem__(self, i) -> "SvdResult":
+        """The decomposition of member i of a stacked input."""
+        return SvdResult(u=self.u[i], s=self.s[i], vt=self.vt[i])
+
     @property
     def rank(self) -> int:
+        """Numerical rank of a single (unstacked) decomposition."""
         if self.s.size == 0 or self.s[0] == 0.0:
             return 0
         return int(np.count_nonzero(self.s > RANK_RTOL * self.s[0]))
 
 
-def _check_matrix(m: np.ndarray) -> np.ndarray:
+def all_finite(a: np.ndarray) -> bool:
+    """True when every entry of a is finite.
+
+    Counts in C; ndarray.all's Python wrapper costs more than the test
+    itself on the small arrays of a one-chain step.
+    """
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _check_matrix(m: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """m as float64, checked: 2-d, or with stacked ndim >= 2, and finite."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or min(m.shape) < 1:
-        raise InvalidInputError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if (m.ndim < 2 if stacked else m.ndim != 2) or min(m.shape) < 1:
+        kind = "a matrix or a stack of matrices" if stacked else "a 2-d matrix"
+        raise InvalidInputError(f"expected {kind}, got shape {m.shape}")
+    if not all_finite(m):
         raise InvalidInputError("matrix contains non-finite entries")
     return m
 
 
 def thin_svd(m: np.ndarray) -> SvdResult:
-    """Thin SVD of m: m == u @ diag(s) @ vt with s descending."""
+    """Thin SVD of m: m == u @ diag(s) @ vt with s descending.
+
+    m is one matrix or a stack (..., rows, cols); a stack decomposes member
+    by member, and `result[i]` is member i's decomposition.
+    """
     try:
-        u, s, vt = np.linalg.svd(_check_matrix(m), full_matrices=False)
+        u, s, vt = np.linalg.svd(_check_matrix(m, stacked=True), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK SVD failed: {exc}") from exc
     return SvdResult(u=u, s=s, vt=vt)
@@ -83,11 +104,16 @@ def principal_angle_sines_squared(u1: np.ndarray, u2: np.ndarray) -> list[float]
 
 
 def project_onto(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of v (vector or matrix of columns) onto span(basis)."""
+    """Orthogonal projection of v onto span(basis).
+
+    v is a vector, a matrix of columns, or a stack (..., rows, cols) of
+    such matrices, each projected as by its own call.
+    """
     basis = _check_matrix(basis)
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != basis.shape[0]:
+    rows = v.shape[0] if v.ndim == 1 else v.shape[-2]
+    if rows != basis.shape[0]:
         raise InvalidInputError(
-            f"dimension mismatch: basis rows {basis.shape[0]} vs v rows {v.shape[0]}"
+            f"dimension mismatch: basis rows {basis.shape[0]} vs v rows {rows}"
         )
     return basis @ (basis.T @ v)

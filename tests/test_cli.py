@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cdglab.cli import _write_json, main
-from cdglab.config import config_echo, parse_config
+from cdglab.config import RunConfig, config_echo, parse_config
 from cdglab.diffusion import sample
 from cdglab.encoder import tokenize
 from cdglab.errors import NumericalError
@@ -135,6 +135,43 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "non-finite latent at step" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "metadata.json").exists()
+
+    def test_diagnose_one_prompt_exits_2_before_building(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_build(self):
+            raise AssertionError("built the model before checking the prompts")
+
+        monkeypatch.setattr(RunConfig, "build_model", no_build)
+        doc = dict(BASE_CONFIG, prompts=["a man is cooking"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = main(["diagnose", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "at least 2 prompts" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("sample", {"guidance": {"mode": "cfg", "guidance_scale": 1e300}}),
+            ("sample", {"attention_bias_weight": 1e6}),
+            ("diagnose", {"attention_bias_weight": 1e6}),
+        ],
+        ids=["huge-scale", "huge-bias-sample", "huge-bias-diagnose"],
+    )
+    def test_runtime_error_prints_one_line(self, tmp_path, capsys, command, override):
+        doc = dict(BASE_CONFIG, **override)
+        doc["guidance"] = override.get(
+            "guidance", {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5}
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
         "override",

@@ -162,6 +162,26 @@ class TestDenoise:
         with pytest.raises(InvalidInputError):
             fn(model, np.zeros(model.d_x), sigma, np.zeros(model.d_c))
 
+    def test_sigma_column_matches_per_sigma(self, model):
+        rng = np.random.default_rng(1)
+        sigmas, per = (5.0, 0.7, 0.02), 4
+        x = rng.normal(size=(len(sigmas) * per, model.d_x))
+        e = rng.normal(size=(len(sigmas) * per, model.d_c))
+        out = denoise(model, x, np.repeat(sigmas, per)[:, None], e)
+        for i, sigma in enumerate(sigmas):
+            rows = slice(i * per, (i + 1) * per)
+            np.testing.assert_array_equal(out[rows], denoise(model, x[rows], sigma, e[rows]))
+
+    @pytest.mark.parametrize(
+        "column",
+        [[[1.0], [float("nan")]], [[1.0], [0.0]], [[1.0], [float("inf")]],
+         [1.0, 1.0], [[1.0], [1.0], [1.0]]],
+        ids=["nan", "zero", "inf", "flat", "too-long"],
+    )
+    def test_bad_sigma_column_rejected(self, model, column):
+        with pytest.raises(InvalidInputError):
+            denoise(model, np.zeros((2, model.d_x)), np.array(column), np.zeros((2, model.d_c)))
+
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_log_density_rejects_bad_sigma(self, model, sigma):
         # sigma enters only squared, so -1.0 would return the value at 1.0

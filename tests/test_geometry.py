@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdglab import diffusion, geometry
-from cdglab.diffusion import SigmaSchedule, denoise
+from cdglab.degradation import map_ratio
+from cdglab.diffusion import DegradeRow, SigmaSchedule, degrade_rows, denoise
 from cdglab.encoder import tokenize
 from cdglab.errors import (
     AllHeadsFilteredError,
@@ -25,6 +26,7 @@ from cdglab.geometry import (
     interference,
     run_geometry_sweep,
 )
+from cdglab.guidance import denoiser_to_eps
 from cdglab.importance import FusionConfig, stationary_scores
 from cdglab.linalg import thin_svd
 
@@ -128,6 +130,46 @@ class TestMetrics:
         )
 
 
+def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
+    """(sigma, method, prompt, decoupling) of a per-sigma sweep from public parts.
+
+    Each sigma draws its own latents, degrades them, denoises at a scalar
+    sigma, and takes each prompt's decoupling from its principal angle.
+    """
+    n = len(tokens)
+    ratios = map_ratio(r_deg)
+    conditions = [encoder.encode(t) for t in tokens]
+    e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
+    e_null = np.tile(encoder.pool(encoder.null_condition(), model.d_c), (n, 1))
+    rows = [
+        DegradeRow(f"prompt {p}", t, c, ratios, encoder.prompt_state(t, 1, model.d_x))
+        for p, (t, c) in enumerate(zip(tokens, conditions))
+    ]
+    detail = []
+    for si, sigma in enumerate(schedule.sigmas[:-1]):
+        x = np.stack([
+            np.random.default_rng([seed, si, p]).normal(size=model.d_x) * sigma
+            for p in range(n)
+        ])
+        e_deg = degrade_rows(encoder, rows, x, sigma, model.d_c, None, 0.1)[2]
+        eps_c, eps_null, eps_deg = (
+            denoiser_to_eps(denoise(model, x, sigma, e), x, sigma)
+            for e in (e_c, e_null, e_deg)
+        )
+        stack = PredictionStack(sigma=sigma, rows=eps_c)
+        svd = thin_svd(eps_c)
+        k = min(energy_rank(svd.s), n - 1, svd.rank)
+        basis = estimate_subspace(stack, k)
+        for method, eps_neg in (("cfg", eps_null), ("cdg", eps_deg)):
+            for p, delta in enumerate(eps_c - eps_neg):
+                try:
+                    dec = decoupling(delta, basis)
+                except UndefinedMetricError:
+                    dec = None
+                detail.append((sigma, method, p, dec))
+    return detail
+
+
 PROMPTS = [
     "a man is cooking",
     "a cat sits on the mat",
@@ -192,19 +234,21 @@ class TestSweep:
             return thin_svd(m)
 
         def counting_denoise(model, x, sigma, e):
-            denoised.append((np.shape(x), np.shape(e)))
+            denoised.append((np.shape(x), np.shape(sigma), np.shape(e)))
             return denoise(model, x, sigma, e)
 
         monkeypatch.setattr(geometry, "thin_svd", counting_svd)
         monkeypatch.setattr(geometry, "denoise", counting_denoise)
         short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
         run_geometry_sweep(model, short, encoder, self._tokens(params), 1.0)
-        n = len(PROMPTS)
-        assert shapes.count((n, model.d_x)) == short.steps
-        # the stack, then the pooled CFG and CDG delta spans
-        assert len(shapes) == 3 * short.steps
-        # one batched call each for the conditional, null and degraded stacks
-        assert denoised == [((n, model.d_x), (n, model.d_c))] * (3 * short.steps)
+        n, rows = len(PROMPTS), short.steps * len(PROMPTS)
+        # the (sigma, prompt) stack once, then the pooled CFG and CDG delta
+        # spans at each sigma
+        assert shapes[0] == (short.steps, n, model.d_x)
+        assert shapes[1:] == [(model.d_x, n)] * (2 * short.steps)
+        # one call each for the conditional, null and degraded rows, with a
+        # column of per-row sigmas
+        assert denoised == [((rows, model.d_x), (rows, 1), (rows, model.d_c))] * 3
 
     def test_one_solve_per_sigma(self, model, encoder, params, monkeypatch):
         shapes = []
@@ -237,23 +281,19 @@ class TestSweep:
                 fusion=fusion, attention_bias_weight=0.0,
             )
 
-    def test_per_prompt_decoupling_matches_reference(
-        self, model, encoder, params, monkeypatch
-    ):
-        calls = []
-
-        def recording_interference(delta, basis):
-            if np.ndim(delta) == 1:
-                calls.append((np.array(delta), np.array(basis)))
-            return interference(delta, basis)
-
-        monkeypatch.setattr(geometry, "interference", recording_interference)
+    def test_per_prompt_decoupling_matches_reference(self, model, encoder, params):
+        tokens = [tokenize(p, params) for p in PROMPTS + [""]]
         short = SigmaSchedule.log_spaced(6, 10.0, 0.01)
-        report = run_geometry_sweep(model, short, encoder, self._tokens(params), 0.5)
-        valid = [row for row in report.detail if row["decoupling"] is not None]
-        assert valid and len(valid) == len(calls)
-        for row, (delta, basis) in zip(valid, calls):
-            assert abs(row["decoupling"] - decoupling(delta, basis)) < 1e-12
+        report = run_geometry_sweep(model, short, encoder, tokens, 0.5, seed=3)
+        expected = _reference_detail(model, short, encoder, tokens, 0.5, seed=3)
+        assert len(report.detail) == len(expected)
+        assert any(dec is None for *_, dec in expected)
+        for row, (sigma, method, p, dec) in zip(report.detail, expected):
+            assert (row["sigma"], row["method"], row["prompt_index"]) == (sigma, method, p)
+            if dec is None:
+                assert row["decoupling"] is None and row["note"] == "zero delta"
+            else:
+                assert abs(row["decoupling"] - dec) < 1e-12
 
     def test_null_prompt_has_zero_cfg_delta(self, model, encoder, params):
         prompts = PROMPTS + [""]

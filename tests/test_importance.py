@@ -21,6 +21,7 @@ from cdglab.importance import (
     FusionConfig,
     ImportanceScores,
     cross_attention_baseline,
+    fuse_head_stacks,
     fuse_heads,
     head_variance,
     stationary_scores,
@@ -276,6 +277,72 @@ class TestFuseHeads:
         # np.percentile of an empty array raises a raw IndexError
         with pytest.raises(InvalidInputError):
             FusionConfig.from_percentiles(variances)
+
+
+def _subset_fusion(stack: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """RMS fusion over the kept heads alone, normalized: the per-stack reference."""
+    kept = stack[keep]
+    raw = np.sqrt((kept**2).sum(axis=0) / len(kept))
+    return raw / raw.sum()
+
+
+class TestFuseHeadStacks:
+    H, N = 4, 16
+    WINDOW = FusionConfig(v_min=1e-7, v_max=1e-2, enabled=True)
+
+    def _planted(self, seed: int) -> np.ndarray:
+        """(H, H, N): stack k has k + 1 near-uniform heads inside WINDOW and
+        peaked heads above it, in a shuffled head order."""
+        rng = np.random.default_rng(seed)
+        stacks = []
+        for k in range(self.H):
+            heads = []
+            for h in range(self.H):
+                if h <= k:
+                    raw = 1.0 + 0.1 * rng.uniform(size=self.N)
+                else:
+                    raw = rng.uniform(0.0, 0.01, size=self.N)
+                    raw[rng.integers(self.N)] = 1.0
+                heads.append(raw / raw.sum())
+            stacks.append(np.array(heads)[rng.permutation(self.H)])
+        return np.stack(stacks)
+
+    def _keep(self, stacks: np.ndarray) -> np.ndarray:
+        v = np.var(stacks, axis=2)
+        return (v >= self.WINDOW.v_min) & (v <= self.WINDOW.v_max)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_filtered_rows_match_per_stack_fusion(self, seed):
+        stacks = self._planted(seed)
+        keep = self._keep(stacks)
+        assert keep.sum(axis=1).tolist() == list(range(1, self.H + 1))
+        fused = fuse_head_stacks(stacks, self.WINDOW)
+        for k in range(self.H):
+            np.testing.assert_array_equal(fused[k], _subset_fusion(stacks[k], keep[k]))
+            np.testing.assert_array_equal(fused[k], fuse_heads(stacks[k], self.WINDOW).scores)
+
+    @pytest.mark.parametrize("cfg", [None, FusionConfig()], ids=["none", "disabled"])
+    def test_unfiltered_rows_match_per_stack_fusion(self, cfg):
+        stacks = self._planted(3)
+        fused = fuse_head_stacks(stacks, cfg)
+        every = np.ones(self.H, dtype=bool)
+        for k in range(self.H):
+            np.testing.assert_array_equal(fused[k], _subset_fusion(stacks[k], every))
+            np.testing.assert_array_equal(fused[k], fuse_heads(stacks[k], cfg).scores)
+
+    def test_first_filtered_stack_is_named(self):
+        stacks = self._planted(4)
+        peaked = stacks[0][~self._keep(stacks)[0]][0]
+        stacks[1] = stacks[3] = peaked
+        with pytest.raises(AllHeadsFilteredError) as info:
+            fuse_head_stacks(stacks, self.WINDOW)
+        assert info.value.index == 1
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(InvalidInputError):
+            fuse_head_stacks(np.empty((0, 4, 4)))
+        with pytest.raises(InvalidInputError):
+            fuse_head_stacks(np.ones((4, 4)))
 
 
 class TestCrossAttentionBaseline:

@@ -180,6 +180,42 @@ class TestPrincipalAngles:
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
+class TestStacks:
+    def test_stacked_svd_matches_per_matrix(self):
+        m = np.random.default_rng(3).normal(size=(5, 6, 4))
+        m[2] = _contract_matrix(4, (6, 4), "low_rank")
+        stacked = thin_svd(m)
+        for i, member in enumerate(m):
+            single = thin_svd(member)
+            np.testing.assert_array_equal(stacked[i].u, single.u)
+            np.testing.assert_array_equal(stacked[i].s, single.s)
+            np.testing.assert_array_equal(stacked[i].vt, single.vt)
+            assert stacked[i].rank == single.rank
+        assert stacked[2].rank == 3
+
+    def test_stacked_projection_matches_per_item(self):
+        rng = np.random.default_rng(4)
+        basis = orthonormal_basis(rng.normal(size=(8, 8)), 3)
+        v = rng.normal(size=(6, 8, 1))
+        out = project_onto(basis, v)
+        assert out.shape == v.shape
+        for i in range(len(v)):
+            np.testing.assert_array_equal(out[i], project_onto(basis, v[i]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_member_rejected(self, bad):
+        m = np.random.default_rng(5).normal(size=(3, 4, 4))
+        m[1, 2, 3] = bad
+        with pytest.raises(InvalidInputError):
+            thin_svd(m)
+
+    def test_stack_shapes_checked(self):
+        with pytest.raises(InvalidInputError):
+            thin_svd(np.ones((3, 0, 4)))
+        with pytest.raises(InvalidInputError):
+            project_onto(np.eye(3), np.ones((2, 4, 1)))
+
+
 class TestProjectOnto:
     def test_inside_span(self):
         basis = np.eye(4)[:, :2]
