@@ -5,15 +5,17 @@
 #
 # Runs all five CLI commands (rank-tokens, build-mask at R=1.25 and R=0.4,
 # sample, sweep, diagnose) on scripts/demo_config.json and on a CDG R=0.5
-# per-step fusion config; `sample` alone on a CFG w=3 config and on a
-# CFG* w=2.5 R=0.5 per-step config, so every guidance role reaches an
-# artifact; and `sample` and `sweep` on a CFG* w=2.5 per-step config that
-# lists a 12-word prompt twice, so duplicate per-step chains, and the
-# R=1.0 boundary beside R=1.1 and R=1.2 of equal mask extent, reach an
-# artifact; and `diagnose` on a CDG R=1.5 config with `geometry_k: 2` that
-# lists an empty prompt among three others, so zero deltas (a `None` per
-# prompt and a lower `num_valid_prompts`), an explicit subspace dimension
-# and R>1 reach an artifact. Each runs once with the code of REV and once
+# per-step fusion config; `sweep` on the demo config once more over the
+# unsorted grid 1.0,0.3,2.0,0.3,1.1, which repeats a ratio, so the configs
+# a sweep shares per ratio reach an artifact; `sample` alone on a CFG w=3
+# config and on a CFG* w=2.5 R=0.5 per-step config, so every guidance role
+# reaches an artifact; and `sample` and `sweep` on a CFG* w=2.5 per-step
+# config that lists a 12-word prompt twice, so duplicate per-step chains,
+# and the R=1.0 boundary beside R=1.1 and R=1.2 of equal mask extent,
+# reach an artifact; and `diagnose` on a CDG R=1.5 config with
+# `geometry_k: 2` that lists an empty prompt among three others, so zero
+# deltas (a `None` per prompt and a lower `num_valid_prompts`), an explicit
+# subspace dimension and R>1 reach an artifact. Each runs once with the code of REV and once
 # with the working tree, both reading the working tree's configs. The
 # fusion windows of the fusion and diagnose configs keep some but not all
 # heads (1 to 3 of 4) at every ranking of every command on them. Then
@@ -109,8 +111,8 @@ cat >"$tmp/diagnose_config.json" <<'JSON'
 }
 JSON
 
-# run_all CODE_ROOT OUT: every command on the demo and fusion configs,
-# `sample` on the role configs, `sample` and `sweep` on the duplicates
+# run_all CODE_ROOT OUT: every command on the demo and fusion configs, a
+# second `sweep` grid on the demo config, `sample` on the role configs, `sample` and `sweep` on the duplicates
 # config and `diagnose` on the diagnose config, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
@@ -133,6 +135,9 @@ run_all() {
         cli sweep sweep
         cli diagnose diagnose
     done
+    config=$root/scripts/demo_config.json
+    name=demo_config
+    cli sweep-grid sweep --grid 1.0,0.3,2.0,0.3,1.1
     for config in "$tmp/cfg_config.json" "$tmp/cfg_star_config.json"; do
         name=$(basename "$config" .json)
         cli sample sample

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -198,6 +199,8 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
             reuse_first_step_mask=base.reuse_first_step_mask,
         )
     reference = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
+    # one config per distinct ratio, shared by its prompts and its repeats
+    configs = {r_deg: replace(base, r_deg=r_deg) for r_deg in grid}
     tokens = [tokenize(prompt, cfg.encoder) for prompt in cfg.prompts]
     cells = [(r_deg, p) for r_deg in grid for p in range(len(tokens))]
 
@@ -205,7 +208,7 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
     runs = sample_batch(
         model, schedule, encoder,
         [Chain(t, reference, cfg.seed) for t in tokens]
-        + [Chain(tokens[p], replace(base, r_deg=r_deg), cfg.seed) for r_deg, p in cells],
+        + [Chain(tokens[p], configs[r_deg], cfg.seed) for r_deg, p in cells],
         fusion=cfg.fusion, attention_bias_weight=cfg.attention_bias_weight,
     )
     refs, runs = runs[: len(tokens)], runs[len(tokens) :]
@@ -284,14 +287,19 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call.
+
+    The shared options follow the subcommand: `cdglab sample --config c.json`.
+    """
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", type=Path, help="path to the run-config JSON")
     shared.add_argument("--out", type=Path, help="output directory (default: config out_dir)")
     shared.add_argument("--seed", type=int, help="override the config seed")
     shared.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
-    parser = argparse.ArgumentParser(prog="cdglab", parents=[shared])
+    parser = argparse.ArgumentParser(prog="cdglab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rank-tokens", parents=[shared], help="token importance ranking")

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .degradation import map_ratio
 from .diffusion import GmmConditionalModel, SigmaSchedule
 from .encoder import EncoderParams, ToyTextEncoder
 from .errors import CdgError, ConfigError
@@ -134,13 +133,8 @@ def _parse_guidance(data: dict) -> GuidanceConfig:
         data["mode"] = GuidanceMode(mode)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"unknown guidance mode {mode!r}") from exc
-    guidance = _build(GuidanceConfig, data, "guidance")
-    if guidance.r_deg is not None:
-        try:
-            map_ratio(guidance.r_deg)
-        except CdgError as exc:
-            raise ConfigError(f"invalid section 'guidance': {exc}") from exc
-    return guidance
+    # a ratio outside [0, 2] fails in the constructor, as a ConfigError
+    return _build(GuidanceConfig, data, "guidance")
 
 
 def parse_config(doc: dict, base_dir: Path | None = None) -> RunConfig:

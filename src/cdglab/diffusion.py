@@ -22,7 +22,6 @@ from .degradation import (
     apply_mask,
     build_mask,
     content_boundary_mask,
-    map_ratio,
     mask_extent,
 )
 from .encoder import Condition, PromptState, TokenSequence, ToyTextEncoder
@@ -319,9 +318,12 @@ def degrade_rows(
     return masks, changed, encoder.pool(degraded, d_c)
 
 
-def _rows(indices: list[int], n: int) -> slice | np.ndarray:
-    """Index for a subset of the batch; a slice when it covers every row."""
-    return slice(None) if len(indices) == n else np.asarray(indices, dtype=np.intp)
+def _rows(indices: list[int]) -> slice | np.ndarray:
+    """Index for ascending rows of the batch: a slice, which takes a view,
+    when they are one contiguous run, else an index array."""
+    if indices and indices[-1] - indices[0] == len(indices) - 1:
+        return slice(indices[0], indices[-1] + 1)
+    return np.asarray(indices, dtype=np.intp)
 
 
 def _check_finite(x: np.ndarray, step: int, labels: Sequence[int]) -> None:
@@ -355,7 +357,7 @@ def _chain_key(chain: Chain) -> tuple:
         config.lambda_block,
         config.reuse_first_step_mask,
         config.r_deg == 1.0,
-        mask_extent(chain.tokens, map_ratio(config.r_deg)),
+        mask_extent(chain.tokens, config.ratios),
     )
 
 
@@ -461,7 +463,7 @@ def _integrate(
         b for b, (chain, mode) in enumerate(zip(chains, modes))
         if mode is not GuidanceMode.NONE and chain.config.guidance_scale != 1.0
     ]
-    guided_rows = _rows(guided, n)
+    guided_rows = _rows(guided)
     w_col = np.array([[chains[b].config.guidance_scale] for b in guided])
 
     # each chain denoises at the component means of one positive embedding
@@ -510,11 +512,11 @@ def _integrate(
                 every_step.append(b)
         row_of[b] = DegradeRow(
             f"chain {labels[b]}", chain.tokens, conditions[chain.tokens.ids][0],
-            map_ratio(chain.config.r_deg), state,
+            chain.config.ratios, state,
         )
     # (chains, their batch index, their rows) degraded at step 0 and later
     degraded_at = [
-        (active, _rows(active, n), [row_of[b] for b in active])
+        (active, _rows(active), [row_of[b] for b in active])
         for active in (first_step, every_step)
     ]
     first_at = {b: p for p, b in enumerate(first_step)}

@@ -9,11 +9,12 @@ working space is observable only through rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from .degradation import DegradationRatios, map_ratio
 from .errors import InvalidInputError
 
 
@@ -35,15 +36,21 @@ class GuidanceConfig:
     r_deg: float | None = None
     lambda_block: int = 1
     reuse_first_step_mask: bool = True
+    # map_ratio(r_deg) for the degradation modes, else None; derived once here
+    ratios: DegradationRatios | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # written so that NaN fails too: nan < 1.0 is False
         if not (math.isfinite(self.guidance_scale) and self.guidance_scale >= 1.0):
             raise InvalidInputError("guidance_scale must be finite and >= 1")
-        if self.mode.uses_degradation and self.r_deg is None:
-            raise InvalidInputError(f"mode {self.mode.value} requires r_deg")
-        if not self.mode.uses_degradation and self.r_deg is not None:
+        ratios = None
+        if self.mode.uses_degradation:
+            if self.r_deg is None:
+                raise InvalidInputError(f"mode {self.mode.value} requires r_deg")
+            ratios = map_ratio(self.r_deg)  # raises InvalidRatioError outside [0, 2]
+        elif self.r_deg is not None:
             raise InvalidInputError(f"mode {self.mode.value} does not take r_deg")
+        object.__setattr__(self, "ratios", ratios)
 
 
 def combine(

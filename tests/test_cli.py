@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cdglab import cli
 from cdglab.cli import _write_json, main
 from cdglab.config import RunConfig, config_echo, parse_config
 from cdglab.diffusion import sample
@@ -200,6 +201,49 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (["--seed", "5"], ["--config", "CONFIG"]),
+            (["--config", "CONFIG"], []),
+            (["--force"], ["--config", "CONFIG"]),
+        ],
+        ids=["seed", "config", "force"],
+    )
+    def test_option_before_subcommand_is_usage_error(
+        self, config_file, tmp_path, capsys, before, after
+    ):
+        # the shared options belong to the subcommands; one given before the
+        # subcommand used to be dropped silently
+        out = tmp_path / "o"
+        args = before + ["sample"] + after + ["--out", str(out)]
+        args = [str(config_file) if a == "CONFIG" else a for a in args]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_options_after_subcommand_apply(self, config_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(config_file), "--seed", "5",
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["config"]["seed"] == 5
+
+    def test_calls_share_one_parser_without_leaking_options(self, config_file, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        out = tmp_path / "o"
+        first = ["sample", "--config", str(config_file), "--out", str(out)]
+        assert main(first + ["--force", "--seed", "3"]) == 0
+        assert json.loads((out / "metadata.json").read_text())["config"]["seed"] == 3
+        # neither --force nor --seed carries over to the next call
+        assert main(first) == 2
+        fresh = tmp_path / "fresh"
+        assert main(["sample", "--config", str(config_file), "--out", str(fresh)]) == 0
+        meta = json.loads((fresh / "metadata.json").read_text())
+        assert meta["config"]["seed"] == BASE_CONFIG["seed"]
 
     def test_negative_seed_override_exits_2(self, config_file, tmp_path):
         code = main(["sample", "--config", str(config_file), "--seed", "-1",

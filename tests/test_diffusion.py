@@ -428,14 +428,24 @@ class TestSample:
         chains += [
             Chain(chains[0].tokens, config, seed=99) for config in configs[2:]
         ]
+        # the guided rows above are scattered through the batch; here they
+        # form one block after an unguided row, as in a sweep, and so do the
+        # rows that build a mask at step 0
+        block = [
+            Chain(chains[0].tokens, config, seed=3 + k)
+            for k, config in enumerate([UNGUIDED, configs[2], configs[3], CFG])
+        ]
         # no filter, a filter keeping every head, and one keeping a strict,
         # non-empty subset of every prompt's heads
         cases = [
-            (None, DEFAULT_ATTENTION_BIAS_WEIGHT),
-            (FusionConfig(v_min=0.0, v_max=1.0, enabled=True), DEFAULT_ATTENTION_BIAS_WEIGHT),
-            (window_below_top_heads(encoder, [c.tokens for c in chains]), 0.0),
+            (chains, None, DEFAULT_ATTENTION_BIAS_WEIGHT),
+            (chains, FusionConfig(v_min=0.0, v_max=1.0, enabled=True),
+             DEFAULT_ATTENTION_BIAS_WEIGHT),
+            (chains, window_below_top_heads(encoder, [c.tokens for c in chains]), 0.0),
+            (block, None, DEFAULT_ATTENTION_BIAS_WEIGHT),
+            (block, window_below_top_heads(encoder, [c.tokens for c in block]), 0.0),
         ]
-        for fusion, bias in cases:
+        for chains, fusion, bias in cases:
             batch = sample_batch(
                 model, schedule, encoder, chains, fusion=fusion, attention_bias_weight=bias
             )
@@ -453,6 +463,14 @@ class TestSample:
                     assert (a is None) == (b is None)
                     if a is not None:
                         np.testing.assert_array_equal(a.bits, b.bits)
+
+    def test_row_index_is_a_slice_for_a_contiguous_run(self):
+        assert diffusion._rows([0, 1, 2]) == slice(0, 3)
+        assert diffusion._rows([4, 5, 6]) == slice(4, 7)
+        assert diffusion._rows([2]) == slice(2, 3)
+        scattered = diffusion._rows([0, 2, 3])
+        assert isinstance(scattered, np.ndarray)
+        np.testing.assert_array_equal(scattered, [0, 2, 3])
 
     def test_duplicate_chains_match_per_chain(self, model, schedule, encoder, params):
         short = tokenize("a man is cooking", params)  # 4 content words

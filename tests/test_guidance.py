@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdglab.errors import InvalidInputError
+from cdglab.degradation import map_ratio
+from cdglab.errors import InvalidInputError, InvalidRatioError
 from cdglab.guidance import (
     GuidanceConfig,
     GuidanceMode,
@@ -141,3 +144,20 @@ class TestGuidanceConfig:
     def test_valid_configs(self):
         GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0)
         GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
+
+    @pytest.mark.parametrize("mode", [GuidanceMode.CDG, GuidanceMode.CFG_STAR])
+    @pytest.mark.parametrize("r_deg", [-0.1, 2.5, float("nan"), float("inf")])
+    def test_bad_ratio_rejected_at_construction(self, mode, r_deg):
+        # before the prompt is encoded, not inside the sampler
+        with pytest.raises(InvalidRatioError):
+            GuidanceConfig(mode=mode, guidance_scale=3.0, r_deg=r_deg)
+
+    @pytest.mark.parametrize("r_deg", [0.0, 0.3, 1.0, 1.7, 2.0])
+    def test_ratios_derived_once(self, r_deg):
+        config = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=r_deg)
+        assert config.ratios == map_ratio(r_deg)
+        assert config.ratios is config.ratios
+        assert replace(config, r_deg=0.5).ratios == map_ratio(0.5)
+        with pytest.raises(InvalidRatioError):
+            replace(config, r_deg=2.5)
+        assert GuidanceConfig(mode=GuidanceMode.CFG).ratios is None
