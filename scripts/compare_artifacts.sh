@@ -12,7 +12,9 @@
 # reaches an artifact; and `sample` and `sweep` on a CFG* w=2.5 per-step
 # config that lists a 12-word prompt twice, so duplicate per-step chains,
 # and the R=1.0 boundary beside R=1.1 and R=1.2 of equal mask extent,
-# reach an artifact; and `diagnose` on a CDG R=1.5 config with
+# reach an artifact; `sample` on a CDG w=1.0 R=0.5 per-step config, so a
+# degrading chain that is not guided reaches an artifact; and `diagnose`
+# on a CDG R=1.5 config with
 # `geometry_k: 2` that lists an empty prompt among three others, so zero
 # deltas (a `None` per prompt and a lower `num_valid_prompts`), an explicit
 # subspace dimension and R>1 reach an artifact. Each runs once with the code of REV and once
@@ -79,6 +81,17 @@ cat >"$tmp/cfg_star_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/unguided_cdg_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 1.0, "r_deg": 0.5,
+               "reuse_first_step_mask": false},
+  "prompts": ["a man is cooking", "the dog runs in a park", "a man is cooking"],
+  "seed": 0
+}
+JSON
+
 cat >"$tmp/duplicates_config.json" <<'JSON'
 {
   "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
@@ -112,7 +125,8 @@ cat >"$tmp/diagnose_config.json" <<'JSON'
 JSON
 
 # run_all CODE_ROOT OUT: every command on the demo and fusion configs, a
-# second `sweep` grid on the demo config, `sample` on the role configs, `sample` and `sweep` on the duplicates
+# second `sweep` grid on the demo config, `sample` on the role configs
+# and the unguided CDG config, `sample` and `sweep` on the duplicates
 # config and `diagnose` on the diagnose config, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
@@ -138,7 +152,8 @@ run_all() {
     config=$root/scripts/demo_config.json
     name=demo_config
     cli sweep-grid sweep --grid 1.0,0.3,2.0,0.3,1.1
-    for config in "$tmp/cfg_config.json" "$tmp/cfg_star_config.json"; do
+    for config in "$tmp/cfg_config.json" "$tmp/cfg_star_config.json" \
+        "$tmp/unguided_cdg_config.json"; do
         name=$(basename "$config" .json)
         cli sample sample
     done

@@ -38,11 +38,18 @@ class OutputExistsError(ConfigError):
     pass
 
 
+class OutputUnwritableError(ConfigError):
+    pass
+
+
 def _write_text(path: Path, text: str, force: bool) -> None:
     if path.exists() and not force:
         raise OutputExistsError(f"refusing to overwrite {path} (use --force)")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise OutputUnwritableError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path: Path, obj, force: bool) -> None:
@@ -191,13 +198,7 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
     encoder = cfg.build_encoder()
     base = cfg.guidance
     if not base.mode.uses_degradation:
-        base = GuidanceConfig(
-            mode=GuidanceMode.CDG,
-            guidance_scale=base.guidance_scale,
-            r_deg=1.0,
-            lambda_block=base.lambda_block,
-            reuse_first_step_mask=base.reuse_first_step_mask,
-        )
+        base = replace(base, mode=GuidanceMode.CDG, r_deg=1.0)
     reference = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
     # one config per distinct ratio, shared by its prompts and its repeats
     configs = {r_deg: replace(base, r_deg=r_deg) for r_deg in grid}
@@ -251,20 +252,10 @@ def cmd_diagnose(cfg: RunConfig, out: Path, force: bool) -> int:
         k=cfg.geometry_k, seed=cfg.seed, fusion=cfg.fusion,
         attention_bias_weight=cfg.attention_bias_weight,
     )
-    _write_csv(
-        out / "geometry.csv",
-        ["sigma", "method", "decoupling_mean", "interference_mean",
-         "num_valid_prompts", "decoupling_pooled", "interference_pooled"],
-        [
-            [
-                rec["sigma"], rec["method"], rec["decoupling_mean"],
-                rec["interference_mean"], rec["num_valid_prompts"],
-                rec["decoupling_pooled"], rec["interference_pooled"],
-            ]
-            for rec in report.records
-        ],
-        force,
-    )
+    header = ["sigma", "method", "decoupling_mean", "interference_mean",
+              "num_valid_prompts", "decoupling_pooled", "interference_pooled"]
+    rows = [[rec[k] for k in header] for rec in report.records]
+    _write_csv(out / "geometry.csv", header, rows, force)
     _write_json(out / "geometry.json", {"detail": report.detail}, force)
     return EXIT_OK
 
@@ -359,6 +350,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except CdgError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

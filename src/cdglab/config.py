@@ -206,6 +206,10 @@ def load_config(path: str | Path) -> RunConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} is nested too deeply") from None
     return parse_config(doc, base_dir=path.parent)
 
 
@@ -216,18 +220,10 @@ def config_echo(cfg: RunConfig) -> dict:
         "encoder": vars(cfg.encoder) | {},
         "model": vars(cfg.model) | {},
         "schedule": vars(cfg.schedule) | {},
-        "guidance": {
-            "mode": g.mode.value,
-            "guidance_scale": g.guidance_scale,
-            "r_deg": g.r_deg,
-            "lambda_block": g.lambda_block,
-            "reuse_first_step_mask": g.reuse_first_step_mask,
-        },
-        "fusion": {
-            "enabled": cfg.fusion.enabled,
-            "v_min": cfg.fusion.v_min,
-            "v_max": cfg.fusion.v_max,
-        },
+        # the fields a config gives, not the derived ratios
+        "guidance": {f.name: getattr(g, f.name) for f in fields(g) if f.init}
+        | {"mode": g.mode.value},
+        "fusion": vars(cfg.fusion) | {},
         "prompts": cfg.prompts,
         "seed": cfg.seed,
         "geometry_k": cfg.geometry_k,

@@ -254,6 +254,24 @@ class DegradeRow:
     state: PromptState | None  # the ranking attention; None at ratio 1.0
 
 
+def degrade_row(
+    encoder: ToyTextEncoder, label: str, tokens: TokenSequence, condition: Condition,
+    ratios: DegradationRatios, block: int, d_x: int, states: dict[tuple, PromptState],
+) -> DegradeRow:
+    """A prompt's DegradeRow; the one place that decides whether it ranks.
+
+    The ratio-1.0 boundary's type-only mask does not depend on the latent,
+    so its row has no state. Another row's state, of (token ids, block), is
+    built once into the caller's states, which outlive the encoder's store.
+    """
+    if ratios.r_deg == 1.0:
+        return DegradeRow(label, tokens, condition, ratios, None)
+    key = (tokens.ids, block)
+    if key not in states:
+        states[key] = encoder.prompt_state(tokens, block, d_x)
+    return DegradeRow(label, tokens, condition, ratios, states[key])
+
+
 def degrade_rows(
     encoder: ToyTextEncoder,
     rows: Sequence[DegradeRow],
@@ -266,10 +284,11 @@ def degrade_rows(
 ) -> tuple[list[DegradationMask], list[int], np.ndarray | None]:
     """Degradation masks of rows at latents x (B, d_x) and one sigma.
 
-    At the ratio-1.0 boundary the type-only mask needs no importance. The
-    other rows are ranked from their prompt state at their latent: rows
-    sharing a state and a latent are ranked once, every distinct input in
-    one stacked solve and fused in one stacked call, then masked per row.
+    A row without a state (degrade_row's ratio-1.0 boundary) takes the
+    type-only mask, which needs no importance. The other rows are ranked
+    from their prompt state at their latent: rows sharing a state and a
+    latent are ranked once, every distinct input in one stacked solve and
+    fused in one stacked call, then masked per row.
     Returns every row's mask, the indices of the rows whose bits differ
     from `previous` (every row when it is None), and those rows' pooled
     degraded embeddings (C, d_c), or None when no row changed; the other
@@ -280,7 +299,7 @@ def degrade_rows(
     weights: list[np.ndarray] = []
     keys = [-1] * len(rows)
     for r, row in enumerate(rows):
-        if row.ratios.r_deg == 1.0:
+        if row.state is None:
             continue
         x_r = x[r]
         k = keys[r] = index.setdefault((id(row.state), x_r.tobytes()), len(weights))
@@ -467,60 +486,41 @@ def _integrate(
     w_col = np.array([[chains[b].config.guidance_scale] for b in guided])
 
     # each chain denoises at the component means of one positive embedding
-    # and, when guided, one negative; the degraded embedding is CFG*'s
-    # positive and CDG's negative, and its means are filled in when its mask
-    # changes
+    # and, when guided, one negative, both in the chain's row; the degraded
+    # embedding is CFG*'s positive and CDG's negative, and its means are
+    # filled in when its mask changes
     shape = (model.n_components, model.d_x)
     pos_m = np.empty((n, *shape))
-    neg_m = np.empty((len(guided), *shape))
+    neg_m = np.empty((n, *shape))
     prompt_pos = [b for b, mode in enumerate(modes) if mode is not GuidanceMode.CFG_STAR]
     if prompt_pos:
         pos_m[prompt_pos] = model.means(
             np.array([conditions[chains[b].tokens.ids][1] for b in prompt_pos])
         )
-    null_neg = [g for g, b in enumerate(guided) if modes[b] is not GuidanceMode.CDG]
+    null_neg = [b for b in guided if modes[b] is not GuidanceMode.CDG]
     if null_neg:
         neg_m[null_neg] = model.means(encoder.pool(encoder.null_condition(), d_c)[None])
-    guided_at = {b: g for g, b in enumerate(guided)}
-    degraded_into = [
-        (pos_m, b) if mode is GuidanceMode.CFG_STAR
-        else (neg_m, guided_at[b]) if b in guided_at
-        else None  # a w = 1 CDG chain never reads its negative
-        for b, mode in enumerate(modes)
-    ]
 
-    # the prompt states of the ranked chains, held for the whole call, so a
-    # batch of more prompts than the encoder's store keeps builds each once
+    # the chains degrading at step 0, and those of them ranking tokens again
+    # at every later step; the prompt states are held for the whole call
     states: dict[tuple, PromptState] = {}
-    row_of: dict[int, DegradeRow] = {}
-    first_step: list[int] = []  # chains building a mask at step 0
-    every_step: list[int] = []  # chains ranking tokens at every later step
-    for b, (chain, mode) in enumerate(zip(chains, modes)):
-        if not mode.uses_degradation:
-            continue
-        first_step.append(b)
-        state = None
-        # the ratio-1.0 boundary mask does not depend on the latent
-        if chain.config.r_deg != 1.0:
-            key = (chain.tokens.ids, chain.config.lambda_block)
-            if key not in states:
-                states[key] = encoder.prompt_state(
-                    chain.tokens, chain.config.lambda_block, model.d_x
-                )
-            state = states[key]
-            if not chain.config.reuse_first_step_mask:
-                every_step.append(b)
-        row_of[b] = DegradeRow(
-            f"chain {labels[b]}", chain.tokens, conditions[chain.tokens.ids][0],
-            chain.config.ratios, state,
+    row_of = {
+        b: degrade_row(
+            encoder, f"chain {labels[b]}", chain.tokens,
+            conditions[chain.tokens.ids][0], chain.config.ratios,
+            chain.config.lambda_block, model.d_x, states,
         )
-    # (chains, their batch index, their rows) degraded at step 0 and later
+        for b, (chain, mode) in enumerate(zip(chains, modes))
+        if mode.uses_degradation
+    }
+    every_step = [
+        b for b, row in row_of.items()
+        if row.state is not None and not chains[b].config.reuse_first_step_mask
+    ]
     degraded_at = [
         (active, _rows(active), [row_of[b] for b in active])
-        for active in (first_step, every_step)
+        for active in (list(row_of), every_step)
     ]
-    first_at = {b: p for p, b in enumerate(first_step)}
-    every_at = {b: j for j, b in enumerate(every_step)}
 
     # one draw per distinct seed
     noise: dict[int, np.ndarray] = {}
@@ -531,48 +531,40 @@ def _integrate(
     trajectory[0] = np.stack([noise[chain.seed] for chain in chains]) * sigmas[0]
     _check_finite(trajectory[0], 0, labels)
 
-    # the masks of the first_step chains at step 0, then of the every_step
-    # chains at each step
-    first_masks: list[DegradationMask] = []
-    later_masks: list[list[DegradationMask]] = []
-
+    # each chain's mask per step, as far as it has built them
+    masks_used: list[list[DegradationMask | None]] = [
+        [] if b in row_of else [None] * steps for b in range(n)
+    ]
     x = trajectory[0]
     for i in range(steps):
         sigma = sigmas[i]
         active, index, active_rows = degraded_at[i > 0]
         if active:
             masks, changed, e_deg = degrade_rows(
-                encoder, active_rows, x[index], sigma, d_c, fusion,
-                attention_bias_weight, later_masks[-1] if i else None,
+                encoder, active_rows, x[index], sigma, d_c, fusion, attention_bias_weight,
+                [masks_used[b][-1] for b in active] if i else None,
             )
-            if i:
-                later_masks.append(masks)
-            else:
-                first_masks = masks
-                later_masks.append([masks[first_at[b]] for b in every_step])
+            for b, mask in zip(active, masks):
+                masks_used[b].append(mask)
             if changed:
                 for r, m in zip(changed, model.means(e_deg)):
-                    into = degraded_into[active[r]]
-                    if into is not None:
-                        into[0][into[1]] = m
+                    b = active[r]
+                    (pos_m if modes[b] is GuidanceMode.CFG_STAR else neg_m)[b] = m
 
         eps_hat = denoiser_to_eps(_denoise(model, x, sigma, pos_m), x, sigma)
         if guided:
             xg = x[guided_rows]
-            eps_neg = denoiser_to_eps(_denoise(model, xg, sigma, neg_m), xg, sigma)
+            d_neg = _denoise(model, xg, sigma, neg_m[guided_rows])
+            eps_neg = denoiser_to_eps(d_neg, xg, sigma)
             eps_hat[guided_rows] = combine(eps_hat[guided_rows], eps_neg, w_col)
         # PF-ODE: dx/dsigma = -sigma * score = (x - D) / sigma = eps
         x = np.add(x, (sigmas[i + 1] - sigma) * eps_hat, out=trajectory[i + 1])
         _check_finite(x, i + 1, labels)
 
-    masks_used: list[list[DegradationMask | None]] = []
-    for b in range(n):
-        if b in every_at:
-            masks_used.append([m[every_at[b]] for m in later_masks])
-        elif b in first_at:
-            masks_used.append([first_masks[first_at[b]]] * steps)
-        else:
-            masks_used.append([None] * steps)
+    # a chain that built a mask only at step 0 keeps it at every step
+    for built in masks_used:
+        if len(built) == 1:
+            built *= steps
     return trajectory, masks_used
 
 

@@ -15,13 +15,13 @@ import numpy as np
 
 from .degradation import map_ratio
 from .diffusion import (
-    DegradeRow,
     GmmConditionalModel,
     SigmaSchedule,
+    degrade_row,
     degrade_rows,
     denoise,
 )
-from .encoder import TokenSequence, ToyTextEncoder
+from .encoder import PromptState, TokenSequence, ToyTextEncoder
 from .errors import InvalidInputError, RankDeficientError, UndefinedMetricError
 from .guidance import denoiser_to_eps
 from .importance import FusionConfig
@@ -191,12 +191,9 @@ def run_geometry_sweep(
     conditions = [encoder.encode(t) for t in prompts_tokens]
     e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
     e_null = encoder.pool(encoder.null_condition(), model.d_c)
+    states: dict[tuple, PromptState] = {}
     rows = [
-        DegradeRow(
-            f"prompt {p}", t, c, ratios,
-            None if ratios.r_deg == 1.0
-            else encoder.prompt_state(t, lambda_block, model.d_x),
-        )
+        degrade_row(encoder, f"prompt {p}", t, c, ratios, lambda_block, model.d_x, states)
         for p, (t, c) in enumerate(zip(prompts_tokens, conditions))
     ]
 

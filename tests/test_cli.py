@@ -255,6 +255,43 @@ class TestErrors:
             _write_json(tmp_path / "m.json", {"value": float("nan")}, force=False)
         assert not (tmp_path / "m.json").exists()
 
+    # a directory without write permission is not tested: root may write it
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_unwritable_out_exits_2(self, config_file, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        code = main(["rank-tokens", "--config", str(config_file), "--prompt", "hi",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert str(out) in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"seed": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "deeply-nested"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        code = main(["sample", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_unallocatable_size_exits_1(self, tmp_path, capsys):
+        # 10**13 embeddings of 32 floats are ~2 PiB, past any address space,
+        # so numpy refuses them at once
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, encoder={"vocab_size": 10**13})))
+        code = main(["rank-tokens", "--config", str(path), "--prompt", "hi",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
 
 class TestRankTokens:
     def test_empty_prompt(self, config_file, tmp_path):

@@ -257,6 +257,31 @@ class TestPromptState:
         assert all(run.wpr_call_count == 4 for run in runs)
         assert sorted(built) == sorted(t.ids for t in prompts)
 
+    def test_batch_builds_each_state_once_across_ratios(self, params, model, monkeypatch):
+        # every prompt at one ratio, then every prompt at another, as a sweep
+        # orders them: by the second ratio the store has dropped the first
+        # prompts' states, so only the call's own hold keeps them
+        encoder = ToyTextEncoder(params)
+        built = []
+        logits = encoder.attention_logits
+        monkeypatch.setattr(
+            encoder, "attention_logits",
+            lambda t, b: built.append(t.ids) or logits(t, b),
+        )
+        prompts = distinct_prompts(params, PROMPT_STATE_CAP + 1)
+        configs = [
+            GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=r)
+            for r in (0.5, 1.5)
+        ]
+        runs = sample_batch(
+            model, SigmaSchedule.log_spaced(4, 10.0, 0.01), encoder,
+            [Chain(t, c, 0) for c in configs for t in prompts],
+        )
+        # the two ratios give different masks, so no chain stands in for another
+        assert runs[0].masks_used[0].k_ctxagg == 0
+        assert runs[len(prompts)].masks_used[0].k_ctxagg > 0
+        assert sorted(built) == sorted(t.ids for t in prompts)
+
     def test_least_recently_used_dropped_first(self, params):
         encoder = ToyTextEncoder(params)
         prompts = distinct_prompts(params, PROMPT_STATE_CAP + 1)
