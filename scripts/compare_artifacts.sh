@@ -3,9 +3,11 @@
 #
 # Usage: scripts/compare_artifacts.sh REV
 #
-# Runs all five CLI commands (rank-tokens, build-mask at R=1.25 and R=0.4,
-# sample, sweep, diagnose) on scripts/demo_config.json and on a CDG R=0.5
-# per-step fusion config; `sweep` on the demo config once more over the
+# Runs all five CLI commands (rank-tokens, build-mask at R=1.25, R=0.4,
+# R=1.0 and R=2.0, sample, sweep, diagnose) on scripts/demo_config.json
+# and on a CDG R=0.5 per-step fusion config, so build-mask's unranked
+# full-type branch reaches an artifact with scores present; `sweep` on the
+# demo config once more over the
 # unsorted grid 1.0,0.3,2.0,0.3,1.1, which repeats a ratio, so the configs
 # a sweep shares per ratio reach an artifact; `sample` alone on a CFG w=3
 # config and on a CFG* w=2.5 R=0.5 per-step config, so every guidance role
@@ -145,6 +147,8 @@ run_all() {
         cli rank-tokens rank-tokens --prompt "a man is cooking"
         cli build-mask-1.25 build-mask --prompt "a man is cooking" --r-deg 1.25
         cli build-mask-0.4 build-mask --prompt "a man is cooking" --r-deg 0.4
+        cli build-mask-1.0 build-mask --prompt "a man is cooking" --r-deg 1.0
+        cli build-mask-2.0 build-mask --prompt "a man is cooking" --r-deg 2.0
         cli sample sample
         cli sweep sweep
         cli diagnose diagnose

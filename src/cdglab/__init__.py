@@ -10,7 +10,6 @@ from .degradation import (
     DegradationRatios,
     apply_mask,
     build_mask,
-    content_boundary_mask,
     map_ratio,
 )
 from .diffusion import (
@@ -45,10 +44,8 @@ from .geometry import (
 from .guidance import GuidanceConfig, GuidanceMode, combine
 from .importance import (
     FusionConfig,
-    ImportanceScores,
     cross_attention_baseline,
-    fuse_heads,
-    head_variance,
+    ranking,
     stationary_scores,
     wpr_single_head,
 )

@@ -42,6 +42,17 @@ class OutputUnwritableError(ConfigError):
     pass
 
 
+def _check_outputs(out: Path, names: list[str], force: bool) -> None:
+    """Refuse, before any compute and creating nothing, an existing output
+    without --force, or an out whose nearest existing ancestor is no directory."""
+    for name in names:
+        if (out / name).exists() and not force:
+            raise OutputExistsError(f"refusing to overwrite {out / name} (use --force)")
+    ancestor = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not ancestor.is_dir():
+        raise OutputUnwritableError(f"cannot write {out}: {ancestor} is not a directory")
+
+
 def _write_text(path: Path, text: str, force: bool) -> None:
     if path.exists() and not force:
         raise OutputExistsError(f"refusing to overwrite {path} (use --force)")
@@ -73,15 +84,16 @@ def _fused_importance(cfg: RunConfig, encoder, tokens):
     per_head = importance.stationary_scores(
         encoder.attention_at_block(tokens, cfg.guidance.lambda_block)
     )
-    return per_head, importance.fuse_heads(per_head, cfg.fusion)
+    return per_head, importance.fuse_head_stacks(per_head[None], cfg.fusion)[0]
 
 
 def cmd_rank_tokens(cfg: RunConfig, prompt: str, out: Path, force: bool) -> int:
-    encoder = cfg.build_encoder()
     tokens = tokenize(prompt, cfg.encoder)
+    _check_outputs(out, ["rankings.json", "rankings.csv"], force)
+    encoder = cfg.build_encoder()
     per_head, fused = _fused_importance(cfg, encoder, tokens)
     ranks = np.empty(len(tokens), dtype=int)
-    ranks[fused.sorted_indices] = np.arange(1, len(tokens) + 1)
+    ranks[importance.ranking(fused)] = np.arange(1, len(tokens) + 1)
     _write_json(
         out / "rankings.json",
         {
@@ -94,7 +106,7 @@ def cmd_rank_tokens(cfg: RunConfig, prompt: str, out: Path, force: bool) -> int:
                     "token": tokens.texts[i],
                     "id": tokens.ids[i],
                     "type": tokens.types[i].value,
-                    "score": float(fused.scores[i]),
+                    "score": float(fused[i]),
                     "rank": int(ranks[i]),
                 }
                 for i in range(len(tokens))
@@ -106,7 +118,7 @@ def cmd_rank_tokens(cfg: RunConfig, prompt: str, out: Path, force: bool) -> int:
         out / "rankings.csv",
         ["position", "score", "type"],
         [
-            [i, float(fused.scores[i]), tokens.types[i].value]
+            [i, float(fused[i]), tokens.types[i].value]
             for i in range(len(tokens))
         ],
         force,
@@ -114,23 +126,15 @@ def cmd_rank_tokens(cfg: RunConfig, prompt: str, out: Path, force: bool) -> int:
     return EXIT_OK
 
 
-def _rank_within_type(tokens, scores) -> list[int]:
-    ranks = [0] * len(tokens)
-    for ttype in TokenType:
-        pos = tokens.positions_of(ttype)
-        order = np.argsort(-scores[np.asarray(pos, dtype=int)], kind="stable") if pos else []
-        for r, j in enumerate(order):
-            ranks[pos[j]] = r + 1
-    return ranks
-
-
 def cmd_build_mask(cfg: RunConfig, prompt: str, r_deg: float, out: Path, force: bool) -> int:
-    encoder = cfg.build_encoder()
     tokens = tokenize(prompt, cfg.encoder)
     ratios = degradation.map_ratio(r_deg)
+    _check_outputs(out, ["mask.json"], force)
+    encoder = cfg.build_encoder()
     _, fused = _fused_importance(cfg, encoder, tokens)
     mask = degradation.build_mask(tokens, fused, ratios)
-    ranks = _rank_within_type(tokens, fused.scores)
+    orders = [degradation.type_order(tokens, fused, ttype) for ttype in TokenType]
+    ranks = {p: rank for order in orders for rank, p in enumerate(order, 1)}
     _write_json(
         out / "mask.json",
         {
@@ -158,6 +162,8 @@ def cmd_build_mask(cfg: RunConfig, prompt: str, r_deg: float, out: Path, force: 
 
 
 def cmd_sample(cfg: RunConfig, out: Path, force: bool) -> int:
+    names = [f"trajectory_{p:03d}.csv" for p in range(len(cfg.prompts))]
+    _check_outputs(out, names + ["metadata.json"], force)
     model = cfg.build_model()
     schedule = cfg.build_schedule()
     encoder = cfg.build_encoder()
@@ -178,7 +184,7 @@ def cmd_sample(cfg: RunConfig, out: Path, force: bool) -> int:
             [step, float(run.sigmas[step])] + [float(v) for v in x]
             for step, x in enumerate(run.trajectory)
         ]
-        _write_csv(out / f"trajectory_{p:03d}.csv", header, rows, force)
+        _write_csv(out / names[p], header, rows, force)
         meta["runs"].append(
             {
                 "prompt": prompt,
@@ -193,6 +199,7 @@ def cmd_sample(cfg: RunConfig, out: Path, force: bool) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
+    _check_outputs(out, ["sweep.csv"], force)
     model = cfg.build_model()
     schedule = cfg.build_schedule()
     encoder = cfg.build_encoder()
@@ -241,6 +248,7 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
 def cmd_diagnose(cfg: RunConfig, out: Path, force: bool) -> int:
     if len(cfg.prompts) < 2:
         raise ConfigError("diagnose needs at least 2 prompts")
+    _check_outputs(out, ["geometry.csv", "geometry.json"], force)
     model = cfg.build_model()
     schedule = cfg.build_schedule()
     encoder = cfg.build_encoder()

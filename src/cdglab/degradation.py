@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoder import Condition, TokenSequence, TokenType
 from .errors import InvalidInputError, InvalidRatioError
-from .importance import ImportanceScores
+from .importance import ranking
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,12 @@ class DegradationRatios:
     r_deg: float
     r_content: float
     r_ctxagg: float
+
+    @property
+    def ranks(self) -> bool:
+        """Whether a chain at these ratios ranks its tokens: all but the 1.0
+        boundary, whose mask is every content position (R=0 and R=2 do rank)."""
+        return self.r_deg != 1.0
 
 
 def map_ratio(r_deg: float) -> DegradationRatios:
@@ -53,50 +59,38 @@ def mask_extent(tokens: TokenSequence, ratios: DegradationRatios) -> tuple[int, 
     )
 
 
+def type_order(tokens: TokenSequence, scores: np.ndarray, ttype: TokenType) -> list[int]:
+    """Positions of one token type by descending score: the type's part of
+    the ranking, so ties still go to the lower position."""
+    types = tokens.types
+    return [p for p in ranking(scores).tolist() if types[p] is ttype]
+
+
 def build_mask(
-    tokens: TokenSequence,
-    importance: ImportanceScores,
-    ratios: DegradationRatios,
+    tokens: TokenSequence, scores: np.ndarray | None, ratios: DegradationRatios
 ) -> DegradationMask:
-    """Zero the top-k positions of each type subset, ranked by importance."""
+    """Zero the top-k positions of each type subset, ranked by importance.
+
+    A type replaced wholly or not at all needs no ranking, so scores may be
+    None unless a type is replaced in part (never at ratio 1.0)."""
     n = len(tokens)
-    if importance.scores.shape[0] != n:
+    if scores is not None and scores.shape[0] != n:
         raise InvalidInputError("importance length does not match token count")
     k_content, k_ctxagg = mask_extent(tokens, ratios)
     replaced: list[int] = []
-    if k_content or k_ctxagg:
-        # by descending importance; the sort is stable, so within each type
-        # ties still go to the lower position
-        order = importance.sorted_indices.tolist()
-        types = tokens.types
-        for ttype, k in ((TokenType.CONTENT, k_content), (TokenType.CTX_AGG, k_ctxagg)):
-            if k:
-                replaced += [p for p in order if types[p] is ttype][:k]
+    for ttype, k in ((TokenType.CONTENT, k_content), (TokenType.CTX_AGG, k_ctxagg)):
+        if k:
+            positions = tokens.positions_of(ttype)
+            if k < len(positions):  # part of the type: its top k by score
+                if scores is None:
+                    raise InvalidInputError(f"a partial {ttype.value} mask needs scores")
+                positions = type_order(tokens, scores, ttype)[:k]
+            replaced += positions
     bits = [1] * n
     for p in replaced:
         bits[p] = 0
     return DegradationMask(
-        bits=np.array(bits, dtype=np.int64),
-        k_content=k_content,
-        k_ctxagg=k_ctxagg,
-        replaced_indices=tuple(sorted(replaced)),
-    )
-
-
-def content_boundary_mask(tokens: TokenSequence) -> DegradationMask:
-    """Mask at the ratio-1.0 boundary: every content position replaced.
-
-    Computable from the type partition alone, no importance scores needed,
-    and equal to build_mask at ratio 1.0 for any importance input.
-    """
-    content = tokens.positions_of(TokenType.CONTENT)
-    bits = np.ones(len(tokens), dtype=np.int64)
-    bits[content] = 0
-    return DegradationMask(
-        bits=bits,
-        k_content=len(content),
-        k_ctxagg=0,
-        replaced_indices=tuple(content),
+        np.array(bits, dtype=np.int64), k_content, k_ctxagg, tuple(sorted(replaced))
     )
 
 

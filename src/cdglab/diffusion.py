@@ -21,18 +21,12 @@ from .degradation import (
     DegradationRatios,
     apply_mask,
     build_mask,
-    content_boundary_mask,
     mask_extent,
 )
 from .encoder import Condition, PromptState, TokenSequence, ToyTextEncoder
 from .errors import AllHeadsFilteredError, InvalidInputError, NumericalError
 from .guidance import GuidanceConfig, GuidanceMode, combine, denoiser_to_eps
-from .importance import (
-    FusionConfig,
-    ImportanceScores,
-    fuse_head_stacks,
-    stationary_scores,
-)
+from .importance import FusionConfig, fuse_head_stacks, stationary_scores
 from .linalg import all_finite
 
 DEFAULT_ATTENTION_BIAS_WEIGHT = 0.1
@@ -260,11 +254,11 @@ def degrade_row(
 ) -> DegradeRow:
     """A prompt's DegradeRow; the one place that decides whether it ranks.
 
-    The ratio-1.0 boundary's type-only mask does not depend on the latent,
-    so its row has no state. Another row's state, of (token ids, block), is
-    built once into the caller's states, which outlive the encoder's store.
+    A row that does not rank (the ratio-1.0 boundary) has no state. Another
+    row's state, of (token ids, block), is built once into the caller's
+    states, which outlive the encoder's store.
     """
-    if ratios.r_deg == 1.0:
+    if not ratios.ranks:
         return DegradeRow(label, tokens, condition, ratios, None)
     key = (tokens.ids, block)
     if key not in states:
@@ -284,8 +278,8 @@ def degrade_rows(
 ) -> tuple[list[DegradationMask], list[int], np.ndarray | None]:
     """Degradation masks of rows at latents x (B, d_x) and one sigma.
 
-    A row without a state (degrade_row's ratio-1.0 boundary) takes the
-    type-only mask, which needs no importance. The other rows are ranked
+    A row without a state (degrade_row's ratio-1.0 boundary) is masked
+    without scores, as it needs no ranking. The other rows are ranked
     from their prompt state at their latent: rows sharing a state and a
     latent are ranked once, every distinct input in one stacked solve and
     fused in one stacked call, then masked per row.
@@ -314,18 +308,11 @@ def degrade_rows(
             raise AllHeadsFilteredError(
                 f"{exc} for {row.label} at sigma {sigma}", exc.index
             ) from exc
-    fused: list[ImportanceScores] = []
     masks: list[DegradationMask] = []
     changed: list[int] = []
     for r, (row, k) in enumerate(zip(rows, keys)):
-        if k < 0:
-            mask = content_boundary_mask(row.tokens)
-        else:
-            if k == len(fused):  # the first row with this input
-                fused.append(ImportanceScores(stacks[k]))
-            mask = build_mask(row.tokens, fused[k], row.ratios)
-        masks.append(mask)
-        if previous is None or mask.bits.tobytes() != previous[r].bits.tobytes():
+        masks.append(build_mask(row.tokens, stacks[k] if k >= 0 else None, row.ratios))
+        if previous is None or masks[r].bits.tobytes() != previous[r].bits.tobytes():
             changed.append(r)
     if not changed:
         return masks, changed, None
@@ -375,14 +362,14 @@ def _chain_key(chain: Chain) -> tuple:
     return key + (
         config.lambda_block,
         config.reuse_first_step_mask,
-        config.r_deg == 1.0,
+        config.ratios.ranks,
         mask_extent(chain.tokens, config.ratios),
     )
 
 
 def _rankings(config: GuidanceConfig, steps: int) -> int:
     """How many masks a chain builds by ranking its tokens."""
-    if not config.mode.uses_degradation or config.r_deg == 1.0:
+    if not config.mode.uses_degradation or not config.ratios.ranks:
         return 0
     return 1 if config.reuse_first_step_mask else steps
 
@@ -415,7 +402,7 @@ def sample_batch(
     attention map, by one degrade_rows call per step over the rows that
     build one then; with reuse_first_step_mask the importance ranking is
     computed once at the first step and reused, and at the ratio-1.0
-    boundary the type-only mask bypasses importance computation entirely.
+    boundary the unranked mask bypasses importance computation entirely.
     The degraded embedding is re-pooled only when a row's mask changes.
     Raises NumericalError at the first non-finite latent, naming the
     first chain of its row.

@@ -23,24 +23,10 @@ DEFAULT_EPSILON = 1e-8
 DEFAULT_MAX_ITERS = 1000
 
 
-@dataclass
-class ImportanceScores:
-    scores: np.ndarray  # N nonnegative reals summing to 1
-    converged: bool = True
-
-    @property
-    def sorted_indices(self) -> np.ndarray:
-        """Positions by descending score; a stable sort on the negated scores,
-        so ties resolve to the lower position."""
-        return (-self.scores).argsort(kind="stable")
-
-
-def _make_scores(raw: np.ndarray) -> ImportanceScores:
-    total = raw.sum()
-    if total <= 0:
-        raise InvalidInputError("scores must have positive mass")
-    s = raw / total
-    return ImportanceScores(scores=s)
+def ranking(scores: np.ndarray) -> np.ndarray:
+    """Positions by descending score; a stable sort on the negated scores,
+    so ties resolve to the lower position. The one statement of the tie rule."""
+    return (-scores).argsort(kind="stable")
 
 
 def _row_normalized(a: np.ndarray, ndim: int) -> np.ndarray:
@@ -70,32 +56,25 @@ def wpr_single_head(
     a: np.ndarray,
     epsilon: float = DEFAULT_EPSILON,
     max_iters: int = DEFAULT_MAX_ITERS,
-) -> ImportanceScores:
+) -> tuple[np.ndarray, bool]:
     """Weighted-PageRank power iteration on one attention head.
 
     Row-normalizes a, starts from the uniform vector, and iterates
-    s <- normalize(a^T s) until the L1 change drops below epsilon. If the
-    iteration budget runs out, the last iterate is returned with
-    converged=False.
+    s <- normalize(a^T s) until the L1 change drops below epsilon. Returns
+    (scores, converged): if the iteration budget runs out, the last iterate
+    with converged False.
     """
     at = np.ascontiguousarray(_row_normalized(a, 2).T)
     n = at.shape[0]
     s = np.full(n, 1.0 / n)
-    converged = False
     for _ in range(max_iters):
         new = at @ s
         new /= new.sum()
-        if np.abs(new - s).sum() < epsilon:
-            s = new
-            converged = True
-            break
+        change = np.abs(new - s).sum()
         s = new
-    return ImportanceScores(scores=s, converged=converged)
-
-
-def head_variance(scores: ImportanceScores) -> float:
-    """Population variance of the score values of one head."""
-    return float(np.var(scores.scores))
+        if change < epsilon:
+            return s, True
+    return s, False
 
 
 @dataclass
@@ -109,15 +88,6 @@ class FusionConfig:
     def __post_init__(self):
         if self.enabled and not (0.0 <= self.v_min <= self.v_max):
             raise InvalidInputError("need 0 <= v_min <= v_max when enabled")
-
-    @classmethod
-    def from_percentiles(cls, variances: list[float]) -> "FusionConfig":
-        """Data-adaptive bounds: 10th / 90th percentile of observed variances."""
-        v = np.asarray(variances, dtype=np.float64)
-        if v.size == 0:
-            raise InvalidInputError("need at least one head variance")
-        lo, hi = np.percentile(v, [10, 90])
-        return cls(v_min=float(lo), v_max=float(hi), enabled=True)
 
 
 def stationary_scores(weights: np.ndarray) -> np.ndarray:
@@ -184,22 +154,16 @@ def fuse_head_stacks(scores: np.ndarray, cfg: FusionConfig | None = None) -> np.
     return raw
 
 
-def fuse_heads(scores: np.ndarray, cfg: FusionConfig | None = None) -> ImportanceScores:
-    """Root-mean-square fusion of one per-head score stack (H, N).
-
-    The one-stack case of fuse_head_stacks.
-    """
-    stack = np.asarray(scores, dtype=np.float64)
-    if stack.ndim != 2:
-        raise InvalidInputError("expected a non-empty (heads, N) score stack")
-    return ImportanceScores(scores=fuse_head_stacks(stack[None], cfg)[0])
-
-
-def cross_attention_baseline(c: np.ndarray) -> ImportanceScores:
-    """Column-sum importance from a cross-attention matrix (rows: image tokens)."""
+def cross_attention_baseline(c: np.ndarray) -> np.ndarray:
+    """Column-sum importance from a cross-attention matrix (rows: image tokens),
+    normalized to sum to 1."""
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2:
         raise InvalidInputError("expected a 2-d cross-attention matrix")
     if (c < 0).any() or not np.isfinite(c).all():
         raise InvalidInputError("cross-attention entries must be finite and >= 0")
-    return _make_scores(c.sum(axis=0))
+    raw = c.sum(axis=0)
+    total = raw.sum()
+    if total <= 0:
+        raise InvalidInputError("scores must have positive mass")
+    return raw / total

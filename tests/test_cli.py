@@ -268,6 +268,45 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert str(out) in err
 
+    # each command's last-written output, and what computes it
+    @pytest.mark.parametrize(
+        "command, last_output, compute",
+        [
+            (["rank-tokens", "--prompt", "hi"], "rankings.csv",
+             "cdglab.importance.stationary_scores"),
+            (["build-mask", "--prompt", "hi"], "mask.json",
+             "cdglab.importance.stationary_scores"),
+            (["sample"], "metadata.json", "cdglab.cli.sample_batch"),
+            (["sweep"], "sweep.csv", "cdglab.cli.sample_batch"),
+            (["diagnose"], "geometry.json", "cdglab.geometry.run_geometry_sweep"),
+        ],
+        ids=["rank-tokens", "build-mask", "sample", "sweep", "diagnose"],
+    )
+    @pytest.mark.parametrize("blocked", ["exists", "under-file"])
+    def test_out_checked_before_compute(
+        self, config_file, tmp_path, capsys, monkeypatch, command, last_output, compute,
+        blocked,
+    ):
+        def no_compute(*_args, **_kwargs):
+            raise AssertionError("computed before checking --out")
+
+        monkeypatch.setattr(compute, no_compute)
+        if blocked == "exists":
+            out = tmp_path / "out"
+            out.mkdir()
+            (out / last_output).write_text("kept")
+        else:
+            (tmp_path / "blocker").write_text("")
+            out = tmp_path / "blocker" / "sub"
+        code = main(command + ["--config", str(config_file), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert str(out) in err
+        if blocked == "exists":
+            assert sorted(p.name for p in out.iterdir()) == [last_output]
+            assert (out / last_output).read_text() == "kept"
+
     @pytest.mark.parametrize(
         "text",
         [b'{"seed": "\xff"}', b"[" * 100_000 + b"]" * 100_000],

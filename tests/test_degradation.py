@@ -12,18 +12,23 @@ from hypothesis import strategies as st
 from cdglab.degradation import (
     apply_mask,
     build_mask,
-    content_boundary_mask,
     map_ratio,
+    mask_extent,
+    type_order,
 )
 from cdglab.encoder import Condition, EncoderParams, TokenType, tokenize
 from cdglab.errors import InvalidInputError, InvalidRatioError
-from cdglab.importance import ImportanceScores
 
 
-def _importance(seed: int, n: int) -> ImportanceScores:
+def _importance(seed: int, n: int) -> np.ndarray:
     raw = np.random.default_rng(seed).uniform(0.01, 1.0, size=n)
-    s = raw / raw.sum()
-    return ImportanceScores(scores=s)
+    return raw / raw.sum()
+
+
+# prompts of up to seq_len - 2 words, content words and punctuation mixed
+PROMPTS = st.lists(
+    st.sampled_from(["a", "man", "is", "cooking", "the", "red", ",", "."]), max_size=14
+).map(" ".join)
 
 
 class TestMapRatio:
@@ -75,13 +80,13 @@ class TestBuildMask:
         assert set(content) <= set(mask.replaced_indices)
         replaced_ctx = set(mask.replaced_indices) - set(content)
         # the one replaced CtxAgg position carries that subset's top score
-        top_ctx = max(ctxagg, key=lambda i: imp.scores[i])
+        top_ctx = max(ctxagg, key=lambda i: imp[i])
         assert replaced_ctx == {top_ctx}
 
     def test_boundary_matches_type_only_mask(self, params, tokens):
         for seed in range(5):
             mask = build_mask(tokens, _importance(seed, len(tokens)), map_ratio(1.0))
-            fast = content_boundary_mask(tokens)
+            fast = build_mask(tokens, None, map_ratio(1.0))
             np.testing.assert_array_equal(mask.bits, fast.bits)
             assert mask.replaced_indices == fast.replaced_indices
             assert (mask.k_content, mask.k_ctxagg) == (fast.k_content, fast.k_ctxagg)
@@ -118,6 +123,44 @@ class TestBuildMask:
             if r >= 1.0:
                 assert content <= replaced
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prompt=PROMPTS,
+        seed=st.integers(0, 10_000),
+        r=st.floats(0.0, 2.0, allow_nan=False),
+    )
+    def test_unranked_mask_needs_no_scores(self, params, prompt, seed, r):
+        # a type replaced wholly or not at all takes its positions without
+        # ranking; only a partly replaced type needs the scores
+        tokens = tokenize(prompt, params)
+        ratios = map_ratio(r)
+        counts = [len(tokens.positions_of(t)) for t in (TokenType.CONTENT, TokenType.CTX_AGG)]
+        ranked = build_mask(tokens, _importance(seed, len(tokens)), ratios)
+        if all(k in (0, n) for k, n in zip(mask_extent(tokens, ratios), counts)):
+            unranked = build_mask(tokens, None, ratios)
+            np.testing.assert_array_equal(unranked.bits, ranked.bits)
+            assert unranked.replaced_indices == ranked.replaced_indices
+            assert unranked.k_content == ranked.k_content
+            assert unranked.k_ctxagg == ranked.k_ctxagg
+        else:
+            with pytest.raises(InvalidInputError):
+                build_mask(tokens, None, ratios)
+
+    @settings(max_examples=60, deadline=None)
+    @given(prompt=PROMPTS, data=st.data())
+    def test_type_order_ties_go_to_lower_position(self, params, prompt, data):
+        tokens = tokenize(prompt, params)
+        # few distinct values, so most scores tie
+        n = len(tokens)
+        values = st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=n, max_size=n)
+        scores = np.array(data.draw(values))
+        for ttype in TokenType:
+            # the within-type rule as its own oracle: a stable sort of the
+            # type's negated scores, taken in position order
+            pos = tokens.positions_of(ttype)
+            order = np.argsort(-scores[np.asarray(pos, dtype=int)], kind="stable")
+            assert type_order(tokens, scores, ttype) == [pos[j] for j in order]
+
 
 class TestApplyMask:
     def test_all_ones_keeps_condition(self, encoder, tokens):
@@ -139,7 +182,7 @@ class TestApplyMask:
     def test_single_replacement(self, encoder, tokens):
         c = encoder.encode(tokens)
         null = encoder.null_condition()
-        mask = content_boundary_mask(tokens)
+        mask = build_mask(tokens, None, map_ratio(1.0))
         mask.bits = np.ones_like(mask.bits)
         mask.bits[2] = 0
         out = apply_mask(c, null, mask)
@@ -150,7 +193,7 @@ class TestApplyMask:
     def test_idempotent(self, encoder, tokens):
         c = encoder.encode(tokens)
         null = encoder.null_condition()
-        mask = content_boundary_mask(tokens)
+        mask = build_mask(tokens, None, map_ratio(1.0))
         once = apply_mask(c, null, mask)
         twice = apply_mask(once, null, mask)
         np.testing.assert_array_equal(once.embeddings, twice.embeddings)
@@ -160,11 +203,11 @@ class TestApplyMask:
         null = encoder.null_condition()
         short = Condition(embeddings=null.embeddings[:-1])
         with pytest.raises(InvalidInputError):
-            apply_mask(c, short, content_boundary_mask(tokens))
+            apply_mask(c, short, build_mask(tokens, None, map_ratio(1.0)))
 
     def test_stack_matches_one_at_a_time(self, encoder, params):
         seqs = [tokenize(p, params) for p in ("a red cat", "the dog runs home")]
-        masks = [content_boundary_mask(t) for t in seqs]
+        masks = [build_mask(t, None, map_ratio(1.0)) for t in seqs]
         conds = [encoder.encode(t) for t in seqs]
         null = encoder.null_condition()
         stack = apply_mask(
@@ -177,7 +220,7 @@ class TestApplyMask:
         c = encoder.encode(tokens)
         stack = Condition(np.array([c.embeddings, c.embeddings]))
         null = encoder.null_condition()
-        mask = content_boundary_mask(tokens)
+        mask = build_mask(tokens, None, map_ratio(1.0))
         with pytest.raises(InvalidInputError):
             apply_mask(stack, null, mask)
         with pytest.raises(InvalidInputError):

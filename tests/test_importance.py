@@ -19,11 +19,9 @@ from cdglab.errors import (
 )
 from cdglab.importance import (
     FusionConfig,
-    ImportanceScores,
     cross_attention_baseline,
     fuse_head_stacks,
-    fuse_heads,
-    head_variance,
+    ranking,
     stationary_scores,
     wpr_single_head,
 )
@@ -45,24 +43,24 @@ def power_iteration_oracle(a: np.ndarray, iters: int = 10_000) -> np.ndarray:
 class TestWprSingleHead:
     def test_uniform_matrix_uniform_scores(self):
         n = 6
-        out = wpr_single_head(np.full((n, n), 1.0 / n))
-        np.testing.assert_allclose(out.scores, 1.0 / n, atol=1e-12)
-        assert out.converged
+        out, converged = wpr_single_head(np.full((n, n), 1.0 / n))
+        np.testing.assert_allclose(out, 1.0 / n, atol=1e-12)
+        assert converged
 
     def test_absorbing_column(self):
         # every token attends only to token 2
         a = np.zeros((5, 5))
         a[:, 2] = 1.0
-        out = wpr_single_head(a)
+        out, _ = wpr_single_head(a)
         expected = np.zeros(5)
         expected[2] = 1.0
-        np.testing.assert_allclose(out.scores, expected, atol=1e-12)
-        assert out.sorted_indices[0] == 2
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+        assert ranking(out)[0] == 2
 
     def test_matches_power_iteration_oracle(self):
         a = positive_matrix(0, 8)
-        out = wpr_single_head(a)
-        assert np.abs(out.scores - power_iteration_oracle(a)).sum() < 1e-8
+        out, _ = wpr_single_head(a)
+        assert np.abs(out - power_iteration_oracle(a)).sum() < 1e-8
 
     def test_zero_row_rejected(self):
         a = np.ones((4, 4))
@@ -75,31 +73,31 @@ class TestWprSingleHead:
             wpr_single_head(np.ones((3, 4)))
 
     def test_budget_exhaustion_sets_flag(self):
-        out = wpr_single_head(positive_matrix(1, 16), max_iters=1)
-        assert not out.converged
+        out, converged = wpr_single_head(positive_matrix(1, 16), max_iters=1)
+        assert not converged
 
     def test_tie_break_by_position(self):
-        out = wpr_single_head(np.full((4, 4), 0.25))
-        np.testing.assert_array_equal(out.sorted_indices, [0, 1, 2, 3])
+        out, _ = wpr_single_head(np.full((4, 4), 0.25))
+        np.testing.assert_array_equal(ranking(out), [0, 1, 2, 3])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 16))
     def test_fixed_point_residual(self, seed, n):
         a = positive_matrix(seed, n)
         eps = 1e-8
-        out = wpr_single_head(a, epsilon=eps)
+        out, _ = wpr_single_head(a, epsilon=eps)
         at = (a / a.sum(axis=1, keepdims=True)).T
-        step = at @ out.scores
+        step = at @ out
         step /= step.sum()
-        assert np.abs(step - out.scores).sum() < 10 * eps
+        assert np.abs(step - out).sum() < 10 * eps
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), exponent=st.integers(-8, 8))
     def test_power_of_two_scaling_exact(self, seed, exponent):
         a = positive_matrix(seed, 8)
-        base = wpr_single_head(a)
-        scaled = wpr_single_head(a * 2.0**exponent)
-        np.testing.assert_array_equal(base.scores, scaled.scores)
+        base, _ = wpr_single_head(a)
+        scaled, _ = wpr_single_head(a * 2.0**exponent)
+        np.testing.assert_array_equal(base, scaled)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -108,9 +106,9 @@ class TestWprSingleHead:
     )
     def test_general_scaling_invariance(self, seed, alpha):
         a = positive_matrix(seed, 8)
-        base = wpr_single_head(a)
-        scaled = wpr_single_head(a * alpha)
-        np.testing.assert_allclose(base.scores, scaled.scores, atol=1e-9)
+        base, _ = wpr_single_head(a)
+        scaled, _ = wpr_single_head(a * alpha)
+        np.testing.assert_allclose(base, scaled, atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -119,9 +117,9 @@ class TestWprSingleHead:
         a = positive_matrix(seed, 8)
         perm = rng.permutation(8)
         permuted = a[np.ix_(perm, perm)]
-        base = wpr_single_head(a, epsilon=1e-12)
-        out = wpr_single_head(permuted, epsilon=1e-12)
-        np.testing.assert_allclose(out.scores, base.scores[perm], atol=1e-9)
+        base, _ = wpr_single_head(a, epsilon=1e-12)
+        out, _ = wpr_single_head(permuted, epsilon=1e-12)
+        np.testing.assert_allclose(out, base[perm], atol=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 64))
@@ -129,9 +127,9 @@ class TestWprSingleHead:
         logits = np.random.default_rng(seed).normal(size=(n, n))
         attn = np.exp(logits - logits.max(axis=1, keepdims=True))
         attn /= attn.sum(axis=1, keepdims=True)
-        out = wpr_single_head(attn, epsilon=1e-9, max_iters=200)
-        assert out.converged
-        assert abs(out.scores.sum() - 1.0) < 1e-9
+        out, converged = wpr_single_head(attn, epsilon=1e-9, max_iters=200)
+        assert converged
+        assert abs(out.sum() - 1.0) < 1e-9
 
 
 class TestWprAllHeads:
@@ -141,12 +139,12 @@ class TestWprAllHeads:
         heads = np.stack([positive_matrix(s, 16) for s in range(4)])
         batched = stationary_scores(heads)
         for head, scores in zip(heads, batched):
-            single = wpr_single_head(head)
-            assert np.abs(scores - single.scores).sum() < 1e-6
+            single, converged = wpr_single_head(head)
+            assert np.abs(scores - single).sum() < 1e-6
             np.testing.assert_array_equal(
-                np.argsort(-scores, kind="stable"), single.sorted_indices
+                np.argsort(-scores, kind="stable"), ranking(single)
             )
-            assert single.converged
+            assert converged
 
     def test_zero_row_rejected(self):
         heads = np.ones((2, 4, 4))
@@ -198,24 +196,6 @@ class TestStationaryScores:
             stationary_scores(a[None])
 
 
-class TestHeadVariance:
-    def test_uniform_scores_zero(self):
-        s = ImportanceScores(scores=np.full(4, 0.25))
-        assert head_variance(s) == 0.0
-
-    def test_one_hot_scores(self):
-        s = ImportanceScores(scores=np.array([1.0, 0.0, 0.0, 0.0]))
-        # population variance of {1, 0, 0, 0}
-        assert abs(head_variance(s) - 0.1875) < 1e-15
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_nonnegative(self, seed):
-        raw = np.random.default_rng(seed).uniform(size=8)
-        s = ImportanceScores(scores=raw / raw.sum())
-        assert head_variance(s) >= 0.0
-
-
 class TestFuseHeads:
     def _scores(self, values) -> np.ndarray:
         raw = np.asarray(values, dtype=np.float64)
@@ -223,60 +203,51 @@ class TestFuseHeads:
 
     def test_single_head_identity_on_ranking(self):
         head = self._scores([0.1, 0.5, 0.2, 0.2])
-        fused = fuse_heads(head[None], FusionConfig())
+        fused = fuse_head_stacks(head[None, None], FusionConfig())[0]
         np.testing.assert_array_equal(
-            fused.sorted_indices, np.argsort(-head, kind="stable")
+            ranking(fused), np.argsort(-head, kind="stable")
         )
-        np.testing.assert_allclose(fused.scores, head, atol=1e-12)
+        np.testing.assert_allclose(fused, head, atol=1e-12)
 
     def test_identical_heads_fuse_to_each(self):
         head = self._scores([0.4, 0.3, 0.2, 0.1])
-        fused = fuse_heads(np.stack([head, head, head]), None)
-        np.testing.assert_allclose(fused.scores, head, atol=1e-12)
+        fused = fuse_head_stacks(np.stack([head, head, head])[None], None)[0]
+        np.testing.assert_allclose(fused, head, atol=1e-12)
 
     def test_variance_filter_excludes_uniform_head(self):
         uniform = self._scores([1.0, 1.0, 1.0, 1.0])
         peaked = self._scores([0.7, 0.1, 0.1, 0.1])
         cfg = FusionConfig(v_min=1e-6, v_max=1.0, enabled=True)
-        fused = fuse_heads(np.stack([uniform, peaked]), cfg)
-        np.testing.assert_allclose(fused.scores, peaked, atol=1e-12)
+        fused = fuse_head_stacks(np.stack([uniform, peaked])[None], cfg)[0]
+        np.testing.assert_allclose(fused, peaked, atol=1e-12)
 
     def test_all_heads_filtered_rejected(self):
         uniform = self._scores([1.0, 1.0, 1.0, 1.0])
         cfg = FusionConfig(v_min=1e-6, v_max=1.0, enabled=True)
         with pytest.raises(AllHeadsFilteredError):
-            fuse_heads(uniform[None], cfg)
+            fuse_head_stacks(uniform[None, None], cfg)[0]
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            fuse_heads(np.empty((0, 4)), None)
+            fuse_head_stacks(np.empty((0, 4))[None], None)[0]
         with pytest.raises(InvalidInputError):
-            fuse_heads(np.ones(4), None)
+            fuse_head_stacks(np.ones(4)[None], None)[0]
 
     def test_fused_scores_normalized(self):
         heads = np.stack([self._scores([0.5, 0.3, 0.2]), self._scores([0.1, 0.8, 0.1])])
-        fused = fuse_heads(heads, None)
-        assert abs(fused.scores.sum() - 1.0) < 1e-9
+        fused = fuse_head_stacks(heads[None], None)[0]
+        assert abs(fused.sum() - 1.0) < 1e-9
 
     def test_disabled_filter_equals_no_filter(self):
         heads = np.stack([self._scores([0.5, 0.3, 0.2]), self._scores([0.1, 0.8, 0.1])])
         np.testing.assert_array_equal(
-            fuse_heads(heads, FusionConfig()).scores, fuse_heads(heads, None).scores
+            fuse_head_stacks(heads[None], FusionConfig())[0],
+            fuse_head_stacks(heads[None], None)[0],
         )
 
     def test_bad_config_rejected(self):
         with pytest.raises(InvalidInputError):
             FusionConfig(v_min=0.5, v_max=0.1, enabled=True)
-
-    def test_percentile_constructor(self):
-        cfg = FusionConfig.from_percentiles([0.1, 0.2, 0.3, 0.4])
-        assert cfg.enabled and cfg.v_min <= cfg.v_max
-
-    @pytest.mark.parametrize("variances", [[], [float("nan")]], ids=["empty", "nan"])
-    def test_percentile_constructor_rejects_bad_input(self, variances):
-        # np.percentile of an empty array raises a raw IndexError
-        with pytest.raises(InvalidInputError):
-            FusionConfig.from_percentiles(variances)
 
 
 def _subset_fusion(stack: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -319,7 +290,9 @@ class TestFuseHeadStacks:
         fused = fuse_head_stacks(stacks, self.WINDOW)
         for k in range(self.H):
             np.testing.assert_array_equal(fused[k], _subset_fusion(stacks[k], keep[k]))
-            np.testing.assert_array_equal(fused[k], fuse_heads(stacks[k], self.WINDOW).scores)
+            np.testing.assert_array_equal(
+                fused[k], fuse_head_stacks(stacks[k][None], self.WINDOW)[0]
+            )
 
     @pytest.mark.parametrize("cfg", [None, FusionConfig()], ids=["none", "disabled"])
     def test_unfiltered_rows_match_per_stack_fusion(self, cfg):
@@ -328,7 +301,7 @@ class TestFuseHeadStacks:
         every = np.ones(self.H, dtype=bool)
         for k in range(self.H):
             np.testing.assert_array_equal(fused[k], _subset_fusion(stacks[k], every))
-            np.testing.assert_array_equal(fused[k], fuse_heads(stacks[k], cfg).scores)
+            np.testing.assert_array_equal(fused[k], fuse_head_stacks(stacks[k][None], cfg)[0])
 
     def test_first_filtered_stack_is_named(self):
         stacks = self._planted(4)
@@ -350,11 +323,11 @@ class TestCrossAttentionBaseline:
         c = np.zeros((3, 4))
         c[:, 1] = 1.0
         out = cross_attention_baseline(c)
-        np.testing.assert_allclose(out.scores, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
     def test_uniform_matrix(self):
         out = cross_attention_baseline(np.full((5, 4), 0.25))
-        np.testing.assert_allclose(out.scores, 0.25, atol=1e-12)
+        np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -368,8 +341,8 @@ class TestCrossAttentionBaseline:
         # Companion self-attention: token 1 is the hub every token cites.
         self_attn = np.full((4, 4), 0.04)
         self_attn[:, 1] = 0.88
-        assert cross_attention_baseline(cross).sorted_indices[0] == 3
-        assert wpr_single_head(self_attn).sorted_indices[0] == 1
+        assert ranking(cross_attention_baseline(cross))[0] == 3
+        assert ranking(wpr_single_head(self_attn)[0])[0] == 1
 
 
 def test_import_loads_no_scipy():
