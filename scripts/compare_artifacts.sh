@@ -19,7 +19,12 @@
 # on a CDG R=1.5 config with
 # `geometry_k: 2` that lists an empty prompt among three others, so zero
 # deltas (a `None` per prompt and a lower `num_valid_prompts`), an explicit
-# subspace dimension and R>1 reach an artifact. Each runs once with the code of REV and once
+# subspace dimension and R>1 reach an artifact; and `diagnose` on a CDG
+# R=0.5 config with `d_x: 4`, `geometry_k: 4` and six prompts (one
+# repeated), so a pooled delta span with more columns than d_x (rank below
+# its column count) and a span rank no larger than k, the principal-angle
+# orientation the other configs miss, reach an artifact. Each runs once
+# with the code of REV and once
 # with the working tree, both reading the working tree's configs. The
 # fusion windows of the fusion and diagnose configs keep some but not all
 # heads (1 to 3 of 4) at every ranking of every command on them. Then
@@ -126,10 +131,28 @@ cat >"$tmp/diagnose_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/small_diagnose_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 4, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5},
+  "geometry_k": 4,
+  "prompts": [
+    "a man is cooking",
+    "the dog runs in a park",
+    "a woman paints the old wall",
+    "a man is cooking",
+    "blue mountains at dusk",
+    "robots dancing in the rain"
+  ],
+  "seed": 0
+}
+JSON
+
 # run_all CODE_ROOT OUT: every command on the demo and fusion configs, a
 # second `sweep` grid on the demo config, `sample` on the role configs
 # and the unguided CDG config, `sample` and `sweep` on the duplicates
-# config and `diagnose` on the diagnose config, outputs under OUT
+# config and `diagnose` on the two diagnose configs, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
     cli() {
@@ -165,9 +188,10 @@ run_all() {
     name=duplicates_config
     cli sample sample
     cli sweep sweep
-    config=$tmp/diagnose_config.json
-    name=diagnose_config
-    cli diagnose diagnose
+    for config in "$tmp/diagnose_config.json" "$tmp/small_diagnose_config.json"; do
+        name=$(basename "$config" .json)
+        cli diagnose diagnose
+    done
 }
 
 run_all "$tmp/rev" "$tmp/out-rev"

@@ -35,9 +35,7 @@ from .encoder import (
 from .errors import CdgError, NumericalError
 from .geometry import (
     GeometryReport,
-    PredictionStack,
     decoupling,
-    estimate_subspace,
     interference,
     run_geometry_sweep,
 )
@@ -51,7 +49,6 @@ from .importance import (
 )
 from .linalg import (
     SvdResult,
-    orthonormal_basis,
     principal_angle_sines_squared,
     project_onto,
     thin_svd,

@@ -13,9 +13,11 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +71,38 @@ def _write_json(path: Path, obj, force: bool) -> None:
     except ValueError as exc:
         raise NumericalError(f"refusing to write {path}: {exc}") from exc
     _write_text(path, text + "\n", force)
+
+
+# one geometry.json detail row, laid out as json.dumps(indent=2, sort_keys=True) lays it out
+_DETAIL_ROW = ('    {\n      "decoupling": %s,\n      "interference": %s,\n      "method": %s,\n'
+               '      "note": %s,\n      "prompt_index": %d,\n      "sigma": %s\n    }')
+
+
+def _json_float(v: float | None) -> str:
+    """A finite float or None as json.dumps writes it."""
+    return "null" if v is None else float.__repr__(v)
+
+
+def _geometry_json(path: Path, detail: list[dict]) -> str:
+    """The text _write_json writes for {"detail": detail}, or its NumericalError.
+
+    json.dumps falls back to its pure-Python encoder under indent=2, so the
+    fixed schema is formatted here, one template per row: floats by
+    float.__repr__, strings by json's own ASCII escaper, None as null.
+    """
+    for v in (v for d in detail for v in (d["decoupling"], d["interference"], d["sigma"])):
+        if v is not None and not math.isfinite(v):
+            raise NumericalError(f"refusing to write {path}: Out of range float values "
+                                 f"are not JSON compliant: {float.__repr__(v)}")
+    rows = [
+        _DETAIL_ROW % (
+            _json_float(d["decoupling"]), _json_float(d["interference"]),
+            encode_basestring_ascii(d["method"]), encode_basestring_ascii(d["note"]),
+            d["prompt_index"], float.__repr__(d["sigma"]),
+        )
+        for d in detail
+    ]
+    return '{\n  "detail": ' + ("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]") + "\n}\n"
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], force: bool) -> None:
@@ -263,8 +297,9 @@ def cmd_diagnose(cfg: RunConfig, out: Path, force: bool) -> int:
     header = ["sigma", "method", "decoupling_mean", "interference_mean",
               "num_valid_prompts", "decoupling_pooled", "interference_pooled"]
     rows = [[rec[k] for k in header] for rec in report.records]
+    detail_text = _geometry_json(out / "geometry.json", report.detail)
     _write_csv(out / "geometry.csv", header, rows, force)
-    _write_json(out / "geometry.json", {"detail": report.detail}, force)
+    _write_text(out / "geometry.json", detail_text, force)
     return EXIT_OK
 
 

@@ -30,61 +30,57 @@ from .linalg import SvdResult, principal_angle_sines_squared, project_onto, thin
 _ZERO_DELTA_TOL = 1e-300
 
 
-@dataclass
-class PredictionStack:
-    """Conditional noise predictions at one noise level, one row per prompt."""
-
-    sigma: float
-    rows: np.ndarray  # (num_prompts, d_x)
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        if self.rows.ndim != 2:
-            raise InvalidInputError("rows must be 2-d")
-        if not np.isfinite(self.rows).all():
-            raise InvalidInputError("rows contain non-finite entries")
-
-
-def estimate_subspace(stack: PredictionStack, k: int) -> np.ndarray:
-    """Orthonormal basis (d_x x k) of the top-k right-singular subspace."""
-    return _top_subspace(thin_svd(stack.rows), k)
-
-
 def _top_subspace(svd: SvdResult, k: int) -> np.ndarray:
     if k < 1 or k > svd.rank:
         raise RankDeficientError(f"k={k} exceeds numerical rank {svd.rank}")
     return svd.vt[:k].T.copy()
 
 
-def _column_space_basis(delta: np.ndarray) -> np.ndarray:
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.ndim == 1:
-        delta = delta[:, None]
-    norm = np.linalg.norm(delta)
-    if norm <= _ZERO_DELTA_TOL:
-        raise UndefinedMetricError("guidance delta is zero")
-    svd = thin_svd(delta)
-    rank = max(svd.rank, 1)
-    return svd.u[:, :rank]
+def _pooled_metrics(spans, bases) -> list[tuple[float, float]]:
+    """(decoupling, interference) of each delta span against its subspace basis.
+
+    spans[i] holds one delta per row (v, d_x); bases[i] has orthonormal
+    columns (d_x, k). Spans of equal v take their column-space bases from
+    one stacked SVD; those among them of equal numerical rank and k share
+    one stacked principal-angle call and one stacked projection. Each
+    member's values equal those of its own one-member call. A zero span
+    raises UndefinedMetricError.
+    """
+    out = [None] * len(spans)
+    groups: dict[tuple, list[int]] = {}
+    for i, rows in enumerate(spans):
+        groups.setdefault(np.shape(rows), []).append(i)
+    for members in groups.values():
+        rows = np.stack([spans[i] for i in members])
+        totals = (rows * rows).reshape(len(members), -1).sum(axis=1)
+        if (totals <= _ZERO_DELTA_TOL).any():
+            raise UndefinedMetricError("guidance delta is zero")
+        svd = thin_svd(np.swapaxes(rows, -1, -2))
+        subgroups: dict[tuple, list[int]] = {}
+        for j, r in enumerate(np.maximum(svd.rank, 1).tolist()):
+            subgroups.setdefault((r, np.shape(bases[members[j]])), []).append(j)
+        for (r, _), sub in subgroups.items():
+            s_c = np.stack([bases[members[j]] for j in sub])
+            # sliced after the gather, so each basis has the strides of u[:, :r]
+            sines = principal_angle_sines_squared(svd.u[sub][..., :r], s_c)
+            proj = project_onto(s_c, np.swapaxes(rows[sub], -1, -2))
+            intfs = np.minimum((proj * proj).reshape(len(sub), -1).sum(axis=1) / totals[sub], 1.0)
+            for j, dec, intf in zip(sub, np.mean(sines, axis=-1).tolist(), intfs.tolist()):
+                out[members[j]] = (dec, intf)
+    return out
 
 
 def decoupling(delta: np.ndarray, s_c: np.ndarray) -> float:
-    """Mean sin^2 of the principal angles between span(delta) and span(s_c)."""
-    basis = _column_space_basis(delta)
-    sines = principal_angle_sines_squared(basis, s_c)
-    return float(np.mean(sines))
+    """Mean sin^2 of the principal angles between span(delta) and span(s_c).
+
+    delta is one vector (d_x,) or a matrix of delta columns (d_x, v).
+    """
+    return _pooled_metrics([np.atleast_2d(np.asarray(delta, dtype=np.float64).T)], [s_c])[0][0]
 
 
 def interference(delta: np.ndarray, s_c: np.ndarray) -> float:
-    """Fraction of delta's energy projected into span(s_c)."""
-    d = np.asarray(delta, dtype=np.float64)
-    if d.ndim == 1:
-        d = d[:, None]
-    total = float(np.sum(d * d))
-    if total <= _ZERO_DELTA_TOL:
-        raise UndefinedMetricError("guidance delta is zero")
-    proj = project_onto(s_c, d)
-    return min(float(np.sum(proj * proj)) / total, 1.0)
+    """Fraction of delta's energy projected into span(s_c); delta as in decoupling."""
+    return _pooled_metrics([np.atleast_2d(np.asarray(delta, dtype=np.float64).T)], [s_c])[0][1]
 
 
 def energy_rank(singular_values: np.ndarray, energy: float = 0.9) -> int:
@@ -109,15 +105,16 @@ _METHODS = ("cfg", "cdg")
 
 
 def _sigma_records(
-    report: GeometryReport, sigma: float, deltas: np.ndarray, basis: np.ndarray
+    report: GeometryReport, sigma: float, deltas: np.ndarray, basis: np.ndarray, pooled: list
 ) -> None:
-    """Per-prompt and pooled metrics at one sigma, appended to report.
+    """Per-prompt metrics at one sigma, appended to report with its records.
 
     deltas (len(_METHODS) * num_prompts, d_x) holds each method's per-prompt
     deltas in _METHODS order. Every per-prompt delta is projected in one
     stacked call. A single vector's decoupling is exactly 1 - interference,
     so the per-prompt values need no decomposition; only the pooled pair
-    does.
+    does. Each record with a valid prompt goes to pooled with its span and
+    basis, for one _pooled_metrics call over the whole report.
     """
     n_prompts = len(deltas) // len(_METHODS)
     totals = (deltas * deltas).sum(axis=1).tolist()
@@ -138,17 +135,18 @@ def _sigma_records(
                 {"sigma": sigma, "method": method, "prompt_index": p, "decoupling": dec,
                  "interference": intf, "note": "zero delta" if intf is None else ""}
             )
-        # (d_x, valid): the span of all valid deltas
-        pooled = deltas[m * n_prompts : (m + 1) * n_prompts][valid].T
         report.records.append({
             "sigma": sigma,
             "method": method,
             "decoupling_mean": 1.0 - float(np.mean(intfs)) if valid else None,
             "interference_mean": float(np.mean(intfs)) if valid else None,
             "num_valid_prompts": len(valid),
-            "decoupling_pooled": decoupling(pooled, basis) if valid else None,
-            "interference_pooled": interference(pooled, basis) if valid else None,
+            "decoupling_pooled": None,
+            "interference_pooled": None,
         })
+        if valid:  # the span of all valid deltas, one per row
+            rows = deltas[m * n_prompts : (m + 1) * n_prompts][valid]
+            pooled.append((report.records[-1], rows, basis))
 
 
 def run_geometry_sweep(
@@ -179,7 +177,9 @@ def run_geometry_sweep(
     latent stack, three denoise calls (conditional, null, degraded) with a
     column of per-row sigmas, one stacked SVD of the conditional
     predictions, and one stacked projection of the per-prompt deltas per
-    sigma. The degrade step runs once per sigma, so only one sigma's
+    sigma. The pooled CFG and CDG spans of every sigma then take one SVD
+    per valid prompt count and one per (count, rank, k) for their principal
+    angles. The degrade step runs once per sigma, so only one sigma's
     attention weights are held at a time. Each row's arithmetic is that of
     a per-sigma computation, so the report does not depend on the
     stacking.
@@ -227,10 +227,13 @@ def run_geometry_sweep(
         axis=1,
     )
 
-    report = GeometryReport()
+    report, pooled = GeometryReport(), []
     for si, sigma in enumerate(sigmas):
         svd_at = svd[si]
         k_eff = k if k is not None else min(energy_rank(svd_at.s), n_prompts - 1)
         basis = _top_subspace(svd_at, min(k_eff, svd_at.rank))
-        _sigma_records(report, sigma, deltas[si], basis)
+        _sigma_records(report, sigma, deltas[si], basis, pooled)
+    metrics = _pooled_metrics([span for _, span, _ in pooled], [b for *_, b in pooled])
+    for (record, _, _), (dec, intf) in zip(pooled, metrics):
+        record["decoupling_pooled"], record["interference_pooled"] = dec, intf
     return report

@@ -71,11 +71,3 @@ def combine(
 
 def denoiser_to_eps(d_value: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
     return (x - d_value) / sigma
-
-
-def eps_to_denoiser(eps: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
-    return x - sigma * eps
-
-
-def denoiser_to_score(d_value: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
-    return (d_value - x) / (sigma * sigma)

@@ -1,0 +1,75 @@
+"""Reference implementations the tests check the package against.
+
+None of these has a caller in the package. `PredictionStack`,
+`estimate_subspace` and `orthonormal_basis` build subspace bases from
+stacked rows through plain `thin_svd`. `pooled_decoupling` and
+`pooled_interference` are the one-matrix-at-a-time forms of the pooled
+geometry metrics, which the stacked path must match bit for bit.
+`eps_to_denoiser` and `denoiser_to_score` convert a denoiser output to the
+other two parametrizations the guidance identities are stated in.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from cdglab.errors import InvalidInputError, RankDeficientError
+from cdglab.linalg import principal_angle_sines_squared, project_onto, thin_svd
+
+
+@dataclass
+class PredictionStack:
+    """Conditional noise predictions at one noise level, one row per prompt."""
+
+    sigma: float
+    rows: np.ndarray  # (num_prompts, d_x)
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=np.float64)
+        if self.rows.ndim != 2:
+            raise InvalidInputError("rows must be 2-d")
+        if not np.isfinite(self.rows).all():
+            raise InvalidInputError("rows contain non-finite entries")
+
+
+def estimate_subspace(stack: PredictionStack, k: int) -> np.ndarray:
+    """Orthonormal basis (d_x x k) of the top-k right-singular subspace."""
+    svd = thin_svd(stack.rows)
+    if k < 1 or k > svd.rank:
+        raise RankDeficientError(f"k={k} exceeds numerical rank {svd.rank}")
+    return svd.vt[:k].T.copy()
+
+
+def orthonormal_basis(m: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal basis (cols(m) x k) of the top-k right-singular subspace of m."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or k < 1 or k > min(m.shape):
+        raise InvalidInputError(f"k={k} out of range for shape {m.shape}")
+    return thin_svd(m).vt[:k].T.copy()
+
+
+def pooled_decoupling(delta: np.ndarray, s_c: np.ndarray) -> float:
+    """Mean sin^2 of the principal angles between span(delta) and span(s_c).
+
+    delta (d_x, v) is nonzero; its column-space basis is the left singular
+    vectors up to its numerical rank (at least one).
+    """
+    svd = thin_svd(delta)
+    basis = svd.u[:, : max(svd.rank, 1)]
+    return float(np.mean(principal_angle_sines_squared(basis, s_c)))
+
+
+def pooled_interference(delta: np.ndarray, s_c: np.ndarray) -> float:
+    """Fraction of delta's energy (d_x, v) projected into span(s_c)."""
+    proj = project_onto(s_c, delta)
+    return min(float(np.sum(proj * proj)) / float(np.sum(delta * delta)), 1.0)
+
+
+def eps_to_denoiser(eps: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
+    return x - sigma * eps
+
+
+def denoiser_to_score(d_value: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
+    return (d_value - x) / (sigma * sigma)

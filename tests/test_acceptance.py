@@ -29,12 +29,7 @@ from cdglab.diffusion import (
 )
 from cdglab.encoder import EncoderParams, TokenType, tokenize
 from cdglab.geometry import decoupling, interference, run_geometry_sweep
-from cdglab.guidance import (
-    GuidanceConfig,
-    GuidanceMode,
-    combine,
-    denoiser_to_score,
-)
+from cdglab.guidance import GuidanceConfig, GuidanceMode, combine
 from cdglab.importance import (
     cross_attention_baseline,
     ranking,
@@ -42,6 +37,7 @@ from cdglab.importance import (
 )
 
 from conftest import random_prompt
+from oracles import denoiser_to_score
 
 
 def _report(number: int, name: str) -> None:
@@ -275,7 +271,7 @@ def test_criterion_6_geometry_oracle(model, schedule, encoder, params):
         delta = np.array([np.cos(angle), np.sin(angle)])
         assert abs(decoupling(delta, basis) - dec) < 1e-10
         assert abs(interference(delta, basis) - intf) < 1e-10
-    from cdglab.linalg import orthonormal_basis
+    from oracles import orthonormal_basis
 
     rng = np.random.default_rng(600)
     for _ in range(200):

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cdglab import cli
+from cdglab import cli, geometry
 from cdglab.cli import _write_json, main
 from cdglab.config import RunConfig, config_echo, parse_config
 from cdglab.diffusion import sample
@@ -564,6 +566,58 @@ class TestDiagnose:
                     assert 0.0 <= float(row[key]) <= 1.0
         detail = json.loads((out / "geometry.json").read_text())
         assert detail["detail"]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NOTES = st.text() | st.text(alphabet='"\\\n\t\x00é☃\U0001f600a ')
+_DETAIL = st.fixed_dictionaries({
+    "sigma": _FINITE | _FINITE.map(np.float64),
+    "method": _NOTES,
+    "prompt_index": st.integers(),
+    "decoupling": st.none() | _FINITE,
+    "interference": st.none() | _FINITE,
+    "note": _NOTES,
+})
+
+
+class TestGeometryJson:
+    """geometry.json's formatter against json.dumps on the fixed detail schema."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(detail=st.lists(_DETAIL, max_size=4))
+    @example(detail=[])
+    @example(detail=[{
+        "sigma": np.float64(10.0), "method": "cdg", "prompt_index": 2**70,
+        "decoupling": -0.0, "interference": 5e-324, "note": 'a "q" \\ \n é ☃',
+    }])
+    @example(detail=[{
+        "sigma": 1e308, "method": "cfg", "prompt_index": -1,
+        "decoupling": None, "interference": None, "note": "zero delta",
+    }])
+    def test_same_bytes_as_json_dumps(self, detail):
+        expected = json.dumps(
+            {"detail": detail}, indent=2, sort_keys=True, allow_nan=False
+        ) + "\n"
+        assert cli._geometry_json(Path("geometry.json"), detail) == expected
+
+    @pytest.mark.parametrize("field", ["sigma", "decoupling", "interference"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_before_any_file(
+        self, config_file, tmp_path, monkeypatch, field, bad
+    ):
+        sweep = geometry.run_geometry_sweep
+
+        def spoiled(*args, **kwargs):
+            report = sweep(*args, **kwargs)
+            report.detail[-1][field] = bad
+            return report
+
+        monkeypatch.setattr(geometry, "run_geometry_sweep", spoiled)
+        out = tmp_path / "out"
+        with pytest.raises(NumericalError, match="not JSON compliant"):
+            cli.run(["diagnose", "--config", str(config_file), "--out", str(out)])
+        # neither geometry file is written, nor the output directory made
+        assert not out.exists()
 
 
 def test_artifacts_identical_across_blas_thread_counts(config_file, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdglab import diffusion, geometry
+from cdglab import diffusion, geometry, linalg
 from cdglab.degradation import map_ratio
 from cdglab.diffusion import DegradeRow, SigmaSchedule, degrade_rows, denoise
 from cdglab.encoder import tokenize
@@ -19,16 +19,21 @@ from cdglab.errors import (
     UndefinedMetricError,
 )
 from cdglab.geometry import (
-    PredictionStack,
     decoupling,
     energy_rank,
-    estimate_subspace,
     interference,
     run_geometry_sweep,
 )
 from cdglab.guidance import denoiser_to_eps
 from cdglab.importance import FusionConfig, stationary_scores
 from cdglab.linalg import thin_svd
+from oracles import (
+    PredictionStack,
+    estimate_subspace,
+    orthonormal_basis,
+    pooled_decoupling,
+    pooled_interference,
+)
 
 E1 = np.array([[1.0], [0.0]])
 
@@ -102,8 +107,6 @@ class TestMetrics:
     def test_one_dim_complementarity(self, seed):
         rng = np.random.default_rng(seed)
         delta = rng.normal(size=5)
-        from cdglab.linalg import orthonormal_basis
-
         basis = orthonormal_basis(rng.normal(size=(5, 5)), 2)
         d = decoupling(delta, basis)
         i = interference(delta, basis)
@@ -120,14 +123,55 @@ class TestMetrics:
     def test_scale_invariance(self, seed, alpha):
         rng = np.random.default_rng(seed)
         delta = rng.normal(size=4)
-        from cdglab.linalg import orthonormal_basis
-
         basis = orthonormal_basis(rng.normal(size=(4, 4)), 2)
         assert abs(decoupling(delta, basis) - decoupling(alpha * delta, basis)) < 1e-10
         assert (
             abs(interference(delta, basis) - interference(alpha * delta, basis))
             < 1e-10
         )
+
+
+def _low_rank_rows(rng, v: int, d_x: int, r: int) -> np.ndarray:
+    """v delta rows in R^d_x spanning an r-dimensional subspace."""
+    return rng.normal(size=(v, r)) @ rng.normal(size=(r, d_x))
+
+
+class TestPooledMetrics:
+    """The stacked pooled path against one-member calls and the loop oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d_x=st.integers(2, 6))
+    def test_stacked_equals_per_matrix(self, seed, d_x):
+        rng = np.random.default_rng(seed)
+        # (v, r, k): rank below v with more columns than d_x, r > k, r <= k
+        shapes = [(d_x + 2, d_x, 1), (d_x + 2, d_x - 1, d_x - 1), (3, 2, 1), (1, 1, d_x)]
+        for _ in range(int(rng.integers(4, 12))):
+            v = int(rng.integers(1, d_x + 3))
+            shapes.append((v, int(rng.integers(1, min(v, d_x) + 1)), int(rng.integers(1, d_x + 1))))
+        order = rng.permutation(len(shapes))
+        spans = [_low_rank_rows(rng, v, d_x, r) for v, r, _ in (shapes[i] for i in order)]
+        bases = [orthonormal_basis(rng.normal(size=(d_x, d_x)), shapes[i][2]) for i in order]
+        stacked = geometry._pooled_metrics(spans, bases)
+        for rows, basis, (dec, intf) in zip(spans, bases, stacked):
+            assert decoupling(rows.T, basis) == dec
+            assert interference(rows.T, basis) == intf
+            assert pooled_decoupling(rows.T, basis) == dec
+            assert pooled_interference(rows.T, basis) == intf
+
+    def test_ranks_of_a_wide_span(self):
+        rng = np.random.default_rng(7)
+        wide = _low_rank_rows(rng, 6, 4, 4)
+        assert thin_svd(wide.T).rank == 4 < len(wide)
+        # the pooled span is all of R^d_x, so nothing lies outside the subspace
+        basis = orthonormal_basis(rng.normal(size=(4, 4)), 2)
+        assert abs(decoupling(wide.T, basis)) < 1e-15
+
+    def test_one_zero_member_raises(self):
+        rng = np.random.default_rng(8)
+        spans = [rng.normal(size=(3, 5)), np.zeros((3, 5)), rng.normal(size=(2, 5))]
+        bases = [orthonormal_basis(rng.normal(size=(5, 5)), 2)] * 3
+        with pytest.raises(UndefinedMetricError):
+            geometry._pooled_metrics(spans, bases)
 
 
 def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
@@ -226,26 +270,44 @@ class TestSweep:
             run_geometry_sweep(model, schedule, encoder, self._tokens(params), 2.5)
 
     def test_stack_decomposed_once_per_sigma(self, model, encoder, params, monkeypatch):
-        shapes = []
+        calls = []
         denoised = []
 
         def counting_svd(m):
-            shapes.append(np.shape(m))
-            return thin_svd(m)
+            result = thin_svd(m)
+            calls.append((np.shape(m), result))
+            return result
 
         def counting_denoise(model, x, sigma, e):
             denoised.append((np.shape(x), np.shape(sigma), np.shape(e)))
             return denoise(model, x, sigma, e)
 
         monkeypatch.setattr(geometry, "thin_svd", counting_svd)
+        monkeypatch.setattr(linalg, "thin_svd", counting_svd)
         monkeypatch.setattr(geometry, "denoise", counting_denoise)
         short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
-        run_geometry_sweep(model, short, encoder, self._tokens(params), 1.0)
-        n, rows = len(PROMPTS), short.steps * len(PROMPTS)
-        # the (sigma, prompt) stack once, then the pooled CFG and CDG delta
-        # spans at each sigma
-        assert shapes[0] == (short.steps, n, model.d_x)
-        assert shapes[1:] == [(model.d_x, n)] * (2 * short.steps)
+        tokens = [tokenize(p, params) for p in PROMPTS + [""]]
+        report = run_geometry_sweep(model, short, encoder, tokens, 1.0)
+        n, rows = len(tokens), short.steps * len(tokens)
+        # the (sigma, prompt) stack once
+        assert calls[0][0] == (short.steps, n, model.d_x)
+        stack = calls[0][1]
+        ks = [min(energy_rank(stack[si].s), n - 1) for si in range(short.steps)]
+        # then the pooled (sigma, method) spans: one stacked SVD of the
+        # spans of each valid prompt count, then per (rank, k) among them,
+        # in order of first appearance, one SVD of the principal-angle
+        # products. Every span here has full column rank r = count.
+        groups: dict[int, dict[int, int]] = {}
+        for si, pair in enumerate(zip(report.records[::2], report.records[1::2])):
+            for rec in pair:
+                by_k = groups.setdefault(rec["num_valid_prompts"], {})
+                by_k[ks[si]] = by_k.get(ks[si], 0) + 1
+        expected = []
+        for count, by_k in groups.items():
+            expected.append((sum(by_k.values()), model.d_x, count))
+            expected += [(size, min(count, k), max(count, k)) for k, size in by_k.items()]
+        assert [shape for shape, _ in calls[1:]] == expected
+        assert expected == [(8, 8, 5), (2, 4, 5), (2, 3, 5), (2, 2, 5), (2, 1, 5)]
         # one call each for the conditional, null and degraded rows, with a
         # column of per-row sigmas
         assert denoised == [((rows, model.d_x), (rows, 1), (rows, model.d_c))] * 3

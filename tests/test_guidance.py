@@ -16,9 +16,8 @@ from cdglab.guidance import (
     GuidanceMode,
     combine,
     denoiser_to_eps,
-    denoiser_to_score,
-    eps_to_denoiser,
 )
+from oracles import denoiser_to_score, eps_to_denoiser
 
 
 def _arr(values) -> np.ndarray:

@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 
 from cdglab.cli import main
 from cdglab.errors import InvalidInputError, NumericalError
-from cdglab.linalg import (
-    orthonormal_basis,
-    principal_angle_sines_squared,
-    project_onto,
-    thin_svd,
-)
+from cdglab.linalg import principal_angle_sines_squared, project_onto, thin_svd
+from oracles import orthonormal_basis
 
 
 def _random_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
