@@ -23,8 +23,16 @@
 # R=0.5 config with `d_x: 4`, `geometry_k: 4` and six prompts (one
 # repeated), so a pooled delta span with more columns than d_x (rank below
 # its column count) and a span rank no larger than k, the principal-angle
-# orientation the other configs miss, reach an artifact. Each runs once
-# with the code of REV and once
+# orientation the other configs miss, reach an artifact; `diagnose` on a
+# CDG R=0.5 config with two prompts, one of them empty, so every pooled
+# delta span has one valid prompt and the rank-1 principal-angle path
+# reaches an artifact; `diagnose` on a one-component model with `d_c: 1`,
+# where every delta is a multiple of one column of the model's map, so
+# each pooled span of three columns has numerical rank 1 and its basis is
+# a slice of the left singular vectors, whose strides decide the last bit
+# of `decoupling_pooled`; and `diagnose` on a CDG R=1.0 config, where no
+# row ranks its tokens and the degrade step makes no stationary solve.
+# Each runs once with the code of REV and once
 # with the working tree, both reading the working tree's configs. The
 # fusion windows of the fusion and diagnose configs keep some but not all
 # heads (1 to 3 of 4) at every ranking of every command on them. Then
@@ -149,10 +157,48 @@ cat >"$tmp/small_diagnose_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/rank_one_diagnose_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5},
+  "prompts": ["", "the dog runs in a park"],
+  "seed": 0
+}
+JSON
+
+cat >"$tmp/collinear_diagnose_config.json" <<'JSON'
+{
+  "model": {"n_components": 1, "d_x": 4, "d_c": 1, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5},
+  "prompts": [
+    "a man is cooking",
+    "the dog runs in a park",
+    "a woman paints the old wall"
+  ],
+  "seed": 0
+}
+JSON
+
+cat >"$tmp/boundary_diagnose_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 1.0},
+  "prompts": [
+    "a man is cooking",
+    "the dog runs in a park",
+    "a woman paints the old wall"
+  ],
+  "seed": 0
+}
+JSON
+
 # run_all CODE_ROOT OUT: every command on the demo and fusion configs, a
 # second `sweep` grid on the demo config, `sample` on the role configs
 # and the unguided CDG config, `sample` and `sweep` on the duplicates
-# config and `diagnose` on the two diagnose configs, outputs under OUT
+# config and `diagnose` on the five diagnose configs, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
     cli() {
@@ -188,7 +234,9 @@ run_all() {
     name=duplicates_config
     cli sample sample
     cli sweep sweep
-    for config in "$tmp/diagnose_config.json" "$tmp/small_diagnose_config.json"; do
+    for config in "$tmp/diagnose_config.json" "$tmp/small_diagnose_config.json" \
+        "$tmp/rank_one_diagnose_config.json" "$tmp/collinear_diagnose_config.json" \
+        "$tmp/boundary_diagnose_config.json"; do
         name=$(basename "$config" .json)
         cli diagnose diagnose
     done

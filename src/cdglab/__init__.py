@@ -45,7 +45,6 @@ from .importance import (
     cross_attention_baseline,
     ranking,
     stationary_scores,
-    wpr_single_head,
 )
 from .linalg import (
     SvdResult,

@@ -72,7 +72,9 @@ def build_mask(
     """Zero the top-k positions of each type subset, ranked by importance.
 
     A type replaced wholly or not at all needs no ranking, so scores may be
-    None unless a type is replaced in part (never at ratio 1.0)."""
+    None unless a type is replaced in part (never at ratio 1.0). This is
+    build_masks' one-row form, which it calls for a lone ranked row and for
+    rows without scores."""
     n = len(tokens)
     if scores is not None and scores.shape[0] != n:
         raise InvalidInputError("importance length does not match token count")
@@ -92,6 +94,57 @@ def build_mask(
     return DegradationMask(
         np.array(bits, dtype=np.int64), k_content, k_ctxagg, tuple(sorted(replaced))
     )
+
+
+def build_masks(
+    tokens: Sequence[TokenSequence],
+    scores: np.ndarray | None,
+    keys: Sequence[int],
+    ratios: Sequence[DegradationRatios],
+) -> list[DegradationMask]:
+    """build_mask of B rows: tokens[b] at ratios[b], ranked by scores[keys[b]].
+
+    scores is (K, N), or None when every key is -1. A row with key -1 needs
+    no ranking, and build_mask masks it without scores. build_mask also
+    masks a lone ranked row, where its loop is faster than the stacked form. The
+    stacked form ranks every other row at once: one stable sort by the tie
+    rule of `ranking`, and a stable order restricted to one type keeps it,
+    so a row's replaced positions of a type are its first k of that type in
+    rank order, found by per-type cumulative counts against (R, 1) extent
+    columns. Both forms give the same masks.
+    """
+    ranked = [b for b, k in enumerate(keys) if k >= 0]
+    if len(ranked) < 2:
+        return [
+            build_mask(t, None if k < 0 else scores[k], r)
+            for t, k, r in zip(tokens, keys, ratios)
+        ]
+    masks = [
+        None if k >= 0 else build_mask(t, None, r) for t, k, r in zip(tokens, keys, ratios)
+    ]
+    n = scores.shape[1]
+    if any(len(tokens[b]) != n for b in ranked):
+        raise InvalidInputError("importance length does not match token count")
+    order = ranking(scores[[keys[b] for b in ranked]])  # (R, N)
+    extents = np.array([mask_extent(tokens[b], ratios[b]) for b in ranked])  # (R, 2)
+    # the content bits in rank order, and the content positions ranked at or above
+    content = np.take_along_axis(
+        np.array([tokens[b].content_bits for b in ranked]), order, axis=1
+    )
+    seen = content.cumsum(axis=1)
+    replaced = np.where(
+        content, seen <= extents[:, :1], np.arange(1, n + 1) - seen <= extents[:, 1:]
+    )
+    bits = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(bits, order, ~replaced, axis=1)
+    # every row replaces k_content + k_ctxagg positions, in ascending order
+    positions = np.nonzero(bits == 0)[1].tolist()
+    ends = extents.sum(axis=1).cumsum().tolist()
+    start = 0
+    for b, row_bits, (k_content, k_ctxagg), end in zip(ranked, bits, extents.tolist(), ends):
+        masks[b] = DegradationMask(row_bits, k_content, k_ctxagg, tuple(positions[start:end]))
+        start = end
+    return masks
 
 
 def apply_mask(

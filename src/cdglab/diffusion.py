@@ -21,6 +21,7 @@ from .degradation import (
     DegradationRatios,
     apply_mask,
     build_mask,
+    build_masks,
     mask_extent,
 )
 from .encoder import Condition, PromptState, TokenSequence, ToyTextEncoder
@@ -227,14 +228,18 @@ class SamplerRun:
         return self.trajectory[-1]
 
 
-def _compute_importance(weights: list[np.ndarray]) -> np.ndarray:
-    """Per-head token importance (K, H, N) of K attention stacks (H, N, N).
+def _compute_importance(weights: np.ndarray, overwrite: bool) -> np.ndarray:
+    """Per-head token importance (K, H, N) of K attention stacks (K, H, N, N).
 
     One stationary solve covers every head of every stack; a head's result
-    does not depend on the rest of the stack.
+    does not depend on the rest of the stack. With overwrite, weights is
+    the caller's own float64 array, which the solve normalizes in place
+    and then overwrites.
     """
-    stack = weights[0] if len(weights) == 1 else np.concatenate(weights)
-    return stationary_scores(stack).reshape(len(weights), -1, stack.shape[-1])
+    k, h, n = weights.shape[:3]
+    return stationary_scores(
+        weights.reshape(k * h, n, n), overwrite_weights=overwrite
+    ).reshape(k, h, n)
 
 
 @dataclass(frozen=True)
@@ -266,54 +271,136 @@ def degrade_row(
     return DegradeRow(label, tokens, condition, ratios, states[key])
 
 
+def _stacked_weights(
+    states: list[PromptState], x: np.ndarray, sigma: float | np.ndarray, bias_weight: float
+) -> np.ndarray:
+    """Attention weights (K, H, N, N) of states[k] at latent x[k] and noise
+    sigma (one, or a (K, 1) column): one fresh array.
+
+    The held states' static maps are gathered per key and scaled in place
+    by one exp of their logit shifts, each one (N, d_x + 1) @ (d_x + 1)
+    product per key and head, so every key's weights equal its
+    PromptState.weights bit for bit.
+    """
+    held = list({id(s): s for s in states}.values())  # in order of first use
+    slot = {id(s): u for u, s in enumerate(held)}
+    state_of = np.array([slot[id(s)] for s in states])
+    weights = np.stack([s.static for s in held])[state_of]
+    if bias_weight != 0.0:
+        z = np.empty((len(x), x.shape[1] + 1))
+        z[:, :-1] = x
+        z[:, -1:] = sigma
+        # one product per held state over its keys, so no (K, H, N, d_x + 1)
+        # gather of the maps is held beside the weights
+        shift = np.empty((*weights.shape[:-1], 1))
+        for u, state in enumerate(held):
+            at = np.flatnonzero(state_of == u)
+            shift[at] = state.shift_map @ z[at, None, :, None]
+        weights *= np.exp(bias_weight * shift).swapaxes(-1, -2)
+    return weights
+
+
+def _filtered(exc: AllHeadsFilteredError, row: DegradeRow, sigma: float) -> AllHeadsFilteredError:
+    """exc, naming the row whose every head was filtered and its sigma."""
+    return AllHeadsFilteredError(f"{exc} for {row.label} at sigma {sigma}", exc.index)
+
+
+def _one_row_mask(
+    row: DegradeRow, x: np.ndarray, sigma: float, fusion: FusionConfig | None,
+    bias_weight: float,
+) -> DegradationMask:
+    """The mask of one row at latent x (d_x,): the sampler's step for one chain.
+
+    It takes the row's PromptState.weights, a solve that normalizes a copy
+    of them, and build_mask. Inside a chain, where the caches are cold, the
+    stacked path's key lookup, gathers and row lists cost this step 5 to
+    18 us more, and normalizing in place moved the chain's timing too;
+    criterion 8 reads both in CDG's one-time overhead over CFG.
+    """
+    scores = None
+    if row.state is not None:
+        try:
+            scores = fuse_head_stacks(
+                _compute_importance(
+                    row.state.weights(x, sigma, bias_weight)[None], overwrite=False
+                ),
+                fusion,
+            )[0]
+        except AllHeadsFilteredError as exc:
+            raise _filtered(exc, row, sigma) from exc
+    return build_mask(row.tokens, scores, row.ratios)
+
+
+def _stacked_masks(
+    rows: Sequence[DegradeRow], x: np.ndarray, sigma: float | np.ndarray,
+    fusion: FusionConfig | None, bias_weight: float,
+) -> list[DegradationMask]:
+    """The masks of rows at latents x (B, d_x) and sigma (one, or a (B, 1)
+    column), ranked in one stationary solve and masked by build_masks."""
+    column = isinstance(sigma, np.ndarray)
+    if column and sigma.shape != (len(rows), 1):
+        raise InvalidInputError(f"sigma column of shape {sigma.shape} for {len(rows)} rows")
+    sigmas = sigma[:, 0].tolist() if column else [sigma] * len(rows)
+    # each distinct (prompt state, latent, sigma) is ranked once, at its
+    # first row; a row without a state keeps key -1
+    index: dict[tuple, int] = {}
+    keys = [-1] * len(rows)
+    firsts: list[int] = []
+    for r, (row, sigma_r) in enumerate(zip(rows, sigmas)):
+        if row.state is not None:
+            k = keys[r] = index.setdefault((id(row.state), x[r].tobytes(), sigma_r), len(firsts))
+            if k == len(firsts):
+                firsts.append(r)
+    stacks = None
+    if firsts:
+        try:
+            stacks = fuse_head_stacks(
+                _compute_importance(_stacked_weights(
+                    [rows[r].state for r in firsts], x[firsts],
+                    sigma[firsts] if column else sigma, bias_weight,
+                ), overwrite=True),
+                fusion,
+            )
+        except AllHeadsFilteredError as exc:
+            r = firsts[exc.index]
+            raise _filtered(exc, rows[r], sigmas[r]) from exc
+    return build_masks([row.tokens for row in rows], stacks, keys, [row.ratios for row in rows])
+
+
 def degrade_rows(
     encoder: ToyTextEncoder,
     rows: Sequence[DegradeRow],
     x: np.ndarray,
-    sigma: float,
+    sigma: float | np.ndarray,
     d_c: int,
     fusion: FusionConfig | None,
     bias_weight: float,
     previous: Sequence[DegradationMask] | None = None,
 ) -> tuple[list[DegradationMask], list[int], np.ndarray | None]:
-    """Degradation masks of rows at latents x (B, d_x) and one sigma.
+    """Degradation masks of rows at latents x (B, d_x) and noise levels sigma.
 
-    A row without a state (degrade_row's ratio-1.0 boundary) is masked
-    without scores, as it needs no ranking. The other rows are ranked
-    from their prompt state at their latent: rows sharing a state and a
-    latent are ranked once, every distinct input in one stacked solve and
-    fused in one stacked call, then masked per row.
+    sigma is one noise level for every row, or a (B, 1) column of one per
+    row, as in denoise. A row without a state (degrade_row's ratio-1.0
+    boundary) is masked without scores, as it needs no ranking. The other
+    rows are ranked from their prompt state at their (latent, sigma): rows
+    sharing all three are ranked once. The distinct inputs' attention
+    weights are built as one (K, H, N, N) array, which one stationary solve
+    normalizes in place, and one stacked call fuses; build_masks then masks
+    every row from its key's fused scores. One row at one sigma, the
+    sampler's step for one chain, takes _one_row_mask instead.
     Returns every row's mask, the indices of the rows whose bits differ
     from `previous` (every row when it is None), and those rows' pooled
     degraded embeddings (C, d_c), or None when no row changed; the other
     rows' embeddings still hold.
     """
-    # each distinct (prompt state, latent) is ranked once, at its first row
-    index: dict[tuple[int, bytes], int] = {}
-    weights: list[np.ndarray] = []
-    keys = [-1] * len(rows)
-    for r, row in enumerate(rows):
-        if row.state is None:
-            continue
-        x_r = x[r]
-        k = keys[r] = index.setdefault((id(row.state), x_r.tobytes()), len(weights))
-        if k == len(weights):
-            weights.append(row.state.weights(x_r, sigma, bias_weight))
-    if weights:
-        scores = _compute_importance(weights)
-        try:
-            stacks = fuse_head_stacks(scores, fusion)
-        except AllHeadsFilteredError as exc:
-            row = rows[keys.index(exc.index)]
-            raise AllHeadsFilteredError(
-                f"{exc} for {row.label} at sigma {sigma}", exc.index
-            ) from exc
-    masks: list[DegradationMask] = []
-    changed: list[int] = []
-    for r, (row, k) in enumerate(zip(rows, keys)):
-        masks.append(build_mask(row.tokens, stacks[k] if k >= 0 else None, row.ratios))
-        if previous is None or masks[r].bits.tobytes() != previous[r].bits.tobytes():
-            changed.append(r)
+    if len(rows) == 1 and not isinstance(sigma, np.ndarray):
+        masks = [_one_row_mask(rows[0], x[0], sigma, fusion, bias_weight)]
+    else:
+        masks = _stacked_masks(rows, x, sigma, fusion, bias_weight)
+    changed = [
+        r for r, mask in enumerate(masks)
+        if previous is None or mask.bits.tobytes() != previous[r].bits.tobytes()
+    ]
     if not changed:
         return masks, changed, None
     degraded = apply_mask(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,14 @@ class TokenSequence:
             cached = [i for i, t in enumerate(self.types) if t is ttype]
             self._positions[ttype] = cached
         return cached
+
+    @cached_property
+    def content_bits(self) -> np.ndarray:
+        """A read-only bool per position: True at content tokens."""
+        bits = np.zeros(len(self.ids), dtype=bool)
+        bits[self.positions_of(TokenType.CONTENT)] = True
+        bits.flags.writeable = False
+        return bits
 
 
 @dataclass
@@ -203,21 +212,11 @@ class ToyTextEncoder:
             raise InvalidInputError(f"token id outside [0, {p.vocab_size})")
         return self.tok_emb[list(tokens.ids)] + self.pos_emb
 
-    def _forward(self, tokens: TokenSequence) -> tuple[np.ndarray, list[np.ndarray]]:
-        x = self._embed(tokens)
-        attns = []
-        for b in range(self.params.n_blocks):
-            x, attn = self._block_attention(x, b)
-            attns.append(attn)
-        return x, attns
-
     def encode(self, tokens: TokenSequence) -> Condition:
-        x, _ = self._forward(tokens)
+        x = self._embed(tokens)
+        for b in range(self.params.n_blocks):
+            x, _ = self._block_attention(x, b)
         return Condition(embeddings=x)
-
-    def attention_maps(self, tokens: TokenSequence) -> list[np.ndarray]:
-        """Per-block, per-head row-stochastic attention maps (each H x N x N)."""
-        return self._forward(tokens)[1]
 
     def attention_at_block(self, tokens: TokenSequence, block: int) -> np.ndarray:
         """Attention of one block (H x N x N)."""

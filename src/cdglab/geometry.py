@@ -28,6 +28,9 @@ from .importance import FusionConfig
 from .linalg import SvdResult, principal_angle_sines_squared, project_onto, thin_svd
 
 _ZERO_DELTA_TOL = 1e-300
+# the most attention weights one degrade call of the sweep holds: 8 MiB, or
+# 1024 rows of 4 heads over 16 tokens
+_DEGRADE_BLOCK_BYTES = 1 << 23
 
 
 def _top_subspace(svd: SvdResult, k: int) -> np.ndarray:
@@ -174,15 +177,18 @@ def run_geometry_sweep(
     num_prompts - 1.
 
     The sweep is one pass over every (sigma, prompt) row, sigma-major: one
-    latent stack, three denoise calls (conditional, null, degraded) with a
-    column of per-row sigmas, one stacked SVD of the conditional
-    predictions, and one stacked projection of the per-prompt deltas per
-    sigma. The pooled CFG and CDG spans of every sigma then take one SVD
-    per valid prompt count and one per (count, rank, k) for their principal
-    angles. The degrade step runs once per sigma, so only one sigma's
-    attention weights are held at a time. Each row's arithmetic is that of
-    a per-sigma computation, so the report does not depend on the
-    stacking.
+    latent stack, one degrade step and three denoise calls (conditional,
+    null, degraded), each with a column of per-row sigmas, one stacked SVD
+    of the conditional predictions, and one stacked projection of the
+    per-prompt deltas per sigma. The pooled CFG and CDG spans of every
+    sigma then take one SVD per valid prompt count and one per (count,
+    rank, k) for their principal angles. The degrade step ranks its rows
+    in one stationary solve and holds their attention weights, H * N^2
+    floats a row, at once: 1.8 MB for all 224 rows at 28 sigmas, 8 prompts,
+    4 heads and 16 tokens. Longer schedules or more prompts take the rows
+    in blocks of at most _DEGRADE_BLOCK_BYTES of weights, one degrade call
+    each. Each row's arithmetic is that of a per-sigma computation, so the
+    report does not depend on the stacking or the blocks.
     """
     n_prompts = len(prompts_tokens)
     if n_prompts < 2:
@@ -204,12 +210,17 @@ def run_geometry_sweep(
         np.random.default_rng([seed, si, p]).normal(size=model.d_x)
         for si in range(n_sigmas) for p in range(n_prompts)
     ]) * sigma_col
+    # the degrade step holds its rows' attention weights, H * N^2 floats a
+    # row, so it takes the rows in blocks whose weights fit the budget
+    row_bytes = encoder.params.n_heads * max(map(len, prompts_tokens)) ** 2 * 8
+    block = max(1, _DEGRADE_BLOCK_BYTES // row_bytes)
+    all_rows = rows * n_sigmas
     e_deg = np.concatenate([
         degrade_rows(
-            encoder, rows, x[si * n_prompts : (si + 1) * n_prompts], sigma,
+            encoder, all_rows[i : i + block], x[i : i + block], sigma_col[i : i + block],
             model.d_c, fusion, attention_bias_weight,
         )[2]
-        for si, sigma in enumerate(sigmas)
+        for i in range(0, len(x), block)
     ])
     # every embedding is one row per latent, so a negative equal to a
     # prompt's embedding gives delta 0

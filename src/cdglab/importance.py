@@ -4,10 +4,10 @@ A head's score vector is its weighted-PageRank fixed point: the stationary
 distribution of the row-normalized attention matrix (no damping: softmax
 attention is strictly positive, so the chain is irreducible and the fixed
 point unique). stationary_scores computes it exactly for a stack of heads
-with one batched linear solve; wpr_single_head is the power iteration that
-converges to it, kept as the reference. Head fusion is root-mean-square
-aggregation behind an optional variance filter, and a cross-attention
-column-sum baseline is provided for comparison.
+with one batched linear solve; the power iteration that converges to it is
+the tests' reference. Head fusion is root-mean-square aggregation behind an
+optional variance filter, and a cross-attention column-sum baseline is
+provided for comparison.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import numpy as np
 from .errors import AllHeadsFilteredError, DegenerateGraphError, InvalidInputError
 from .linalg import all_finite
 
-DEFAULT_EPSILON = 1e-8
-DEFAULT_MAX_ITERS = 1000
-
 
 def ranking(scores: np.ndarray) -> np.ndarray:
     """Positions by descending score; a stable sort on the negated scores,
@@ -29,10 +26,11 @@ def ranking(scores: np.ndarray) -> np.ndarray:
     return (-scores).argsort(kind="stable")
 
 
-def _row_normalized(a: np.ndarray, ndim: int) -> np.ndarray:
+def _row_normalized(a: np.ndarray, ndim: int, in_place: bool = False) -> np.ndarray:
     """Checked attention weights, each row scaled to sum to 1.
 
-    a is one square matrix (ndim 2) or a stack of heads (ndim 3).
+    a is one square matrix (ndim 2) or a stack of heads (ndim 3). In place,
+    a float64 array is scaled where it is, with the same bits as a copy.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or 0 in a.shape:
@@ -49,32 +47,10 @@ def _row_normalized(a: np.ndarray, ndim: int) -> np.ndarray:
     # only a zero weight can leave a row summing to zero
     if lo == 0 and np.count_nonzero(row_sums) < row_sums.size:
         raise DegenerateGraphError("attention matrix has an all-zero row")
-    return a / row_sums
-
-
-def wpr_single_head(
-    a: np.ndarray,
-    epsilon: float = DEFAULT_EPSILON,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> tuple[np.ndarray, bool]:
-    """Weighted-PageRank power iteration on one attention head.
-
-    Row-normalizes a, starts from the uniform vector, and iterates
-    s <- normalize(a^T s) until the L1 change drops below epsilon. Returns
-    (scores, converged): if the iteration budget runs out, the last iterate
-    with converged False.
-    """
-    at = np.ascontiguousarray(_row_normalized(a, 2).T)
-    n = at.shape[0]
-    s = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
-        new = at @ s
-        new /= new.sum()
-        change = np.abs(new - s).sum()
-        s = new
-        if change < epsilon:
-            return s, True
-    return s, False
+    if not in_place:
+        return a / row_sums
+    a /= row_sums
+    return a
 
 
 @dataclass
@@ -90,7 +66,7 @@ class FusionConfig:
             raise InvalidInputError("need 0 <= v_min <= v_max when enabled")
 
 
-def stationary_scores(weights: np.ndarray) -> np.ndarray:
+def stationary_scores(weights: np.ndarray, overwrite_weights: bool = False) -> np.ndarray:
     """Exact WPR fixed points of a stack of attention heads, shape (H, N).
 
     The power iteration's limit is the stationary vector of the
@@ -98,9 +74,12 @@ def stationary_scores(weights: np.ndarray) -> np.ndarray:
     (B - I) s = 0 with sum(s) = 1. One batched linear solve finds it for
     every head at machine precision. Rows need not be normalized on input:
     the row normalization absorbs any per-row scale, such as the softmax's.
+    With overwrite_weights, a caller that hands over its own float64 array
+    lets the solve use it as its workspace instead of a copy; the array's
+    contents are then undefined.
     """
     # a fresh array, so B - I is built in place: B is its transpose per head
-    p = np.ascontiguousarray(_row_normalized(weights, 3))
+    p = np.ascontiguousarray(_row_normalized(weights, 3, overwrite_weights))
     h, n = p.shape[0], p.shape[1]
     p.reshape(h, n * n)[:, :: n + 1] -= 1.0
     # (B - I) has rank n-1; the normalization constraint replaces its last

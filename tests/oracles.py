@@ -1,6 +1,9 @@
 """Reference implementations the tests check the package against.
 
-None of these has a caller in the package. `PredictionStack`,
+None of these has a caller in the package. `wpr_single_head` is the
+power iteration whose limit `stationary_scores` solves for, and
+`attention_maps` runs the encoder's blocks one by one and keeps each
+block's attention. `PredictionStack`,
 `estimate_subspace` and `orthonormal_basis` build subspace bases from
 stacked rows through plain `thin_svd`. `pooled_decoupling` and
 `pooled_interference` are the one-matrix-at-a-time forms of the pooled
@@ -15,8 +18,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cdglab.encoder import TokenSequence, ToyTextEncoder
 from cdglab.errors import InvalidInputError, RankDeficientError
+from cdglab.importance import _row_normalized
 from cdglab.linalg import principal_angle_sines_squared, project_onto, thin_svd
+
+DEFAULT_EPSILON = 1e-8
+DEFAULT_MAX_ITERS = 1000
+
+
+def wpr_single_head(
+    a: np.ndarray,
+    epsilon: float = DEFAULT_EPSILON,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> tuple[np.ndarray, bool]:
+    """Weighted-PageRank power iteration on one attention head.
+
+    Row-normalizes a, starts from the uniform vector, and iterates
+    s <- normalize(a^T s) until the L1 change drops below epsilon. Returns
+    (scores, converged): if the iteration budget runs out, the last iterate
+    with converged False.
+    """
+    at = np.ascontiguousarray(_row_normalized(a, 2).T)
+    n = at.shape[0]
+    s = np.full(n, 1.0 / n)
+    for _ in range(max_iters):
+        new = at @ s
+        new /= new.sum()
+        change = np.abs(new - s).sum()
+        s = new
+        if change < epsilon:
+            return s, True
+    return s, False
+
+
+def attention_maps(encoder: ToyTextEncoder, tokens: TokenSequence) -> list[np.ndarray]:
+    """Per-block, per-head row-stochastic attention maps (each H x N x N)."""
+    x = encoder._embed(tokens)
+    maps = []
+    for b in range(encoder.params.n_blocks):
+        x, attn = encoder._block_attention(x, b)
+        maps.append(attn)
+    return maps
 
 
 @dataclass

@@ -33,11 +33,10 @@ from cdglab.guidance import GuidanceConfig, GuidanceMode, combine
 from cdglab.importance import (
     cross_attention_baseline,
     ranking,
-    wpr_single_head,
 )
 
 from conftest import random_prompt
-from oracles import denoiser_to_score
+from oracles import denoiser_to_score, wpr_single_head
 
 
 def _report(number: int, name: str) -> None:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cdglab.degradation import (
     apply_mask,
     build_mask,
+    build_masks,
     map_ratio,
     mask_extent,
     type_order,
@@ -160,6 +161,69 @@ class TestBuildMask:
             pos = tokens.positions_of(ttype)
             order = np.argsort(-scores[np.asarray(pos, dtype=int)], kind="stable")
             assert type_order(tokens, scores, ttype) == [pos[j] for j in order]
+
+
+class TestBuildMasks:
+    """build_masks ranks every keyed row at once; build_mask is its one-row
+    form and masks the rows without a key."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        prompts=st.lists(PROMPTS, min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_rows_match_build_mask(self, params, prompts, data):
+        tokens = [tokenize(p, params) for p in prompts]
+        n = len(tokens[0])
+        n_keys = data.draw(st.integers(1, len(tokens)))
+        # keys repeat, and a row without one needs no ranking: its ratio
+        # replaces whole types or none
+        keys = data.draw(st.lists(
+            st.integers(-1, n_keys - 1), min_size=len(tokens), max_size=len(tokens)
+        ))
+        ratios = [
+            map_ratio(data.draw(st.sampled_from(
+                [0.0, 1.0, 2.0] if k < 0 else [0.0, 0.3, 0.5, 1.0, 1.25, 1.5, 2.0]
+            )))
+            for k in keys
+        ]
+        # few distinct values, so most scores tie
+        scores = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n),
+            min_size=n_keys, max_size=n_keys,
+        )))
+        got_masks = build_masks(tokens, scores, keys, ratios)
+        assert len(got_masks) == len(tokens)
+        for got, t, k, r in zip(got_masks, tokens, keys, ratios):
+            want = build_mask(t, None if k < 0 else scores[k], r)
+            np.testing.assert_array_equal(got.bits, want.bits)
+            assert got.bits.dtype == want.bits.dtype
+            assert got.replaced_indices == want.replaced_indices
+            assert (got.k_content, got.k_ctxagg) == (want.k_content, want.k_ctxagg)
+
+    def test_unranked_rows_need_no_scores(self, params):
+        tokens = [tokenize(p, params) for p in ("a man is cooking", "", "the red man")]
+        for r in (0.0, 1.0):
+            ratios = [map_ratio(r)] * len(tokens)
+            for got, t in zip(build_masks(tokens, None, [-1] * 3, ratios), tokens):
+                want = build_mask(t, None, map_ratio(r))
+                np.testing.assert_array_equal(got.bits, want.bits)
+                assert got.replaced_indices == want.replaced_indices
+        # "" has no content word, so R=0.5 replaces none of it; the other
+        # prompts are replaced in part and need scores
+        with pytest.raises(InvalidInputError, match="partial content"):
+            build_masks(tokens, None, [-1] * 3, [map_ratio(0.5)] * 3)
+        with pytest.raises(InvalidInputError, match="partial ctx_agg"):
+            build_masks(tokens, None, [-1] * 3, [map_ratio(1.5)] * 3)
+        # beside two ranked rows, an unranked one is still held to the rule
+        scores = np.ones((2, len(tokens[0])))
+        with pytest.raises(InvalidInputError, match="partial content"):
+            build_masks(tokens, scores, [0, 1, -1], [map_ratio(0.5)] * 3)
+
+    def test_score_shape_must_match_rows(self, params):
+        tokens = [tokenize(p, params) for p in ("a man", "the red man")]
+        with pytest.raises(InvalidInputError):
+            build_masks(tokens, np.ones((2, len(tokens[0]) - 1)), [0, 1], [map_ratio(0.5)] * 2)
 
 
 class TestApplyMask:

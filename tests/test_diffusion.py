@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdglab import diffusion
+from cdglab.degradation import map_ratio
 from cdglab.diffusion import (
     DEFAULT_ATTENTION_BIAS_WEIGHT,
     Chain,
@@ -39,9 +41,9 @@ def recorded_solves(monkeypatch) -> list[tuple[int, ...]]:
     """The input shape of every stationary solve the sampler makes from now on."""
     shapes = []
 
-    def recording(weights):
+    def recording(weights, **kwargs):
         shapes.append(np.shape(weights))
-        return stationary_scores(weights)
+        return stationary_scores(weights, **kwargs)
 
     monkeypatch.setattr(diffusion, "stationary_scores", recording)
     return shapes
@@ -702,6 +704,160 @@ class TestSample:
         with np.errstate(all="ignore"):
             with pytest.raises(DegenerateGraphError):
                 sample(model, schedule, encoder, tokens, cdg, 0, attention_bias_weight=1e6)
+
+
+DEGRADE_PROMPTS = ["a man is cooking", "a cat sits on the mat", "", "the dog runs in a park"]
+
+
+def _degrade_case(encoder, params, data):
+    """(blocks, fusion, bias): per sigma, its rows and their latents.
+
+    Prompts repeat across and within blocks, R=1.0 rows carry no state, a
+    block may end with a copy of its last row at the same latent, and the
+    first row of the second block has the state and the latent of the
+    first block's first row, at another sigma.
+    """
+    bias = data.draw(st.sampled_from([0.0, DEFAULT_ATTENTION_BIAS_WEIGHT]))
+    tokens = [tokenize(p, params) for p in DEGRADE_PROMPTS]
+    fusion = data.draw(st.sampled_from([
+        None,
+        FusionConfig(v_min=0.0, v_max=1.0, enabled=True),
+        window_below_top_heads(encoder, tokens),
+    ]))
+    sigmas = data.draw(st.lists(
+        st.integers(1, 2000).map(lambda i: i / 100), min_size=2, max_size=4, unique=True
+    ))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    specs = st.tuples(
+        st.integers(0, len(tokens) - 1), st.sampled_from([0.3, 0.5, 1.0, 1.5])
+    )
+    states: dict[tuple, object] = {}
+    blocks = []
+    for si, sigma in enumerate(sigmas):
+        block = data.draw(st.lists(specs, min_size=1, max_size=4))
+        x = rng.normal(size=(len(block), 8)) * sigma
+        if si == 1:
+            block[0] = blocks[0][0][0]
+            x[0] = blocks[0][1][0]
+        if data.draw(st.booleans()):
+            block.append(block[-1])
+            x = np.concatenate([x, x[-1:]])
+        blocks.append((block, x))
+    return [
+        (
+            sigma,
+            [
+                diffusion.degrade_row(
+                    encoder, f"row {si}.{r}", tokens[p], encoder.encode(tokens[p]),
+                    map_ratio(r_deg), 1, 8, states,
+                )
+                for r, (p, r_deg) in enumerate(block)
+            ],
+            x,
+        )
+        for si, (sigma, (block, x)) in enumerate(zip(sigmas, blocks))
+    ], fusion, bias
+
+
+def _degrade_per_sigma(encoder, blocks, fusion, bias, previous):
+    """degrade_rows once per sigma, its results laid end to end."""
+    masks, changed, embeddings, start = [], [], [], 0
+    for sigma, rows, x in blocks:
+        prev = None if previous is None else previous[start : start + len(rows)]
+        m, c, e = diffusion.degrade_rows(encoder, rows, x, sigma, 8, fusion, bias, prev)
+        masks += m
+        changed += [start + r for r in c]
+        embeddings += [] if e is None else list(e)
+        start += len(rows)
+    return masks, changed, embeddings
+
+
+class TestDegradeRows:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sigma_column_matches_per_sigma_calls(self, encoder, params, data):
+        blocks, fusion, bias = _degrade_case(encoder, params, data)
+        rows = [row for _, block, _ in blocks for row in block]
+        x = np.concatenate([x for *_, x in blocks])
+        column = np.concatenate([np.full((len(b), 1), s) for s, b, _ in blocks])
+        # each call's masks once without a previous step, and once against
+        # the masks of the same rows one block later, so some rows change
+        try:
+            first = _degrade_per_sigma(encoder, blocks, fusion, bias, None)[0]
+        except AllHeadsFilteredError as exc:
+            with pytest.raises(AllHeadsFilteredError, match=re.escape(str(exc))):
+                diffusion.degrade_rows(encoder, rows, x, column, 8, fusion, bias)
+            return
+        shifted = first[len(blocks[0][1]):] + first[: len(blocks[0][1])]
+        for previous in (None, shifted):
+            expected = _degrade_per_sigma(encoder, blocks, fusion, bias, previous)
+            masks, changed, e = diffusion.degrade_rows(
+                encoder, rows, x, column, 8, fusion, bias, previous
+            )
+            assert changed == expected[1]
+            assert len(masks) == len(expected[0])
+            for got, want in zip(masks, expected[0]):
+                np.testing.assert_array_equal(got.bits, want.bits)
+                assert got.replaced_indices == want.replaced_indices
+                assert (got.k_content, got.k_ctxagg) == (want.k_content, want.k_ctxagg)
+            if changed:
+                np.testing.assert_array_equal(e, np.array(expected[2]))
+            else:
+                assert e is None and not expected[2]
+        # the stacked weights of every ranked row equal PromptState.weights
+        ranked = [r for r, row in enumerate(rows) if row.state is not None]
+        if ranked:
+            stacked = diffusion._stacked_weights(
+                [rows[r].state for r in ranked], x[ranked], column[ranked], bias
+            )
+            for w, r in zip(stacked, ranked):
+                np.testing.assert_array_equal(
+                    w, rows[r].state.weights(x[r], column[r, 0], bias)
+                )
+
+    def test_same_state_and_latent_at_two_sigmas_ranked_apart(self, encoder, params):
+        tokens = tokenize("the old man and the young woman cook dinner", params)
+        row = diffusion.degrade_row(
+            encoder, "row", tokens, encoder.encode(tokens), map_ratio(0.5), 1, 8, {}
+        )
+        x = np.tile(np.random.default_rng(4).normal(size=8) * 3.0, (2, 1))
+        sigmas = [0.05, 20.0]
+        alone = [
+            diffusion.degrade_rows(encoder, [row], x[:1], s, 8, None, 0.5)[0][0]
+            for s in sigmas
+        ]
+        # the two sigmas rank the tokens apart, so a key without sigma would
+        # give the second row the first one's mask
+        assert alone[0].replaced_indices != alone[1].replaced_indices
+        masks = diffusion.degrade_rows(
+            encoder, [row, row], x, np.array(sigmas)[:, None], 8, None, 0.5
+        )[0]
+        assert [m.replaced_indices for m in masks] == [m.replaced_indices for m in alone]
+
+    def test_all_heads_filtered_names_row_and_its_sigma(self, encoder, params):
+        keep, drop = (tokenize(p, params) for p in ("a man is cooking", "a dog"))
+        fusion = window_around_first_head(encoder, keep, drop)
+        states: dict[tuple, object] = {}
+        rows = [
+            diffusion.degrade_row(
+                encoder, label, t, encoder.encode(t), map_ratio(0.5), 1, 8, states
+            )
+            for label, t in (("first", keep), ("second", keep), ("third", drop))
+        ]
+        x = np.random.default_rng(0).normal(size=(3, 8))
+        column = np.array([[5.0], [2.5], [0.75]])
+        with pytest.raises(AllHeadsFilteredError, match="for third at sigma 0.75"):
+            diffusion.degrade_rows(encoder, rows, x, column, 8, fusion, 0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (3,), (1, 3), (3, 2)])
+    def test_bad_sigma_column_rejected(self, encoder, tokens, shape):
+        row = diffusion.degrade_row(
+            encoder, "row", tokens, encoder.encode(tokens), map_ratio(0.5), 1, 8, {}
+        )
+        with pytest.raises(InvalidInputError):
+            diffusion.degrade_rows(
+                encoder, [row] * 3, np.zeros((3, 8)), np.ones(shape), 8, None, 0.1
+            )
 
 
 class TestSamplerStatistics:

@@ -22,6 +22,8 @@ from cdglab.encoder import (
 from cdglab.errors import InvalidInputError, PromptTooLongError
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 
+from oracles import attention_maps
+
 words_strategy = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8),
     min_size=0,
@@ -171,14 +173,14 @@ class TestPool:
 
 class TestAttention:
     def test_maps_row_stochastic_positive(self, encoder, params, tokens):
-        for attn in encoder.attention_maps(tokens):
+        for attn in attention_maps(encoder, tokens):
             assert attn.shape == (params.n_heads, params.seq_len, params.seq_len)
             assert (attn > 0).all()
             np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-9)
 
     def test_block_extraction_matches_forward(self, params, tokens):
         encoder = ToyTextEncoder(params)  # fresh cache
-        full = encoder.attention_maps(tokens)
+        full = attention_maps(encoder, tokens)
         for b in range(params.n_blocks):
             np.testing.assert_allclose(
                 encoder.attention_at_block(tokens, b), full[b], atol=1e-12

@@ -312,18 +312,42 @@ class TestSweep:
         # column of per-row sigmas
         assert denoised == [((rows, model.d_x), (rows, 1), (rows, model.d_c))] * 3
 
-    def test_one_solve_per_sigma(self, model, encoder, params, monkeypatch):
+    def test_one_solve_per_call(self, model, encoder, params, monkeypatch):
         shapes = []
 
-        def recording(weights):
+        def recording(weights, **kwargs):
             shapes.append(np.shape(weights))
-            return stationary_scores(weights)
+            return stationary_scores(weights, **kwargs)
 
         monkeypatch.setattr(diffusion, "stationary_scores", recording)
         short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
         run_geometry_sweep(model, short, encoder, self._tokens(params), 0.5)
         n, h = params.seq_len, params.n_heads
-        assert shapes == [(len(PROMPTS) * h, n, n)] * short.steps
+        assert shapes == [(short.steps * len(PROMPTS) * h, n, n)]
+
+    def test_long_schedule_runs_in_blocks(self, model, encoder, params, monkeypatch):
+        # 40 sigmas of 5 prompts: 200 rows, which a budget of 7 rows' weights
+        # splits into 29 blocks that cut across sigmas
+        tokens = self._tokens(params)
+        long = SigmaSchedule.log_spaced(40, 10.0, 0.01)
+        whole = run_geometry_sweep(model, long, encoder, tokens, 0.5, seed=5)
+        blocks = []
+
+        def recording(encoder, rows, x, sigma, *args):
+            blocks.append((len(rows), x.shape, sigma.shape))
+            return degrade_rows(encoder, rows, x, sigma, *args)
+
+        row_bytes = params.n_heads * params.seq_len**2 * 8
+        # the benchmark's 224 rows stay one call at the real budget
+        assert geometry._DEGRADE_BLOCK_BYTES // row_bytes >= 224
+        monkeypatch.setattr(geometry, "_DEGRADE_BLOCK_BYTES", 7 * row_bytes + 1)
+        monkeypatch.setattr(geometry, "degrade_rows", recording)
+        split = run_geometry_sweep(model, long, encoder, tokens, 0.5, seed=5)
+        n_rows = long.steps * len(tokens)
+        assert [b for b, _, _ in blocks] == [7] * 28 + [n_rows - 7 * 28]
+        assert all(xs == (b, model.d_x) and ss == (b, 1) for b, xs, ss in blocks)
+        assert split.detail == whole.detail
+        assert split.records == whole.records
 
     def test_all_heads_filtered_names_prompt_and_sigma(self, model, encoder, params):
         tokens = self._tokens(params)

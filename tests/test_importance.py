@@ -23,8 +23,9 @@ from cdglab.importance import (
     fuse_head_stacks,
     ranking,
     stationary_scores,
-    wpr_single_head,
 )
+
+from oracles import wpr_single_head
 
 
 def positive_matrix(seed: int, n: int) -> np.ndarray:
