@@ -3,42 +3,23 @@
 #
 # Usage: scripts/compare_artifacts.sh REV
 #
-# Runs all five CLI commands (rank-tokens, build-mask at R=1.25, R=0.4,
-# R=1.0 and R=2.0, sample, sweep, diagnose) on scripts/demo_config.json
-# and on a CDG R=0.5 per-step fusion config, so build-mask's unranked
-# full-type branch reaches an artifact with scores present; `sweep` on the
-# demo config once more over the
-# unsorted grid 1.0,0.3,2.0,0.3,1.1, which repeats a ratio, so the configs
-# a sweep shares per ratio reach an artifact; `sample` alone on a CFG w=3
-# config and on a CFG* w=2.5 R=0.5 per-step config, so every guidance role
-# reaches an artifact; and `sample` and `sweep` on a CFG* w=2.5 per-step
-# config that lists a 12-word prompt twice, so duplicate per-step chains,
-# and the R=1.0 boundary beside R=1.1 and R=1.2 of equal mask extent,
-# reach an artifact; `sample` on a CDG w=1.0 R=0.5 per-step config, so a
-# degrading chain that is not guided reaches an artifact; and `diagnose`
-# on a CDG R=1.5 config with
-# `geometry_k: 2` that lists an empty prompt among three others, so zero
-# deltas (a `None` per prompt and a lower `num_valid_prompts`), an explicit
-# subspace dimension and R>1 reach an artifact; and `diagnose` on a CDG
-# R=0.5 config with `d_x: 4`, `geometry_k: 4` and six prompts (one
-# repeated), so a pooled delta span with more columns than d_x (rank below
-# its column count) and a span rank no larger than k, the principal-angle
-# orientation the other configs miss, reach an artifact; `diagnose` on a
-# CDG R=0.5 config with two prompts, one of them empty, so every pooled
-# delta span has one valid prompt and the rank-1 principal-angle path
-# reaches an artifact; `diagnose` on a one-component model with `d_c: 1`,
-# where every delta is a multiple of one column of the model's map, so
-# each pooled span of three columns has numerical rank 1 and its basis is
-# a slice of the left singular vectors, whose strides decide the last bit
-# of `decoupling_pooled`; and `diagnose` on a CDG R=1.0 config, where no
-# row ranks its tokens and the degrade step makes no stationary solve.
-# Each runs once with the code of REV and once
-# with the working tree, both reading the working tree's configs. The
-# fusion windows of the fusion and diagnose configs keep some but not all
-# heads (1 to 3 of 4) at every ranking of every command on them. Then
-# `diff -r` compares the two output trees. Exits 0
-# when every artifact is byte-identical, 1 on any difference or failed
-# command, 2 on a usage error.
+# Runs each config below with the code of REV and with the working tree, both
+# reading the working tree's configs, then `diff -r` compares the two output
+# trees. Exits 0 when every artifact is byte-identical, 1 on any difference or
+# failed command, 2 on a usage error. Each config (scripts/demo_config.json,
+# the others NAME_config.json below), its commands, and the path it brings to
+# an artifact:
+#   demo: all five; build-mask at R=1.25/0.4/1.0/2.0; sweep over 1.0,0.3,2.0,0.3,1.1 (a ratio repeated); sample --seed 7 (the override in metadata.json)
+#   fusion: all five, CDG R=0.5 per-step, 1 to 3 of 4 heads kept; build-mask's unranked whole-type branch with scores
+#   cfg: sample, the CFG role at w=3
+#   cfg_star: sample, the CFG* role at w=2.5, R=0.5 per-step
+#   unguided_cdg: sample, a degrading chain at w=1.0 that is not guided
+#   duplicates: sample and sweep, a 12-word prompt twice (duplicate per-step chains), R=1.0 beside 1.1 and 1.2 of equal extent
+#   diagnose: diagnose, an empty prompt among three (zero deltas, fewer valid prompts), geometry_k 2, R=1.5
+#   small_diagnose: diagnose, d_x 4 and six prompts, so pooled spans of rank below their column count and the other angle orientation
+#   rank_one_diagnose: diagnose, two prompts, one empty, so every pooled span has one valid prompt (the rank-1 path)
+#   collinear_diagnose: diagnose, one component and d_c 1, so rank-1 pooled spans whose basis is a strided slice of u
+#   boundary_diagnose: diagnose at R=1.0, where no row ranks and the degrade step makes no solve
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -195,10 +176,7 @@ cat >"$tmp/boundary_diagnose_config.json" <<'JSON'
 }
 JSON
 
-# run_all CODE_ROOT OUT: every command on the demo and fusion configs, a
-# second `sweep` grid on the demo config, `sample` on the role configs
-# and the unguided CDG config, `sample` and `sweep` on the duplicates
-# config and `diagnose` on the five diagnose configs, outputs under OUT
+# run_all CODE_ROOT OUT: the commands listed above, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
     cli() {
@@ -225,6 +203,7 @@ run_all() {
     config=$root/scripts/demo_config.json
     name=demo_config
     cli sweep-grid sweep --grid 1.0,0.3,2.0,0.3,1.1
+    cli sample-seed-7 sample --seed 7
     for config in "$tmp/cfg_config.json" "$tmp/cfg_star_config.json" \
         "$tmp/unguided_cdg_config.json"; do
         name=$(basename "$config" .json)

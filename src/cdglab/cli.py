@@ -198,6 +198,12 @@ def cmd_build_mask(cfg: RunConfig, prompt: str, r_deg: float, out: Path, force: 
 def cmd_sample(cfg: RunConfig, out: Path, force: bool) -> int:
     names = [f"trajectory_{p:03d}.csv" for p in range(len(cfg.prompts))]
     _check_outputs(out, names + ["metadata.json"], force)
+    echo = config_echo(cfg)
+    try:
+        json.dumps(echo, allow_nan=False)
+    except ValueError as exc:
+        # a config may hold what JSON cannot, e.g. an infinite fusion bound
+        raise OutputUnwritableError(f"cannot echo the config in metadata.json: {exc}") from exc
     model = cfg.build_model()
     schedule = cfg.build_schedule()
     encoder = cfg.build_encoder()
@@ -211,7 +217,7 @@ def cmd_sample(cfg: RunConfig, out: Path, force: bool) -> int:
         fusion=cfg.fusion, attention_bias_weight=cfg.attention_bias_weight,
     )
     elapsed = time.perf_counter() - t0
-    meta = {"config": config_echo(cfg), "runs": []}
+    meta = {"config": echo, "runs": []}
     header = ["step", "sigma"] + [f"x{i}" for i in range(model.d_x)]
     for p, (prompt, run) in enumerate(zip(cfg.prompts, runs)):
         rows = [
@@ -359,9 +365,7 @@ def run(argv: list[str] | None = None) -> int:
         raise ConfigError("--config is required")
     cfg = load_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     out = args.out if args.out is not None else Path(cfg.out_dir)
     force = args.force
 

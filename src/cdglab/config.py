@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
-from .diffusion import GmmConditionalModel, SigmaSchedule
+from .diffusion import DEFAULT_ATTENTION_BIAS_WEIGHT, GmmConditionalModel, SigmaSchedule
 from .encoder import EncoderParams, ToyTextEncoder
 from .errors import CdgError, ConfigError
 from .guidance import GuidanceConfig, GuidanceMode
 from .importance import FusionConfig
 
 
-# bounds the schedule parse_config builds to check it
+# bounds the schedule RunConfig builds to check it
 MAX_STEPS = 100_000
 
 
@@ -49,8 +50,10 @@ class ScheduleConfig:
             raise ConfigError("need 0 < sigma_min < sigma_max, both finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A run configuration, checked once: its sections by their own classes, the rest here."""
+
     encoder: EncoderParams = field(default_factory=EncoderParams)
     model: ModelConfig = field(default_factory=ModelConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
@@ -64,7 +67,24 @@ class RunConfig:
     out_dir: str = "runs/out"
     fusion: FusionConfig = field(default_factory=FusionConfig)
     geometry_k: int | None = None
-    attention_bias_weight: float = 0.1
+    attention_bias_weight: float = DEFAULT_ATTENTION_BIAS_WEIGHT
+
+    def __post_init__(self):
+        if not self.prompts:
+            raise ConfigError("no prompts given")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.geometry_k is not None and self.geometry_k < 1:
+            raise ConfigError("geometry_k must be >= 1")
+        if not math.isfinite(self.attention_bias_weight):
+            raise ConfigError("attention_bias_weight must be finite")
+        if not 0 <= self.guidance.lambda_block < self.encoder.n_blocks:
+            raise ConfigError(f"lambda_block must be in [0, n_blocks = {self.encoder.n_blocks})")
+        try:
+            # close sigma bounds can round to a schedule that is not decreasing
+            self.build_schedule()
+        except CdgError as exc:
+            raise ConfigError(f"invalid section 'schedule': {exc}") from exc
 
     def build_encoder(self) -> ToyTextEncoder:
         return ToyTextEncoder(self.encoder)
@@ -124,35 +144,37 @@ def _build(cls, data: dict, section: str):
         raise ConfigError(f"invalid section '{section}': {exc}") from exc
 
 
-def _parse_guidance(data: dict) -> GuidanceConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("section 'guidance' must be an object")
-    data = dict(data)
-    mode = data.pop("mode", "cfg")
-    try:
-        data["mode"] = GuidanceMode(mode)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"unknown guidance mode {mode!r}") from exc
+def _parse_guidance(data: dict, section: str) -> GuidanceConfig:
+    if isinstance(data, dict):
+        if "mode" not in data:
+            raise ConfigError(f"section '{section}' must give 'mode'")
+        try:
+            data = data | {"mode": GuidanceMode(data["mode"])}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"unknown guidance mode {data['mode']!r}") from exc
     # a ratio outside [0, 2] fails in the constructor, as a ConfigError
-    return _build(GuidanceConfig, data, "guidance")
+    return _build(GuidanceConfig, data, section)
+
+
+# every section of a config, by its key, and the parser of its JSON object
+_SECTIONS = {
+    "encoder": partial(_build, EncoderParams),
+    "model": partial(_build, ModelConfig),
+    "schedule": partial(_build, ScheduleConfig),
+    "guidance": _parse_guidance,
+    "fusion": partial(_build, FusionConfig),
+}
 
 
 def parse_config(doc: dict, base_dir: Path | None = None) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     doc = dict(doc)
-    kwargs: dict = {}
-    if "encoder" in doc:
-        kwargs["encoder"] = _build(EncoderParams, doc.pop("encoder"), "encoder")
-    if "model" in doc:
-        kwargs["model"] = _build(ModelConfig, doc.pop("model"), "model")
-    if "schedule" in doc:
-        kwargs["schedule"] = _build(ScheduleConfig, doc.pop("schedule"), "schedule")
-    if "guidance" in doc:
-        kwargs["guidance"] = _parse_guidance(doc.pop("guidance"))
-    if "fusion" in doc:
-        kwargs["fusion"] = _build(FusionConfig, doc.pop("fusion"), "fusion")
+    kwargs = {name: parse(doc.pop(name), name)
+              for name, parse in _SECTIONS.items() if name in doc}
     if "prompts_file" in doc:
+        if "prompts" in doc:
+            raise ConfigError("give 'prompts' or 'prompts_file', not both")
         name = doc.pop("prompts_file")
         if not isinstance(name, str):
             raise ConfigError("'prompts_file' must be a string")
@@ -166,36 +188,17 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> RunConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read prompts file {path}: {exc}") from exc
         kwargs["prompts"] = [line.strip() for line in lines if line.strip()]
-    if "prompts" in doc:
+    elif "prompts" in doc:
         prompts = doc.pop("prompts")
         if not isinstance(prompts, list) or not all(isinstance(p, str) for p in prompts):
             raise ConfigError("'prompts' must be a list of strings")
         kwargs["prompts"] = prompts
-    scalars = {
-        key: doc.pop(key)
-        for key in ("seed", "out_dir", "geometry_k", "attention_bias_weight")
-        if key in doc
-    }
+    # what is left of RunConfig's fields are its top-level scalars
+    scalars = {f.name: doc.pop(f.name) for f in fields(RunConfig) if f.name in doc}
     kwargs.update(_check_types(RunConfig, scalars, ""))
     if doc:
         raise ConfigError(f"unknown config keys: {sorted(doc)}")
-    cfg = RunConfig(**kwargs)
-    if not cfg.prompts:
-        raise ConfigError("no prompts given")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if cfg.geometry_k is not None and cfg.geometry_k < 1:
-        raise ConfigError("geometry_k must be >= 1")
-    if not math.isfinite(cfg.attention_bias_weight):
-        raise ConfigError("attention_bias_weight must be finite")
-    if not 0 <= cfg.guidance.lambda_block < cfg.encoder.n_blocks:
-        raise ConfigError(f"lambda_block must be in [0, n_blocks = {cfg.encoder.n_blocks})")
-    try:
-        # close sigma bounds can round to a schedule that is not decreasing
-        cfg.build_schedule()
-    except CdgError as exc:
-        raise ConfigError(f"invalid section 'schedule': {exc}") from exc
-    return cfg
+    return RunConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -214,18 +217,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    """JSON-serializable snapshot of a run configuration."""
-    g = cfg.guidance
-    return {
-        "encoder": vars(cfg.encoder) | {},
-        "model": vars(cfg.model) | {},
-        "schedule": vars(cfg.schedule) | {},
-        # the fields a config gives, not the derived ratios
-        "guidance": {f.name: getattr(g, f.name) for f in fields(g) if f.init}
-        | {"mode": g.mode.value},
-        "fusion": vars(cfg.fusion) | {},
-        "prompts": cfg.prompts,
-        "seed": cfg.seed,
-        "geometry_k": cfg.geometry_k,
-        "attention_bias_weight": cfg.attention_bias_weight,
-    }
+    """JSON-serializable snapshot of a run configuration: every field a
+    config gives, less the output directory and the derived ratios."""
+    echo = asdict(cfg)
+    del echo["out_dir"], echo["guidance"]["ratios"]
+    echo["guidance"]["mode"] = cfg.guidance.mode.value
+    return echo

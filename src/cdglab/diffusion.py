@@ -125,9 +125,7 @@ class SigmaSchedule:
         return self.sigmas[0]
 
     @classmethod
-    def log_spaced(
-        cls, steps: int = 28, sigma_max: float = 10.0, sigma_min: float = 0.01
-    ) -> "SigmaSchedule":
+    def log_spaced(cls, steps: int, sigma_max: float, sigma_min: float) -> "SigmaSchedule":
         grid = np.geomspace(sigma_max, sigma_min, steps)
         return cls(sigmas=tuple(float(s) for s in grid) + (0.0,))
 

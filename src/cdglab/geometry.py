@@ -15,6 +15,7 @@ import numpy as np
 
 from .degradation import map_ratio
 from .diffusion import (
+    DEFAULT_ATTENTION_BIAS_WEIGHT,
     GmmConditionalModel,
     SigmaSchedule,
     degrade_row,
@@ -162,7 +163,7 @@ def run_geometry_sweep(
     k: int | None = None,
     seed: int = 0,
     fusion: FusionConfig | None = None,
-    attention_bias_weight: float = 0.1,
+    attention_bias_weight: float = DEFAULT_ATTENTION_BIAS_WEIGHT,
 ) -> GeometryReport:
     """Decoupling/interference of CFG vs CDG deltas across the sigma schedule.
 

@@ -26,16 +26,14 @@ def ranking(scores: np.ndarray) -> np.ndarray:
     return (-scores).argsort(kind="stable")
 
 
-def _row_normalized(a: np.ndarray, ndim: int, in_place: bool = False) -> np.ndarray:
-    """Checked attention weights, each row scaled to sum to 1.
+def _row_normalized(a: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """Checked attention weights of a stack of heads, each row scaled to sum to 1.
 
-    a is one square matrix (ndim 2) or a stack of heads (ndim 3). In place,
-    a float64 array is scaled where it is, with the same bits as a copy.
+    In place, a float64 array is scaled where it is, with the same bits as a copy.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or 0 in a.shape:
-        shape = "(heads, N, N)" if ndim == 3 else "(N, N)"
-        raise InvalidInputError(f"expected attention of shape {shape}, N >= 1")
+    if a.ndim != 3 or a.shape[-1] != a.shape[-2] or 0 in a.shape:
+        raise InvalidInputError("expected attention of shape (heads, N, N), N >= 1")
     lo = a.min()
     if lo < 0:
         raise InvalidInputError("attention weights must be >= 0")
@@ -79,7 +77,7 @@ def stationary_scores(weights: np.ndarray, overwrite_weights: bool = False) -> n
     contents are then undefined.
     """
     # a fresh array, so B - I is built in place: B is its transpose per head
-    p = np.ascontiguousarray(_row_normalized(weights, 3, overwrite_weights))
+    p = np.ascontiguousarray(_row_normalized(weights, overwrite_weights))
     h, n = p.shape[0], p.shape[1]
     p.reshape(h, n * n)[:, :: n + 1] -= 1.0
     # (B - I) has rank n-1; the normalization constraint replaces its last

@@ -39,7 +39,7 @@ def wpr_single_head(
     (scores, converged): if the iteration budget runs out, the last iterate
     with converged False.
     """
-    at = np.ascontiguousarray(_row_normalized(a, 2).T)
+    at = np.ascontiguousarray(_row_normalized(a[None])[0].T)
     n = at.shape[0]
     s = np.full(n, 1.0 / n)
     for _ in range(max_iters):

@@ -270,6 +270,18 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert str(out) in err
 
+    def test_sample_on_config_it_cannot_echo_exits_2(self, tmp_path, capsys):
+        # an infinite fusion bound is a valid config but no JSON echo; sample
+        # used to write its trajectories and then fail on metadata.json
+        doc = dict(BASE_CONFIG, fusion={"enabled": True, "v_min": 0, "v_max": float("inf")})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not out.exists()
+
     # each command's last-written output, and what computes it
     @pytest.mark.parametrize(
         "command, last_output, compute",

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdglab.config import RunConfig, parse_config
+from cdglab.config import RunConfig, config_echo, parse_config
 from cdglab.errors import ConfigError
 
 SECTIONS = {
@@ -86,6 +87,7 @@ def test_any_document_is_config_or_config_error(doc):
         {"guidance": {"mode": "cfg", "lambda_block": -1}},
         {"guidance": {"mode": "cfg", "reuse_first_step_mask": 1}},
         {"guidance": {"mode": ["cdg"]}},
+        {"guidance": {"guidance_scale": 2.0}},
         {"schedule": {"steps": 0}},
         {"schedule": {"sigma_min": 0.0}},
         {"schedule": {"sigma_max": float("inf")}},
@@ -114,19 +116,34 @@ def test_empty_prompts_file_rejected(tmp_path):
         parse_config({"prompts_file": "prompts.txt"}, base_dir=tmp_path)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {},
-        {"geometry_k": None},
-        {"geometry_k": 3},
-        {"guidance": {"mode": "cdg", "guidance_scale": 3, "r_deg": 1}},
-        {"guidance": {"mode": "cfg", "lambda_block": 0}},
-        {"fusion": {"enabled": True, "v_min": 0, "v_max": float("inf")}},
-        {"schedule": {"steps": 1}},
-    ],
-    ids=lambda doc: json.dumps(doc),
-)
+def test_prompts_and_prompts_file_rejected(tmp_path):
+    # both used to be read, and the file's prompts dropped without a word
+    (tmp_path / "prompts.txt").write_text("a dog\n")
+    doc = {"prompts": ["a cat"], "prompts_file": "prompts.txt"}
+    with pytest.raises(ConfigError, match="'prompts' or 'prompts_file'"):
+        parse_config(doc, base_dir=tmp_path)
+
+
+def test_guidance_without_mode_names_the_field():
+    with pytest.raises(ConfigError, match="'mode'"):
+        parse_config({"guidance": {"guidance_scale": 2.0}})
+
+
+GOOD_DOCUMENTS = [
+    {},
+    {"geometry_k": None},
+    {"geometry_k": 3},
+    {"guidance": {"mode": "cdg", "guidance_scale": 3, "r_deg": 1}},
+    {"guidance": {"mode": "cfg", "lambda_block": 0}},
+    {"fusion": {"enabled": True, "v_min": 0, "v_max": float("inf")}},
+    {"fusion": {"enabled": True, "v_min": 0.001, "v_max": 0.005}},
+    {"schedule": {"steps": 1}},
+    {"encoder": {"seq_len": 8}, "model": {"d_x": 4, "spread_max": 2},
+     "prompts": ["a cat", ""], "seed": 3, "attention_bias_weight": 0},
+]
+
+
+@pytest.mark.parametrize("doc", GOOD_DOCUMENTS, ids=lambda doc: json.dumps(doc))
 def test_good_values_accepted(doc):
     assert isinstance(parse_config(doc), RunConfig)
 
@@ -140,3 +157,18 @@ def test_integer_for_float_field_becomes_float():
     for value in (cfg.schedule.sigma_max, cfg.guidance.guidance_scale,
                   cfg.attention_bias_weight):
         assert type(value) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents | st.sampled_from(GOOD_DOCUMENTS))
+def test_echo_round_trips(doc):
+    try:
+        cfg = parse_config(json.loads(json.dumps(doc)))
+    except ConfigError:
+        return
+    try:
+        text = json.dumps(config_echo(cfg), allow_nan=False)
+    except ValueError:
+        return  # an echo that JSON cannot hold, such as an infinite bound
+    # the echo drops out_dir, so it reads back with the default one
+    assert parse_config(json.loads(text)) == replace(cfg, out_dir=RunConfig().out_dir)
