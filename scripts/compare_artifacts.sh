@@ -20,6 +20,7 @@
 #   rank_one_diagnose: diagnose, two prompts, one empty, so every pooled span has one valid prompt (the rank-1 path)
 #   collinear_diagnose: diagnose, one component and d_c 1, so rank-1 pooled spans whose basis is a strided slice of u
 #   boundary_diagnose: diagnose at R=1.0, where no row ranks and the degrade step makes no solve
+#   big_seed_diagnose: diagnose, the diagnose config at seed 2**64 + 5 (five 32-bit entropy words a latent), no fusion filter (it rejects every head there)
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -176,6 +177,22 @@ cat >"$tmp/boundary_diagnose_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/big_seed_diagnose_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 1.5},
+  "geometry_k": 2,
+  "prompts": [
+    "a man is cooking",
+    "",
+    "the dog runs in a park",
+    "a woman paints the old wall"
+  ],
+  "seed": 18446744073709551621
+}
+JSON
+
 # run_all CODE_ROOT OUT: the commands listed above, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
@@ -215,7 +232,7 @@ run_all() {
     cli sweep sweep
     for config in "$tmp/diagnose_config.json" "$tmp/small_diagnose_config.json" \
         "$tmp/rank_one_diagnose_config.json" "$tmp/collinear_diagnose_config.json" \
-        "$tmp/boundary_diagnose_config.json"; do
+        "$tmp/boundary_diagnose_config.json" "$tmp/big_seed_diagnose_config.json"; do
         name=$(basename "$config" .json)
         cli diagnose diagnose
     done

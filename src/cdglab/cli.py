@@ -26,7 +26,7 @@ from . import degradation, geometry, importance
 from .config import RunConfig, config_echo, load_config
 from .diffusion import Chain, sample_batch
 from .encoder import TokenType, tokenize
-from .errors import CdgError, ConfigError, InvalidRatioError, NumericalError
+from .errors import CdgError, ConfigError, InvalidRatioError, NumericalError, PromptTooLongError
 from .guidance import GuidanceConfig, GuidanceMode
 
 EXIT_OK = 0
@@ -207,10 +207,7 @@ def cmd_sample(cfg: RunConfig, out: Path, force: bool) -> int:
     model = cfg.build_model()
     schedule = cfg.build_schedule()
     encoder = cfg.build_encoder()
-    chains = [
-        Chain(tokenize(prompt, cfg.encoder), cfg.guidance, cfg.seed)
-        for prompt in cfg.prompts
-    ]
+    chains = [Chain(tokens, cfg.guidance, cfg.seed) for tokens in cfg.tokens]
     t0 = time.perf_counter()
     runs = sample_batch(
         model, schedule, encoder, chains,
@@ -249,7 +246,7 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
     reference = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
     # one config per distinct ratio, shared by its prompts and its repeats
     configs = {r_deg: replace(base, r_deg=r_deg) for r_deg in grid}
-    tokens = [tokenize(prompt, cfg.encoder) for prompt in cfg.prompts]
+    tokens = cfg.tokens
     cells = [(r_deg, p) for r_deg in grid for p in range(len(tokens))]
 
     # one batch: the unguided reference of each prompt, then the grid
@@ -292,10 +289,9 @@ def cmd_diagnose(cfg: RunConfig, out: Path, force: bool) -> int:
     model = cfg.build_model()
     schedule = cfg.build_schedule()
     encoder = cfg.build_encoder()
-    tokens = [tokenize(p, cfg.encoder) for p in cfg.prompts]
     g = cfg.guidance
     report = geometry.run_geometry_sweep(
-        model, schedule, encoder, tokens,
+        model, schedule, encoder, cfg.tokens,
         g.r_deg if g.mode.uses_degradation else 1.0, g.lambda_block,
         k=cfg.geometry_k, seed=cfg.seed, fusion=cfg.fusion,
         attention_bias_weight=cfg.attention_bias_weight,
@@ -392,7 +388,8 @@ def main(argv: list[str] | None = None) -> int:
         # typed error, so numpy's warning would only print noise before it
         with np.errstate(over="ignore", invalid="ignore"):
             return run(argv)
-    except ConfigError as exc:
+    except (ConfigError, PromptTooLongError) as exc:
+        # a config's prompts are checked at load, so a prompt too long here is --prompt's
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CdgError as exc:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 from .diffusion import DEFAULT_ATTENTION_BIAS_WEIGHT, GmmConditionalModel, SigmaSchedule
-from .encoder import EncoderParams, ToyTextEncoder
-from .errors import CdgError, ConfigError
+from .encoder import EncoderParams, TokenSequence, ToyTextEncoder, tokenize
+from .errors import CdgError, ConfigError, PromptTooLongError
 from .guidance import GuidanceConfig, GuidanceMode
 from .importance import FusionConfig
 
@@ -85,6 +85,18 @@ class RunConfig:
             self.build_schedule()
         except CdgError as exc:
             raise ConfigError(f"invalid section 'schedule': {exc}") from exc
+        self.tokens  # a prompt too long for the encoder fails here, at load
+
+    @cached_property
+    def tokens(self) -> list[TokenSequence]:
+        """Each prompt's tokens, made once; not a field, so not in the echo."""
+        out = []
+        for i, prompt in enumerate(self.prompts):
+            try:
+                out.append(tokenize(prompt, self.encoder))
+            except PromptTooLongError as exc:
+                raise ConfigError(f"prompts[{i}]: {exc}") from exc
+        return out
 
     def build_encoder(self) -> ToyTextEncoder:
         return ToyTextEncoder(self.encoder)

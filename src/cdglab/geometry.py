@@ -9,6 +9,8 @@ delta energy falling inside it (0 = clean).
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,61 @@ _ZERO_DELTA_TOL = 1e-300
 # the most attention weights one degrade call of the sweep holds: 8 MiB, or
 # 1024 rows of 4 heads over 16 tokens
 _DEGRADE_BLOCK_BYTES = 1 << 23
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix on 32-bit words, its constant run starting at init."""
+    consts = itertools.pairwise(itertools.accumulate(
+        itertools.repeat(mult), lambda c, m: c * m & _MASK32, initial=init))
+
+    def hashmix(v):
+        xor, times = next(consts)
+        v = (v ^ xor) * times & _MASK32
+        return v ^ v >> 16
+    return hashmix
+
+
+def _seeded_normals(seed: int, n_sigmas: int, n_prompts: int, d_x: int) -> np.ndarray:
+    """Row si * n_prompts + p is np.random.default_rng([seed, si, p]).normal(size=d_x).
+
+    SeedSequence's pool hash of every row's entropy (each of seed, si and p
+    as little-endian 32-bit words) runs at once, in 32-bit words held in
+    uint64; each row's PCG64 seeded state is then set on one generator to draw.
+    """
+    seed = operator.index(seed)  # a numpy integer as a Python int; a float raises TypeError
+    if seed < 0:
+        raise InvalidInputError("seed must be >= 0")
+    si, p = np.divmod(np.arange(n_sigmas * n_prompts, dtype=np.uint64), np.uint64(n_prompts))
+    words = [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
+    words += [si, p] + [0] * (2 - len(words))  # the pool takes four words, zero-padded
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:4]]
+
+    def mix_into(dst, v):
+        r = (_MIX_L * pool[dst] - _MIX_R * hashmix(v)) & _MASK32
+        pool[dst] = r ^ r >> 16
+    for src, dst in itertools.permutations(range(4), 2):
+        mix_into(dst, pool[src])
+    for w, dst in itertools.product(words[4:], range(4)):
+        mix_into(dst, w)
+    # generate_state(4, uint64): eight 32-bit words, paired low word first
+    halves = list(map(_hasher(_INIT_B, _MULT_B), pool * 2))
+    state_words = np.stack([halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+    bitgen = np.random.PCG64(0)
+    gen, out = np.random.Generator(bitgen), np.empty((len(si), d_x))
+    for r, (s_hi, s_lo, q_hi, q_lo) in enumerate(state_words.tolist()):
+        # pcg64_set_seed: inc from the second word pair, then two LCG steps
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        out[r] = gen.normal(size=d_x)
+    return out
 
 
 def _top_subspace(svd: SvdResult, k: int) -> np.ndarray:
@@ -115,35 +172,39 @@ def _sigma_records(
 
     deltas (len(_METHODS) * num_prompts, d_x) holds each method's per-prompt
     deltas in _METHODS order. Every per-prompt delta is projected in one
-    stacked call. A single vector's decoupling is exactly 1 - interference,
-    so the per-prompt values need no decomposition; only the pooled pair
-    does. Each record with a valid prompt goes to pooled with its span and
-    basis, for one _pooled_metrics call over the whole report.
+    stacked call, and the valid rows' interferences are one array whose
+    per-method slices give the means. A single vector's decoupling is
+    exactly 1 - interference, so the per-prompt values need no
+    decomposition; only the pooled pair does. Each record with a valid
+    prompt goes to pooled with its span and basis, for one _pooled_metrics
+    call over the whole report.
     """
     n_prompts = len(deltas) // len(_METHODS)
-    totals = (deltas * deltas).sum(axis=1).tolist()
+    totals = (deltas * deltas).sum(axis=1)
     proj = project_onto(basis, deltas[:, :, None])[..., 0]
-    energies = (proj * proj).sum(axis=1).tolist()
+    energies = (proj * proj).sum(axis=1)
+    valid_rows = np.flatnonzero(~(totals <= _ZERO_DELTA_TOL))
+    intfs = np.minimum(energies[valid_rows] / totals[valid_rows], 1.0)
+    # each method's valid rows, and their values, are one slice of these
+    cuts = np.searchsorted(valid_rows, np.arange(len(_METHODS) + 1) * n_prompts).tolist()
     for m, method in enumerate(_METHODS):
-        valid, intfs = [], []
+        lo, hi = cuts[m], cuts[m + 1]
+        valid = (valid_rows[lo:hi] - m * n_prompts).tolist()
+        # np.mean's own sum and division, without its wrapper
+        mean = float(np.add.reduce(intfs[lo:hi]) / (hi - lo)) if valid else None
+        by_prompt = dict(zip(valid, intfs[lo:hi].tolist()))
         for p in range(n_prompts):
-            i = m * n_prompts + p
-            if totals[i] <= _ZERO_DELTA_TOL:
-                dec = intf = None
-            else:
-                intf = min(energies[i] / totals[i], 1.0)
-                valid.append(p)
-                intfs.append(intf)
-                dec = 1.0 - intf
+            intf = by_prompt.get(p)
             report.detail.append(
-                {"sigma": sigma, "method": method, "prompt_index": p, "decoupling": dec,
+                {"sigma": sigma, "method": method, "prompt_index": p,
+                 "decoupling": None if intf is None else 1.0 - intf,
                  "interference": intf, "note": "zero delta" if intf is None else ""}
             )
         report.records.append({
             "sigma": sigma,
             "method": method,
-            "decoupling_mean": 1.0 - float(np.mean(intfs)) if valid else None,
-            "interference_mean": float(np.mean(intfs)) if valid else None,
+            "decoupling_mean": None if mean is None else 1.0 - mean,
+            "interference_mean": mean,
             "num_valid_prompts": len(valid),
             "decoupling_pooled": None,
             "interference_pooled": None,
@@ -169,17 +230,19 @@ def run_geometry_sweep(
 
     The deltas are unscaled: the conditional prediction minus the null one
     (CFG), or minus that of the prompt degraded at r_deg, ranked at
-    lambda_block (CDG). At each sigma one latent is drawn per prompt, from
-    its own seed [seed, sigma index, prompt index], the denoising subspace
-    is estimated from the stacked conditional noise predictions, and
-    per-prompt metrics are averaged. Zero deltas are skipped and reported
-    through num_valid_prompts. The subspace dimension defaults to the
+    lambda_block (CDG). At each sigma one latent is drawn per prompt, the
+    draw of np.random.default_rng([seed, sigma index, prompt index]).normal
+    (tests/test_geometry.py holds _seeded_normals equal to it row for row),
+    the denoising subspace is estimated from the stacked conditional noise
+    predictions, and per-prompt metrics are averaged. Zero deltas are
+    skipped and reported through num_valid_prompts. The subspace dimension defaults to the
     smallest k capturing 90% of squared singular-value mass, capped at
     num_prompts - 1.
 
-    The sweep is one pass over every (sigma, prompt) row, sigma-major: one
-    latent stack, one degrade step and three denoise calls (conditional,
-    null, degraded), each with a column of per-row sigmas, one stacked SVD
+    The sweep is one pass over every (sigma, prompt) row, sigma-major: the
+    latents from one vectorized seeding pass and one generator, one degrade
+    step and three denoise calls (conditional, null, degraded), each with a
+    column of per-row sigmas, one stacked SVD
     of the conditional predictions, and one stacked projection of the
     per-prompt deltas per sigma. The pooled CFG and CDG spans of every
     sigma then take one SVD per valid prompt count and one per (count,
@@ -207,10 +270,7 @@ def run_geometry_sweep(
     sigmas = schedule.sigmas[:-1]
     n_sigmas = len(sigmas)
     sigma_col = np.repeat(sigmas, n_prompts)[:, None]
-    x = np.stack([
-        np.random.default_rng([seed, si, p]).normal(size=model.d_x)
-        for si in range(n_sigmas) for p in range(n_prompts)
-    ]) * sigma_col
+    x = _seeded_normals(seed, n_sigmas, n_prompts, model.d_x) * sigma_col
     # the degrade step holds its rows' attention weights, H * N^2 floats a
     # row, so it takes the rows in blocks whose weights fit the budget
     row_bytes = encoder.params.n_heads * max(map(len, prompts_tokens)) ** 2 * 8

@@ -247,6 +247,28 @@ class TestErrors:
         meta = json.loads((fresh / "metadata.json").read_text())
         assert meta["config"]["seed"] == BASE_CONFIG["seed"]
 
+    @pytest.mark.parametrize(
+        "command", [["sample"], ["sweep"], ["diagnose"], ["rank-tokens"], ["build-mask"]],
+        ids=lambda command: command[0],
+    )
+    def test_too_long_prompt_exits_2(self, tmp_path, capsys, command):
+        # seq_len 16 holds 14 words; a config prompt is checked at load, a
+        # --prompt when it is tokenized, both before any output is made
+        long_prompt = " ".join(["word"] * 15)
+        doc = dict(BASE_CONFIG)
+        if command[0] in ("rank-tokens", "build-mask"):
+            command = command + ["--prompt", long_prompt]
+        else:
+            doc["prompts"] = ["a man is cooking", long_prompt]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(command + ["--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "15 words, max 14" in err
+        assert not out.exists()
+
     def test_negative_seed_override_exits_2(self, config_file, tmp_path):
         code = main(["sample", "--config", str(config_file), "--seed", "-1",
                      "--out", str(tmp_path / "o")])

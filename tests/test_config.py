@@ -124,6 +124,14 @@ def test_prompts_and_prompts_file_rejected(tmp_path):
         parse_config(doc, base_dir=tmp_path)
 
 
+def test_too_long_prompt_names_its_index():
+    # seq_len 8 holds 6 words; the prompt used to fail only when a command ran
+    doc = {"encoder": {"seq_len": 8}, "prompts": ["a cat", "one two three four five six seven"]}
+    with pytest.raises(ConfigError, match=r"prompts\[1\].*7 words, max 6"):
+        parse_config(doc)
+    assert parse_config(doc | {"prompts": ["one two three four five six"]})
+
+
 def test_guidance_without_mode_names_the_field():
     with pytest.raises(ConfigError, match="'mode'"):
         parse_config({"guidance": {"guidance_scale": 2.0}})

@@ -174,6 +174,42 @@ class TestPooledMetrics:
             geometry._pooled_metrics(spans, bases)
 
 
+def _default_rng_latents(seed, n_sigmas, n_prompts, d_x):
+    return np.stack([
+        np.random.default_rng([seed, si, p]).normal(size=d_x)
+        for si in range(n_sigmas) for p in range(n_prompts)
+    ])
+
+
+class TestSeededLatents:
+    """The sweep's one-pass latent draw against a generator per row."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3])
+    @pytest.mark.parametrize("d_x", [1, 4, 8, 33])
+    @pytest.mark.parametrize("shape", [(1, 2), (28, 8)], ids=["1x2", "28x8"])
+    def test_equals_default_rng(self, seed, d_x, shape):
+        assert np.array_equal(
+            geometry._seeded_normals(seed, *shape, d_x), _default_rng_latents(seed, *shape, d_x)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**96 - 1),
+        n_sigmas=st.integers(1, 5),
+        n_prompts=st.integers(1, 6),
+        d_x=st.integers(1, 9),
+    )
+    def test_equals_default_rng_at_any_seed(self, seed, n_sigmas, n_prompts, d_x):
+        assert np.array_equal(
+            geometry._seeded_normals(seed, n_sigmas, n_prompts, d_x),
+            _default_rng_latents(seed, n_sigmas, n_prompts, d_x),
+        )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed"):
+            geometry._seeded_normals(-1, 1, 2, 4)
+
+
 def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
     """(sigma, method, prompt, decoupling) of a per-sigma sweep from public parts.
 
@@ -367,11 +403,13 @@ class TestSweep:
                 fusion=fusion, attention_bias_weight=0.0,
             )
 
-    def test_per_prompt_decoupling_matches_reference(self, model, encoder, params):
+    # a seed past 2**64 gives each latent's seed five 32-bit entropy words
+    @pytest.mark.parametrize("seed", [3, 2**64 + 5])
+    def test_per_prompt_decoupling_matches_reference(self, model, encoder, params, seed):
         tokens = [tokenize(p, params) for p in PROMPTS + [""]]
         short = SigmaSchedule.log_spaced(6, 10.0, 0.01)
-        report = run_geometry_sweep(model, short, encoder, tokens, 0.5, seed=3)
-        expected = _reference_detail(model, short, encoder, tokens, 0.5, seed=3)
+        report = run_geometry_sweep(model, short, encoder, tokens, 0.5, seed=seed)
+        expected = _reference_detail(model, short, encoder, tokens, 0.5, seed=seed)
         assert len(report.detail) == len(expected)
         assert any(dec is None for *_, dec in expected)
         for row, (sigma, method, p, dec) in zip(report.detail, expected):
