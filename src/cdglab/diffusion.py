@@ -275,25 +275,17 @@ def _stacked_weights(
     """Attention weights (K, H, N, N) of states[k] at latent x[k] and noise
     sigma (one, or a (K, 1) column): one fresh array.
 
-    The held states' static maps are gathered per key and scaled in place
-    by one exp of their logit shifts, each one (N, d_x + 1) @ (d_x + 1)
-    product per key and head, so every key's weights equal its
+    Each key's static map and shift map are gathered, and the static maps
+    are scaled in place by the exp of the logit shifts, one (N, d_x + 1) @
+    (d_x + 1) product per key and head, so every key's weights equal its
     PromptState.weights bit for bit.
     """
-    held = list({id(s): s for s in states}.values())  # in order of first use
-    slot = {id(s): u for u, s in enumerate(held)}
-    state_of = np.array([slot[id(s)] for s in states])
-    weights = np.stack([s.static for s in held])[state_of]
+    weights = np.array([s.static for s in states])
     if bias_weight != 0.0:
         z = np.empty((len(x), x.shape[1] + 1))
         z[:, :-1] = x
         z[:, -1:] = sigma
-        # one product per held state over its keys, so no (K, H, N, d_x + 1)
-        # gather of the maps is held beside the weights
-        shift = np.empty((*weights.shape[:-1], 1))
-        for u, state in enumerate(held):
-            at = np.flatnonzero(state_of == u)
-            shift[at] = state.shift_map @ z[at, None, :, None]
+        shift = np.array([s.shift_map for s in states]) @ z[:, None, :, None]
         weights *= np.exp(bias_weight * shift).swapaxes(-1, -2)
     return weights
 
@@ -311,9 +303,10 @@ def _one_row_mask(
 
     It takes the row's PromptState.weights, a solve that normalizes a copy
     of them, and build_mask. Inside a chain, where the caches are cold, the
-    stacked path's key lookup, gathers and row lists cost this step 5 to
-    18 us more, and normalizing in place moved the chain's timing too;
-    criterion 8 reads both in CDG's one-time overhead over CFG.
+    stacked path's key bookkeeping, gathers and row lists cost this step
+    about 10 us more: a chain of per-step CDG on a new prompt ran 7 to 9%
+    slower with the stacked path alone, and criterion 8 reads the step in
+    CDG's one-time overhead over CFG.
     """
     scores = None
     if row.state is not None:
@@ -351,11 +344,12 @@ def _stacked_masks(
                 firsts.append(r)
     stacks = None
     if firsts:
+        at = _rows(firsts)
         try:
             stacks = fuse_head_stacks(
                 _compute_importance(_stacked_weights(
-                    [rows[r].state for r in firsts], x[firsts],
-                    sigma[firsts] if column else sigma, bias_weight,
+                    [rows[r].state for r in firsts], x[at],
+                    sigma[at] if column else sigma, bias_weight,
                 ), overwrite=True),
                 fusion,
             )
@@ -496,16 +490,13 @@ def sample_batch(
         return []
     # each distinct chain is integrated once, as the row of its first
     # occurrence: firsts[u] is row u's first chain, row_at[b] chain b's row
-    if len(chains) == 1:
-        firsts, row_at = [0], [0]
-    else:
-        firsts, row_at = [], []
-        index: dict[tuple, int] = {}
-        for b, chain in enumerate(chains):
-            u = index.setdefault(_chain_key(chain), len(firsts))
-            if u == len(firsts):
-                firsts.append(b)
-            row_at.append(u)
+    firsts, row_at = [], []
+    index: dict[tuple, int] = {}
+    for b, chain in enumerate(chains):
+        u = index.setdefault(_chain_key(chain), len(firsts))
+        if u == len(firsts):
+            firsts.append(b)
+        row_at.append(u)
     trajectory, masks = _integrate(
         model, schedule, encoder, [chains[b] for b in firsts], firsts,
         fusion, attention_bias_weight,

@@ -356,8 +356,10 @@ def test_criterion_8_efficiency(model, schedule, encoder, params, tokens):
         for q in (1, 5, 10)
     ]
     overhead = min(floors)
-    assert overhead < 0.10, f"one-time CDG overhead {overhead:.1%} (floors: {floors})"
-    _report(8, "efficiency-contract")
+    shown = ", ".join(f"{f:.2%}" for f in floors)
+    estimate = f"overhead {overhead:.2%} (floors at p1, p5, p10: {shown})"
+    assert overhead < 0.10, f"one-time CDG {estimate}"
+    _report(8, f"efficiency-contract, {estimate}")
 
 
 # --------------------------------------------------------------------------
