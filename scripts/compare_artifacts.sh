@@ -21,6 +21,9 @@
 #   collinear_diagnose: diagnose, one component and d_c 1, so rank-1 pooled spans whose basis is a strided slice of u
 #   boundary_diagnose: diagnose at R=1.0, where no row ranks and the degrade step makes no solve
 #   big_seed_diagnose: diagnose, the diagnose config at seed 2**64 + 5 (five 32-bit entropy words a latent), no fusion filter (it rejects every head there)
+#   one_prompt: sweep, one prompt over the default 21-point grid: one ranking key shared by 15 rows beside an R=1.0 row (the one-key weights inside a many-row call)
+#   bias_zero: sample, CDG R=0.5 per-step over two prompts at attention_bias_weight 0.0 (the keys' static attention)
+#   bias_zero_diagnose: diagnose, three prompts at attention_bias_weight 0.0
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -193,6 +196,43 @@ cat >"$tmp/big_seed_diagnose_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/one_prompt_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5},
+  "prompts": ["the old man and the young woman cook dinner in a kitchen"],
+  "seed": 0
+}
+JSON
+
+cat >"$tmp/bias_zero_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5,
+               "reuse_first_step_mask": false},
+  "attention_bias_weight": 0.0,
+  "prompts": ["a man is cooking", "the dog runs in a park"],
+  "seed": 0
+}
+JSON
+
+cat >"$tmp/bias_zero_diagnose_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5},
+  "attention_bias_weight": 0.0,
+  "prompts": [
+    "a man is cooking",
+    "the dog runs in a park",
+    "a woman paints the old wall"
+  ],
+  "seed": 0
+}
+JSON
+
 # run_all CODE_ROOT OUT: the commands listed above, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
@@ -230,9 +270,16 @@ run_all() {
     name=duplicates_config
     cli sample sample
     cli sweep sweep
+    config=$tmp/one_prompt_config.json
+    name=one_prompt_config
+    cli sweep sweep
+    config=$tmp/bias_zero_config.json
+    name=bias_zero_config
+    cli sample sample
     for config in "$tmp/diagnose_config.json" "$tmp/small_diagnose_config.json" \
         "$tmp/rank_one_diagnose_config.json" "$tmp/collinear_diagnose_config.json" \
-        "$tmp/boundary_diagnose_config.json" "$tmp/big_seed_diagnose_config.json"; do
+        "$tmp/boundary_diagnose_config.json" "$tmp/big_seed_diagnose_config.json" \
+        "$tmp/bias_zero_diagnose_config.json"; do
         name=$(basename "$config" .json)
         cli diagnose diagnose
     done

@@ -54,8 +54,8 @@ class DegradationMask:
 def mask_extent(tokens: TokenSequence, ratios: DegradationRatios) -> tuple[int, int]:
     """(k_content, k_ctxagg): floor(ratio * count) positions of each type."""
     return (
-        math.floor(ratios.r_content * len(tokens.positions_of(TokenType.CONTENT))),
-        math.floor(ratios.r_ctxagg * len(tokens.positions_of(TokenType.CTX_AGG))),
+        math.floor(ratios.r_content * len(tokens.content_positions)),
+        math.floor(ratios.r_ctxagg * len(tokens.ctxagg_positions)),
     )
 
 
@@ -73,9 +73,8 @@ def build_mask(
 
     A type replaced wholly or not at all needs no ranking, so scores may be
     None unless a type is replaced in part (never at ratio 1.0). This is
-    build_masks' one-row form, which it calls for a lone ranked row and for
-    rows without scores; the sampler's one-row step and cdglab build-mask
-    call it directly."""
+    build_masks' one-row form, which it calls for a lone row and for rows
+    without scores; cdglab build-mask calls it directly."""
     n = len(tokens)
     if scores is not None and scores.shape[0] != n:
         raise InvalidInputError("importance length does not match token count")
@@ -106,23 +105,23 @@ def build_masks(
     """build_mask of B rows: tokens[b] at ratios[b], ranked by scores[keys[b]].
 
     scores is (K, N), or None when every key is -1. A row with key -1 needs
-    no ranking, and build_mask masks it without scores. build_mask also
-    masks a lone ranked row, where its loop costs about a fifth of the
-    stacked form. The stacked form ranks every other row at once: one
-    stable sort by the tie rule of `ranking`, and a stable order restricted
+    no ranking, and build_mask masks it without scores. It also masks a
+    lone row, ranked or not, where its loop costs about a fifth of the
+    stacked form. The stacked form ranks the ranked rows of any other call
+    at once: one stable sort by the tie rule of `ranking`, and a stable order restricted
     to one type keeps it, so a row's replaced positions of a type are its
     first k of that type in rank order, found by per-type cumulative counts
     against (R, 1) extent columns. Both forms give the same masks.
     """
-    ranked = [b for b, k in enumerate(keys) if k >= 0]
-    if len(ranked) < 2:
-        return [
-            build_mask(t, None if k < 0 else scores[k], r)
-            for t, k, r in zip(tokens, keys, ratios)
-        ]
+    if len(keys) == 1:
+        k = keys[0]
+        return [build_mask(tokens[0], None if k < 0 else scores[k], ratios[0])]
     masks = [
         None if k >= 0 else build_mask(t, None, r) for t, k, r in zip(tokens, keys, ratios)
     ]
+    ranked = [b for b, k in enumerate(keys) if k >= 0]
+    if not ranked:
+        return masks
     n = scores.shape[1]
     if any(len(tokens[b]) != n for b in ranked):
         raise InvalidInputError("importance length does not match token count")

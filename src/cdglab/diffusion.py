@@ -11,16 +11,14 @@ mask computation.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .degradation import (
     DegradationMask,
-    DegradationRatios,
     apply_mask,
-    build_mask,
     build_masks,
     mask_extent,
 )
@@ -226,47 +224,77 @@ class SamplerRun:
         return self.trajectory[-1]
 
 
-def _compute_importance(weights: np.ndarray, overwrite: bool) -> np.ndarray:
+def _compute_importance(weights: np.ndarray) -> np.ndarray:
     """Per-head token importance (K, H, N) of K attention stacks (K, H, N, N).
 
     One stationary solve covers every head of every stack; a head's result
-    does not depend on the rest of the stack. With overwrite, weights is
-    the caller's own float64 array, which the solve normalizes in place
-    and then overwrites.
+    does not depend on the rest of the stack. The solve normalizes weights,
+    the caller's own fresh float64 array, in place and then overwrites it.
     """
     k, h, n = weights.shape[:3]
-    return stationary_scores(
-        weights.reshape(k * h, n, n), overwrite_weights=overwrite
-    ).reshape(k, h, n)
+    return stationary_scores(weights.reshape(k * h, n, n), overwrite_weights=True).reshape(k, h, n)
 
 
-@dataclass(frozen=True)
-class DegradeRow:
-    """A prompt to degrade at a latent state: a sampler chain or a geometry prompt."""
+class DegradeSet:
+    """The rows one call degrades, built by degrade_set.
 
-    label: str  # names the row in errors, e.g. "chain 3"
-    tokens: TokenSequence
-    condition: Condition
-    ratios: DegradationRatios
-    state: PromptState | None  # the ranking attention; None at ratio 1.0
-
-
-def degrade_row(
-    encoder: ToyTextEncoder, label: str, tokens: TokenSequence, condition: Condition,
-    ratios: DegradationRatios, block: int, d_x: int, states: dict[tuple, PromptState],
-) -> DegradeRow:
-    """A prompt's DegradeRow; the one place that decides whether it ranks.
-
-    A row that does not rank (the ratio-1.0 boundary) has no state. Another
-    row's state, of (token ids, block), is built once into the caller's
-    states, which outlive the encoder's store.
+    Row r is tokens[r], with condition embeddings conditions[r] (N,
+    d_model), at ratios[r], named labels[r] in errors (e.g. "chain 3"). It
+    ranks under key keys[r], or not at all at key -1. The rows of a key
+    share one ranking, made from key_states[k], the key's prompt state, at
+    the latent and sigma of its first row; `at` indexes each key's first
+    row.
     """
-    if not ratios.ranks:
-        return DegradeRow(label, tokens, condition, ratios, None)
-    key = (tokens.ids, block)
-    if key not in states:
-        states[key] = encoder.prompt_state(tokens, block, d_x)
-    return DegradeRow(label, tokens, condition, ratios, states[key])
+
+    def __init__(self, labels, tokens, conditions, ratios, keys, key_states, at):
+        self.labels, self.tokens, self.conditions, self.ratios = labels, tokens, conditions, ratios
+        self.keys, self.key_states, self.at = keys, key_states, at
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def subset(self, rows: Sequence[int]) -> DegradeSet:
+        """These rows of the set, each ranked under its own key, from the
+        prompt states the set already holds."""
+        ranked = [i for i, r in enumerate(rows) if self.keys[r] >= 0]
+        keys = [-1] * len(rows)
+        for k, i in enumerate(ranked):
+            keys[i] = k
+        return DegradeSet(
+            [self.labels[r] for r in rows], [self.tokens[r] for r in rows],
+            [self.conditions[r] for r in rows], [self.ratios[r] for r in rows],
+            keys, [self.key_states[self.keys[rows[i]]] for i in ranked], _rows(ranked),
+        )
+
+
+def degrade_set(encoder: ToyTextEncoder, rows: Iterable[tuple], d_x: int) -> DegradeSet:
+    """The DegradeSet of rows (label, tokens, condition embeddings, ratios,
+    block, latent); the one place that decides whether a row ranks.
+
+    A row at the ratio-1.0 boundary gets key -1: its mask needs no
+    ranking. Another row ranks from the state of its (token ids, block),
+    fetched from the encoder once and held by the set, so a call that
+    outlives the encoder's store of states still builds each one once.
+    The latent is any value naming the latent and sigma a row is ranked
+    at, such as a chain's seed at the sampler's first step: rows of one
+    (token ids, block, latent) share a key.
+    """
+    labels, tokens, conditions, ratios, blocks, latents = zip(*rows)
+    fetched: dict[tuple, PromptState] = {}
+    index: dict[tuple, int] = {}
+    keys, key_states, firsts = [], [], []
+    for r, (t, ratio, block, latent) in enumerate(zip(tokens, ratios, blocks, latents)):
+        k = -1
+        if ratio.ranks:
+            k = index.setdefault((t.ids, block, latent), len(firsts))
+            if k == len(firsts):
+                state = fetched.get((t.ids, block))
+                if state is None:
+                    state = fetched[t.ids, block] = encoder.prompt_state(t, block, d_x)
+                key_states.append(state)
+                firsts.append(r)
+        keys.append(k)
+    return DegradeSet(labels, tokens, conditions, ratios, keys, key_states, _rows(firsts))
 
 
 def _stacked_weights(
@@ -275,93 +303,30 @@ def _stacked_weights(
     """Attention weights (K, H, N, N) of states[k] at latent x[k] and noise
     sigma (one, or a (K, 1) column): one fresh array.
 
-    Each key's static map and shift map are gathered, and the static maps
-    are scaled in place by the exp of the logit shifts, one (N, d_x + 1) @
-    (d_x + 1) product per key and head, so every key's weights equal its
-    PromptState.weights bit for bit.
+    Each static map is scaled by the exp of its logit shift, shift_map @
+    (x, sigma): for one key one (H, N, d_x + 1) @ (d_x + 1) product, for
+    several one (K, H, N, d_x + 1) @ (K, 1, d_x + 1, 1) product over the
+    gathered maps, which rounds the same. With bias_weight 0 the weights
+    are the static maps.
     """
+    if bias_weight == 0.0:
+        return np.array([s.static for s in states])
+    one = len(states) == 1
+    z = np.empty(x.shape[1] + 1 if one else (len(x), x.shape[1] + 1))
+    z[..., :-1] = x
+    z[..., -1:] = sigma
+    if one:
+        state = states[0]
+        return (state.static * np.exp(bias_weight * (state.shift_map @ z))[:, None, :])[None]
     weights = np.array([s.static for s in states])
-    if bias_weight != 0.0:
-        z = np.empty((len(x), x.shape[1] + 1))
-        z[:, :-1] = x
-        z[:, -1:] = sigma
-        shift = np.array([s.shift_map for s in states]) @ z[:, None, :, None]
-        weights *= np.exp(bias_weight * shift).swapaxes(-1, -2)
+    shift = np.array([s.shift_map for s in states]) @ z[:, None, :, None]
+    weights *= np.exp(bias_weight * shift).swapaxes(-1, -2)
     return weights
-
-
-def _filtered(exc: AllHeadsFilteredError, row: DegradeRow, sigma: float) -> AllHeadsFilteredError:
-    """exc, naming the row whose every head was filtered and its sigma."""
-    return AllHeadsFilteredError(f"{exc} for {row.label} at sigma {sigma}", exc.index)
-
-
-def _one_row_mask(
-    row: DegradeRow, x: np.ndarray, sigma: float, fusion: FusionConfig | None,
-    bias_weight: float,
-) -> DegradationMask:
-    """The mask of one row at latent x (d_x,): the sampler's step for one chain.
-
-    It takes the row's PromptState.weights, a solve that normalizes a copy
-    of them, and build_mask. Inside a chain, where the caches are cold, the
-    stacked path's key bookkeeping, gathers and row lists cost this step
-    about 10 us more: a chain of per-step CDG on a new prompt ran 7 to 9%
-    slower with the stacked path alone, and criterion 8 reads the step in
-    CDG's one-time overhead over CFG.
-    """
-    scores = None
-    if row.state is not None:
-        try:
-            scores = fuse_head_stacks(
-                _compute_importance(
-                    row.state.weights(x, sigma, bias_weight)[None], overwrite=False
-                ),
-                fusion,
-            )[0]
-        except AllHeadsFilteredError as exc:
-            raise _filtered(exc, row, sigma) from exc
-    return build_mask(row.tokens, scores, row.ratios)
-
-
-def _stacked_masks(
-    rows: Sequence[DegradeRow], x: np.ndarray, sigma: float | np.ndarray,
-    fusion: FusionConfig | None, bias_weight: float,
-) -> list[DegradationMask]:
-    """The masks of rows at latents x (B, d_x) and sigma (one, or a (B, 1)
-    column), ranked in one stationary solve and masked by build_masks."""
-    column = isinstance(sigma, np.ndarray)
-    if column and sigma.shape != (len(rows), 1):
-        raise InvalidInputError(f"sigma column of shape {sigma.shape} for {len(rows)} rows")
-    sigmas = sigma[:, 0].tolist() if column else [sigma] * len(rows)
-    # each distinct (prompt state, latent, sigma) is ranked once, at its
-    # first row; a row without a state keeps key -1
-    index: dict[tuple, int] = {}
-    keys = [-1] * len(rows)
-    firsts: list[int] = []
-    for r, (row, sigma_r) in enumerate(zip(rows, sigmas)):
-        if row.state is not None:
-            k = keys[r] = index.setdefault((id(row.state), x[r].tobytes(), sigma_r), len(firsts))
-            if k == len(firsts):
-                firsts.append(r)
-    stacks = None
-    if firsts:
-        at = _rows(firsts)
-        try:
-            stacks = fuse_head_stacks(
-                _compute_importance(_stacked_weights(
-                    [rows[r].state for r in firsts], x[at],
-                    sigma[at] if column else sigma, bias_weight,
-                ), overwrite=True),
-                fusion,
-            )
-        except AllHeadsFilteredError as exc:
-            r = firsts[exc.index]
-            raise _filtered(exc, rows[r], sigmas[r]) from exc
-    return build_masks([row.tokens for row in rows], stacks, keys, [row.ratios for row in rows])
 
 
 def degrade_rows(
     encoder: ToyTextEncoder,
-    rows: Sequence[DegradeRow],
+    rows: DegradeSet,
     x: np.ndarray,
     sigma: float | np.ndarray,
     d_c: int,
@@ -372,23 +337,36 @@ def degrade_rows(
     """Degradation masks of rows at latents x (B, d_x) and noise levels sigma.
 
     sigma is one noise level for every row, or a (B, 1) column of one per
-    row, as in denoise. A row without a state (degrade_row's ratio-1.0
-    boundary) is masked without scores, as it needs no ranking. The other
-    rows are ranked from their prompt state at their (latent, sigma): rows
-    sharing all three are ranked once. The distinct inputs' attention
-    weights are built as one (K, H, N, N) array, which one stationary solve
-    normalizes in place, and one stacked call fuses; build_masks then masks
-    every row from its key's fused scores. One row at one sigma, the
-    sampler's step for one chain, takes _one_row_mask instead.
+    row, as in denoise. Each key is ranked at its first row's latent and
+    sigma: the keys' attention weights are one (K, H, N, N) array, which
+    one stationary solve normalizes in place and one stacked call fuses,
+    and build_masks masks every row from its key's scores. A head filter
+    that rejects every head of a key names that row and its sigma.
     Returns every row's mask, the indices of the rows whose bits differ
     from `previous` (every row when it is None), and those rows' pooled
     degraded embeddings (C, d_c), or None when no row changed; the other
     rows' embeddings still hold.
     """
-    if len(rows) == 1 and not isinstance(sigma, np.ndarray):
-        masks = [_one_row_mask(rows[0], x[0], sigma, fusion, bias_weight)]
-    else:
-        masks = _stacked_masks(rows, x, sigma, fusion, bias_weight)
+    column = isinstance(sigma, np.ndarray)
+    if column and sigma.shape != (len(rows), 1):
+        raise InvalidInputError(f"sigma column of shape {sigma.shape} for {len(rows)} rows")
+    scores = None
+    if rows.key_states:
+        at = rows.at
+        try:
+            scores = fuse_head_stacks(
+                _compute_importance(_stacked_weights(
+                    rows.key_states, x[at], sigma[at] if column else sigma, bias_weight
+                )),
+                fusion,
+            )
+        except AllHeadsFilteredError as exc:
+            r = rows.keys.index(exc.index)
+            at_sigma = float(sigma[r, 0]) if column else sigma
+            raise AllHeadsFilteredError(
+                f"{exc} for {rows.labels[r]} at sigma {at_sigma}", exc.index
+            ) from exc
+    masks = build_masks(rows.tokens, scores, rows.keys, rows.ratios)
     changed = [
         r for r, mask in enumerate(masks)
         if previous is None or mask.bits.tobytes() != previous[r].bits.tobytes()
@@ -396,7 +374,7 @@ def degrade_rows(
     if not changed:
         return masks, changed, None
     degraded = apply_mask(
-        Condition(np.array([rows[r].condition.embeddings for r in changed])),
+        Condition(np.array([rows.conditions[r] for r in changed])),
         encoder.null_condition(),
         [masks[r] for r in changed],
     )
@@ -564,26 +542,26 @@ def _integrate(
     if null_neg:
         neg_m[null_neg] = model.means(encoder.pool(encoder.null_condition(), d_c)[None])
 
-    # the chains degrading at step 0, and those of them ranking tokens again
-    # at every later step; the prompt states are held for the whole call
-    states: dict[tuple, PromptState] = {}
-    row_of = {
-        b: degrade_row(
-            encoder, f"chain {labels[b]}", chain.tokens,
-            conditions[chain.tokens.ids][0], chain.config.ratios,
-            chain.config.lambda_block, model.d_x, states,
-        )
-        for b, (chain, mode) in enumerate(zip(chains, modes))
-        if mode.uses_degradation
-    }
-    every_step = [
-        b for b, row in row_of.items()
-        if row.state is not None and not chains[b].config.reuse_first_step_mask
-    ]
-    degraded_at = [
-        (active, _rows(active), [row_of[b] for b in active])
-        for active in (list(row_of), every_step)
-    ]
+    # the chains degrading at step 0, ranked once per (prompt, block, seed),
+    # as they share their latent there, and those of them ranking tokens
+    # again at every later step, each under its own key; the set holds
+    # the prompt states for the whole call
+    degrading = [b for b, mode in enumerate(modes) if mode.uses_degradation]
+    degraded_at = [((), None, None)] * 2
+    if degrading:
+        rows = degrade_set(encoder, [
+            (f"chain {labels[b]}", c.tokens, conditions[c.tokens.ids][0].embeddings,
+             c.config.ratios, c.config.lambda_block, c.seed)
+            for b, c in enumerate(chains) if c.config.mode.uses_degradation
+        ], model.d_x)
+        degraded_at[0] = (degrading, _rows(degrading), rows)
+        again = [
+            r for r, b in enumerate(degrading)
+            if rows.keys[r] >= 0 and not chains[b].config.reuse_first_step_mask
+        ]
+        if again:
+            active = [degrading[r] for r in again]
+            degraded_at[1] = (active, _rows(active), rows.subset(again))
 
     # one draw per distinct seed
     noise: dict[int, np.ndarray] = {}
@@ -596,7 +574,7 @@ def _integrate(
 
     # each chain's mask per step, as far as it has built them
     masks_used: list[list[DegradationMask | None]] = [
-        [] if b in row_of else [None] * steps for b in range(n)
+        [] if mode.uses_degradation else [None] * steps for mode in modes
     ]
     x = trajectory[0]
     for i in range(steps):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -64,25 +63,20 @@ class TokenSequence:
     def __post_init__(self):
         if len(self.ids) != len(self.types) or len(self.ids) != len(self.texts):
             raise InvalidInputError("ids/types/texts length mismatch")
-        object.__setattr__(self, "_positions", {})
+        # a read-only bool per position, True at content tokens, and each
+        # type's positions, ascending: found once, here
+        content = TokenType.CONTENT
+        bits = np.array([t is content for t in self.types], dtype=bool)
+        bits.flags.writeable = False
+        object.__setattr__(self, "content_bits", bits)
+        object.__setattr__(self, "content_positions", np.flatnonzero(bits).tolist())
+        object.__setattr__(self, "ctxagg_positions", np.flatnonzero(~bits).tolist())
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def positions_of(self, ttype: TokenType) -> list[int]:
-        cached = self._positions.get(ttype)
-        if cached is None:
-            cached = [i for i, t in enumerate(self.types) if t is ttype]
-            self._positions[ttype] = cached
-        return cached
-
-    @cached_property
-    def content_bits(self) -> np.ndarray:
-        """A read-only bool per position: True at content tokens."""
-        bits = np.zeros(len(self.ids), dtype=bool)
-        bits[self.positions_of(TokenType.CONTENT)] = True
-        bits.flags.writeable = False
-        return bits
+        return self.content_positions if ttype is TokenType.CONTENT else self.ctxagg_positions
 
 
 @dataclass
@@ -136,19 +130,6 @@ class PromptState:
 
     static: np.ndarray  # (H, N, N)
     shift_map: np.ndarray  # (H, N, d_x + 1)
-
-    def weights(self, x: np.ndarray, sigma: float, bias_weight: float) -> np.ndarray:
-        """Unnormalized attention weights (H, N, N) at latent x and noise sigma.
-
-        Each row is the softmax row times a positive factor; WPR's row
-        normalization absorbs it. With bias_weight 0 this is the static map.
-        """
-        if bias_weight == 0.0:
-            return self.static
-        z = np.empty(x.size + 1)
-        z[:-1] = x
-        z[-1] = sigma
-        return self.static * np.exp(bias_weight * (self.shift_map @ z))[:, None, :]
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

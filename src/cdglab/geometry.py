@@ -20,11 +20,11 @@ from .diffusion import (
     DEFAULT_ATTENTION_BIAS_WEIGHT,
     GmmConditionalModel,
     SigmaSchedule,
-    degrade_row,
     degrade_rows,
+    degrade_set,
     denoise,
 )
-from .encoder import PromptState, TokenSequence, ToyTextEncoder
+from .encoder import TokenSequence, ToyTextEncoder
 from .errors import InvalidInputError, RankDeficientError, UndefinedMetricError
 from .guidance import denoiser_to_eps
 from .importance import FusionConfig
@@ -261,11 +261,10 @@ def run_geometry_sweep(
     conditions = [encoder.encode(t) for t in prompts_tokens]
     e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
     e_null = encoder.pool(encoder.null_condition(), model.d_c)
-    states: dict[tuple, PromptState] = {}
-    rows = [
-        degrade_row(encoder, f"prompt {p}", t, c, ratios, lambda_block, model.d_x, states)
+    rows = degrade_set(encoder, [
+        (f"prompt {p}", t, c.embeddings, ratios, lambda_block, p)
         for p, (t, c) in enumerate(zip(prompts_tokens, conditions))
-    ]
+    ], model.d_x)
 
     sigmas = schedule.sigmas[:-1]
     n_sigmas = len(sigmas)
@@ -275,10 +274,11 @@ def run_geometry_sweep(
     # row, so it takes the rows in blocks whose weights fit the budget
     row_bytes = encoder.params.n_heads * max(map(len, prompts_tokens)) ** 2 * 8
     block = max(1, _DEGRADE_BLOCK_BYTES // row_bytes)
-    all_rows = rows * n_sigmas
+    # every (sigma, prompt) row is ranked at its own latent
     e_deg = np.concatenate([
         degrade_rows(
-            encoder, all_rows[i : i + block], x[i : i + block], sigma_col[i : i + block],
+            encoder, rows.subset([r % n_prompts for r in range(i, min(i + block, len(x)))]),
+            x[i : i + block], sigma_col[i : i + block],
             model.d_c, fusion, attention_bias_weight,
         )[2]
         for i in range(0, len(x), block)

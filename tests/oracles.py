@@ -3,7 +3,9 @@
 None of these has a caller in the package. `wpr_single_head` is the
 power iteration whose limit `stationary_scores` solves for, and
 `attention_maps` runs the encoder's blocks one by one and keeps each
-block's attention. `PredictionStack`,
+block's attention, and `state_weights` takes a `PromptState` to its
+attention weights at one latent, the one-key product the sampler's
+stacked weights must equal bit for bit. `PredictionStack`,
 `estimate_subspace` and `orthonormal_basis` build subspace bases from
 stacked rows through plain `thin_svd`. `pooled_decoupling` and
 `pooled_interference` are the one-matrix-at-a-time forms of the pooled
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdglab.encoder import TokenSequence, ToyTextEncoder
+from cdglab.encoder import PromptState, TokenSequence, ToyTextEncoder
 from cdglab.errors import InvalidInputError, RankDeficientError
 from cdglab.importance import _row_normalized
 from cdglab.linalg import principal_angle_sines_squared, project_onto, thin_svd
@@ -60,6 +62,23 @@ def attention_maps(encoder: ToyTextEncoder, tokens: TokenSequence) -> list[np.nd
         x, attn = encoder._block_attention(x, b)
         maps.append(attn)
     return maps
+
+
+def state_weights(
+    state: PromptState, x: np.ndarray, sigma: float, bias_weight: float
+) -> np.ndarray:
+    """Unnormalized attention weights (H, N, N) of a prompt state at latent
+    x (d_x,) and noise sigma.
+
+    Each row is the softmax row times a positive factor; WPR's row
+    normalization absorbs it. With bias_weight 0 this is the static map.
+    """
+    if bias_weight == 0.0:
+        return state.static
+    z = np.empty(x.size + 1)
+    z[:-1] = x
+    z[-1] = sigma
+    return state.static * np.exp(bias_weight * (state.shift_map @ z))[:, None, :]
 
 
 @dataclass

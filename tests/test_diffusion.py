@@ -32,6 +32,7 @@ from cdglab.errors import (
 )
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 from cdglab.importance import FusionConfig, stationary_scores
+from oracles import state_weights
 
 CFG = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
 UNGUIDED = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
@@ -283,27 +284,28 @@ def _row_normalized(weights: np.ndarray) -> np.ndarray:
 class TestAttentionProvider:
     """The latent-conditioned attention the sampler ranks tokens from.
 
-    A PromptState gives unnormalized weights; row-normalized they are the
-    block's attention under a query bias linear in (x, sigma).
+    A PromptState gives unnormalized weights (oracles.state_weights);
+    row-normalized they are the block's attention under a query bias linear
+    in (x, sigma).
     """
 
     def test_zero_bias_equals_static(self, encoder, tokens):
         state = encoder.prompt_state(tokens, 1, 8)
         np.testing.assert_array_equal(
-            _row_normalized(state.weights(np.zeros(8), 1.0, 0.0)),
+            _row_normalized(state_weights(state, np.zeros(8), 1.0, 0.0)),
             encoder.attention_at_block(tokens, 1),
         )
 
     def test_latent_dependence(self, encoder, tokens):
         state = encoder.prompt_state(tokens, 1, 8)
-        a = _row_normalized(state.weights(np.zeros(8), 1.0, 0.1))
-        b = _row_normalized(state.weights(np.ones(8), 1.0, 0.1))
+        a = _row_normalized(state_weights(state, np.zeros(8), 1.0, 0.1))
+        b = _row_normalized(state_weights(state, np.ones(8), 1.0, 0.1))
         assert np.abs(a - b).max() > 0
 
     def test_rows_stochastic(self, encoder, tokens):
         state = encoder.prompt_state(tokens, 0, 8)
         heads = _row_normalized(
-            state.weights(np.random.default_rng(0).normal(size=8), 0.5, 0.1)
+            state_weights(state, np.random.default_rng(0).normal(size=8), 0.5, 0.1)
         )
         assert (heads > 0).all()
         np.testing.assert_allclose(heads.sum(axis=2), 1.0, atol=1e-9)
@@ -712,10 +714,11 @@ DEGRADE_PROMPTS = ["a man is cooking", "a cat sits on the mat", "", "the dog run
 def _degrade_case(encoder, params, data):
     """(blocks, fusion, bias): per sigma, its rows and their latents.
 
-    Prompts repeat across and within blocks, R=1.0 rows carry no state, a
-    block may end with a copy of its last row at the same latent, and the
-    first row of the second block has the state and the latent of the
-    first block's first row, at another sigma.
+    A row is a degrade_set row whose latent names (sigma index, latent
+    row). Prompts repeat across and within blocks, R=1.0 rows do not rank,
+    a block may end with a copy of its last row at the same latent, which
+    shares its key, and the first row of the second block has the prompt
+    and the latent of the first block's first row, at another sigma.
     """
     bias = data.draw(st.sampled_from([0.0, DEFAULT_ATTENTION_BIAS_WEIGHT]))
     tokens = [tokenize(p, params) for p in DEGRADE_PROMPTS]
@@ -731,31 +734,30 @@ def _degrade_case(encoder, params, data):
     specs = st.tuples(
         st.integers(0, len(tokens) - 1), st.sampled_from([0.3, 0.5, 1.0, 1.5])
     )
-    states: dict[tuple, object] = {}
     blocks = []
     for si, sigma in enumerate(sigmas):
         block = data.draw(st.lists(specs, min_size=1, max_size=4))
         x = rng.normal(size=(len(block), 8)) * sigma
         if si == 1:
-            block[0] = blocks[0][0][0]
-            x[0] = blocks[0][1][0]
+            block[0] = blocks[0][1][0]
+            x[0] = blocks[0][2][0]
+        latents = list(range(len(block)))
         if data.draw(st.booleans()):
             block.append(block[-1])
+            latents.append(latents[-1])
             x = np.concatenate([x, x[-1:]])
-        blocks.append((block, x))
+        blocks.append((sigma, block, x, [(si, i) for i in latents]))
     return [
         (
             sigma,
             [
-                diffusion.degrade_row(
-                    encoder, f"row {si}.{r}", tokens[p], encoder.encode(tokens[p]),
-                    map_ratio(r_deg), 1, 8, states,
-                )
-                for r, (p, r_deg) in enumerate(block)
+                (f"row {si}.{r}", tokens[p], encoder.encode(tokens[p]).embeddings,
+                 map_ratio(r_deg), 1, latent)
+                for r, ((p, r_deg), latent) in enumerate(zip(block, latents))
             ],
             x,
         )
-        for si, (sigma, (block, x)) in enumerate(zip(sigmas, blocks))
+        for si, (sigma, block, x, latents) in enumerate(blocks)
     ], fusion, bias
 
 
@@ -764,7 +766,9 @@ def _degrade_per_sigma(encoder, blocks, fusion, bias, previous):
     masks, changed, embeddings, start = [], [], [], 0
     for sigma, rows, x in blocks:
         prev = None if previous is None else previous[start : start + len(rows)]
-        m, c, e = diffusion.degrade_rows(encoder, rows, x, sigma, 8, fusion, bias, prev)
+        m, c, e = diffusion.degrade_rows(
+            encoder, diffusion.degrade_set(encoder, rows, 8), x, sigma, 8, fusion, bias, prev
+        )
         masks += m
         changed += [start + r for r in c]
         embeddings += [] if e is None else list(e)
@@ -772,12 +776,20 @@ def _degrade_per_sigma(encoder, blocks, fusion, bias, previous):
     return masks, changed, embeddings
 
 
+def _assert_masks_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.bits, w.bits)
+        assert g.replaced_indices == w.replaced_indices
+        assert (g.k_content, g.k_ctxagg) == (w.k_content, w.k_ctxagg)
+
+
 class TestDegradeRows:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_sigma_column_matches_per_sigma_calls(self, encoder, params, data):
         blocks, fusion, bias = _degrade_case(encoder, params, data)
-        rows = [row for _, block, _ in blocks for row in block]
+        rows = diffusion.degrade_set(encoder, [row for _, b, _ in blocks for row in b], 8)
         x = np.concatenate([x for *_, x in blocks])
         column = np.concatenate([np.full((len(b), 1), s) for s, b, _ in blocks])
         # each call's masks once without a previous step, and once against
@@ -795,55 +807,66 @@ class TestDegradeRows:
                 encoder, rows, x, column, 8, fusion, bias, previous
             )
             assert changed == expected[1]
-            assert len(masks) == len(expected[0])
-            for got, want in zip(masks, expected[0]):
-                np.testing.assert_array_equal(got.bits, want.bits)
-                assert got.replaced_indices == want.replaced_indices
-                assert (got.k_content, got.k_ctxagg) == (want.k_content, want.k_ctxagg)
+            _assert_masks_equal(masks, expected[0])
             if changed:
                 np.testing.assert_array_equal(e, np.array(expected[2]))
             else:
                 assert e is None and not expected[2]
-        # the stacked weights of every ranked row equal PromptState.weights
-        ranked = [r for r, row in enumerate(rows) if row.state is not None]
-        if ranked:
+        # a row gets the same mask alone, ranked under its own key
+        for r, mask in enumerate(masks):
+            alone = diffusion.degrade_rows(
+                encoder, rows.subset([r]), x[r : r + 1], column[r, 0], 8, fusion, bias
+            )[0]
+            _assert_masks_equal(alone, [mask])
+        # every key's weights, in the one-key form and in the stacked form,
+        # equal the oracle's at the latent and sigma of its first row
+        if rows.key_states:
+            firsts = [rows.keys.index(k) for k in range(len(rows.key_states))]
             stacked = diffusion._stacked_weights(
-                [rows[r].state for r in ranked], x[ranked], column[ranked], bias
+                rows.key_states, x[firsts], column[firsts], bias
             )
-            for w, r in zip(stacked, ranked):
-                np.testing.assert_array_equal(
-                    w, rows[r].state.weights(x[r], column[r, 0], bias)
+            for k, r in enumerate(firsts):
+                want = state_weights(rows.key_states[k], x[r], column[r, 0], bias)
+                one = diffusion._stacked_weights(
+                    rows.key_states[k : k + 1], x[r : r + 1], column[r, 0], bias
                 )
+                np.testing.assert_array_equal(one, want[None])
+                np.testing.assert_array_equal(stacked[k], want)
 
     def test_same_state_and_latent_at_two_sigmas_ranked_apart(self, encoder, params):
         tokens = tokenize("the old man and the young woman cook dinner", params)
-        row = diffusion.degrade_row(
-            encoder, "row", tokens, encoder.encode(tokens), map_ratio(0.5), 1, 8, {}
-        )
+        row = ("row", tokens, encoder.encode(tokens).embeddings, map_ratio(0.5), 1, 0)
         x = np.tile(np.random.default_rng(4).normal(size=8) * 3.0, (2, 1))
         sigmas = [0.05, 20.0]
         alone = [
-            diffusion.degrade_rows(encoder, [row], x[:1], s, 8, None, 0.5)[0][0]
+            diffusion.degrade_rows(
+                encoder, diffusion.degrade_set(encoder, [row], 8), x[:1], s, 8, None, 0.5
+            )[0][0]
             for s in sigmas
         ]
-        # the two sigmas rank the tokens apart, so a key without sigma would
-        # give the second row the first one's mask
+        # the two sigmas rank the tokens apart, so a shared key would give
+        # the second row the first one's mask
         assert alone[0].replaced_indices != alone[1].replaced_indices
+        # the geometry sweep's rows: one prompt at two sigmas, each ranked
+        # under its own key
+        both = diffusion.degrade_set(encoder, [row], 8).subset([0, 0])
+        assert both.keys == [0, 1]
         masks = diffusion.degrade_rows(
-            encoder, [row, row], x, np.array(sigmas)[:, None], 8, None, 0.5
+            encoder, both, x, np.array(sigmas)[:, None], 8, None, 0.5
         )[0]
         assert [m.replaced_indices for m in masks] == [m.replaced_indices for m in alone]
 
     def test_all_heads_filtered_names_row_and_its_sigma(self, encoder, params):
         keep, drop = (tokenize(p, params) for p in ("a man is cooking", "a dog"))
         fusion = window_around_first_head(encoder, keep, drop)
-        states: dict[tuple, object] = {}
-        rows = [
-            diffusion.degrade_row(
-                encoder, label, t, encoder.encode(t), map_ratio(0.5), 1, 8, states
-            )
-            for label, t in (("first", keep), ("second", keep), ("third", drop))
-        ]
+        rows = diffusion.degrade_set(
+            encoder,
+            [
+                (label, t, encoder.encode(t).embeddings, map_ratio(0.5), 1, r)
+                for r, (label, t) in enumerate((("first", keep), ("second", keep), ("third", drop)))
+            ],
+            8,
+        )
         x = np.random.default_rng(0).normal(size=(3, 8))
         column = np.array([[5.0], [2.5], [0.75]])
         with pytest.raises(AllHeadsFilteredError, match="for third at sigma 0.75"):
@@ -851,12 +874,11 @@ class TestDegradeRows:
 
     @pytest.mark.parametrize("shape", [(2, 1), (3,), (1, 3), (3, 2)])
     def test_bad_sigma_column_rejected(self, encoder, tokens, shape):
-        row = diffusion.degrade_row(
-            encoder, "row", tokens, encoder.encode(tokens), map_ratio(0.5), 1, 8, {}
-        )
+        row = ("row", tokens, encoder.encode(tokens).embeddings, map_ratio(0.5), 1, 0)
+        rows = diffusion.degrade_set(encoder, [row], 8).subset([0] * 3)
         with pytest.raises(InvalidInputError):
             diffusion.degrade_rows(
-                encoder, [row] * 3, np.zeros((3, 8)), np.ones(shape), 8, None, 0.1
+                encoder, rows, np.zeros((3, 8)), np.ones(shape), 8, None, 0.1
             )
 
 

@@ -22,7 +22,7 @@ from cdglab.encoder import (
 from cdglab.errors import InvalidInputError, PromptTooLongError
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 
-from oracles import attention_maps
+from oracles import attention_maps, state_weights
 
 words_strategy = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8),
@@ -189,7 +189,7 @@ class TestAttention:
     def test_query_bias_changes_map(self, encoder, params, tokens):
         # the query bias is the prompt state's latent-dependent logit shift
         base = encoder.attention_at_block(tokens, 1)
-        weights = encoder.prompt_state(tokens, 1, 8).weights(np.ones(8), 1.0, 0.5)
+        weights = state_weights(encoder.prompt_state(tokens, 1, 8), np.ones(8), 1.0, 0.5)
         biased = weights / weights.sum(axis=2, keepdims=True)
         assert np.abs(base - biased).max() > 0
         np.testing.assert_allclose(biased.sum(axis=2), 1.0, atol=1e-9)
@@ -227,7 +227,7 @@ class TestPromptState:
     def test_static_weights_read_only(self, encoder, tokens):
         state = encoder.prompt_state(tokens, 1, 8)
         with pytest.raises(ValueError):
-            state.weights(np.zeros(8), 1.0, 0.0)[0, 0, 0] = 1.0
+            state_weights(state, np.zeros(8), 1.0, 0.0)[0, 0, 0] = 1.0
 
     def test_store_stays_at_cap(self, params, model):
         # one chain per new prompt, as a long-lived service samples them

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cdglab import diffusion, geometry, linalg
 from cdglab.degradation import map_ratio
-from cdglab.diffusion import DegradeRow, SigmaSchedule, degrade_rows, denoise
+from cdglab.diffusion import SigmaSchedule, degrade_rows, degrade_set, denoise
 from cdglab.encoder import tokenize
 from cdglab.errors import (
     AllHeadsFilteredError,
@@ -221,10 +221,14 @@ def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
     conditions = [encoder.encode(t) for t in tokens]
     e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
     e_null = np.tile(encoder.pool(encoder.null_condition(), model.d_c), (n, 1))
-    rows = [
-        DegradeRow(f"prompt {p}", t, c, ratios, encoder.prompt_state(t, 1, model.d_x))
-        for p, (t, c) in enumerate(zip(tokens, conditions))
-    ]
+    rows = degrade_set(
+        encoder,
+        [
+            (f"prompt {p}", t, c.embeddings, ratios, 1, p)
+            for p, (t, c) in enumerate(zip(tokens, conditions))
+        ],
+        model.d_x,
+    )
     detail = []
     for si, sigma in enumerate(schedule.sigmas[:-1]):
         x = np.stack([
