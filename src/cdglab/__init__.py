@@ -24,7 +24,6 @@ from .diffusion import (
     score,
 )
 from .encoder import (
-    Condition,
     EncoderParams,
     PromptState,
     TokenSequence,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import Condition, TokenSequence, TokenType
+from .encoder import TokenSequence, TokenType
 from .errors import InvalidInputError, InvalidRatioError
 from .importance import ranking
 
@@ -148,21 +148,16 @@ def build_masks(
 
 
 def apply_mask(
-    c: Condition,
-    null: Condition,
-    mask: DegradationMask | Sequence[DegradationMask],
-) -> Condition:
+    c: np.ndarray, null: np.ndarray, masks: Sequence[DegradationMask]
+) -> np.ndarray:
     """Row-wise interpolation: keep rows where the bit is 1, else take null's row.
 
-    A condition (N, d_model) takes one mask; a stack (B, N, d_model) takes a
-    sequence of B masks, one per condition, all against the one null.
+    The stack c (B, N, d_model) takes B masks, one per condition, all
+    against the one null (N, d_model), and degrades to a new stack.
     """
-    if isinstance(mask, DegradationMask):
-        keep = mask.bits.astype(bool)
-    else:
-        keep = np.array([m.bits for m in mask], dtype=bool)
-    if c.embeddings.shape[-2:] != null.embeddings.shape:
+    keep = np.array([m.bits for m in masks], dtype=bool)
+    if c.shape[-2:] != null.shape:
         raise InvalidInputError("condition and null shapes differ")
-    if keep.shape != c.embeddings.shape[:-1]:
+    if keep.shape != c.shape[:-1]:
         raise InvalidInputError("mask length does not match condition rows")
-    return Condition(embeddings=np.where(keep[..., None], c.embeddings, null.embeddings))
+    return np.where(keep[..., None], c, null)

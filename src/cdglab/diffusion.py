@@ -11,6 +11,7 @@ mask computation.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .degradation import (
     build_masks,
     mask_extent,
 )
-from .encoder import Condition, PromptState, TokenSequence, ToyTextEncoder
+from .encoder import PromptState, TokenSequence, ToyTextEncoder
 from .errors import AllHeadsFilteredError, InvalidInputError, NumericalError
 from .guidance import GuidanceConfig, GuidanceMode, combine, denoiser_to_eps
 from .importance import FusionConfig, fuse_head_stacks, stationary_scores
@@ -38,7 +39,6 @@ class GmmConditionalModel:
     maps: np.ndarray  # (J, d_x, d_c)
     spreads: np.ndarray  # (J,) isotropic stds, > 0
     weights: np.ndarray  # (J,) summing to 1
-    seed: int = 0
     # per-component constants of every denoise call, derived from the above
     log_weights: np.ndarray = field(init=False, repr=False)
     variances: np.ndarray = field(init=False, repr=False)  # spreads**2
@@ -52,6 +52,8 @@ class GmmConditionalModel:
         j = self.maps.shape[0]
         if self.spreads.shape != (j,) or self.weights.shape != (j,):
             raise InvalidInputError("spreads/weights must have one entry per component")
+        if not all(map(all_finite, (self.maps, self.spreads, self.weights))):
+            raise InvalidInputError("maps, spreads and weights must be finite")
         if (self.spreads <= 0).any():
             raise InvalidInputError("spreads must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12 or (self.weights < 0).any():
@@ -96,7 +98,7 @@ class GmmConditionalModel:
         spreads = rng.uniform(*spread_range, size=n_components)
         weights = rng.uniform(0.5, 1.5, size=n_components)
         weights /= weights.sum()
-        return cls(maps=maps, spreads=spreads, weights=weights, seed=seed)
+        return cls(maps=maps, spreads=spreads, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,6 @@ class SigmaSchedule:
     @property
     def steps(self) -> int:
         return len(self.sigmas) - 1
-
-    @property
-    def sigma_max(self) -> float:
-        return self.sigmas[0]
 
     @classmethod
     def log_spaced(cls, steps: int, sigma_max: float, sigma_min: float) -> "SigmaSchedule":
@@ -374,7 +372,7 @@ def degrade_rows(
     if not changed:
         return masks, changed, None
     degraded = apply_mask(
-        Condition(np.array([rows.conditions[r] for r in changed])),
+        np.array([rows.conditions[r] for r in changed]),
         encoder.null_condition(),
         [masks[r] for r in changed],
     )
@@ -510,11 +508,10 @@ def _integrate(
     n = len(chains)
     d_c = model.d_c
 
-    conditions: dict[tuple[int, ...], tuple[Condition, np.ndarray]] = {}
+    conditions: dict[tuple[int, ...], np.ndarray] = {}
     for chain in chains:
         if chain.tokens.ids not in conditions:
-            c = encoder.encode(chain.tokens)
-            conditions[chain.tokens.ids] = (c, encoder.pool(c, d_c))
+            conditions[chain.tokens.ids] = encoder.encode(chain.tokens)
     modes = [chain.config.mode for chain in chains]
 
     # chains at w = 1 stay out of the combine, which would turn a -0.0 of
@@ -535,9 +532,9 @@ def _integrate(
     neg_m = np.empty((n, *shape))
     prompt_pos = [b for b, mode in enumerate(modes) if mode is not GuidanceMode.CFG_STAR]
     if prompt_pos:
-        pos_m[prompt_pos] = model.means(
-            np.array([conditions[chains[b].tokens.ids][1] for b in prompt_pos])
-        )
+        pos_m[prompt_pos] = model.means(encoder.pool(
+            np.array([conditions[chains[b].tokens.ids] for b in prompt_pos]), d_c
+        ))
     null_neg = [b for b in guided if modes[b] is not GuidanceMode.CDG]
     if null_neg:
         neg_m[null_neg] = model.means(encoder.pool(encoder.null_condition(), d_c)[None])
@@ -550,7 +547,7 @@ def _integrate(
     degraded_at = [((), None, None)] * 2
     if degrading:
         rows = degrade_set(encoder, [
-            (f"chain {labels[b]}", c.tokens, conditions[c.tokens.ids][0].embeddings,
+            (f"chain {labels[b]}", c.tokens, conditions[c.tokens.ids],
              c.config.ratios, c.config.lambda_block, c.seed)
             for b, c in enumerate(chains) if c.config.mode.uses_degradation
         ], model.d_x)
@@ -565,8 +562,10 @@ def _integrate(
 
     # one draw per distinct seed
     noise: dict[int, np.ndarray] = {}
-    for chain in chains:
+    for label, chain in zip(labels, chains):
         if chain.seed not in noise:
+            if operator.index(chain.seed) < 0:
+                raise InvalidInputError(f"chain {label}: seed must be >= 0")
             noise[chain.seed] = np.random.default_rng(chain.seed).normal(size=model.d_x)
     trajectory = np.empty((steps + 1, n, model.d_x))
     trajectory[0] = np.stack([noise[chain.seed] for chain in chains]) * sigmas[0]

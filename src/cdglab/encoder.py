@@ -4,7 +4,7 @@ Turns a prompt into a fixed-length token sequence with content /
 context-aggregating type tags, runs a small multi-head self-attention stack
 over seeded embeddings, and exposes the per-head attention maps of any block.
 All randomness comes from the seed in EncoderParams, so the same prompt
-always produces the same condition.
+always produces the same condition embeddings.
 """
 
 from __future__ import annotations
@@ -79,11 +79,6 @@ class TokenSequence:
         return self.content_positions if ttype is TokenType.CONTENT else self.ctxagg_positions
 
 
-@dataclass
-class Condition:
-    embeddings: np.ndarray  # (seq_len, d_model), or a (B, seq_len, d_model) stack
-
-
 def _word_id(word: str, vocab_size: int) -> int:
     digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
     return _NUM_SPECIAL + int.from_bytes(digest, "big") % (vocab_size - _NUM_SPECIAL)
@@ -156,7 +151,7 @@ class ToyTextEncoder:
         self.w_k = rng.normal(size=(p.n_blocks, p.d_model, p.d_model)) * scale
         self.w_v = rng.normal(size=(p.n_blocks, p.d_model, p.d_model)) * scale
         self.w_o = rng.normal(size=(p.n_blocks, p.d_model, p.d_model)) * scale
-        self._null: Condition | None = None
+        self._null: np.ndarray | None = None
         self._pool_maps: dict[int, np.ndarray] = {}
         self._bias_maps: dict[int, np.ndarray] = {}
         # (token ids, block, d_x) -> PromptState, least recently used first
@@ -193,11 +188,12 @@ class ToyTextEncoder:
             raise InvalidInputError(f"token id outside [0, {p.vocab_size})")
         return self.tok_emb[list(tokens.ids)] + self.pos_emb
 
-    def encode(self, tokens: TokenSequence) -> Condition:
+    def encode(self, tokens: TokenSequence) -> np.ndarray:
+        """Condition embeddings (N, d_model): the hidden state after the last block."""
         x = self._embed(tokens)
         for b in range(self.params.n_blocks):
             x, _ = self._block_attention(x, b)
-        return Condition(embeddings=x)
+        return x
 
     def attention_at_block(self, tokens: TokenSequence, block: int) -> np.ndarray:
         """Attention of one block (H x N x N)."""
@@ -249,19 +245,20 @@ class ToyTextEncoder:
         self._states[key] = state
         return state
 
-    def null_condition(self) -> Condition:
-        """Encoding of the empty prompt; computed once and cached."""
+    def null_condition(self) -> np.ndarray:
+        """Embeddings (N, d_model) of the empty prompt: computed once, shared, read-only."""
         if self._null is None:
             self._null = self.encode(tokenize("", self.params))
+            self._null.flags.writeable = False
         return self._null
 
-    def pool(self, c: Condition, d_c: int) -> np.ndarray:
+    def pool(self, c: np.ndarray, d_c: int) -> np.ndarray:
         """Mean over token rows followed by a fixed seeded linear map to d_c.
 
-        Embeddings (N, d_model) pool to (d_c,), and a stack (B, N, d_model) to
-        (B, d_c) as one vector-matrix product per row, so a row's result does
-        not depend on the rest of the stack (a (B, d_model) GEMM would round
-        differently).
+        Embeddings c (N, d_model) pool to (d_c,), and a stack (B, N, d_model)
+        to (B, d_c) as one vector-matrix product per row, so a row's result
+        does not depend on the rest of the stack (a (B, d_model) GEMM would
+        round differently).
         """
         if d_c not in self._pool_maps:
             rng = np.random.default_rng([self.params.seed, 1, d_c])
@@ -269,5 +266,5 @@ class ToyTextEncoder:
                 size=(self.params.d_model, d_c)
             ) / np.sqrt(self.params.d_model)
         # the sum and division of ndarray.mean, without its Python wrapper
-        mean = c.embeddings.sum(axis=-2) / c.embeddings.shape[-2]
+        mean = c.sum(axis=-2) / c.shape[-2]
         return (mean[..., None, :] @ self._pool_maps[d_c])[..., 0, :]

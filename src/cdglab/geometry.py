@@ -31,6 +31,7 @@ from .importance import FusionConfig
 from .linalg import SvdResult, principal_angle_sines_squared, project_onto, thin_svd
 
 _ZERO_DELTA_TOL = 1e-300
+_SUBSPACE_ENERGY = 0.9
 # the most attention weights one degrade call of the sweep holds: 8 MiB, or
 # 1024 rows of 4 heads over 16 tokens
 _DEGRADE_BLOCK_BYTES = 1 << 23
@@ -144,14 +145,14 @@ def interference(delta: np.ndarray, s_c: np.ndarray) -> float:
     return _pooled_metrics([np.atleast_2d(np.asarray(delta, dtype=np.float64).T)], [s_c])[0][1]
 
 
-def energy_rank(singular_values: np.ndarray, energy: float = 0.9) -> int:
-    """Smallest k whose leading singular values capture the energy fraction."""
+def energy_rank(singular_values: np.ndarray) -> int:
+    """Smallest k whose leading singular values capture _SUBSPACE_ENERGY of their squares."""
     sq = np.asarray(singular_values, dtype=np.float64) ** 2
     total = sq.sum()
     if total == 0:
         raise RankDeficientError("all singular values are zero")
     cum = np.cumsum(sq) / total
-    return int(np.searchsorted(cum, energy) + 1)
+    return int(np.searchsorted(cum, _SUBSPACE_ENERGY) + 1)
 
 
 @dataclass
@@ -259,10 +260,10 @@ def run_geometry_sweep(
         raise InvalidInputError("need at least 2 prompts")
     ratios = map_ratio(r_deg)
     conditions = [encoder.encode(t) for t in prompts_tokens]
-    e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
+    e_c = encoder.pool(np.array(conditions), model.d_c)
     e_null = encoder.pool(encoder.null_condition(), model.d_c)
     rows = degrade_set(encoder, [
-        (f"prompt {p}", t, c.embeddings, ratios, lambda_block, p)
+        (f"prompt {p}", t, c, ratios, lambda_block, p)
         for p, (t, c) in enumerate(zip(prompts_tokens, conditions))
     ], model.d_x)
 

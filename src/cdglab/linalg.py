@@ -18,6 +18,7 @@ from .errors import InvalidInputError, NumericalError
 
 # Singular values below RANK_RTOL * s_max count as numerically zero.
 RANK_RTOL = 1e-12
+ORTHONORMAL_TOL = 1e-8
 
 
 @dataclass
@@ -69,10 +70,10 @@ def thin_svd(m: np.ndarray) -> SvdResult:
     return SvdResult(u=u, s=s, vt=vt)
 
 
-def _check_orthonormal_columns(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _check_orthonormal_columns(u: np.ndarray) -> np.ndarray:
     u = _check_matrix(u)
     gram = np.swapaxes(u, -1, -2) @ u
-    if np.abs(gram - np.eye(u.shape[-1])).max() > tol:
+    if np.abs(gram - np.eye(u.shape[-1])).max() > ORTHONORMAL_TOL:
         raise InvalidInputError("columns are not orthonormal")
     return u
 

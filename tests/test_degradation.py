@@ -17,7 +17,7 @@ from cdglab.degradation import (
     mask_extent,
     type_order,
 )
-from cdglab.encoder import Condition, EncoderParams, TokenType, tokenize
+from cdglab.encoder import EncoderParams, TokenType, tokenize
 from cdglab.errors import InvalidInputError, InvalidRatioError
 
 
@@ -231,17 +231,13 @@ class TestApplyMask:
         c = encoder.encode(tokens)
         null = encoder.null_condition()
         mask = build_mask(tokens, _importance(0, len(tokens)), map_ratio(0.0))
-        np.testing.assert_array_equal(
-            apply_mask(c, null, mask).embeddings, c.embeddings
-        )
+        np.testing.assert_array_equal(apply_mask(c[None], null, [mask])[0], c)
 
     def test_all_zeros_yields_null(self, encoder, tokens):
         c = encoder.encode(tokens)
         null = encoder.null_condition()
         mask = build_mask(tokens, _importance(0, len(tokens)), map_ratio(2.0))
-        np.testing.assert_array_equal(
-            apply_mask(c, null, mask).embeddings, null.embeddings
-        )
+        np.testing.assert_array_equal(apply_mask(c[None], null, [mask])[0], null)
 
     def test_single_replacement(self, encoder, tokens):
         c = encoder.encode(tokens)
@@ -249,43 +245,40 @@ class TestApplyMask:
         mask = build_mask(tokens, None, map_ratio(1.0))
         mask.bits = np.ones_like(mask.bits)
         mask.bits[2] = 0
-        out = apply_mask(c, null, mask)
-        np.testing.assert_array_equal(out.embeddings[2], null.embeddings[2])
+        out = apply_mask(c[None], null, [mask])[0]
+        np.testing.assert_array_equal(out[2], null[2])
         rest = [i for i in range(len(tokens)) if i != 2]
-        np.testing.assert_array_equal(out.embeddings[rest], c.embeddings[rest])
+        np.testing.assert_array_equal(out[rest], c[rest])
 
     def test_idempotent(self, encoder, tokens):
         c = encoder.encode(tokens)
         null = encoder.null_condition()
         mask = build_mask(tokens, None, map_ratio(1.0))
-        once = apply_mask(c, null, mask)
-        twice = apply_mask(once, null, mask)
-        np.testing.assert_array_equal(once.embeddings, twice.embeddings)
+        once = apply_mask(c[None], null, [mask])[0]
+        twice = apply_mask(once[None], null, [mask])[0]
+        np.testing.assert_array_equal(once, twice)
 
     def test_shape_mismatch_rejected(self, encoder, tokens):
         c = encoder.encode(tokens)
         null = encoder.null_condition()
-        short = Condition(embeddings=null.embeddings[:-1])
         with pytest.raises(InvalidInputError):
-            apply_mask(c, short, build_mask(tokens, None, map_ratio(1.0)))
+            apply_mask(c[None], null[:-1], [build_mask(tokens, None, map_ratio(1.0))])
 
     def test_stack_matches_one_at_a_time(self, encoder, params):
         seqs = [tokenize(p, params) for p in ("a red cat", "the dog runs home")]
         masks = [build_mask(t, None, map_ratio(1.0)) for t in seqs]
         conds = [encoder.encode(t) for t in seqs]
         null = encoder.null_condition()
-        stack = apply_mask(
-            Condition(np.array([c.embeddings for c in conds])), null, masks
-        )
-        for row, c, m in zip(stack.embeddings, conds, masks):
-            np.testing.assert_array_equal(row, apply_mask(c, null, m).embeddings)
+        stack = apply_mask(np.array(conds), null, masks)
+        for row, c, m in zip(stack, conds, masks):
+            np.testing.assert_array_equal(row, apply_mask(c[None], null, [m])[0])
 
     def test_stack_needs_one_mask_per_condition(self, encoder, tokens):
         c = encoder.encode(tokens)
-        stack = Condition(np.array([c.embeddings, c.embeddings]))
+        stack = np.array([c, c])
         null = encoder.null_condition()
         mask = build_mask(tokens, None, map_ratio(1.0))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(TypeError):
             apply_mask(stack, null, mask)
         with pytest.raises(InvalidInputError):
             apply_mask(stack, null, [mask])

@@ -105,6 +105,17 @@ class TestModelValidation:
                 weights=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize("bad", ["maps", "spreads", "weights"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, bad, value):
+        params = dict(
+            maps=np.zeros((2, 2, 2)), spreads=np.array([1.0, 1.0]), weights=np.array([0.5, 0.5])
+        )
+        params[bad] = params[bad].copy()
+        params[bad].flat[0] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            GmmConditionalModel(**params)
+
     def test_random_constructor(self):
         m = GmmConditionalModel.random(3, 4, 5, seed=7)
         assert m.n_components == 3 and m.d_x == 4 and m.d_c == 5
@@ -701,6 +712,13 @@ class TestSample:
             with pytest.raises(NumericalError, match=r"step \d+ in chain 2"):
                 sample_batch(model, schedule, encoder, chains)
 
+    def test_negative_seed_names_chain(self, model, schedule, encoder, tokens):
+        chains = [Chain(tokens, CFG, 0), Chain(tokens, UNGUIDED, -1)]
+        with pytest.raises(InvalidInputError, match="chain 1.*seed"):
+            sample_batch(model, schedule, encoder, chains)
+        with pytest.raises(InvalidInputError, match="chain 0.*seed"):
+            sample(model, schedule, encoder, tokens, CFG, -1)
+
     def test_overflowing_attention_bias_rejected(self, model, schedule, encoder, tokens):
         cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
         with np.errstate(all="ignore"):
@@ -751,7 +769,7 @@ def _degrade_case(encoder, params, data):
         (
             sigma,
             [
-                (f"row {si}.{r}", tokens[p], encoder.encode(tokens[p]).embeddings,
+                (f"row {si}.{r}", tokens[p], encoder.encode(tokens[p]),
                  map_ratio(r_deg), 1, latent)
                 for r, ((p, r_deg), latent) in enumerate(zip(block, latents))
             ],
@@ -835,7 +853,7 @@ class TestDegradeRows:
 
     def test_same_state_and_latent_at_two_sigmas_ranked_apart(self, encoder, params):
         tokens = tokenize("the old man and the young woman cook dinner", params)
-        row = ("row", tokens, encoder.encode(tokens).embeddings, map_ratio(0.5), 1, 0)
+        row = ("row", tokens, encoder.encode(tokens), map_ratio(0.5), 1, 0)
         x = np.tile(np.random.default_rng(4).normal(size=8) * 3.0, (2, 1))
         sigmas = [0.05, 20.0]
         alone = [
@@ -862,7 +880,7 @@ class TestDegradeRows:
         rows = diffusion.degrade_set(
             encoder,
             [
-                (label, t, encoder.encode(t).embeddings, map_ratio(0.5), 1, r)
+                (label, t, encoder.encode(t), map_ratio(0.5), 1, r)
                 for r, (label, t) in enumerate((("first", keep), ("second", keep), ("third", drop)))
             ],
             8,
@@ -874,7 +892,7 @@ class TestDegradeRows:
 
     @pytest.mark.parametrize("shape", [(2, 1), (3,), (1, 3), (3, 2)])
     def test_bad_sigma_column_rejected(self, encoder, tokens, shape):
-        row = ("row", tokens, encoder.encode(tokens).embeddings, map_ratio(0.5), 1, 0)
+        row = ("row", tokens, encoder.encode(tokens), map_ratio(0.5), 1, 0)
         rows = diffusion.degrade_set(encoder, [row], 8).subset([0] * 3)
         with pytest.raises(InvalidInputError):
             diffusion.degrade_rows(

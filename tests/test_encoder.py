@@ -89,23 +89,27 @@ class TestEncode:
     def test_determinism(self, encoder, params):
         a = encoder.encode(tokenize("a man is cooking", params))
         b = encoder.encode(tokenize("a man is cooking", params))
-        np.testing.assert_array_equal(a.embeddings, b.embeddings)
+        np.testing.assert_array_equal(a, b)
 
     def test_fresh_encoder_matches(self, encoder, params, tokens):
         other = ToyTextEncoder(EncoderParams())
-        np.testing.assert_array_equal(
-            encoder.encode(tokens).embeddings, other.encode(tokens).embeddings
-        )
+        np.testing.assert_array_equal(encoder.encode(tokens), other.encode(tokens))
 
     def test_one_word_difference_changes_rows(self, encoder, params):
         a = encoder.encode(tokenize("a man is cooking", params))
         b = encoder.encode(tokenize("a man is painting", params))
-        assert np.abs(a.embeddings - b.embeddings).max() > 0
+        assert np.abs(a - b).max() > 0
 
     def test_null_condition_is_empty_prompt(self, encoder, params):
         null = encoder.null_condition()
         direct = encoder.encode(tokenize("", params))
-        np.testing.assert_array_equal(null.embeddings, direct.embeddings)
+        np.testing.assert_array_equal(null, direct)
+
+    def test_null_condition_is_read_only(self, encoder):
+        null = encoder.null_condition()
+        with pytest.raises(ValueError):
+            null[0, 0] = 0.0
+        assert encoder.null_condition() is null
 
     def test_length_mismatch_rejected(self, encoder):
         small = tokenize("", EncoderParams(seq_len=8))
@@ -145,30 +149,25 @@ class TestEncode:
 class TestPool:
     def test_identical_rows(self, encoder, params):
         row = np.random.default_rng(0).normal(size=params.d_model)
-        from cdglab.encoder import Condition
-
-        c = Condition(embeddings=np.tile(row, (params.seq_len, 1)))
-        pooled = encoder.pool(c, 8)
+        pooled = encoder.pool(np.tile(row, (params.seq_len, 1)), 8)
         expected = row @ encoder._pool_maps[8]
         np.testing.assert_allclose(pooled, expected, atol=1e-12)
+
+    def test_stack_pools_like_its_rows(self, encoder, params):
+        prompts = ("a red cat", "the dog runs home", "")
+        stack = np.array([encoder.encode(tokenize(p, params)) for p in prompts])
+        np.testing.assert_array_equal(encoder.pool(stack, 8), [encoder.pool(c, 8) for c in stack])
 
     def test_null_pool_defined(self, encoder):
         out = encoder.pool(encoder.null_condition(), 8)
         assert out.shape == (8,) and np.isfinite(out).all()
 
     def test_sensitive_to_single_row_replacement(self, encoder, params, tokens):
-        from cdglab.encoder import Condition
-
         c = encoder.encode(tokens)
         null = encoder.null_condition()
-        changed = c.embeddings.copy()
-        changed[1] = null.embeddings[1]  # first content row
-        assert (
-            np.abs(
-                encoder.pool(Condition(embeddings=changed), 8) - encoder.pool(c, 8)
-            ).max()
-            > 0
-        )
+        changed = c.copy()
+        changed[1] = null[1]  # first content row
+        assert np.abs(encoder.pool(changed, 8) - encoder.pool(c, 8)).max() > 0
 
 
 class TestAttention:

@@ -224,7 +224,7 @@ def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
     rows = degrade_set(
         encoder,
         [
-            (f"prompt {p}", t, c.embeddings, ratios, 1, p)
+            (f"prompt {p}", t, c, ratios, 1, p)
             for p, (t, c) in enumerate(zip(tokens, conditions))
         ],
         model.d_x,
