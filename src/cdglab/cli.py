@@ -375,7 +375,7 @@ def run(argv: list[str] | None = None) -> int:
     if args.command == "sample":
         return cmd_sample(cfg, out, force)
     if args.command == "sweep":
-        grid = _parse_grid(args.grid) if args.grid else DEFAULT_SWEEP_GRID
+        grid = DEFAULT_SWEEP_GRID if args.grid is None else _parse_grid(args.grid)
         return cmd_sweep(cfg, grid, out, force)
     if args.command == "diagnose":
         return cmd_diagnose(cfg, out, force)

@@ -164,6 +164,24 @@ def _denoise(
     return (g[..., None] * comp).sum(axis=-2)
 
 
+def _checked(model: GmmConditionalModel, x, e) -> tuple[np.ndarray, np.ndarray]:
+    """x and e as float64 arrays, finite and of matching shapes: latents
+    (..., d_x) under one embedding e (d_c,), or one embedding per row,
+    x (B, d_x) under e (B, d_c)."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.asarray(e, dtype=np.float64)
+    widths = x.shape[-1:] == (model.d_x,) and e.shape[-1:] == (model.d_c,)
+    per_row = e.ndim == 2 and x.shape == (len(e), model.d_x)
+    if not widths or (e.ndim > 1 and not per_row):
+        raise InvalidInputError(
+            f"latents of shape {x.shape} and embeddings of shape {e.shape}"
+            f" for d_x {model.d_x}, d_c {model.d_c}"
+        )
+    if not (all_finite(x) and all_finite(e)):
+        raise InvalidInputError("latents and embeddings must be finite")
+    return x, e
+
+
 def denoise(
     model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, e: np.ndarray
 ) -> np.ndarray:
@@ -171,7 +189,7 @@ def denoise(
 
     sigma is one noise level, or a (B, 1) column of one per row of x (B, d_x).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x, e = _checked(model, x, e)
     if isinstance(sigma, np.ndarray):
         if x.ndim != 2 or sigma.shape != (len(x), 1):
             raise InvalidInputError(
@@ -193,7 +211,7 @@ def log_density(
     # one would pass for its absolute value
     if not 0.0 <= sigma < np.inf:
         raise InvalidInputError("sigma must be nonnegative and finite")
-    x = np.asarray(x, dtype=np.float64)
+    x, e = _checked(model, x, e)
     logw, _ = _posterior_stats(model, x, sigma, model.means(e))
     peak = logw.max(axis=-1, keepdims=True)
     out = peak[..., 0] + np.log(np.exp(logw - peak).sum(axis=-1))
@@ -210,8 +228,8 @@ def score(
 
 @dataclass
 class SamplerRun:
-    config: GuidanceConfig
-    seed: int
+    """What one chain's sampling produced; its inputs stay on its Chain."""
+
     sigmas: tuple[float, ...]
     trajectory: np.ndarray  # (steps + 1, d_x), a view into the batch's array
     masks_used: list[DegradationMask | None]  # one entry per step
@@ -230,6 +248,7 @@ def _compute_importance(weights: np.ndarray) -> np.ndarray:
     the caller's own fresh float64 array, in place and then overwrites it.
     """
     k, h, n = weights.shape[:3]
+    # in place: a copy of the weights per call cost diagnose ~10% of its items_per_s
     return stationary_scores(weights.reshape(k * h, n, n), overwrite_weights=True).reshape(k, h, n)
 
 
@@ -271,14 +290,12 @@ def degrade_set(encoder: ToyTextEncoder, rows: Iterable[tuple], d_x: int) -> Deg
 
     A row at the ratio-1.0 boundary gets key -1: its mask needs no
     ranking. Another row ranks from the state of its (token ids, block),
-    fetched from the encoder once and held by the set, so a call that
-    outlives the encoder's store of states still builds each one once.
-    The latent is any value naming the latent and sigma a row is ranked
-    at, such as a chain's seed at the sampler's first step: rows of one
-    (token ids, block, latent) share a key.
+    fetched from the encoder once per key (its store serves the repeats)
+    and held by the set. The latent is any value naming the latent and
+    sigma a row is ranked at, such as a chain's seed at the sampler's
+    first step: rows of one (token ids, block, latent) share a key.
     """
     labels, tokens, conditions, ratios, blocks, latents = zip(*rows)
-    fetched: dict[tuple, PromptState] = {}
     index: dict[tuple, int] = {}
     keys, key_states, firsts = [], [], []
     for r, (t, ratio, block, latent) in enumerate(zip(tokens, ratios, blocks, latents)):
@@ -286,10 +303,7 @@ def degrade_set(encoder: ToyTextEncoder, rows: Iterable[tuple], d_x: int) -> Deg
         if ratio.ranks:
             k = index.setdefault((t.ids, block, latent), len(firsts))
             if k == len(firsts):
-                state = fetched.get((t.ids, block))
-                if state is None:
-                    state = fetched[t.ids, block] = encoder.prompt_state(t, block, d_x)
-                key_states.append(state)
+                key_states.append(encoder.prompt_state(t, block, d_x))
                 firsts.append(r)
         keys.append(k)
     return DegradeSet(labels, tokens, conditions, ratios, keys, key_states, _rows(firsts))
@@ -305,10 +319,8 @@ def _stacked_weights(
     (x, sigma): for one key one (H, N, d_x + 1) @ (d_x + 1) product, for
     several one (K, H, N, d_x + 1) @ (K, 1, d_x + 1, 1) product over the
     gathered maps, which rounds the same. With bias_weight 0 the weights
-    are the static maps.
+    are the static maps bit for bit, as each factor is exp(0) = 1.
     """
-    if bias_weight == 0.0:
-        return np.array([s.static for s in states])
     one = len(states) == 1
     z = np.empty(x.shape[1] + 1 if one else (len(x), x.shape[1] + 1))
     z[..., :-1] = x
@@ -328,7 +340,7 @@ def degrade_rows(
     x: np.ndarray,
     sigma: float | np.ndarray,
     d_c: int,
-    fusion: FusionConfig | None,
+    fusion: FusionConfig,
     bias_weight: float,
     previous: Sequence[DegradationMask] | None = None,
 ) -> tuple[list[DegradationMask], list[int], np.ndarray | None]:
@@ -434,7 +446,7 @@ def sample_batch(
     schedule: SigmaSchedule,
     encoder: ToyTextEncoder,
     chains: Sequence[Chain],
-    fusion: FusionConfig | None = None,
+    fusion: FusionConfig = FusionConfig(),
     attention_bias_weight: float = DEFAULT_ATTENTION_BIAS_WEIGHT,
 ) -> list[SamplerRun]:
     """Guided probability-flow ODE sampling (Euler) of many chains at once.
@@ -481,8 +493,6 @@ def sample_batch(
         trajectory = trajectory[:, row_at]  # a copy: no run shares its rows
     return [
         SamplerRun(
-            config=chain.config,
-            seed=chain.seed,
             sigmas=schedule.sigmas,
             trajectory=trajectory[:, b],
             masks_used=list(masks[u]),
@@ -498,7 +508,7 @@ def _integrate(
     encoder: ToyTextEncoder,
     chains: Sequence[Chain],
     labels: Sequence[int],
-    fusion: FusionConfig | None,
+    fusion: FusionConfig,
     attention_bias_weight: float,
 ) -> tuple[np.ndarray, list[list[DegradationMask | None]]]:
     """Trajectories (steps + 1, B, d_x) of distinct chains and each one's
@@ -615,7 +625,7 @@ def sample(
     tokens: TokenSequence,
     config: GuidanceConfig,
     seed: int,
-    fusion: FusionConfig | None = None,
+    fusion: FusionConfig = FusionConfig(),
     attention_bias_weight: float = DEFAULT_ATTENTION_BIAS_WEIGHT,
 ) -> SamplerRun:
     """Guided sampling of one chain: sample_batch with a batch of one."""

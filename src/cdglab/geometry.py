@@ -224,7 +224,7 @@ def run_geometry_sweep(
     lambda_block: int = 1,
     k: int | None = None,
     seed: int = 0,
-    fusion: FusionConfig | None = None,
+    fusion: FusionConfig = FusionConfig(),
     attention_bias_weight: float = DEFAULT_ATTENTION_BIAS_WEIGHT,
 ) -> GeometryReport:
     """Decoupling/interference of CFG vs CDG deltas across the sigma schedule.

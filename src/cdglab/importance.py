@@ -51,7 +51,7 @@ def _row_normalized(a: np.ndarray, in_place: bool = False) -> np.ndarray:
     return a
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionConfig:
     """Variance-filter bounds for head fusion; disabled keeps every head."""
 
@@ -94,13 +94,13 @@ def stationary_scores(weights: np.ndarray, overwrite_weights: bool = False) -> n
     return out
 
 
-def fuse_head_stacks(scores: np.ndarray, cfg: FusionConfig | None = None) -> np.ndarray:
+def fuse_head_stacks(scores: np.ndarray, cfg: FusionConfig = FusionConfig()) -> np.ndarray:
     """Root-mean-square fusion of K per-head score stacks (K, H, N) to (K, N).
 
     Each fused row is normalized to sum to 1. With the variance filter
     enabled, only the heads of a stack whose score variance lies in
-    [v_min, v_max] take part in its row; a disabled or absent filter keeps
-    every head. A dropped head adds an exact zero to its row's sum of
+    [v_min, v_max] take part in its row; a disabled filter keeps every
+    head. A dropped head adds an exact zero to its row's sum of
     squares, so each row equals the fusion of its own stack alone. Raises
     AllHeadsFilteredError, with the index of the first stack whose every
     head the filter rejects.
@@ -110,7 +110,7 @@ def fuse_head_stacks(scores: np.ndarray, cfg: FusionConfig | None = None) -> np.
         raise InvalidInputError("expected a non-empty (stacks, heads, N) score stack")
     squares = stack**2
     kept = stack.shape[1]
-    if cfg is not None and cfg.enabled:
+    if cfg.enabled:
         variances = np.var(stack, axis=2)
         keep = (variances >= cfg.v_min) & (variances <= cfg.v_max)
         kept = keep.sum(axis=1, keepdims=True)  # (K, 1) heads per stack

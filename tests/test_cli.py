@@ -82,6 +82,15 @@ class TestErrors:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["", " ", ","])
+    def test_empty_grid(self, config_file, tmp_path, capsys, grid):
+        # an empty --grid is a usage error, not the default grid
+        code = main(["sweep", "--config", str(config_file), "--grid", grid,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: empty sweep grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -202,6 +202,27 @@ class TestDenoise:
         with pytest.raises(InvalidInputError):
             log_density(model, np.zeros(model.d_x), sigma, np.zeros(model.d_c))
 
+    @pytest.mark.parametrize("fn", [denoise, log_density, score])
+    @pytest.mark.parametrize(
+        "x_shape, e_shape",
+        [((8,), (7,)), ((1, 7), (8,)), ((3, 8), (2, 8)), ((1, 8), (2, 8)),
+         ((8,), (1, 8)), ((2, 8), (2, 1, 8))],
+        ids=["e-width", "x-width", "rows-differ", "one-x-two-e", "x-flat-e-rows", "e-3d"],
+    )
+    def test_mismatched_shapes_rejected(self, model, fn, x_shape, e_shape):
+        with pytest.raises(InvalidInputError, match="shape"):
+            fn(model, np.zeros(x_shape), 0.5, np.zeros(e_shape))
+
+    @pytest.mark.parametrize("fn", [denoise, log_density, score])
+    @pytest.mark.parametrize("bad", ["x", "e"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, model, fn, bad, value):
+        # a NaN anywhere made every output entry NaN, with no error
+        args = {"x": np.zeros((2, model.d_x)), "e": np.zeros((2, model.d_c))}
+        args[bad][1, 0] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            fn(model, args["x"], 0.5, args["e"])
+
     def test_log_density_at_sigma_zero_is_clean_density(self):
         model = _single_component_model(d_x=2, d_c=3, spread=0.5)
         e = np.array([0.3, -1.0, 0.2])
@@ -387,7 +408,7 @@ class TestSample:
 
     def test_fusion_path_matches_fast_path(self, model, schedule, encoder, tokens):
         cfg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
-        fast = sample(model, schedule, encoder, tokens, cfg, 2, fusion=None)
+        fast = sample(model, schedule, encoder, tokens, cfg, 2)
         wide = FusionConfig(v_min=0.0, v_max=np.inf, enabled=True)
         rich = sample(model, schedule, encoder, tokens, cfg, 2, fusion=wide)
         np.testing.assert_allclose(
@@ -450,14 +471,14 @@ class TestSample:
             Chain(chains[0].tokens, config, seed=3 + k)
             for k, config in enumerate([UNGUIDED, configs[2], configs[3], CFG])
         ]
-        # no filter, a filter keeping every head, and one keeping a strict,
+        # the disabled filter, one keeping every head, and one keeping a strict,
         # non-empty subset of every prompt's heads
         cases = [
-            (chains, None, DEFAULT_ATTENTION_BIAS_WEIGHT),
+            (chains, FusionConfig(), DEFAULT_ATTENTION_BIAS_WEIGHT),
             (chains, FusionConfig(v_min=0.0, v_max=1.0, enabled=True),
              DEFAULT_ATTENTION_BIAS_WEIGHT),
             (chains, window_below_top_heads(encoder, [c.tokens for c in chains]), 0.0),
-            (block, None, DEFAULT_ATTENTION_BIAS_WEIGHT),
+            (block, FusionConfig(), DEFAULT_ATTENTION_BIAS_WEIGHT),
             (block, window_below_top_heads(encoder, [c.tokens for c in block]), 0.0),
         ]
         for chains, fusion, bias in cases:
@@ -470,7 +491,6 @@ class TestSample:
                     model, schedule, encoder, chain.tokens, chain.config, chain.seed,
                     fusion=fusion, attention_bias_weight=bias,
                 )
-                assert run.config == chain.config and run.seed == chain.seed
                 np.testing.assert_array_equal(run.trajectory, alone.trajectory)
                 assert run.wpr_call_count == alone.wpr_call_count
                 assert len(run.masks_used) == len(alone.masks_used) == schedule.steps
@@ -521,7 +541,6 @@ class TestSample:
         batch = sample_batch(model, schedule, encoder, chains)
         for chain, run in zip(chains, batch):
             alone = sample(model, schedule, encoder, chain.tokens, chain.config, chain.seed)
-            assert run.config == chain.config and run.seed == chain.seed
             np.testing.assert_array_equal(run.trajectory, alone.trajectory)
             assert run.wpr_call_count == alone.wpr_call_count
             for a, b in zip(run.masks_used, alone.masks_used, strict=True):
@@ -562,7 +581,7 @@ class TestSample:
         ]
         runs = sample_batch(model, schedule, encoder, chains)
         distinct = {
-            (chain.tokens.ids, run.config.r_deg == 1.0,
+            (chain.tokens.ids, chain.config.r_deg == 1.0,
              run.masks_used[0].k_content, run.masks_used[0].k_ctxagg)
             for chain, run in zip(chains[3:], runs[3:])
         }
@@ -629,8 +648,8 @@ class TestSample:
         runs = sample_batch(model, schedule, encoder, chains)
         # every chain at its positive condition, then only the w=3 chain
         assert rows == [len(chains), 1] * schedule.steps
-        for run in runs[2:]:
-            if run.config.mode.uses_degradation:
+        for chain, run in zip(chains[2:], runs[2:]):
+            if chain.config.mode.uses_degradation:
                 # unit-scale degradation chains still build their masks
                 assert run.wpr_call_count == schedule.steps
                 assert all(m is not None for m in run.masks_used)
@@ -741,7 +760,7 @@ def _degrade_case(encoder, params, data):
     bias = data.draw(st.sampled_from([0.0, DEFAULT_ATTENTION_BIAS_WEIGHT]))
     tokens = [tokenize(p, params) for p in DEGRADE_PROMPTS]
     fusion = data.draw(st.sampled_from([
-        None,
+        FusionConfig(),
         FusionConfig(v_min=0.0, v_max=1.0, enabled=True),
         window_below_top_heads(encoder, tokens),
     ]))
@@ -858,7 +877,7 @@ class TestDegradeRows:
         sigmas = [0.05, 20.0]
         alone = [
             diffusion.degrade_rows(
-                encoder, diffusion.degrade_set(encoder, [row], 8), x[:1], s, 8, None, 0.5
+                encoder, diffusion.degrade_set(encoder, [row], 8), x[:1], s, 8, FusionConfig(), 0.5
             )[0][0]
             for s in sigmas
         ]
@@ -870,7 +889,7 @@ class TestDegradeRows:
         both = diffusion.degrade_set(encoder, [row], 8).subset([0, 0])
         assert both.keys == [0, 1]
         masks = diffusion.degrade_rows(
-            encoder, both, x, np.array(sigmas)[:, None], 8, None, 0.5
+            encoder, both, x, np.array(sigmas)[:, None], 8, FusionConfig(), 0.5
         )[0]
         assert [m.replaced_indices for m in masks] == [m.replaced_indices for m in alone]
 
@@ -896,7 +915,7 @@ class TestDegradeRows:
         rows = diffusion.degrade_set(encoder, [row], 8).subset([0] * 3)
         with pytest.raises(InvalidInputError):
             diffusion.degrade_rows(
-                encoder, rows, np.zeros((3, 8)), np.ones(shape), 8, None, 0.1
+                encoder, rows, np.zeros((3, 8)), np.ones(shape), 8, FusionConfig(), 0.1
             )
 
 

@@ -258,6 +258,30 @@ class TestPromptState:
         assert all(run.wpr_call_count == 4 for run in runs)
         assert sorted(built) == sorted(t.ids for t in prompts)
 
+    def test_batch_builds_one_state_for_a_prompt_under_many_seeds(
+        self, params, model, monkeypatch
+    ):
+        # each seed ranks the prompt at its own latent, under its own key,
+        # and every key takes the one (prompt, block) state
+        encoder = ToyTextEncoder(params)
+        built = []
+        logits = encoder.attention_logits
+        monkeypatch.setattr(
+            encoder, "attention_logits",
+            lambda t, b: built.append((t.ids, b)) or logits(t, b),
+        )
+        cdg = GuidanceConfig(
+            mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
+            reuse_first_step_mask=False,
+        )
+        tokens = tokenize("a man is cooking", params)
+        runs = sample_batch(
+            model, SigmaSchedule.log_spaced(4, 10.0, 0.01), encoder,
+            [Chain(tokens, cdg, seed) for seed in range(5)],
+        )
+        assert all(run.wpr_call_count == 4 for run in runs)
+        assert built == [(tokens.ids, cdg.lambda_block)]
+
     def test_batch_builds_each_state_once_across_ratios(self, params, model, monkeypatch):
         # every prompt at one ratio, then every prompt at another, as a sweep
         # orders them: by the second ratio the store has dropped the first

@@ -235,7 +235,7 @@ def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
             np.random.default_rng([seed, si, p]).normal(size=model.d_x) * sigma
             for p in range(n)
         ])
-        e_deg = degrade_rows(encoder, rows, x, sigma, model.d_c, None, 0.1)[2]
+        e_deg = degrade_rows(encoder, rows, x, sigma, model.d_c, FusionConfig(), 0.1)[2]
         eps_c, eps_null, eps_deg = (
             denoiser_to_eps(denoise(model, x, sigma, e), x, sigma)
             for e in (e_c, e_null, e_deg)

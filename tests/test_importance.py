@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +213,7 @@ class TestFuseHeads:
 
     def test_identical_heads_fuse_to_each(self):
         head = self._scores([0.4, 0.3, 0.2, 0.1])
-        fused = fuse_head_stacks(np.stack([head, head, head])[None], None)[0]
+        fused = fuse_head_stacks(np.stack([head, head, head])[None])[0]
         np.testing.assert_allclose(fused, head, atol=1e-12)
 
     def test_variance_filter_excludes_uniform_head(self):
@@ -230,25 +231,23 @@ class TestFuseHeads:
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            fuse_head_stacks(np.empty((0, 4))[None], None)[0]
+            fuse_head_stacks(np.empty((0, 4))[None])[0]
         with pytest.raises(InvalidInputError):
-            fuse_head_stacks(np.ones(4)[None], None)[0]
+            fuse_head_stacks(np.ones(4)[None])[0]
 
     def test_fused_scores_normalized(self):
         heads = np.stack([self._scores([0.5, 0.3, 0.2]), self._scores([0.1, 0.8, 0.1])])
-        fused = fuse_head_stacks(heads[None], None)[0]
+        fused = fuse_head_stacks(heads[None])[0]
         assert abs(fused.sum() - 1.0) < 1e-9
-
-    def test_disabled_filter_equals_no_filter(self):
-        heads = np.stack([self._scores([0.5, 0.3, 0.2]), self._scores([0.1, 0.8, 0.1])])
-        np.testing.assert_array_equal(
-            fuse_head_stacks(heads[None], FusionConfig())[0],
-            fuse_head_stacks(heads[None], None)[0],
-        )
 
     def test_bad_config_rejected(self):
         with pytest.raises(InvalidInputError):
             FusionConfig(v_min=0.5, v_max=0.1, enabled=True)
+
+    def test_config_is_frozen(self):
+        # the default argument is one shared instance
+        with pytest.raises(FrozenInstanceError):
+            FusionConfig().enabled = True
 
 
 def _subset_fusion(stack: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -295,7 +294,7 @@ class TestFuseHeadStacks:
                 fused[k], fuse_head_stacks(stacks[k][None], self.WINDOW)[0]
             )
 
-    @pytest.mark.parametrize("cfg", [None, FusionConfig()], ids=["none", "disabled"])
+    @pytest.mark.parametrize("cfg", [FusionConfig()], ids=["disabled"])
     def test_unfiltered_rows_match_per_stack_fusion(self, cfg):
         stacks = self._planted(3)
         fused = fuse_head_stacks(stacks, cfg)
