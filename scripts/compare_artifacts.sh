@@ -15,7 +15,8 @@
 #   cfg_star: sample, the CFG* role at w=2.5, R=0.5 per-step
 #   unguided_cdg: sample, a degrading chain at w=1.0 that is not guided
 #   duplicates: sample and sweep, a 12-word prompt twice (duplicate per-step chains), R=1.0 beside 1.1 and 1.2 of equal extent
-#   diagnose: diagnose, an empty prompt among three (zero deltas, fewer valid prompts), geometry_k 2, R=1.5
+#   diagnose: diagnose, an empty prompt among three (zero deltas, fewer valid prompts), geometry_k 2, R=1.5;
+#     sweep, so the replaced counts per type of sweep.csv cover a row with no content token
 #   small_diagnose: diagnose, d_x 4 and six prompts, so pooled spans of rank below their column count and the other angle orientation
 #   rank_one_diagnose: diagnose, two prompts, one empty, so every pooled span has one valid prompt (the rank-1 path)
 #   collinear_diagnose: diagnose, one component and d_c 1, so rank-1 pooled spans whose basis is a strided slice of u
@@ -276,6 +277,9 @@ run_all() {
     config=$tmp/bias_zero_config.json
     name=bias_zero_config
     cli sample sample
+    config=$tmp/diagnose_config.json
+    name=diagnose_config
+    cli sweep sweep
     for config in "$tmp/diagnose_config.json" "$tmp/small_diagnose_config.json" \
         "$tmp/rank_one_diagnose_config.json" "$tmp/collinear_diagnose_config.json" \
         "$tmp/boundary_diagnose_config.json" "$tmp/big_seed_diagnose_config.json" \

@@ -6,7 +6,6 @@ conditional diffusion model, and geometric diagnostics of guidance signals.
 """
 
 from .degradation import (
-    DegradationMask,
     DegradationRatios,
     apply_mask,
     build_mask,

@@ -166,7 +166,9 @@ def cmd_build_mask(cfg: RunConfig, prompt: str, r_deg: float, out: Path, force: 
     _check_outputs(out, ["mask.json"], force)
     encoder = cfg.build_encoder()
     _, fused = _fused_importance(cfg, encoder, tokens)
-    mask = degradation.build_mask(tokens, fused, ratios)
+    keep = degradation.build_mask(tokens, fused, ratios)
+    replaced = np.flatnonzero(~keep).tolist()
+    k_content = int(np.count_nonzero(~keep & tokens.content_bits))
     orders = [degradation.type_order(tokens, fused, ttype) for ttype in TokenType]
     ranks = {p: rank for order in orders for rank, p in enumerate(order, 1)}
     _write_json(
@@ -176,15 +178,15 @@ def cmd_build_mask(cfg: RunConfig, prompt: str, r_deg: float, out: Path, force: 
             "r_deg": ratios.r_deg,
             "r_content": ratios.r_content,
             "r_ctxagg": ratios.r_ctxagg,
-            "k_content": mask.k_content,
-            "k_ctxagg": mask.k_ctxagg,
-            "replaced_indices": list(mask.replaced_indices),
+            "k_content": k_content,
+            "k_ctxagg": len(replaced) - k_content,
+            "replaced_indices": replaced,
             "positions": [
                 {
                     "position": i,
                     "token": tokens.texts[i],
                     "type": tokens.types[i].value,
-                    "bit": int(mask.bits[i]),
+                    "bit": int(keep[i]),
                     "rank_within_type": ranks[i],
                 }
                 for i in range(len(tokens))
@@ -257,17 +259,21 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
         fusion=cfg.fusion, attention_bias_weight=cfg.attention_bias_weight,
     )
     refs, runs = runs[: len(tokens)], runs[len(tokens) :]
+    # how many positions each cell's mask replaces, and how many of them are content tokens
+    replaced = ~np.array([run.masks[0] for run in runs])
+    counts = np.count_nonzero(replaced, axis=1).tolist()
+    content = np.array([tokens[p].content_bits for _, p in cells])
+    k_content = np.count_nonzero(replaced & content, axis=1).tolist()
     rows = []
-    for (r_deg, p), run in zip(cells, runs):
-        mask = run.masks_used[0]
+    for (r_deg, p), run, count, k in zip(cells, runs, counts, k_content):
         rows.append(
             [
                 float(r_deg),
                 p,
                 cfg.prompts[p],
-                len(mask.replaced_indices),
-                mask.k_content,
-                mask.k_ctxagg,
+                count,
+                k,
+                count - k,
                 run.wpr_call_count,
                 float(np.linalg.norm(run.final - refs[p].final)),
             ]

@@ -17,6 +17,7 @@ import numpy as np
 from .encoder import TokenSequence, TokenType
 from .errors import InvalidInputError, InvalidRatioError
 from .importance import ranking
+from .linalg import all_finite
 
 
 @dataclass(frozen=True)
@@ -43,14 +44,6 @@ def map_ratio(r_deg: float) -> DegradationRatios:
     )
 
 
-@dataclass
-class DegradationMask:
-    bits: np.ndarray  # N values in {0, 1}; 0 means replace with the null row
-    k_content: int
-    k_ctxagg: int
-    replaced_indices: tuple[int, ...]  # sorted positions with bit 0
-
-
 def mask_extent(tokens: TokenSequence, ratios: DegradationRatios) -> tuple[int, int]:
     """(k_content, k_ctxagg): floor(ratio * count) positions of each type."""
     return (
@@ -68,94 +61,89 @@ def type_order(tokens: TokenSequence, scores: np.ndarray, ttype: TokenType) -> l
 
 def build_mask(
     tokens: TokenSequence, scores: np.ndarray | None, ratios: DegradationRatios
-) -> DegradationMask:
-    """Zero the top-k positions of each type subset, ranked by importance.
+) -> np.ndarray:
+    """Keep bits (N,): False at the top-k positions of each type subset,
+    ranked by importance (N finite scores), True elsewhere.
 
     A type replaced wholly or not at all needs no ranking, so scores may be
     None unless a type is replaced in part (never at ratio 1.0). This is
-    build_masks' one-row form, which it calls for a lone row and for rows
+    build_masks' one-row rule, which it applies to a lone row and to rows
     without scores; cdglab build-mask calls it directly."""
+    return _row_bits(tokens, scores, mask_extent(tokens, ratios))
+
+
+def _row_bits(
+    tokens: TokenSequence, scores: np.ndarray | None, extent: Sequence[int]
+) -> np.ndarray:
+    """build_mask at extent [k_content, k_ctxagg]."""
     n = len(tokens)
-    if scores is not None and scores.shape[0] != n:
-        raise InvalidInputError("importance length does not match token count")
-    k_content, k_ctxagg = mask_extent(tokens, ratios)
-    replaced: list[int] = []
-    for ttype, k in ((TokenType.CONTENT, k_content), (TokenType.CTX_AGG, k_ctxagg)):
+    if scores is not None and (scores.shape != (n,) or not all_finite(scores)):
+        raise InvalidInputError(f"importance must be {n} finite values, one per token")
+    bits = [True] * n
+    for ttype, k in zip((TokenType.CONTENT, TokenType.CTX_AGG), extent):
         if k:
             positions = tokens.positions_of(ttype)
             if k < len(positions):  # part of the type: its top k by score
                 if scores is None:
                     raise InvalidInputError(f"a partial {ttype.value} mask needs scores")
                 positions = type_order(tokens, scores, ttype)[:k]
-            replaced += positions
-    bits = [1] * n
-    for p in replaced:
-        bits[p] = 0
-    return DegradationMask(
-        np.array(bits, dtype=np.int64), k_content, k_ctxagg, tuple(sorted(replaced))
-    )
+            for p in positions:
+                bits[p] = False
+    return np.array(bits)
 
 
 def build_masks(
     tokens: Sequence[TokenSequence],
     scores: np.ndarray | None,
     keys: Sequence[int],
-    ratios: Sequence[DegradationRatios],
-) -> list[DegradationMask]:
-    """build_mask of B rows: tokens[b] at ratios[b], ranked by scores[keys[b]].
+    extents: np.ndarray,
+) -> np.ndarray:
+    """Keep bits (B, N) of B rows: tokens[b] at extents[b] (a (B, 2) array),
+    ranked by scores[keys[b]].
 
     scores is (K, N), or None when every key is -1. A row with key -1 needs
-    no ranking, and build_mask masks it without scores. It also masks a
+    no ranking, and build_mask's rule masks it without scores. It also masks a
     lone row, ranked or not, where its loop costs about a fifth of the
     stacked form. The stacked form ranks the ranked rows of any other call
     at once: one stable sort by the tie rule of `ranking`, and a stable order restricted
     to one type keeps it, so a row's replaced positions of a type are its
     first k of that type in rank order, found by per-type cumulative counts
-    against (R, 1) extent columns. Both forms give the same masks.
+    against (R, 1) extent columns. Both forms give the same bits.
     """
     if len(keys) == 1:
         k = keys[0]
-        return [build_mask(tokens[0], None if k < 0 else scores[k], ratios[0])]
-    masks = [
-        None if k >= 0 else build_mask(t, None, r) for t, k, r in zip(tokens, keys, ratios)
-    ]
+        return _row_bits(tokens[0], None if k < 0 else scores[k], extents[0].tolist())[None]
     ranked = [b for b, k in enumerate(keys) if k >= 0]
-    if not ranked:
-        return masks
-    n = scores.shape[1]
+    n = len(tokens[0]) if scores is None else scores.shape[1]
     if any(len(tokens[b]) != n for b in ranked):
         raise InvalidInputError("importance length does not match token count")
-    order = ranking(scores[[keys[b] for b in ranked]])  # (R, N)
-    extents = np.array([mask_extent(tokens[b], ratios[b]) for b in ranked])  # (R, 2)
-    # the content bits in rank order, and the content positions ranked at or above
-    content = np.take_along_axis(
-        np.array([tokens[b].content_bits for b in ranked]), order, axis=1
-    )
-    seen = content.cumsum(axis=1)
-    replaced = np.where(
-        content, seen <= extents[:, :1], np.arange(1, n + 1) - seen <= extents[:, 1:]
-    )
-    bits = np.empty(order.shape, dtype=np.int64)
-    np.put_along_axis(bits, order, ~replaced, axis=1)
-    # every row replaces k_content + k_ctxagg positions, in ascending order
-    positions = np.nonzero(bits == 0)[1].tolist()
-    ends = extents.sum(axis=1).cumsum().tolist()
-    start = 0
-    for b, row_bits, (k_content, k_ctxagg), end in zip(ranked, bits, extents.tolist(), ends):
-        masks[b] = DegradationMask(row_bits, k_content, k_ctxagg, tuple(positions[start:end]))
-        start = end
-    return masks
+    keep = np.empty((len(keys), n), dtype=bool)
+    for b, k in enumerate(keys):
+        if k < 0:
+            keep[b] = _row_bits(tokens[b], None, extents[b].tolist())
+    if ranked:
+        order = ranking(scores[[keys[b] for b in ranked]])  # (R, N)
+        extent = extents[ranked]  # (R, 2)
+        # the content bits in rank order, and the content positions ranked at or above
+        content = np.take_along_axis(
+            np.array([tokens[b].content_bits for b in ranked]), order, axis=1
+        )
+        seen = content.cumsum(axis=1)
+        replaced = np.where(
+            content, seen <= extent[:, :1], np.arange(1, n + 1) - seen <= extent[:, 1:]
+        )
+        ranked_keep = np.empty(order.shape, dtype=bool)
+        np.put_along_axis(ranked_keep, order, ~replaced, axis=1)
+        keep[ranked] = ranked_keep
+    return keep
 
 
-def apply_mask(
-    c: np.ndarray, null: np.ndarray, masks: Sequence[DegradationMask]
-) -> np.ndarray:
-    """Row-wise interpolation: keep rows where the bit is 1, else take null's row.
+def apply_mask(c: np.ndarray, null: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Row-wise interpolation: keep rows where the bit is True, else take null's row.
 
-    The stack c (B, N, d_model) takes B masks, one per condition, all
-    against the one null (N, d_model), and degrades to a new stack.
+    The stack c (B, N, d_model) takes keep bits (B, N), a row per
+    condition, all against the one null (N, d_model), and degrades to a new stack.
     """
-    keep = np.array([m.bits for m in masks], dtype=bool)
     if c.shape[-2:] != null.shape:
         raise InvalidInputError("condition and null shapes differ")
     if keep.shape != c.shape[:-1]:

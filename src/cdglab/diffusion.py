@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degradation import (
-    DegradationMask,
-    apply_mask,
-    build_masks,
-    mask_extent,
-)
+from .degradation import apply_mask, build_masks, mask_extent
 from .encoder import PromptState, TokenSequence, ToyTextEncoder
 from .errors import AllHeadsFilteredError, InvalidInputError, NumericalError
 from .guidance import GuidanceConfig, GuidanceMode, combine, denoiser_to_eps
@@ -232,7 +227,7 @@ class SamplerRun:
 
     sigmas: tuple[float, ...]
     trajectory: np.ndarray  # (steps + 1, d_x), a view into the batch's array
-    masks_used: list[DegradationMask | None]  # one entry per step
+    masks: np.ndarray | None  # (steps, N) keep bits, a read-only view; None if not degrading
     wpr_call_count: int
 
     @property
@@ -256,16 +251,16 @@ class DegradeSet:
     """The rows one call degrades, built by degrade_set.
 
     Row r is tokens[r], with condition embeddings conditions[r] (N,
-    d_model), at ratios[r], named labels[r] in errors (e.g. "chain 3"). It
-    ranks under key keys[r], or not at all at key -1. The rows of a key
-    share one ranking, made from key_states[k], the key's prompt state, at
-    the latent and sigma of its first row; `at` indexes each key's first
-    row.
+    d_model), at extents[r], its (k_content, k_ctxagg) row of an (R, 2)
+    array, named labels[r] in errors (e.g. "chain 3"). It ranks under key
+    keys[r], or not at all at key -1. The rows of a key share one ranking,
+    made from key_states[k], the key's prompt state, at the latent and
+    sigma of its first row; `at` indexes each key's first row.
     """
 
-    def __init__(self, labels, tokens, conditions, ratios, keys, key_states, at):
-        self.labels, self.tokens, self.conditions, self.ratios = labels, tokens, conditions, ratios
-        self.keys, self.key_states, self.at = keys, key_states, at
+    def __init__(self, labels, tokens, conditions, extents, keys, key_states, at):
+        self.labels, self.tokens, self.conditions = labels, tokens, conditions
+        self.extents, self.keys, self.key_states, self.at = extents, keys, key_states, at
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -279,7 +274,7 @@ class DegradeSet:
             keys[i] = k
         return DegradeSet(
             [self.labels[r] for r in rows], [self.tokens[r] for r in rows],
-            [self.conditions[r] for r in rows], [self.ratios[r] for r in rows],
+            [self.conditions[r] for r in rows], self.extents[rows],
             keys, [self.key_states[self.keys[rows[i]]] for i in ranked], _rows(ranked),
         )
 
@@ -306,7 +301,8 @@ def degrade_set(encoder: ToyTextEncoder, rows: Iterable[tuple], d_x: int) -> Deg
                 key_states.append(encoder.prompt_state(t, block, d_x))
                 firsts.append(r)
         keys.append(k)
-    return DegradeSet(labels, tokens, conditions, ratios, keys, key_states, _rows(firsts))
+    extents = np.array([mask_extent(t, ratio) for t, ratio in zip(tokens, ratios)])
+    return DegradeSet(labels, tokens, conditions, extents, keys, key_states, _rows(firsts))
 
 
 def _stacked_weights(
@@ -342,9 +338,9 @@ def degrade_rows(
     d_c: int,
     fusion: FusionConfig,
     bias_weight: float,
-    previous: Sequence[DegradationMask] | None = None,
-) -> tuple[list[DegradationMask], list[int], np.ndarray | None]:
-    """Degradation masks of rows at latents x (B, d_x) and noise levels sigma.
+    previous: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[int], np.ndarray | None]:
+    """Degradation masks (B, N) of rows at latents x (B, d_x) and noise levels sigma.
 
     sigma is one noise level for every row, or a (B, 1) column of one per
     row, as in denoise. Each key is ranked at its first row's latent and
@@ -352,7 +348,7 @@ def degrade_rows(
     one stationary solve normalizes in place and one stacked call fuses,
     and build_masks masks every row from its key's scores. A head filter
     that rejects every head of a key names that row and its sigma.
-    Returns every row's mask, the indices of the rows whose bits differ
+    Returns every row's keep bits, the indices of the rows whose bits differ
     from `previous` (every row when it is None), and those rows' pooled
     degraded embeddings (C, d_c), or None when no row changed; the other
     rows' embeddings still hold.
@@ -376,19 +372,19 @@ def degrade_rows(
             raise AllHeadsFilteredError(
                 f"{exc} for {rows.labels[r]} at sigma {at_sigma}", exc.index
             ) from exc
-    masks = build_masks(rows.tokens, scores, rows.keys, rows.ratios)
-    changed = [
-        r for r, mask in enumerate(masks)
-        if previous is None or mask.bits.tobytes() != previous[r].bits.tobytes()
-    ]
+    keep = build_masks(rows.tokens, scores, rows.keys, rows.extents)
+    if previous is None:
+        changed = list(range(len(rows)))
+    else:
+        changed = (keep != previous).any(axis=1).nonzero()[0].tolist()
     if not changed:
-        return masks, changed, None
+        return keep, changed, None
     degraded = apply_mask(
         np.array([rows.conditions[r] for r in changed]),
         encoder.null_condition(),
-        [masks[r] for r in changed],
+        keep[changed],
     )
-    return masks, changed, encoder.pool(degraded, d_c)
+    return keep, changed, encoder.pool(degraded, d_c)
 
 
 def _rows(indices: list[int]) -> slice | np.ndarray:
@@ -485,7 +481,7 @@ def sample_batch(
         if u == len(firsts):
             firsts.append(b)
         row_at.append(u)
-    trajectory, masks = _integrate(
+    trajectory, ledger = _integrate(
         model, schedule, encoder, [chains[b] for b in firsts], firsts,
         fusion, attention_bias_weight,
     )
@@ -495,7 +491,8 @@ def sample_batch(
         SamplerRun(
             sigmas=schedule.sigmas,
             trajectory=trajectory[:, b],
-            masks_used=list(masks[u]),
+            # read-only, so duplicate chains may share their row
+            masks=ledger[:, u] if chain.config.mode.uses_degradation else None,
             wpr_call_count=_rankings(chain.config, schedule.steps),
         )
         for b, (chain, u) in enumerate(zip(chains, row_at))
@@ -510,9 +507,11 @@ def _integrate(
     labels: Sequence[int],
     fusion: FusionConfig,
     attention_bias_weight: float,
-) -> tuple[np.ndarray, list[list[DegradationMask | None]]]:
-    """Trajectories (steps + 1, B, d_x) of distinct chains and each one's
-    mask per step; labels[b] is the batch index naming chain b in errors."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectories (steps + 1, B, d_x) of distinct chains and the read-only
+    ledger (steps, B, N) of their keep bits per step, all True for a chain
+    that does not degrade; labels[b] is the batch index naming chain b in
+    errors."""
     sigmas = schedule.sigmas
     steps = len(sigmas) - 1
     n = len(chains)
@@ -581,21 +580,21 @@ def _integrate(
     trajectory[0] = np.stack([noise[chain.seed] for chain in chains]) * sigmas[0]
     _check_finite(trajectory[0], 0, labels)
 
-    # each chain's mask per step, as far as it has built them
-    masks_used: list[list[DegradationMask | None]] = [
-        [] if mode.uses_degradation else [None] * steps for mode in modes
-    ]
+    # each chain's keep bits per step
+    ledger = np.ones((steps, n, encoder.params.seq_len), dtype=bool)
     x = trajectory[0]
     for i in range(steps):
         sigma = sigmas[i]
         active, index, active_rows = degraded_at[i > 0]
         if active:
-            masks, changed, e_deg = degrade_rows(
+            keep, changed, e_deg = degrade_rows(
                 encoder, active_rows, x[index], sigma, d_c, fusion, attention_bias_weight,
-                [masks_used[b][-1] for b in active] if i else None,
+                ledger[i - 1, index] if i else None,
             )
-            for b, mask in zip(active, masks):
-                masks_used[b].append(mask)
+            if i:
+                ledger[i, index] = keep
+            else:  # a chain keeps its step-0 mask until a later step rebuilds it
+                ledger[:, index] = keep
             if changed:
                 for r, m in zip(changed, model.means(e_deg)):
                     b = active[r]
@@ -611,11 +610,8 @@ def _integrate(
         x = np.add(x, (sigmas[i + 1] - sigma) * eps_hat, out=trajectory[i + 1])
         _check_finite(x, i + 1, labels)
 
-    # a chain that built a mask only at step 0 keeps it at every step
-    for built in masks_used:
-        if len(built) == 1:
-            built *= steps
-    return trajectory, masks_used
+    ledger.flags.writeable = False
+    return trajectory, ledger
 
 
 def sample(

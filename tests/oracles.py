@@ -10,13 +10,16 @@ stacked weights must equal bit for bit. `PredictionStack`,
 stacked rows through plain `thin_svd`. `pooled_decoupling` and
 `pooled_interference` are the one-matrix-at-a-time forms of the pooled
 geometry metrics, which the stacked path must match bit for bit.
-`eps_to_denoiser` and `denoiser_to_score` convert a denoiser output to the
+`replaced` splits a mask's keep bits into its replaced positions and their
+count per token type, position by position. `eps_to_denoiser` and
+`denoiser_to_score` convert a denoiser output to the
 other two parametrizations the guidance identities are stated in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +82,21 @@ def state_weights(
     z[:-1] = x
     z[-1] = sigma
     return state.static * np.exp(bias_weight * (state.shift_map @ z))[:, None, :]
+
+
+class Replaced(NamedTuple):
+    indices: tuple[int, ...]  # ascending positions whose keep bit is False
+    k_content: int
+    k_ctxagg: int
+
+
+def replaced(tokens: TokenSequence, keep: np.ndarray) -> Replaced:
+    """The positions a mask (N,) of keep bits replaces, and how many of
+    them are content and context-aggregating tokens."""
+    assert keep.shape == (len(tokens),) and keep.dtype == bool
+    indices = tuple(p for p in range(len(tokens)) if not keep[p])
+    k_content = sum(tokens.content_bits[p] for p in indices)
+    return Replaced(indices, int(k_content), len(indices) - int(k_content))
 
 
 @dataclass

@@ -36,7 +36,7 @@ from cdglab.importance import (
 )
 
 from conftest import random_prompt
-from oracles import denoiser_to_score, wpr_single_head
+from oracles import denoiser_to_score, replaced, wpr_single_head
 
 
 def _report(number: int, name: str) -> None:
@@ -90,21 +90,21 @@ def test_criterion_2_mask_exactness(params):
             ratios = map_ratio(r)
             assert ratios.r_content == min(r, 1.0)
             assert ratios.r_ctxagg == max(r - 1.0, 0.0)
-            mask = build_mask(tokens, imp, ratios)
-            replaced = set(mask.replaced_indices)
+            mask = replaced(tokens, build_mask(tokens, imp, ratios))
+            positions = set(mask.indices)
             # k-count formulas
             assert mask.k_content == int(np.floor(ratios.r_content * len(content)))
             assert mask.k_ctxagg == int(np.floor(ratios.r_ctxagg * len(ctxagg)))
-            assert len(replaced & content) == mask.k_content
-            assert len(replaced & ctxagg) == mask.k_ctxagg
+            assert len(positions & content) == mask.k_content
+            assert len(positions & ctxagg) == mask.k_ctxagg
             # content-first stratification
             if r <= 1.0:
-                assert replaced <= content
+                assert positions <= content
             if r >= 1.0:
-                assert content <= replaced
+                assert content <= positions
             # nestedness along the grid
-            assert prev <= replaced
-            prev = replaced
+            assert prev <= positions
+            prev = positions
         # boundary fast path under adversarial importance
         for trial in range(3):
             adv_raw = rng.uniform(0.0, 1.0, size=n) ** 5
@@ -112,8 +112,7 @@ def test_criterion_2_mask_exactness(params):
             adv = adv_raw / adv_raw.sum()
             slow = build_mask(tokens, adv, map_ratio(1.0))
             fast = build_mask(tokens, None, map_ratio(1.0))
-            np.testing.assert_array_equal(slow.bits, fast.bits)
-            assert slow.replaced_indices == fast.replaced_indices
+            np.testing.assert_array_equal(slow, fast)
     _report(2, "ratio-and-mask-exactness")
 
 

@@ -22,6 +22,7 @@ from cdglab.diffusion import sample
 from cdglab.encoder import tokenize
 from cdglab.errors import NumericalError
 from cdglab.guidance import GuidanceConfig, GuidanceMode
+from oracles import replaced
 
 BASE_CONFIG = {
     "encoder": {"seq_len": 16, "seed": 10},
@@ -516,12 +517,12 @@ def _per_chain_sweep_rows(doc: dict, grid: list[float]) -> list[dict]:
             ref = sample(model, schedule, encoder, tokens, reference, cfg.seed, **kwargs)
             run = sample(model, schedule, encoder, tokens,
                          replace(cfg.guidance, r_deg=r_deg), cfg.seed, **kwargs)
-            mask = run.masks_used[0]
+            mask = replaced(tokens, run.masks[0])
             rows.append({
                 "r_deg": repr(float(r_deg)),
                 "prompt_index": str(p),
                 "prompt": prompt,
-                "replaced_count": str(len(mask.replaced_indices)),
+                "replaced_count": str(len(mask.indices)),
                 "k_content": str(mask.k_content),
                 "k_ctxagg": str(mask.k_ctxagg),
                 "wpr_call_count": str(run.wpr_call_count),

@@ -19,6 +19,7 @@ from cdglab.degradation import (
 )
 from cdglab.encoder import EncoderParams, TokenType, tokenize
 from cdglab.errors import InvalidInputError, InvalidRatioError
+from oracles import replaced
 
 
 def _importance(seed: int, n: int) -> np.ndarray:
@@ -30,6 +31,11 @@ def _importance(seed: int, n: int) -> np.ndarray:
 PROMPTS = st.lists(
     st.sampled_from(["a", "man", "is", "cooking", "the", "red", ",", "."]), max_size=14
 ).map(" ".join)
+
+
+def _extents(tokens, ratios) -> np.ndarray:
+    """The (B, 2) extents of rows tokens[b] at ratios[b], as build_masks takes them."""
+    return np.array([mask_extent(t, r) for t, r in zip(tokens, ratios)])
 
 
 class TestMapRatio:
@@ -61,45 +67,60 @@ class TestMapRatio:
 
 class TestBuildMask:
     def test_zero_ratio_all_kept(self, params, tokens):
-        mask = build_mask(tokens, _importance(0, len(tokens)), map_ratio(0.0))
-        assert mask.bits.all()
-        assert mask.replaced_indices == ()
+        keep = build_mask(tokens, _importance(0, len(tokens)), map_ratio(0.0))
+        assert keep.shape == (len(tokens),) and keep.dtype == bool
+        assert keep.all()
 
     def test_full_ratio_all_replaced(self, params, tokens):
-        mask = build_mask(tokens, _importance(0, len(tokens)), map_ratio(2.0))
-        assert not mask.bits.any()
-        assert mask.replaced_indices == tuple(range(len(tokens)))
+        keep = build_mask(tokens, _importance(0, len(tokens)), map_ratio(2.0))
+        assert keep.shape == (len(tokens),) and keep.dtype == bool
+        assert not keep.any()
 
     def test_example_eight_tokens(self):
         p = EncoderParams(seq_len=8)
         seq = tokenize("a man is cooking", p)
         imp = _importance(3, 8)
-        mask = build_mask(seq, imp, map_ratio(1.25))
+        mask = replaced(seq, build_mask(seq, imp, map_ratio(1.25)))
         assert mask.k_content == 4 and mask.k_ctxagg == 1
         content = seq.positions_of(TokenType.CONTENT)
         ctxagg = seq.positions_of(TokenType.CTX_AGG)
-        assert set(content) <= set(mask.replaced_indices)
-        replaced_ctx = set(mask.replaced_indices) - set(content)
+        assert set(content) <= set(mask.indices)
+        replaced_ctx = set(mask.indices) - set(content)
         # the one replaced CtxAgg position carries that subset's top score
         top_ctx = max(ctxagg, key=lambda i: imp[i])
         assert replaced_ctx == {top_ctx}
 
     def test_boundary_matches_type_only_mask(self, params, tokens):
         for seed in range(5):
-            mask = build_mask(tokens, _importance(seed, len(tokens)), map_ratio(1.0))
-            fast = build_mask(tokens, None, map_ratio(1.0))
-            np.testing.assert_array_equal(mask.bits, fast.bits)
-            assert mask.replaced_indices == fast.replaced_indices
-            assert (mask.k_content, mask.k_ctxagg) == (fast.k_content, fast.k_ctxagg)
+            keep = build_mask(tokens, _importance(seed, len(tokens)), map_ratio(1.0))
+            np.testing.assert_array_equal(keep, build_mask(tokens, None, map_ratio(1.0)))
 
     def test_length_mismatch_rejected(self, params, tokens):
         with pytest.raises(InvalidInputError):
             build_mask(tokens, _importance(0, len(tokens) - 1), map_ratio(0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
+    def test_non_finite_scores_rejected(self, params, tokens, bad, r):
+        scores = _importance(0, len(tokens))
+        scores[2] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_mask(tokens, scores, map_ratio(r))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda n: (n, 2), lambda n: (n, n), lambda n: (1, n), lambda n: (2 * n,), lambda n: ()],
+        ids=["N,2", "N,N", "1,N", "2N", "scalar"],
+    )
+    def test_scores_of_wrong_shape_rejected(self, params, tokens, shape):
+        scores = np.ones(shape(len(tokens)))
+        with pytest.raises(InvalidInputError, match="finite values, one per token"):
+            build_mask(tokens, scores, map_ratio(0.5))
+
     def test_empty_prompt_content_k_zero(self, params):
         seq = tokenize("", params)
-        mask = build_mask(seq, _importance(1, len(seq)), map_ratio(0.7))
-        assert mask.k_content == 0 and mask.bits.all()
+        keep = build_mask(seq, _importance(1, len(seq)), map_ratio(0.7))
+        assert keep.all()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -111,18 +132,18 @@ class TestBuildMask:
         if r1 > r2:
             r1, r2 = r2, r1
         imp = _importance(seed, len(tokens))
-        m1 = build_mask(tokens, imp, map_ratio(r1))
-        m2 = build_mask(tokens, imp, map_ratio(r2))
-        assert set(m1.replaced_indices) <= set(m2.replaced_indices)
+        m1 = replaced(tokens, build_mask(tokens, imp, map_ratio(r1)))
+        m2 = replaced(tokens, build_mask(tokens, imp, map_ratio(r2)))
+        assert set(m1.indices) <= set(m2.indices)
         content = set(tokens.positions_of(TokenType.CONTENT))
         for r, m in ((r1, m1), (r2, m2)):
-            replaced = set(m.replaced_indices)
+            positions = set(m.indices)
             ratios = map_ratio(r)
             assert m.k_content == math.floor(ratios.r_content * len(content))
             if r <= 1.0:
-                assert replaced <= content
+                assert positions <= content
             if r >= 1.0:
-                assert content <= replaced
+                assert content <= positions
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -138,11 +159,7 @@ class TestBuildMask:
         counts = [len(tokens.positions_of(t)) for t in (TokenType.CONTENT, TokenType.CTX_AGG)]
         ranked = build_mask(tokens, _importance(seed, len(tokens)), ratios)
         if all(k in (0, n) for k, n in zip(mask_extent(tokens, ratios), counts)):
-            unranked = build_mask(tokens, None, ratios)
-            np.testing.assert_array_equal(unranked.bits, ranked.bits)
-            assert unranked.replaced_indices == ranked.replaced_indices
-            assert unranked.k_content == ranked.k_content
-            assert unranked.k_ctxagg == ranked.k_ctxagg
+            np.testing.assert_array_equal(build_mask(tokens, None, ratios), ranked)
         else:
             with pytest.raises(InvalidInputError):
                 build_mask(tokens, None, ratios)
@@ -192,60 +209,58 @@ class TestBuildMasks:
             st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n),
             min_size=n_keys, max_size=n_keys,
         )))
-        got_masks = build_masks(tokens, scores, keys, ratios)
-        assert len(got_masks) == len(tokens)
+        got_masks = build_masks(tokens, scores, keys, _extents(tokens, ratios))
+        assert got_masks.shape == (len(tokens), n)
         for got, t, k, r in zip(got_masks, tokens, keys, ratios):
             want = build_mask(t, None if k < 0 else scores[k], r)
-            np.testing.assert_array_equal(got.bits, want.bits)
-            assert got.bits.dtype == want.bits.dtype
-            assert got.replaced_indices == want.replaced_indices
-            assert (got.k_content, got.k_ctxagg) == (want.k_content, want.k_ctxagg)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype == bool
+            # the extent is the replaced count of each type
+            assert replaced(t, got)[1:] == mask_extent(t, r)
 
     def test_unranked_rows_need_no_scores(self, params):
         tokens = [tokenize(p, params) for p in ("a man is cooking", "", "the red man")]
         for r in (0.0, 1.0):
-            ratios = [map_ratio(r)] * len(tokens)
-            for got, t in zip(build_masks(tokens, None, [-1] * 3, ratios), tokens):
-                want = build_mask(t, None, map_ratio(r))
-                np.testing.assert_array_equal(got.bits, want.bits)
-                assert got.replaced_indices == want.replaced_indices
+            extents = _extents(tokens, [map_ratio(r)] * len(tokens))
+            for got, t in zip(build_masks(tokens, None, [-1] * 3, extents), tokens):
+                np.testing.assert_array_equal(got, build_mask(t, None, map_ratio(r)))
         # "" has no content word, so R=0.5 replaces none of it; the other
         # prompts are replaced in part and need scores
         with pytest.raises(InvalidInputError, match="partial content"):
-            build_masks(tokens, None, [-1] * 3, [map_ratio(0.5)] * 3)
+            build_masks(tokens, None, [-1] * 3, _extents(tokens, [map_ratio(0.5)] * 3))
         with pytest.raises(InvalidInputError, match="partial ctx_agg"):
-            build_masks(tokens, None, [-1] * 3, [map_ratio(1.5)] * 3)
+            build_masks(tokens, None, [-1] * 3, _extents(tokens, [map_ratio(1.5)] * 3))
         # beside two ranked rows, an unranked one is still held to the rule
         scores = np.ones((2, len(tokens[0])))
         with pytest.raises(InvalidInputError, match="partial content"):
-            build_masks(tokens, scores, [0, 1, -1], [map_ratio(0.5)] * 3)
+            build_masks(tokens, scores, [0, 1, -1], _extents(tokens, [map_ratio(0.5)] * 3))
 
     def test_score_shape_must_match_rows(self, params):
         tokens = [tokenize(p, params) for p in ("a man", "the red man")]
+        extents = _extents(tokens, [map_ratio(0.5)] * 2)
         with pytest.raises(InvalidInputError):
-            build_masks(tokens, np.ones((2, len(tokens[0]) - 1)), [0, 1], [map_ratio(0.5)] * 2)
+            build_masks(tokens, np.ones((2, len(tokens[0]) - 1)), [0, 1], extents)
 
 
 class TestApplyMask:
     def test_all_ones_keeps_condition(self, encoder, tokens):
         c = encoder.encode(tokens)
         null = encoder.null_condition()
-        mask = build_mask(tokens, _importance(0, len(tokens)), map_ratio(0.0))
-        np.testing.assert_array_equal(apply_mask(c[None], null, [mask])[0], c)
+        keep = build_mask(tokens, _importance(0, len(tokens)), map_ratio(0.0))
+        np.testing.assert_array_equal(apply_mask(c[None], null, keep[None])[0], c)
 
     def test_all_zeros_yields_null(self, encoder, tokens):
         c = encoder.encode(tokens)
         null = encoder.null_condition()
-        mask = build_mask(tokens, _importance(0, len(tokens)), map_ratio(2.0))
-        np.testing.assert_array_equal(apply_mask(c[None], null, [mask])[0], null)
+        keep = build_mask(tokens, _importance(0, len(tokens)), map_ratio(2.0))
+        np.testing.assert_array_equal(apply_mask(c[None], null, keep[None])[0], null)
 
     def test_single_replacement(self, encoder, tokens):
         c = encoder.encode(tokens)
         null = encoder.null_condition()
-        mask = build_mask(tokens, None, map_ratio(1.0))
-        mask.bits = np.ones_like(mask.bits)
-        mask.bits[2] = 0
-        out = apply_mask(c[None], null, [mask])[0]
+        keep = np.ones(len(tokens), dtype=bool)
+        keep[2] = False
+        out = apply_mask(c[None], null, keep[None])[0]
         np.testing.assert_array_equal(out[2], null[2])
         rest = [i for i in range(len(tokens)) if i != 2]
         np.testing.assert_array_equal(out[rest], c[rest])
@@ -253,34 +268,31 @@ class TestApplyMask:
     def test_idempotent(self, encoder, tokens):
         c = encoder.encode(tokens)
         null = encoder.null_condition()
-        mask = build_mask(tokens, None, map_ratio(1.0))
-        once = apply_mask(c[None], null, [mask])[0]
-        twice = apply_mask(once[None], null, [mask])[0]
+        keep = build_mask(tokens, None, map_ratio(1.0))[None]
+        once = apply_mask(c[None], null, keep)[0]
+        twice = apply_mask(once[None], null, keep)[0]
         np.testing.assert_array_equal(once, twice)
 
     def test_shape_mismatch_rejected(self, encoder, tokens):
         c = encoder.encode(tokens)
         null = encoder.null_condition()
         with pytest.raises(InvalidInputError):
-            apply_mask(c[None], null[:-1], [build_mask(tokens, None, map_ratio(1.0))])
+            apply_mask(c[None], null[:-1], build_mask(tokens, None, map_ratio(1.0))[None])
 
     def test_stack_matches_one_at_a_time(self, encoder, params):
         seqs = [tokenize(p, params) for p in ("a red cat", "the dog runs home")]
-        masks = [build_mask(t, None, map_ratio(1.0)) for t in seqs]
+        masks = np.array([build_mask(t, None, map_ratio(1.0)) for t in seqs])
         conds = [encoder.encode(t) for t in seqs]
         null = encoder.null_condition()
         stack = apply_mask(np.array(conds), null, masks)
         for row, c, m in zip(stack, conds, masks):
-            np.testing.assert_array_equal(row, apply_mask(c[None], null, [m])[0])
+            np.testing.assert_array_equal(row, apply_mask(c[None], null, m[None])[0])
 
     def test_stack_needs_one_mask_per_condition(self, encoder, tokens):
         c = encoder.encode(tokens)
         stack = np.array([c, c])
         null = encoder.null_condition()
-        mask = build_mask(tokens, None, map_ratio(1.0))
-        with pytest.raises(TypeError):
-            apply_mask(stack, null, mask)
-        with pytest.raises(InvalidInputError):
-            apply_mask(stack, null, [mask])
-        with pytest.raises(InvalidInputError):
-            apply_mask(c, null, [mask])
+        keep = build_mask(tokens, None, map_ratio(1.0))
+        for conds, bits in ((stack, keep), (stack, keep[None]), (c, keep[None])):
+            with pytest.raises(InvalidInputError):
+                apply_mask(conds, null, bits)

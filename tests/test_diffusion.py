@@ -32,7 +32,7 @@ from cdglab.errors import (
 )
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 from cdglab.importance import FusionConfig, stationary_scores
-from oracles import state_weights
+from oracles import replaced, state_weights
 
 CFG = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
 UNGUIDED = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
@@ -347,11 +347,22 @@ class TestAttentionProvider:
             encoder.prompt_state(tokens, 5, 8)
 
 
+def _assert_same_masks(chain, got, want, steps):
+    """Two runs of one chain: keep bits (steps, N) equal bit for bit, or
+    None both for a mode that does not degrade."""
+    if not chain.config.mode.uses_degradation:
+        assert got.masks is None and want.masks is None
+        return
+    assert got.masks.shape == want.masks.shape == (steps, len(chain.tokens))
+    assert got.masks.dtype == want.masks.dtype == bool
+    np.testing.assert_array_equal(got.masks, want.masks)
+
+
 class TestSample:
     def test_trajectory_shape(self, model, schedule, encoder, tokens):
         run = sample(model, schedule, encoder, tokens, CFG, seed=0)
         assert len(run.trajectory) == schedule.steps + 1
-        assert len(run.masks_used) == schedule.steps
+        assert run.masks is None
         assert run.wpr_call_count == 0
 
     def test_determinism(self, model, schedule, encoder, tokens):
@@ -493,11 +504,7 @@ class TestSample:
                 )
                 np.testing.assert_array_equal(run.trajectory, alone.trajectory)
                 assert run.wpr_call_count == alone.wpr_call_count
-                assert len(run.masks_used) == len(alone.masks_used) == schedule.steps
-                for a, b in zip(run.masks_used, alone.masks_used):
-                    assert (a is None) == (b is None)
-                    if a is not None:
-                        np.testing.assert_array_equal(a.bits, b.bits)
+                _assert_same_masks(chain, run, alone, schedule.steps)
 
     def test_row_index_is_a_slice_for_a_contiguous_run(self):
         assert diffusion._rows([0, 1, 2]) == slice(0, 3)
@@ -543,23 +550,36 @@ class TestSample:
             alone = sample(model, schedule, encoder, chain.tokens, chain.config, chain.seed)
             np.testing.assert_array_equal(run.trajectory, alone.trajectory)
             assert run.wpr_call_count == alone.wpr_call_count
-            for a, b in zip(run.masks_used, alone.masks_used, strict=True):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    np.testing.assert_array_equal(a.bits, b.bits)
-                    assert (a.k_content, a.k_ctxagg) == (b.k_content, b.k_ctxagg)
+            _assert_same_masks(chain, run, alone, schedule.steps)
         # the boundary ranks nothing; the chains beside it rank every step
         assert [run.wpr_call_count for run in batch[8:11]] == [0] + [schedule.steps] * 2
 
     def test_duplicate_runs_own_their_trajectories(self, model, schedule, encoder, tokens):
         a, b = sample_batch(model, schedule, encoder, [Chain(tokens, CFG, 0)] * 2)
         np.testing.assert_array_equal(a.trajectory, b.trajectory)
-        a.masks_used.append(None)
         a.trajectory[:] = 0.0
         np.testing.assert_array_equal(
             b.trajectory, sample(model, schedule, encoder, tokens, CFG, 0).trajectory
         )
-        assert len(b.masks_used) == schedule.steps
+
+    @pytest.mark.parametrize("reuse", [True, False])
+    def test_shared_masks_are_read_only(self, model, schedule, encoder, tokens, reuse):
+        # duplicate chains share their row of the ledger, and a reuse chain
+        # holds its step-0 mask at every step: a write through one run
+        # would change the other's masks, or the mask of every step
+        cdg = GuidanceConfig(
+            mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
+            reuse_first_step_mask=reuse,
+        )
+        a, b = sample_batch(model, schedule, encoder, [Chain(tokens, cdg, 0)] * 2)
+        want = sample(model, schedule, encoder, tokens, cdg, 0).masks
+        for run in (a, b):
+            for step in (0, schedule.steps - 1):
+                with pytest.raises(ValueError, match="read-only"):
+                    run.masks[step, 0] = not run.masks[step, 0]
+            np.testing.assert_array_equal(run.masks, want)
+        if reuse:
+            np.testing.assert_array_equal(a.masks, np.broadcast_to(a.masks[0], a.masks.shape))
 
     def test_sweep_batch_integrates_each_distinct_chain_once(
         self, model, schedule, encoder, params, monkeypatch
@@ -582,7 +602,7 @@ class TestSample:
         runs = sample_batch(model, schedule, encoder, chains)
         distinct = {
             (chain.tokens.ids, chain.config.r_deg == 1.0,
-             run.masks_used[0].k_content, run.masks_used[0].k_ctxagg)
+             *replaced(chain.tokens, run.masks[0])[1:])
             for chain, run in zip(chains[3:], runs[3:])
         }
         assert len(distinct) < len(grid) * len(prompts)
@@ -613,10 +633,10 @@ class TestSample:
         runs = sample_batch(model, schedule, encoder, chains)
         changed = 0
         for run in runs:
-            masks = run.masks_used
-            if masks[0] is not None:
+            masks = run.masks
+            if masks is not None:
                 changed += 1 + sum(
-                    a.bits.tobytes() != b.bits.tobytes() for a, b in zip(masks, masks[1:])
+                    not np.array_equal(a, b) for a, b in zip(masks, masks[1:])
                 )
         assert changed > 3 * len(prompts)  # some per-step masks change
         # each prompt's positive rows (not CFG*'s, which is degraded), the
@@ -652,7 +672,7 @@ class TestSample:
             if chain.config.mode.uses_degradation:
                 # unit-scale degradation chains still build their masks
                 assert run.wpr_call_count == schedule.steps
-                assert all(m is not None for m in run.masks_used)
+                assert run.masks.shape == (schedule.steps, len(tokens))
 
     def test_shared_inputs_solved_once(self, model, schedule, encoder, params, monkeypatch):
         # a sweep's shape: P prompts x an R grid, one seed, first-step reuse
@@ -806,19 +826,16 @@ def _degrade_per_sigma(encoder, blocks, fusion, bias, previous):
         m, c, e = diffusion.degrade_rows(
             encoder, diffusion.degrade_set(encoder, rows, 8), x, sigma, 8, fusion, bias, prev
         )
-        masks += m
+        masks.append(m)
         changed += [start + r for r in c]
         embeddings += [] if e is None else list(e)
         start += len(rows)
-    return masks, changed, embeddings
+    return np.concatenate(masks), changed, embeddings
 
 
 def _assert_masks_equal(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g.bits, w.bits)
-        assert g.replaced_indices == w.replaced_indices
-        assert (g.k_content, g.k_ctxagg) == (w.k_content, w.k_ctxagg)
+    assert got.shape == want.shape and got.dtype == want.dtype == bool
+    np.testing.assert_array_equal(got, want)
 
 
 class TestDegradeRows:
@@ -837,7 +854,7 @@ class TestDegradeRows:
             with pytest.raises(AllHeadsFilteredError, match=re.escape(str(exc))):
                 diffusion.degrade_rows(encoder, rows, x, column, 8, fusion, bias)
             return
-        shifted = first[len(blocks[0][1]):] + first[: len(blocks[0][1])]
+        shifted = np.roll(first, -len(blocks[0][1]), axis=0)
         for previous in (None, shifted):
             expected = _degrade_per_sigma(encoder, blocks, fusion, bias, previous)
             masks, changed, e = diffusion.degrade_rows(
@@ -854,7 +871,7 @@ class TestDegradeRows:
             alone = diffusion.degrade_rows(
                 encoder, rows.subset([r]), x[r : r + 1], column[r, 0], 8, fusion, bias
             )[0]
-            _assert_masks_equal(alone, [mask])
+            _assert_masks_equal(alone, mask[None])
         # every key's weights, in the one-key form and in the stacked form,
         # equal the oracle's at the latent and sigma of its first row
         if rows.key_states:
@@ -883,7 +900,7 @@ class TestDegradeRows:
         ]
         # the two sigmas rank the tokens apart, so a shared key would give
         # the second row the first one's mask
-        assert alone[0].replaced_indices != alone[1].replaced_indices
+        assert (alone[0] != alone[1]).any()
         # the geometry sweep's rows: one prompt at two sigmas, each ranked
         # under its own key
         both = diffusion.degrade_set(encoder, [row], 8).subset([0, 0])
@@ -891,7 +908,7 @@ class TestDegradeRows:
         masks = diffusion.degrade_rows(
             encoder, both, x, np.array(sigmas)[:, None], 8, FusionConfig(), 0.5
         )[0]
-        assert [m.replaced_indices for m in masks] == [m.replaced_indices for m in alone]
+        _assert_masks_equal(masks, np.array(alone))
 
     def test_all_heads_filtered_names_row_and_its_sigma(self, encoder, params):
         keep, drop = (tokenize(p, params) for p in ("a man is cooking", "a dog"))

@@ -22,7 +22,7 @@ from cdglab.encoder import (
 from cdglab.errors import InvalidInputError, PromptTooLongError
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 
-from oracles import attention_maps, state_weights
+from oracles import attention_maps, replaced, state_weights
 
 words_strategy = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8),
@@ -303,8 +303,8 @@ class TestPromptState:
             [Chain(t, c, 0) for c in configs for t in prompts],
         )
         # the two ratios give different masks, so no chain stands in for another
-        assert runs[0].masks_used[0].k_ctxagg == 0
-        assert runs[len(prompts)].masks_used[0].k_ctxagg > 0
+        assert replaced(prompts[0], runs[0].masks[0]).k_ctxagg == 0
+        assert replaced(prompts[0], runs[len(prompts)].masks[0]).k_ctxagg > 0
         assert sorted(built) == sorted(t.ids for t in prompts)
 
     def test_least_recently_used_dropped_first(self, params):
