@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -78,31 +77,34 @@ _DETAIL_ROW = ('    {\n      "decoupling": %s,\n      "interference": %s,\n     
                '      "note": %s,\n      "prompt_index": %d,\n      "sigma": %s\n    }')
 
 
-def _json_float(v: float | None) -> str:
-    """A finite float or None as json.dumps writes it."""
-    return "null" if v is None else float.__repr__(v)
-
-
 def _geometry_json(path: Path, detail: list[dict]) -> str:
     """The text _write_json writes for {"detail": detail}, or its NumericalError.
 
     json.dumps falls back to its pure-Python encoder under indent=2, so the
     fixed schema is formatted here, one template per row: floats by
-    float.__repr__, strings by json's own ASCII escaper, None as null.
+    float.__repr__, strings by json's own ASCII escaper, None as null. Each
+    distinct string is escaped once and each distinct sigma written once.
     """
-    for v in (v for d in detail for v in (d["decoupling"], d["interference"], d["sigma"])):
-        if v is not None and not math.isfinite(v):
-            raise NumericalError(f"refusing to write {path}: Out of range float values "
-                                 f"are not JSON compliant: {float.__repr__(v)}")
-    rows = [
-        _DETAIL_ROW % (
-            _json_float(d["decoupling"]), _json_float(d["interference"]),
-            encode_basestring_ascii(d["method"]), encode_basestring_ascii(d["note"]),
-            d["prompt_index"], float.__repr__(d["sigma"]),
+    strings = {s: encode_basestring_ascii(s)
+               for s in {d["method"] for d in detail} | {d["note"] for d in detail}}
+    sigmas = {s: float.__repr__(s) for s in {d["sigma"] for d in detail}}
+    fields, values = [], []
+    for d in detail:
+        dec, intf, sigma = d["decoupling"], d["interference"], d["sigma"]
+        values += (0.0 if dec is None else dec, 0.0 if intf is None else intf, sigma)
+        fields += (
+            "null" if dec is None else float.__repr__(dec),
+            "null" if intf is None else float.__repr__(intf),
+            strings[d["method"]], strings[d["note"]], d["prompt_index"],
+            # 0.0 and -0.0 are one key but two texts
+            sigmas[sigma] if sigma else float.__repr__(sigma),
         )
-        for d in detail
-    ]
-    return '{\n  "detail": ' + ("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]") + "\n}\n"
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NumericalError(f"refusing to write {path}: Out of range float values "
+                             f"are not JSON compliant: {float.__repr__(values[finite.argmin()])}")
+    rows = ",\n".join([_DETAIL_ROW] * len(detail)) % tuple(fields)
+    return '{\n  "detail": ' + ("[\n" + rows + "\n  ]" if detail else "[]") + "\n}\n"
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], force: bool) -> None:

@@ -117,6 +117,8 @@ def build_masks(
     n = len(tokens[0]) if scores is None else scores.shape[1]
     if any(len(tokens[b]) != n for b in ranked):
         raise InvalidInputError("importance length does not match token count")
+    if scores is not None and not all_finite(scores):
+        raise InvalidInputError("importance scores must be finite")
     keep = np.empty((len(keys), n), dtype=bool)
     for b, k in enumerate(keys):
         if k < 0:

@@ -92,12 +92,6 @@ def _seeded_normals(seed: int, n_sigmas: int, n_prompts: int, d_x: int) -> np.nd
     return out
 
 
-def _top_subspace(svd: SvdResult, k: int) -> np.ndarray:
-    if k < 1 or k > svd.rank:
-        raise RankDeficientError(f"k={k} exceeds numerical rank {svd.rank}")
-    return svd.vt[:k].T.copy()
-
-
 def _pooled_metrics(spans, bases) -> list[tuple[float, float]]:
     """(decoupling, interference) of each delta span against its subspace basis.
 
@@ -145,14 +139,18 @@ def interference(delta: np.ndarray, s_c: np.ndarray) -> float:
     return _pooled_metrics([np.atleast_2d(np.asarray(delta, dtype=np.float64).T)], [s_c])[0][1]
 
 
-def energy_rank(singular_values: np.ndarray) -> int:
-    """Smallest k whose leading singular values capture _SUBSPACE_ENERGY of their squares."""
+def energy_rank(singular_values: np.ndarray) -> int | np.ndarray:
+    """Smallest k whose leading singular values capture _SUBSPACE_ENERGY of their squares.
+
+    For a stack (..., n) of singular-value rows, each row's k as an array.
+    """
     sq = np.asarray(singular_values, dtype=np.float64) ** 2
-    total = sq.sum()
-    if total == 0:
+    total = sq.sum(axis=-1, keepdims=True)
+    if (total == 0).any():
         raise RankDeficientError("all singular values are zero")
-    cum = np.cumsum(sq) / total
-    return int(np.searchsorted(cum, _SUBSPACE_ENERGY) + 1)
+    # the cumulative shares do not decrease, so this counts what searchsorted would find
+    ranks = np.count_nonzero(np.cumsum(sq, axis=-1) / total < _SUBSPACE_ENERGY, axis=-1) + 1
+    return ranks if np.ndim(ranks) else int(ranks)
 
 
 @dataclass
@@ -166,53 +164,73 @@ class GeometryReport:
 _METHODS = ("cfg", "cdg")
 
 
-def _sigma_records(
-    report: GeometryReport, sigma: float, deltas: np.ndarray, basis: np.ndarray, pooled: list
-) -> None:
-    """Per-prompt metrics at one sigma, appended to report with its records.
+def _report(
+    sigmas: tuple[float, ...], svd: SvdResult, deltas: np.ndarray, k: int | None
+) -> GeometryReport:
+    """Per-(sigma, method) records and per-prompt detail of every sigma at once.
 
-    deltas (len(_METHODS) * num_prompts, d_x) holds each method's per-prompt
-    deltas in _METHODS order. Every per-prompt delta is projected in one
-    stacked call, and the valid rows' interferences are one array whose
-    per-method slices give the means. A single vector's decoupling is
-    exactly 1 - interference, so the per-prompt values need no
-    decomposition; only the pooled pair does. Each record with a valid
-    prompt goes to pooled with its span and basis, for one _pooled_metrics
-    call over the whole report.
+    svd decomposes each sigma's conditional predictions (S, P, d_x), and
+    deltas (S, len(_METHODS) * P, d_x) holds each sigma's per-prompt deltas,
+    method by method. The sigmas of one subspace dimension k share one
+    stacked projection. A single vector's decoupling is exactly
+    1 - interference, so only the pooled pairs take a decomposition, in one
+    _pooled_metrics call. Each value is that of a one-sigma computation.
     """
-    n_prompts = len(deltas) // len(_METHODS)
-    totals = (deltas * deltas).sum(axis=1)
-    proj = project_onto(basis, deltas[:, :, None])[..., 0]
-    energies = (proj * proj).sum(axis=1)
-    valid_rows = np.flatnonzero(~(totals <= _ZERO_DELTA_TOL))
-    intfs = np.minimum(energies[valid_rows] / totals[valid_rows], 1.0)
-    # each method's valid rows, and their values, are one slice of these
-    cuts = np.searchsorted(valid_rows, np.arange(len(_METHODS) + 1) * n_prompts).tolist()
-    for m, method in enumerate(_METHODS):
-        lo, hi = cuts[m], cuts[m + 1]
-        valid = (valid_rows[lo:hi] - m * n_prompts).tolist()
-        # np.mean's own sum and division, without its wrapper
-        mean = float(np.add.reduce(intfs[lo:hi]) / (hi - lo)) if valid else None
-        by_prompt = dict(zip(valid, intfs[lo:hi].tolist()))
-        for p in range(n_prompts):
-            intf = by_prompt.get(p)
-            report.detail.append(
-                {"sigma": sigma, "method": method, "prompt_index": p,
-                 "decoupling": None if intf is None else 1.0 - intf,
-                 "interference": intf, "note": "zero delta" if intf is None else ""}
+    n_sigmas, n_rows, _ = deltas.shape
+    n_prompts = n_rows // len(_METHODS)
+    ranks = svd.rank
+    ks = np.minimum(np.minimum(energy_rank(svd.s), n_prompts - 1) if k is None else k, ranks)
+    if (ks < 1).any():
+        first = np.argmax(ks < 1)
+        raise RankDeficientError(f"k={ks[first]} exceeds numerical rank {ranks[first]}")
+    totals = (deltas * deltas).sum(axis=2)
+    energies, bases = np.empty_like(totals), {}
+    for k_at in sorted(set(ks.tolist())):  # np.unique's first call adds ~1.7 MB of peak RSS
+        at = np.flatnonzero(ks == k_at)
+        # each member contiguous, as vt[:k].T.copy() is: the projection's bits follow the strides
+        basis = np.ascontiguousarray(np.swapaxes(svd.vt[at, :k_at], 1, 2))
+        proj = project_onto(basis[:, None], deltas[at, :, :, None])[..., 0]
+        energies[at] = (proj * proj).sum(axis=2)
+        bases.update(zip(at.tolist(), basis))
+    valid = ~(totals <= _ZERO_DELTA_TOL)
+    intfs = np.minimum(np.divide(energies, totals, out=np.zeros_like(totals), where=valid), 1.0)
+    # one row per record: (sigma, method) pairs, sigma-major
+    shape = (n_sigmas * len(_METHODS), n_prompts)
+    valid, intfs, rows = valid.reshape(shape), intfs.reshape(shape), deltas.reshape(*shape, -1)
+    counts = np.count_nonzero(valid, axis=1)
+    sums = np.add.reduce(intfs, axis=1)
+    # a row with a zero delta sums its valid values alone: pairwise
+    # summation groups eight or more values unlike fewer
+    for r in np.flatnonzero(counts < n_prompts).tolist():
+        sums[r] = np.add.reduce(intfs[r][valid[r]])
+    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    # each record's pooled span: its valid deltas, one per row
+    with_valid = np.flatnonzero(counts).tolist()
+    pooled = dict(zip(with_valid, _pooled_metrics(
+        [rows[r][valid[r]] for r in with_valid], [bases[r // len(_METHODS)] for r in with_valid]
+    )))
+    sigma_at = [s for s in sigmas for _ in range(n_rows)]
+    intf_at = np.where(valid, intfs, None).ravel().tolist()
+    return GeometryReport(
+        records=[
+            {"sigma": s, "method": m,
+             "decoupling_mean": 1.0 - v if c else None, "interference_mean": v if c else None,
+             "num_valid_prompts": c, "decoupling_pooled": dec, "interference_pooled": intf}
+            for s, m, v, c, (dec, intf) in zip(
+                sigma_at[::n_prompts], _METHODS * n_sigmas, means.tolist(), counts.tolist(),
+                [pooled.get(r, (None, None)) for r in range(len(rows))],
             )
-        report.records.append({
-            "sigma": sigma,
-            "method": method,
-            "decoupling_mean": None if mean is None else 1.0 - mean,
-            "interference_mean": mean,
-            "num_valid_prompts": len(valid),
-            "decoupling_pooled": None,
-            "interference_pooled": None,
-        })
-        if valid:  # the span of all valid deltas, one per row
-            rows = deltas[m * n_prompts : (m + 1) * n_prompts][valid]
-            pooled.append((report.records[-1], rows, basis))
+        ],
+        detail=[
+            {"sigma": s, "method": m, "prompt_index": p,
+             "decoupling": None if v is None else 1.0 - v,
+             "interference": v, "note": "zero delta" if v is None else ""}
+            for s, m, p, v in zip(
+                sigma_at, [m for m in _METHODS for _ in range(n_prompts)] * n_sigmas,
+                list(range(n_prompts)) * len(rows), intf_at,
+            )
+        ],
+    )
 
 
 def run_geometry_sweep(
@@ -243,11 +261,14 @@ def run_geometry_sweep(
     The sweep is one pass over every (sigma, prompt) row, sigma-major: the
     latents from one vectorized seeding pass and one generator, one degrade
     step and three denoise calls (conditional, null, degraded), each with a
-    column of per-row sigmas, one stacked SVD
-    of the conditional predictions, and one stacked projection of the
-    per-prompt deltas per sigma. The pooled CFG and CDG spans of every
-    sigma then take one SVD per valid prompt count and one per (count,
-    rank, k) for their principal angles. The degrade step ranks its rows
+    column of per-row sigmas, and one stacked SVD of the conditional
+    predictions. The report is then array passes over every sigma (see
+    _report): the subspace dimensions as an (S,) array, one stacked
+    projection of the per-prompt deltas per distinct k, and the means from
+    (S, 2P) arrays. The pooled CFG and CDG spans of every sigma take one
+    SVD per valid prompt count and one per (count, rank, k) for their
+    principal angles. A k that is not an int raises InvalidInputError, and
+    a k below 1 RankDeficientError, before any work. The degrade step ranks its rows
     in one stationary solve and holds their attention weights, H * N^2
     floats a row, at once: 1.8 MB for all 224 rows at 28 sigmas, 8 prompts,
     4 heads and 16 tokens. Longer schedules or more prompts take the rows
@@ -258,6 +279,11 @@ def run_geometry_sweep(
     n_prompts = len(prompts_tokens)
     if n_prompts < 2:
         raise InvalidInputError("need at least 2 prompts")
+    if k is not None:
+        if isinstance(k, bool) or not isinstance(k, int | np.integer):
+            raise InvalidInputError(f"k must be an int or None, got {k!r}")
+        if k < 1:
+            raise RankDeficientError(f"k must be >= 1, got {k}")
     ratios = map_ratio(r_deg)
     conditions = [encoder.encode(t) for t in prompts_tokens]
     e_c = encoder.pool(np.array(conditions), model.d_c)
@@ -300,13 +326,4 @@ def run_geometry_sweep(
         axis=1,
     )
 
-    report, pooled = GeometryReport(), []
-    for si, sigma in enumerate(sigmas):
-        svd_at = svd[si]
-        k_eff = k if k is not None else min(energy_rank(svd_at.s), n_prompts - 1)
-        basis = _top_subspace(svd_at, min(k_eff, svd_at.rank))
-        _sigma_records(report, sigma, deltas[si], basis, pooled)
-    metrics = _pooled_metrics([span for _, span, _ in pooled], [b for *_, b in pooled])
-    for (record, _, _), (dec, intf) in zip(pooled, metrics):
-        record["decoupling_pooled"], record["interference_pooled"] = dec, intf
-    return report
+    return _report(sigmas, svd, deltas, k)

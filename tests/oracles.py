@@ -10,6 +10,8 @@ stacked weights must equal bit for bit. `PredictionStack`,
 stacked rows through plain `thin_svd`. `pooled_decoupling` and
 `pooled_interference` are the one-matrix-at-a-time forms of the pooled
 geometry metrics, which the stacked path must match bit for bit.
+`per_sigma_report` builds a geometry report one sigma at a time, the
+reference for `geometry._report`'s passes over every sigma at once.
 `replaced` splits a mask's keep bits into its replaced positions and their
 count per token type, position by position. `eps_to_denoiser` and
 `denoiser_to_score` convert a denoiser output to the
@@ -25,8 +27,15 @@ import numpy as np
 
 from cdglab.encoder import PromptState, TokenSequence, ToyTextEncoder
 from cdglab.errors import InvalidInputError, RankDeficientError
+from cdglab.geometry import (
+    _METHODS,
+    _SUBSPACE_ENERGY,
+    _ZERO_DELTA_TOL,
+    GeometryReport,
+    _pooled_metrics,
+)
 from cdglab.importance import _row_normalized
-from cdglab.linalg import principal_angle_sines_squared, project_onto, thin_svd
+from cdglab.linalg import SvdResult, principal_angle_sines_squared, project_onto, thin_svd
 
 DEFAULT_EPSILON = 1e-8
 DEFAULT_MAX_ITERS = 1000
@@ -145,6 +154,88 @@ def pooled_interference(delta: np.ndarray, s_c: np.ndarray) -> float:
     """Fraction of delta's energy (d_x, v) projected into span(s_c)."""
     proj = project_onto(s_c, delta)
     return min(float(np.sum(proj * proj)) / float(np.sum(delta * delta)), 1.0)
+
+
+def _energy_rank(singular_values: np.ndarray) -> int:
+    """Smallest k whose leading singular values capture _SUBSPACE_ENERGY of their squares."""
+    sq = np.asarray(singular_values, dtype=np.float64) ** 2
+    total = sq.sum()
+    if total == 0:
+        raise RankDeficientError("all singular values are zero")
+    cum = np.cumsum(sq) / total
+    return int(np.searchsorted(cum, _SUBSPACE_ENERGY) + 1)
+
+
+def _top_subspace(svd: SvdResult, k: int) -> np.ndarray:
+    if k < 1 or k > svd.rank:
+        raise RankDeficientError(f"k={k} exceeds numerical rank {svd.rank}")
+    return svd.vt[:k].T.copy()
+
+
+def _sigma_records(
+    report: GeometryReport, sigma: float, deltas: np.ndarray, basis: np.ndarray, pooled: list
+) -> None:
+    """Per-prompt metrics at one sigma, appended to report with its records.
+
+    deltas (len(_METHODS) * num_prompts, d_x) holds each method's per-prompt
+    deltas in _METHODS order. Each record with a valid prompt goes to pooled
+    with its span and basis.
+    """
+    n_prompts = len(deltas) // len(_METHODS)
+    totals = (deltas * deltas).sum(axis=1)
+    proj = project_onto(basis, deltas[:, :, None])[..., 0]
+    energies = (proj * proj).sum(axis=1)
+    valid_rows = np.flatnonzero(~(totals <= _ZERO_DELTA_TOL))
+    intfs = np.minimum(energies[valid_rows] / totals[valid_rows], 1.0)
+    cuts = np.searchsorted(valid_rows, np.arange(len(_METHODS) + 1) * n_prompts).tolist()
+    for m, method in enumerate(_METHODS):
+        lo, hi = cuts[m], cuts[m + 1]
+        valid = (valid_rows[lo:hi] - m * n_prompts).tolist()
+        mean = float(np.add.reduce(intfs[lo:hi]) / (hi - lo)) if valid else None
+        by_prompt = dict(zip(valid, intfs[lo:hi].tolist()))
+        for p in range(n_prompts):
+            intf = by_prompt.get(p)
+            report.detail.append(
+                {"sigma": sigma, "method": method, "prompt_index": p,
+                 "decoupling": None if intf is None else 1.0 - intf,
+                 "interference": intf, "note": "zero delta" if intf is None else ""}
+            )
+        report.records.append({
+            "sigma": sigma,
+            "method": method,
+            "decoupling_mean": None if mean is None else 1.0 - mean,
+            "interference_mean": mean,
+            "num_valid_prompts": len(valid),
+            "decoupling_pooled": None,
+            "interference_pooled": None,
+        })
+        if valid:
+            rows = deltas[m * n_prompts : (m + 1) * n_prompts][valid]
+            pooled.append((report.records[-1], rows, basis))
+
+
+def per_sigma_report(
+    sigmas: tuple[float, ...], svd: SvdResult, deltas: np.ndarray, k: int | None
+) -> GeometryReport:
+    """`geometry._report`'s records and detail, one sigma at a time.
+
+    At each sigma: its own decomposition `svd[si]`, its subspace dimension,
+    its basis `vt[:k].T.copy()`, one stacked projection of its per-prompt
+    deltas, and its records and detail appended in order; a valid
+    (sigma, method)'s mean reduces its valid interferences alone. The
+    pooled pairs then come from one `_pooled_metrics` call.
+    """
+    n_prompts = deltas.shape[1] // len(_METHODS)
+    report, pooled = GeometryReport(), []
+    for si, sigma in enumerate(sigmas):
+        svd_at = svd[si]
+        k_eff = k if k is not None else min(_energy_rank(svd_at.s), n_prompts - 1)
+        basis = _top_subspace(svd_at, min(k_eff, svd_at.rank))
+        _sigma_records(report, sigma, deltas[si], basis, pooled)
+    metrics = _pooled_metrics([span for _, span, _ in pooled], [b for *_, b in pooled])
+    for (record, _, _), (dec, intf) in zip(pooled, metrics):
+        record["decoupling_pooled"], record["interference_pooled"] = dec, intf
+    return report
 
 
 def eps_to_denoiser(eps: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:

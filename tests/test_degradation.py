@@ -235,6 +235,16 @@ class TestBuildMasks:
         with pytest.raises(InvalidInputError, match="partial content"):
             build_masks(tokens, scores, [0, 1, -1], _extents(tokens, [map_ratio(0.5)] * 3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_non_finite_scores_rejected(self, params, row, bad):
+        tokens = [tokenize(p, params) for p in ("a man is cooking", "the dog runs in a park")]
+        scores = np.ones((2, len(tokens[0])))
+        scores[row, 2] = bad
+        extents = _extents(tokens, [map_ratio(0.5)] * 2)
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_masks(tokens, scores, [0, 1], extents)
+
     def test_score_shape_must_match_rows(self, params):
         tokens = [tokenize(p, params) for p in ("a man", "the red man")]
         extents = _extents(tokens, [map_ratio(0.5)] * 2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,13 @@ from hypothesis import strategies as st
 
 from cdglab import diffusion, geometry, linalg
 from cdglab.degradation import map_ratio
-from cdglab.diffusion import SigmaSchedule, degrade_rows, degrade_set, denoise
+from cdglab.diffusion import (
+    GmmConditionalModel,
+    SigmaSchedule,
+    degrade_rows,
+    degrade_set,
+    denoise,
+)
 from cdglab.encoder import tokenize
 from cdglab.errors import (
     AllHeadsFilteredError,
@@ -31,6 +39,7 @@ from oracles import (
     PredictionStack,
     estimate_subspace,
     orthonormal_basis,
+    per_sigma_report,
     pooled_decoupling,
     pooled_interference,
 )
@@ -440,7 +449,120 @@ class TestSweep:
         assert all(r["num_valid_prompts"] == len(prompts) - 1 for r in cfg_rows)
 
     def test_zero_k_rejected(self, model, schedule, encoder, params):
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(RankDeficientError, match="k must be >= 1, got 0"):
             run_geometry_sweep(
                 model, schedule, encoder, self._tokens(params), 1.0, k=0
             )
+
+    @pytest.mark.parametrize(
+        "k, error, message",
+        [
+            (-1, RankDeficientError, "k must be >= 1, got -1"),
+            (2.0, InvalidInputError, "k must be an int or None, got 2.0"),
+            (True, InvalidInputError, "k must be an int or None, got True"),
+            (np.float64(2.0), InvalidInputError, "k must be an int or None"),
+            ("2", InvalidInputError, "k must be an int or None, got '2'"),
+        ],
+        ids=["minus_one", "float", "bool", "numpy_float", "str"],
+    )
+    def test_bad_k_rejected_before_any_work(
+        self, model, schedule, encoder, params, monkeypatch, k, error, message
+    ):
+        def no_work(*args):
+            raise AssertionError("the sweep started before checking k")
+
+        monkeypatch.setattr(geometry, "map_ratio", no_work)
+        with pytest.raises(error, match=re.escape(message)):
+            run_geometry_sweep(model, schedule, encoder, self._tokens(params), 1.0, k=k)
+
+    def test_numpy_int_k_is_an_int(self, model, encoder, params):
+        short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
+        tokens = self._tokens(params)
+        report = run_geometry_sweep(model, short, encoder, tokens, 0.5, k=np.int64(2))
+        assert report == run_geometry_sweep(model, short, encoder, tokens, 0.5, k=2)
+
+
+def _same_report(new, ref):
+    """Records and detail equal, floats bit for bit and None in the same places."""
+    assert new.records == ref.records
+    assert new.detail == ref.detail
+    # repr round-trips every float and tells -0.0 from 0.0
+    assert repr(new.records) == repr(ref.records)
+    assert repr(new.detail) == repr(ref.detail)
+
+
+# nine prompts, one empty: a CFG mean over eight valid prompts of nine, which
+# pairwise summation groups unlike the whole row
+NINE = PROMPTS + ["the dog runs in a park", "a woman paints the old wall", "two birds sing", ""]
+
+
+class TestReportReference:
+    """geometry._report's passes over every sigma against the per-sigma loop."""
+
+    def _recorded(self, monkeypatch, *args, **kwargs):
+        """run_geometry_sweep's report and the arguments of its one _report call."""
+        calls = []
+        report = geometry._report
+
+        def recording(*a):
+            calls.append(a)
+            return report(*a)
+
+        monkeypatch.setattr(geometry, "_report", recording)
+        out = run_geometry_sweep(*args, **kwargs)
+        assert len(calls) == 1
+        return out, calls[0]
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 4])
+    @pytest.mark.parametrize("prompts", [PROMPTS + [""], NINE], ids=["six", "nine"])
+    def test_sweep_matches_per_sigma_loop(
+        self, model, encoder, params, monkeypatch, prompts, k
+    ):
+        tokens = [tokenize(p, params) for p in prompts]
+        short = SigmaSchedule.log_spaced(6, 10.0, 0.01)
+        report, args = self._recorded(
+            monkeypatch, model, short, encoder, tokens, 0.5, k=k, seed=3
+        )
+        assert any(r["num_valid_prompts"] == len(prompts) - 1 for r in report.records)
+        _same_report(report, per_sigma_report(*args))
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_rank_limited_stack_matches_per_sigma_loop(self, encoder, params, monkeypatch, k):
+        # one component and d_c 1: every delta lies on one line
+        model = GmmConditionalModel.random(1, 4, 1, seed=0)
+        tokens = [tokenize(p, params) for p in PROMPTS[:3]]
+        short = SigmaSchedule.log_spaced(6, 10.0, 0.01)
+        report, args = self._recorded(monkeypatch, model, short, encoder, tokens, 0.5, k=k)
+        assert {r["num_valid_prompts"] for r in report.records} == {3}
+        _same_report(report, per_sigma_report(*args))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_prompts", [2, 3, 8, 9, 12])
+    def test_random_stacks_match_per_sigma_loop(self, n_prompts, seed):
+        rng = np.random.default_rng([seed, n_prompts])
+        n_sigmas, d_x = 7, 6
+        sigmas = tuple(np.geomspace(10.0, 0.01, n_sigmas).tolist())
+        svd = thin_svd(rng.normal(size=(n_sigmas, n_prompts, d_x)))
+        deltas = rng.normal(size=(n_sigmas, 2 * n_prompts, d_x))
+        # zero deltas, a whole method of one sigma among them
+        deltas[rng.random(deltas.shape[:2]) < 0.2] = 0.0
+        deltas[2, n_prompts:] = 0.0
+        for k in (None, 1, n_prompts):
+            _same_report(geometry._report(sigmas, svd, deltas, k),
+                         per_sigma_report(sigmas, svd, deltas, k))
+
+    @pytest.mark.parametrize(
+        "k, message", [(None, "all singular values are zero"), (2, "k=0 exceeds numerical rank 0")]
+    )
+    def test_rank_error_after_the_first_sigma(self, k, message):
+        rng = np.random.default_rng(7)
+        predictions = rng.normal(size=(3, 4, 6))
+        predictions[1] = 0.0  # the second sigma's stack has rank 0
+        svd, deltas = thin_svd(predictions), rng.normal(size=(3, 8, 6))
+        sigmas = (3.0, 2.0, 1.0)
+        with pytest.raises(RankDeficientError) as ref:
+            per_sigma_report(sigmas, svd, deltas, k)
+        assert str(ref.value) == message
+        with pytest.raises(RankDeficientError) as new:
+            geometry._report(sigmas, svd, deltas, k)
+        assert str(new.value) == message
