@@ -25,6 +25,8 @@
 #   one_prompt: sweep, one prompt over the default 21-point grid: one ranking key shared by 15 rows beside an R=1.0 row (the one-key weights inside a many-row call)
 #   bias_zero: sample, CDG R=0.5 per-step over two prompts at attention_bias_weight 0.0 (the keys' static attention)
 #   bias_zero_diagnose: diagnose, three prompts at attention_bias_weight 0.0
+#   block_zero_diagnose: diagnose at lambda_block 0, a prompt repeated: states taken from the embeddings, before any block
+#   three_block_diagnose: diagnose, a 3-block encoder at lambda_block 1: states taken between two blocks
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -234,6 +236,36 @@ cat >"$tmp/bias_zero_diagnose_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/block_zero_diagnose_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5, "lambda_block": 0},
+  "prompts": [
+    "a man is cooking",
+    "the dog runs in a park",
+    "a man is cooking",
+    "a woman paints the old wall"
+  ],
+  "seed": 0
+}
+JSON
+
+cat >"$tmp/three_block_diagnose_config.json" <<'JSON'
+{
+  "encoder": {"n_blocks": 3},
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5, "lambda_block": 1},
+  "prompts": [
+    "a man is cooking",
+    "the dog runs in a park",
+    "a woman paints the old wall"
+  ],
+  "seed": 0
+}
+JSON
+
 # run_all CODE_ROOT OUT: the commands listed above, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
@@ -283,7 +315,8 @@ run_all() {
     for config in "$tmp/diagnose_config.json" "$tmp/small_diagnose_config.json" \
         "$tmp/rank_one_diagnose_config.json" "$tmp/collinear_diagnose_config.json" \
         "$tmp/boundary_diagnose_config.json" "$tmp/big_seed_diagnose_config.json" \
-        "$tmp/bias_zero_diagnose_config.json"; do
+        "$tmp/bias_zero_diagnose_config.json" "$tmp/block_zero_diagnose_config.json" \
+        "$tmp/three_block_diagnose_config.json"; do
         name=$(basename "$config" .json)
         cli diagnose diagnose
     done

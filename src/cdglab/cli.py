@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 import time
@@ -108,12 +109,25 @@ def _geometry_json(path: Path, detail: list[dict]) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], force: bool) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    _write_text(path, buf.getvalue(), force)
+    """header and rows, of two or more fields each, as csv.writer writes them
+    with floats by repr, from one row template: a column of floats and ints
+    fills it as it is (%s writes a float's repr), any other value by value,
+    None as "" and each distinct string quoted once, by csv.writer itself."""
+    quoted: dict[str, str] = {}
+
+    def text(v) -> str:
+        if isinstance(v, str):
+            if v not in quoted:
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerow([v, ""])
+                quoted[v] = buf.getvalue()[:-2]  # less the delimiter and terminator
+            return quoted[v]
+        return "" if v is None else repr(v) if isinstance(v, float) else str(v)
+
+    cols = [c if set(map(type, c)) <= {float, int} else list(map(text, c)) for c in zip(*rows)]
+    row = ",".join(["%s"] * len(header)) + "\n"
+    body = row * len(rows) % tuple(itertools.chain.from_iterable(zip(*cols)))
+    _write_text(path, ",".join(map(text, header)) + "\n" + body, force)
 
 
 def _fused_importance(cfg: RunConfig, encoder, tokens):

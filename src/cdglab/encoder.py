@@ -161,21 +161,27 @@ class ToyTextEncoder:
     def d_head(self) -> int:
         return self.params.d_model // self.params.n_heads
 
-    def _block_attention(
-        self, x: np.ndarray, block: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (new hidden state, per-head attention (H, N, N))."""
-        p = self.params
-        n, dh = p.seq_len, self.d_head
-        q = x @ self.w_q[block]
-        k = x @ self.w_k[block]
-        v = x @ self.w_v[block]
-        q = q.reshape(n, p.n_heads, dh).transpose(1, 0, 2)
-        k = k.reshape(n, p.n_heads, dh).transpose(1, 0, 2)
-        v = v.reshape(n, p.n_heads, dh).transpose(1, 0, 2)
-        attn = _softmax_rows(q @ k.transpose(0, 2, 1) / np.sqrt(dh))
-        out = (attn @ v).transpose(1, 0, 2).reshape(n, p.d_model)
-        return x + out @ self.w_o[block], attn
+    def _walk(self, x: np.ndarray, stop: int, tap: int | None, rows: list[int] | None):
+        """The one block walker: hidden states of x (..., N, d_model) after
+        blocks 0..stop-1 (stop >= tap), and block tap's scaled logits and
+        scaled K^T at x[rows] (all of x for None), or () for tap None. A
+        stack walks as its sequences would one by one, bit for bit."""
+        p, dh, tapped = self.params, self.d_head, ()
+        if tap is not None and not 0 <= tap < p.n_blocks:
+            raise InvalidInputError(f"block {tap} out of range")
+        heads = (*x.shape[:-1], p.n_heads, dh)
+        for b in range(stop if tap is None else max(stop, tap + 1)):
+            q = (x @ self.w_q[b]).reshape(heads).swapaxes(-3, -2)
+            k = (x @ self.w_k[b]).reshape(heads).swapaxes(-3, -2)
+            if b == tap:
+                qh, kh = (q, k) if rows is None else (q[rows], k[rows])
+                kt_scaled = np.ascontiguousarray(kh.swapaxes(-1, -2)) / np.sqrt(dh)
+                tapped = qh @ kt_scaled, kt_scaled
+            if b < stop:
+                v = (x @ self.w_v[b]).reshape(heads).swapaxes(-3, -2)
+                attn = _softmax_rows(q @ k.swapaxes(-1, -2) / np.sqrt(dh))
+                x = x + (attn @ v).swapaxes(-3, -2).reshape(x.shape) @ self.w_o[b]
+        return x, tapped
 
     def _embed(self, tokens: TokenSequence) -> np.ndarray:
         """Token plus position embeddings (N, d_model) of a checked sequence."""
@@ -190,9 +196,26 @@ class ToyTextEncoder:
 
     def encode(self, tokens: TokenSequence) -> np.ndarray:
         """Condition embeddings (N, d_model): the hidden state after the last block."""
-        x = self._embed(tokens)
-        for b in range(self.params.n_blocks):
-            x, _ = self._block_attention(x, b)
+        return self._walk(self._embed(tokens), self.params.n_blocks, None, None)[0]
+
+    def encode_stack(self, tokens: list[TokenSequence], block: int | None, d_x: int):
+        """Condition embeddings (P, N, d_model) of P sequences from one walk,
+        row p bit for bit encode(tokens[p]). Unless block is None, the walk
+        builds each (ids, block, d_x) state the store lacks, once, and the
+        store ends as prompt_state calls over tokens would leave it."""
+        keys = [] if block is None else [(t.ids, block, d_x) for t in tokens]
+        # held for the call, as the store may drop a state before its last row
+        states = {key: self._states.get(key) for key in keys}
+        first = {key: r for r, key in reversed(list(enumerate(keys)))}
+        rows = [first[key] for key, state in states.items() if state is None]
+        x, tapped = self._walk(
+            np.array([self._embed(t) for t in tokens]), self.params.n_blocks,
+            block if rows else None, None if len(rows) == len(keys) else rows,
+        )
+        for r, logits, kt_scaled in zip(rows, *tapped):
+            states[keys[r]] = self._build_state(keys[r], logits, kt_scaled)
+        for key in keys:
+            self._keep(key, states[key])
         return x
 
     def attention_at_block(self, tokens: TokenSequence, block: int) -> np.ndarray:
@@ -203,19 +226,26 @@ class ToyTextEncoder:
         self, tokens: TokenSequence, block: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Scaled logits (H, N, N) of one block and its scaled K^T (H, d_head, N)."""
-        if block < 0 or block >= self.params.n_blocks:
-            raise InvalidInputError(f"block {block} out of range")
-        p = self.params
-        n, dh = p.seq_len, self.d_head
-        x = self._embed(tokens)
-        for b in range(block):
-            x, _ = self._block_attention(x, b)
-        qh = (x @ self.w_q[block]).reshape(n, p.n_heads, dh).transpose(1, 0, 2)
-        kt = np.ascontiguousarray(
-            (x @ self.w_k[block]).reshape(n, p.n_heads, dh).transpose(1, 2, 0)
-        )
-        kt_scaled = kt / np.sqrt(dh)
-        return qh @ kt_scaled, kt_scaled
+        return self._walk(self._embed(tokens), block, block, None)[1]
+
+    def _build_state(self, key: tuple, logits: np.ndarray, kt_scaled: np.ndarray) -> PromptState:
+        """The PromptState of key (ids, block, d_x) from its block's logits and scaled K^T."""
+        p, d_x = self.params, key[2]
+        static = np.exp(logits - logits.max(axis=2, keepdims=True))
+        static.flags.writeable = False
+        if d_x not in self._bias_maps:
+            rng = np.random.default_rng([p.seed, 3, d_x])
+            self._bias_maps[d_x] = rng.normal(size=(p.d_model, d_x + 1)) / np.sqrt(d_x + 1)
+        m = self._bias_maps[d_x].reshape(p.n_heads, self.d_head, d_x + 1)
+        shift_map = np.ascontiguousarray(np.einsum("hdm,hdn->hnm", m, kt_scaled))
+        shift_map.flags.writeable = False
+        return PromptState(static=static, shift_map=shift_map)
+
+    def _keep(self, key: tuple, state: PromptState) -> None:
+        """Stores state under key as the most recent; a full store drops its least recent."""
+        if self._states.pop(key, None) is None and len(self._states) >= PROMPT_STATE_CAP:
+            del self._states[next(iter(self._states))]
+        self._states[key] = state
 
     def prompt_state(self, tokens: TokenSequence, block: int, d_x: int) -> PromptState:
         """The PromptState of (tokens, block, d_x), built on first use.
@@ -224,25 +254,10 @@ class ToyTextEncoder:
         encoder keeps the PROMPT_STATE_CAP most recently used states, which
         every caller shares, so their arrays are read-only.
         """
-        p = self.params
         key = (tokens.ids, block, d_x)
-        state = self._states.pop(key, None)
-        if state is None:
-            logits, kt_scaled = self.attention_logits(tokens, block)
-            static = np.exp(logits - logits.max(axis=2, keepdims=True))
-            static.flags.writeable = False
-            if d_x not in self._bias_maps:
-                rng = np.random.default_rng([p.seed, 3, d_x])
-                self._bias_maps[d_x] = rng.normal(
-                    size=(p.d_model, d_x + 1)
-                ) / np.sqrt(d_x + 1)
-            m = self._bias_maps[d_x].reshape(p.n_heads, self.d_head, d_x + 1)
-            shift_map = np.ascontiguousarray(np.einsum("hdm,hdn->hnm", m, kt_scaled))
-            shift_map.flags.writeable = False
-            state = PromptState(static=static, shift_map=shift_map)
-            if len(self._states) >= PROMPT_STATE_CAP:
-                del self._states[next(iter(self._states))]
-        self._states[key] = state
+        if (state := self._states.get(key)) is None:
+            state = self._build_state(key, *self.attention_logits(tokens, block))
+        self._keep(key, state)
         return state
 
     def null_condition(self) -> np.ndarray:

@@ -258,23 +258,23 @@ def run_geometry_sweep(
     smallest k capturing 90% of squared singular-value mass, capped at
     num_prompts - 1.
 
-    The sweep is one pass over every (sigma, prompt) row, sigma-major: the
-    latents from one vectorized seeding pass and one generator, one degrade
-    step and three denoise calls (conditional, null, degraded), each with a
-    column of per-row sigmas, and one stacked SVD of the conditional
-    predictions. The report is then array passes over every sigma (see
-    _report): the subspace dimensions as an (S,) array, one stacked
+    The sweep is one pass over every (sigma, prompt) row, sigma-major: one
+    encoder walk that also builds the prompt states, one seeding pass for the
+    latents, one degrade step, one denoise call over the conditional, null and
+    degraded rows with a column of per-row sigmas, and one stacked SVD of the
+    conditional predictions. The report is then array passes over every sigma
+    (see _report): the subspace dimensions as an (S,) array, one stacked
     projection of the per-prompt deltas per distinct k, and the means from
-    (S, 2P) arrays. The pooled CFG and CDG spans of every sigma take one
-    SVD per valid prompt count and one per (count, rank, k) for their
-    principal angles. A k that is not an int raises InvalidInputError, and
-    a k below 1 RankDeficientError, before any work. The degrade step ranks its rows
-    in one stationary solve and holds their attention weights, H * N^2
-    floats a row, at once: 1.8 MB for all 224 rows at 28 sigmas, 8 prompts,
-    4 heads and 16 tokens. Longer schedules or more prompts take the rows
-    in blocks of at most _DEGRADE_BLOCK_BYTES of weights, one degrade call
-    each. Each row's arithmetic is that of a per-sigma computation, so the
-    report does not depend on the stacking or the blocks.
+    (S, 2P) arrays. The pooled CFG and CDG spans of every sigma take one SVD
+    per valid prompt count and one per (count, rank, k) for their principal
+    angles. A k that is not an int raises InvalidInputError, and a k below 1
+    RankDeficientError, before any work. The degrade step ranks its rows in
+    one stationary solve and holds their attention weights, H * N^2 floats a
+    row, at once: 1.8 MB for all 224 rows at 28 sigmas, 8 prompts, 4 heads and
+    16 tokens. Longer schedules or more prompts take the rows in blocks of at
+    most _DEGRADE_BLOCK_BYTES of weights, one degrade call each. Each row's
+    arithmetic is that of a per-sigma computation, so the report does not
+    depend on the stacking or the blocks.
     """
     n_prompts = len(prompts_tokens)
     if n_prompts < 2:
@@ -285,8 +285,10 @@ def run_geometry_sweep(
         if k < 1:
             raise RankDeficientError(f"k must be >= 1, got {k}")
     ratios = map_ratio(r_deg)
-    conditions = [encoder.encode(t) for t in prompts_tokens]
-    e_c = encoder.pool(np.array(conditions), model.d_c)
+    conditions = encoder.encode_stack(
+        prompts_tokens, lambda_block if ratios.ranks else None, model.d_x
+    )
+    e_c = encoder.pool(conditions, model.d_c)
     e_null = encoder.pool(encoder.null_condition(), model.d_c)
     rows = degrade_set(encoder, [
         (f"prompt {p}", t, c, ratios, lambda_block, p)
@@ -310,14 +312,12 @@ def run_geometry_sweep(
         )[2]
         for i in range(0, len(x), block)
     ])
-    # every embedding is one row per latent, so a negative equal to a
-    # prompt's embedding gives delta 0
-    eps_c, eps_null, eps_deg = (
-        denoiser_to_eps(denoise(model, x, sigma_col, e), x, sigma_col)
-        for e in (
-            np.tile(e_c, (n_sigmas, 1)), np.tile(e_null, (len(x), 1)), e_deg
-        )
-    )
+    # one denoise of the conditional, null and degraded rows, an embedding a
+    # row, so a negative equal to a prompt's embedding gives delta 0
+    x3, sigma3 = np.tile(x, (3, 1)), np.tile(sigma_col, (3, 1))
+    e = np.concatenate([np.tile(e_c, (n_sigmas, 1)), np.tile(e_null, (len(x), 1)), e_deg])
+    d = denoise(model, x3, sigma3, e)
+    eps_c, eps_null, eps_deg = denoiser_to_eps(d, x3, sigma3).reshape(3, len(x), model.d_x)
     stack_shape = (n_sigmas, n_prompts, model.d_x)
     svd = thin_svd(eps_c.reshape(stack_shape))
     # (S, len(_METHODS) * P, d_x): each sigma's CFG deltas, then its CDG ones

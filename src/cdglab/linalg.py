@@ -27,10 +27,6 @@ class SvdResult:
     s: np.ndarray  # singular values, descending
     vt: np.ndarray  # right singular vectors, orthonormal rows
 
-    def __getitem__(self, i) -> "SvdResult":
-        """The decomposition of member i of a stacked input."""
-        return SvdResult(u=self.u[i], s=self.s[i], vt=self.vt[i])
-
     @property
     def rank(self) -> int | np.ndarray:
         """Numerical rank; for a stacked decomposition, each member's as an array."""
@@ -61,7 +57,7 @@ def thin_svd(m: np.ndarray) -> SvdResult:
     """Thin SVD of m: m == u @ diag(s) @ vt with s descending.
 
     m is one matrix or a stack (..., rows, cols); a stack decomposes member
-    by member, and `result[i]` is member i's decomposition.
+    by member, and member i's decomposition is u[i], s[i] and vt[i].
     """
     try:
         u, s, vt = np.linalg.svd(_check_matrix(m), full_matrices=False)

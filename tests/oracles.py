@@ -66,14 +66,46 @@ def wpr_single_head(
     return s, False
 
 
+def forward(
+    encoder: ToyTextEncoder, tokens: TokenSequence
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One sequence's hidden states (N, d_model), entering each block and
+    leaving the last, and each block's per-head row-stochastic attention
+    maps (H, N, N), block by block from the encoder's weights: each head's
+    logits are q @ k^T / sqrt(d_head)."""
+    p = encoder.params
+    n, h, dh = p.seq_len, p.n_heads, encoder.d_head
+    hidden = [encoder.tok_emb[list(tokens.ids)] + encoder.pos_emb]
+    maps = []
+    for b in range(p.n_blocks):
+        x = hidden[-1]
+        q, k, v = (
+            (x @ w[b]).reshape(n, h, dh).transpose(1, 0, 2)
+            for w in (encoder.w_q, encoder.w_k, encoder.w_v)
+        )
+        logits = q @ k.transpose(0, 2, 1) / np.sqrt(dh)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        maps.append(e / e.sum(axis=-1, keepdims=True))
+        hidden.append(x + (maps[-1] @ v).transpose(1, 0, 2).reshape(n, p.d_model) @ encoder.w_o[b])
+    return hidden, maps
+
+
+def block_logits(
+    encoder: ToyTextEncoder, x: np.ndarray, block: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block's scaled logits (H, N, N) and scaled K^T (H, d_head, N) at
+    the hidden state x entering it: q @ (k^T / sqrt(d_head)), K^T contiguous."""
+    p = encoder.params
+    n, h, dh = p.seq_len, p.n_heads, encoder.d_head
+    q = (x @ encoder.w_q[block]).reshape(n, h, dh).transpose(1, 0, 2)
+    kt = np.ascontiguousarray((x @ encoder.w_k[block]).reshape(n, h, dh).transpose(1, 2, 0))
+    kt_scaled = kt / np.sqrt(dh)
+    return q @ kt_scaled, kt_scaled
+
+
 def attention_maps(encoder: ToyTextEncoder, tokens: TokenSequence) -> list[np.ndarray]:
     """Per-block, per-head row-stochastic attention maps (each H x N x N)."""
-    x = encoder._embed(tokens)
-    maps = []
-    for b in range(encoder.params.n_blocks):
-        x, attn = encoder._block_attention(x, b)
-        maps.append(attn)
-    return maps
+    return forward(encoder, tokens)[1]
 
 
 def state_weights(
@@ -219,7 +251,8 @@ def per_sigma_report(
 ) -> GeometryReport:
     """`geometry._report`'s records and detail, one sigma at a time.
 
-    At each sigma: its own decomposition `svd[si]`, its subspace dimension,
+    At each sigma: its own decomposition (`svd.u[si]`, `svd.s[si]`,
+    `svd.vt[si]`), its subspace dimension,
     its basis `vt[:k].T.copy()`, one stacked projection of its per-prompt
     deltas, and its records and detail appended in order; a valid
     (sigma, method)'s mean reduces its valid interferences alone. The
@@ -228,7 +261,7 @@ def per_sigma_report(
     n_prompts = deltas.shape[1] // len(_METHODS)
     report, pooled = GeometryReport(), []
     for si, sigma in enumerate(sigmas):
-        svd_at = svd[si]
+        svd_at = SvdResult(u=svd.u[si], s=svd.s[si], vt=svd.vt[si])
         k_eff = k if k is not None else min(_energy_rank(svd_at.s), n_prompts - 1)
         basis = _top_subspace(svd_at, min(k_eff, svd_at.rank))
         _sigma_records(report, sigma, deltas[si], basis, pooled)

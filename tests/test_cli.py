@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -662,6 +663,36 @@ class TestGeometryJson:
             cli.run(["diagnose", "--config", str(config_file), "--out", str(out)])
         # neither geometry file is written, nor the output directory made
         assert not out.exists()
+
+
+_CSV_VALUE = st.one_of(
+    st.floats(), st.integers(), st.text(), st.none(), st.booleans(),
+    st.sampled_from(["", " lead", 'a "q"', "x,y", "a\nb", "c\rd", "cfg"]),
+)
+
+
+class TestWriteCsv:
+    """_write_csv's row template against csv.writer with floats by repr."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(2, 5), data=st.data())
+    @example(width=2, data=None)
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, width, data):
+        if data is None:  # the sweep and geometry shapes: a string column, None among floats
+            header = ["r", "prompt, quoted"]
+            rows = [[0.1, ""], [-0.0, 'say "hi"'], [None, ""], [float("inf"), "a man"]]
+        else:
+            header = data.draw(st.lists(st.text(), min_size=width, max_size=width))
+            rows = data.draw(st.lists(st.lists(_CSV_VALUE, min_size=width, max_size=width)))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        out = tmp_path_factory.mktemp("csv")
+        cli._write_csv(out / "got.csv", header, rows, True)
+        cli._write_text(out / "want.csv", buf.getvalue(), True)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
 def test_artifacts_identical_across_blas_thread_counts(config_file, tmp_path):

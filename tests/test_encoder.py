@@ -22,7 +22,7 @@ from cdglab.encoder import (
 from cdglab.errors import InvalidInputError, PromptTooLongError
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 
-from oracles import attention_maps, replaced, state_weights
+from oracles import attention_maps, block_logits, forward, replaced, state_weights
 
 words_strategy = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8),
@@ -217,6 +217,16 @@ def distinct_prompts(params, count: int) -> list:
     return list(seen.values())
 
 
+def count_builds(encoder, monkeypatch) -> list[tuple]:
+    """The (ids, block, d_x) keys of the prompt states the encoder builds from now on, in order."""
+    built = []
+    build = encoder._build_state
+    monkeypatch.setattr(
+        encoder, "_build_state", lambda key, *arrays: built.append(key) or build(key, *arrays)
+    )
+    return built
+
+
 class TestPromptState:
     def test_reused_across_calls(self, params, tokens):
         encoder = ToyTextEncoder(params)
@@ -240,12 +250,7 @@ class TestPromptState:
     def test_batch_builds_each_state_once(self, params, model, monkeypatch):
         # more per-step chains than the store keeps, one prompt each
         encoder = ToyTextEncoder(params)
-        built = []
-        logits = encoder.attention_logits
-        monkeypatch.setattr(
-            encoder, "attention_logits",
-            lambda t, b: built.append(t.ids) or logits(t, b),
-        )
+        built = count_builds(encoder, monkeypatch)
         cdg = GuidanceConfig(
             mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
             reuse_first_step_mask=False,
@@ -256,7 +261,7 @@ class TestPromptState:
             [Chain(t, cdg, i) for i, t in enumerate(prompts)],
         )
         assert all(run.wpr_call_count == 4 for run in runs)
-        assert sorted(built) == sorted(t.ids for t in prompts)
+        assert sorted(built) == sorted((t.ids, 1, model.d_x) for t in prompts)
 
     def test_batch_builds_one_state_for_a_prompt_under_many_seeds(
         self, params, model, monkeypatch
@@ -264,12 +269,7 @@ class TestPromptState:
         # each seed ranks the prompt at its own latent, under its own key,
         # and every key takes the one (prompt, block) state
         encoder = ToyTextEncoder(params)
-        built = []
-        logits = encoder.attention_logits
-        monkeypatch.setattr(
-            encoder, "attention_logits",
-            lambda t, b: built.append((t.ids, b)) or logits(t, b),
-        )
+        built = count_builds(encoder, monkeypatch)
         cdg = GuidanceConfig(
             mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
             reuse_first_step_mask=False,
@@ -280,19 +280,14 @@ class TestPromptState:
             [Chain(tokens, cdg, seed) for seed in range(5)],
         )
         assert all(run.wpr_call_count == 4 for run in runs)
-        assert built == [(tokens.ids, cdg.lambda_block)]
+        assert built == [(tokens.ids, cdg.lambda_block, model.d_x)]
 
     def test_batch_builds_each_state_once_across_ratios(self, params, model, monkeypatch):
         # every prompt at one ratio, then every prompt at another, as a sweep
         # orders them: by the second ratio the store has dropped the first
         # prompts' states, so only the call's own hold keeps them
         encoder = ToyTextEncoder(params)
-        built = []
-        logits = encoder.attention_logits
-        monkeypatch.setattr(
-            encoder, "attention_logits",
-            lambda t, b: built.append(t.ids) or logits(t, b),
-        )
+        built = count_builds(encoder, monkeypatch)
         prompts = distinct_prompts(params, PROMPT_STATE_CAP + 1)
         configs = [
             GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=r)
@@ -305,7 +300,7 @@ class TestPromptState:
         # the two ratios give different masks, so no chain stands in for another
         assert replaced(prompts[0], runs[0].masks[0]).k_ctxagg == 0
         assert replaced(prompts[0], runs[len(prompts)].masks[0]).k_ctxagg > 0
-        assert sorted(built) == sorted(t.ids for t in prompts)
+        assert sorted(built) == sorted((t.ids, 1, model.d_x) for t in prompts)
 
     def test_least_recently_used_dropped_first(self, params):
         encoder = ToyTextEncoder(params)
@@ -318,3 +313,102 @@ class TestPromptState:
         encoder.prompt_state(prompts[-1], 1, 8)  # evicts prompts[1]
         assert encoder.prompt_state(prompts[0], 1, 8) is first
         assert encoder.prompt_state(prompts[1], 1, 8) is not second
+
+
+def one_by_one(params, tokens, block: int, d_x: int = 8) -> ToyTextEncoder:
+    """A fresh encoder after one prompt_state call per sequence, in order."""
+    encoder = ToyTextEncoder(params)
+    for t in tokens:
+        encoder.prompt_state(t, block, d_x)
+    return encoder
+
+
+def assert_same_store(encoder: ToyTextEncoder, other: ToyTextEncoder) -> None:
+    """Equal keys in equal least-recently-used order, with bit-equal states."""
+    assert list(encoder._states) == list(other._states)
+    for key, state in encoder._states.items():
+        np.testing.assert_array_equal(state.static, other._states[key].static)
+        np.testing.assert_array_equal(state.shift_map, other._states[key].shift_map)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_one_sequence_is_the_reference_arithmetic(self, params, block):
+        encoder = ToyTextEncoder(params)
+        for t in distinct_prompts(params, 3) + [tokenize("", params)]:
+            hidden, _ = forward(encoder, t)
+            np.testing.assert_array_equal(encoder.encode(t), hidden[-1])
+            for got, want in zip(
+                encoder.attention_logits(t, block), block_logits(encoder, hidden[block], block)
+            ):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("size", [1, 2, 9])
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_stack_equals_one_by_one_calls(self, params, monkeypatch, size, block):
+        prompts = distinct_prompts(params, size)
+        encoder = ToyTextEncoder(params)
+        built = count_builds(encoder, monkeypatch)
+        stacked = encoder.encode_stack(prompts, block, 8)
+        assert stacked.shape == (size, params.seq_len, params.d_model)
+        assert built == [(t.ids, block, 8) for t in prompts]
+        single = ToyTextEncoder(params)
+        for t, row in zip(prompts, stacked):
+            np.testing.assert_array_equal(row, single.encode(t))
+            logits, _ = single.attention_logits(t, block)
+            np.testing.assert_array_equal(
+                encoder._states[(t.ids, block, 8)].static,
+                np.exp(logits - logits.max(axis=2, keepdims=True)),
+            )
+        assert_same_store(encoder, one_by_one(params, prompts, block))
+
+    def test_without_a_block_builds_no_state(self, params, monkeypatch):
+        prompts = distinct_prompts(params, 3)
+        encoder = ToyTextEncoder(params)
+        built = count_builds(encoder, monkeypatch)
+        stacked = encoder.encode_stack(prompts, None, 8)
+        assert built == [] and encoder._states == {}
+        np.testing.assert_array_equal(stacked, [encoder.encode(t) for t in prompts])
+
+    def test_repeated_sequence_built_once(self, params, monkeypatch):
+        a, b = distinct_prompts(params, 2)
+        encoder = ToyTextEncoder(params)
+        built = count_builds(encoder, monkeypatch)
+        stacked = encoder.encode_stack([a, b, a], 1, 8)
+        assert built == [(a.ids, 1, 8), (b.ids, 1, 8)]
+        np.testing.assert_array_equal(stacked[2], stacked[0])
+        assert_same_store(encoder, one_by_one(params, [a, b, a], 1))  # a most recent
+
+    def test_stored_state_kept_and_made_most_recent(self, params, monkeypatch):
+        a, b, c = distinct_prompts(params, 3)
+        encoder = one_by_one(params, [a, b], 1)
+        first = encoder._states[(a.ids, 1, 8)]
+        built = count_builds(encoder, monkeypatch)
+        encoder.encode_stack([a, c], 1, 8)
+        assert built == [(c.ids, 1, 8)]
+        assert encoder._states[(a.ids, 1, 8)] is first
+        assert list(encoder._states) == [(t.ids, 1, 8) for t in (b, a, c)]
+        # a stack the store holds whole walks without building
+        encoder.encode_stack([c, b], 1, 8)
+        assert built == [(c.ids, 1, 8)]
+        assert list(encoder._states) == [(t.ids, 1, 8) for t in (a, c, b)]
+
+    def test_stack_across_the_cap_evicts_as_one_by_one(self, params, monkeypatch):
+        prompts = distinct_prompts(params, PROMPT_STATE_CAP + 3)
+        before, rest = prompts[:10], prompts[10:]
+        # prompts[1] is stored and moves up; prompts[0] is stored, then
+        # evicted by the new rows, then wanted again at the end
+        stack = [prompts[1]] + rest + [prompts[0], rest[0]]
+        encoder = one_by_one(params, before, 1)
+        built = count_builds(encoder, monkeypatch)
+        stacked = encoder.encode_stack(stack, 1, 8)
+        assert built == [(t.ids, 1, 8) for t in rest]
+        assert len(encoder._states) == PROMPT_STATE_CAP
+        assert_same_store(encoder, one_by_one(params, before + stack, 1))
+        np.testing.assert_array_equal(stacked[-2], encoder.encode(prompts[0]))
+
+    def test_bad_block_rejected(self, params, tokens):
+        encoder = ToyTextEncoder(params)
+        for block in (-1, params.n_blocks):
+            with pytest.raises(InvalidInputError, match="out of range"):
+                encoder.encode_stack([tokens], block, 8)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdglab import diffusion, geometry, linalg
+from cdglab import encoder as encoder_module
 from cdglab.degradation import map_ratio
 from cdglab.diffusion import (
     GmmConditionalModel,
@@ -18,7 +19,7 @@ from cdglab.diffusion import (
     degrade_set,
     denoise,
 )
-from cdglab.encoder import tokenize
+from cdglab.encoder import ToyTextEncoder, tokenize
 from cdglab.errors import (
     AllHeadsFilteredError,
     InvalidInputError,
@@ -341,7 +342,7 @@ class TestSweep:
         # the (sigma, prompt) stack once
         assert calls[0][0] == (short.steps, n, model.d_x)
         stack = calls[0][1]
-        ks = [min(energy_rank(stack[si].s), n - 1) for si in range(short.steps)]
+        ks = [min(energy_rank(stack.s[si]), n - 1) for si in range(short.steps)]
         # then the pooled (sigma, method) spans: one stacked SVD of the
         # spans of each valid prompt count, then per (rank, k) among them,
         # in order of first appearance, one SVD of the principal-angle
@@ -357,9 +358,9 @@ class TestSweep:
             expected += [(size, min(count, k), max(count, k)) for k, size in by_k.items()]
         assert [shape for shape, _ in calls[1:]] == expected
         assert expected == [(8, 8, 5), (2, 4, 5), (2, 3, 5), (2, 2, 5), (2, 1, 5)]
-        # one call each for the conditional, null and degraded rows, with a
+        # one call over the conditional, null and degraded rows, with a
         # column of per-row sigmas
-        assert denoised == [((rows, model.d_x), (rows, 1), (rows, model.d_c))] * 3
+        assert denoised == [((3 * rows, model.d_x), (3 * rows, 1), (3 * rows, model.d_c))]
 
     def test_one_solve_per_call(self, model, encoder, params, monkeypatch):
         shapes = []
@@ -373,6 +374,32 @@ class TestSweep:
         run_geometry_sweep(model, short, encoder, self._tokens(params), 0.5)
         n, h = params.seq_len, params.n_heads
         assert shapes == [(short.steps * len(PROMPTS) * h, n, n)]
+
+    @pytest.mark.parametrize("r_deg, lambda_block", [(0.5, 0), (0.5, 1), (1.0, 1)])
+    def test_one_walk_and_one_denoise(self, model, params, monkeypatch, r_deg, lambda_block):
+        # the benchmark's 8 prompts once took 26 block passes and 3 denoise calls
+        tokens = [tokenize(f"prompt number {i}", params) for i in range(8)]
+        assert len({t.ids for t in tokens}) == 8
+        encoder = ToyTextEncoder(params)
+        passes, built, denoised = [], [], []
+        # each block pass takes one softmax of its attention logits
+        softmax, build = encoder_module._softmax_rows, encoder._build_state
+        monkeypatch.setattr(
+            encoder_module, "_softmax_rows", lambda a: passes.append(a.shape) or softmax(a)
+        )
+        monkeypatch.setattr(
+            encoder, "_build_state", lambda key, *a: built.append(key) or build(key, *a)
+        )
+        monkeypatch.setattr(geometry, "denoise", lambda *a: denoised.append(a) or denoise(*a))
+        short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
+        run_geometry_sweep(model, short, encoder, tokens, r_deg, lambda_block)
+        # one stacked walk for the prompts, then the null's own
+        one = (params.n_heads, params.seq_len, params.seq_len)
+        assert passes == [(len(tokens), *one)] * params.n_blocks + [one] * params.n_blocks
+        # each state once, in that walk: every lookup of degrade_set hits the store
+        ranks = map_ratio(r_deg).ranks
+        assert built == [(t.ids, lambda_block, model.d_x) for t in tokens if ranks]
+        assert len(denoised) == 1
 
     def test_long_schedule_runs_in_blocks(self, model, encoder, params, monkeypatch):
         # 40 sigmas of 5 prompts: 200 rows, which a budget of 7 rows' weights

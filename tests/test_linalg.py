@@ -183,11 +183,11 @@ class TestStacks:
         stacked = thin_svd(m)
         for i, member in enumerate(m):
             single = thin_svd(member)
-            np.testing.assert_array_equal(stacked[i].u, single.u)
-            np.testing.assert_array_equal(stacked[i].s, single.s)
-            np.testing.assert_array_equal(stacked[i].vt, single.vt)
-            assert stacked[i].rank == single.rank
-        assert stacked[2].rank == 3
+            np.testing.assert_array_equal(stacked.u[i], single.u)
+            np.testing.assert_array_equal(stacked.s[i], single.s)
+            np.testing.assert_array_equal(stacked.vt[i], single.vt)
+            assert stacked.rank[i] == single.rank
+        assert stacked.rank[2] == 3
 
     def test_stacked_projection_matches_per_item(self):
         rng = np.random.default_rng(4)
