@@ -25,8 +25,10 @@
 #   one_prompt: sweep, one prompt over the default 21-point grid: one ranking key shared by 15 rows beside an R=1.0 row (the one-key weights inside a many-row call)
 #   bias_zero: sample, CDG R=0.5 per-step over two prompts at attention_bias_weight 0.0 (the keys' static attention)
 #   bias_zero_diagnose: diagnose, three prompts at attention_bias_weight 0.0
-#   block_zero_diagnose: diagnose at lambda_block 0, a prompt repeated: states taken from the embeddings, before any block
-#   three_block_diagnose: diagnose, a 3-block encoder at lambda_block 1: states taken between two blocks
+#   block_zero_diagnose: diagnose at lambda_block 0, a prompt repeated: states taken from the embeddings, before any block;
+#     rank-tokens, build-mask at R=0.4 and sample, whose attention and prompt states come from the stacked walk
+#   three_block_diagnose: diagnose, a 3-block encoder at lambda_block 1: states taken between two blocks;
+#     rank-tokens, build-mask at R=0.4 and sample, as block_zero_diagnose
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -319,6 +321,12 @@ run_all() {
         "$tmp/three_block_diagnose_config.json"; do
         name=$(basename "$config" .json)
         cli diagnose diagnose
+    done
+    for config in "$tmp/block_zero_diagnose_config.json" "$tmp/three_block_diagnose_config.json"; do
+        name=$(basename "$config" .json)
+        cli rank-tokens rank-tokens --prompt "a man is cooking"
+        cli build-mask-0.4 build-mask --prompt "a man is cooking" --r-deg 0.4
+        cli sample sample
     done
 }
 

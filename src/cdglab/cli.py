@@ -131,9 +131,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list], force: bool) -> 
 
 
 def _fused_importance(cfg: RunConfig, encoder, tokens):
-    per_head = importance.stationary_scores(
-        encoder.attention_at_block(tokens, cfg.guidance.lambda_block)
-    )
+    # the block's attention: static is exp of its logits less each row's max
+    static = encoder.prompt_state(tokens, cfg.guidance.lambda_block, cfg.model.d_x).static
+    per_head = importance.stationary_scores(static / static.sum(axis=-1, keepdims=True))
     return per_head, importance.fuse_head_stacks(per_head[None], cfg.fusion)[0]
 
 

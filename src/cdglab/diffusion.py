@@ -177,6 +177,17 @@ def _checked(model: GmmConditionalModel, x, e) -> tuple[np.ndarray, np.ndarray]:
     return x, e
 
 
+def _check_sigma(sigma: float | np.ndarray, x: np.ndarray, allow_zero: bool) -> None:
+    """Raises InvalidInputError unless sigma is one noise level, or a (B, 1)
+    column for latents x (B, d_x), each finite and positive (or 0, if allow_zero)."""
+    if isinstance(sigma, np.ndarray) and (x.ndim != 2 or sigma.shape != (len(x), 1)):
+        raise InvalidInputError(f"sigma column of shape {sigma.shape} for latents {x.shape}")
+    # NaN fails too, as nan >= 0 is False; sigma enters only squared, so a
+    # negative one would pass for its absolute value
+    if not np.all((sigma >= 0.0 if allow_zero else sigma > 0.0) & (sigma < np.inf)):
+        raise InvalidInputError("sigma must be finite and positive, or 0 for log_density")
+
+
 def denoise(
     model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, e: np.ndarray
 ) -> np.ndarray:
@@ -185,36 +196,24 @@ def denoise(
     sigma is one noise level, or a (B, 1) column of one per row of x (B, d_x).
     """
     x, e = _checked(model, x, e)
-    if isinstance(sigma, np.ndarray):
-        if x.ndim != 2 or sigma.shape != (len(x), 1):
-            raise InvalidInputError(
-                f"sigma column of shape {sigma.shape} for latents of shape {x.shape}"
-            )
-        # written so that NaN fails too: nan > 0 is False
-        if not ((sigma > 0.0) & (sigma < np.inf)).all():
-            raise InvalidInputError("sigma must be positive and finite")
-    elif not 0.0 < sigma < np.inf:
-        raise InvalidInputError("sigma must be positive and finite")
+    _check_sigma(sigma, x, allow_zero=False)
     return _denoise(model, x, sigma, model.means(e))
 
 
 def log_density(
-    model: GmmConditionalModel, x: np.ndarray, sigma: float, e: np.ndarray
+    model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, e: np.ndarray
 ) -> np.ndarray:
-    """log p(x; sigma | e) of the sigma-smoothed mixture; sigma 0 is the clean one."""
-    # written so that NaN fails too; sigma enters only squared, so a negative
-    # one would pass for its absolute value
-    if not 0.0 <= sigma < np.inf:
-        raise InvalidInputError("sigma must be nonnegative and finite")
+    """log p(x; sigma | e) of the sigma-smoothed mixture; sigma 0 is the clean
+    one. sigma is one noise level, or a (B, 1) column as in denoise."""
     x, e = _checked(model, x, e)
+    _check_sigma(sigma, x, allow_zero=True)
     logw, _ = _posterior_stats(model, x, sigma, model.means(e))
     peak = logw.max(axis=-1, keepdims=True)
-    out = peak[..., 0] + np.log(np.exp(logw - peak).sum(axis=-1))
-    return out
+    return peak[..., 0] + np.log(np.exp(logw - peak).sum(axis=-1))
 
 
 def score(
-    model: GmmConditionalModel, x: np.ndarray, sigma: float, e: np.ndarray
+    model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, e: np.ndarray
 ) -> np.ndarray:
     """Score of the smoothed density via the denoiser: (D(x) - x) / sigma^2."""
     x = np.asarray(x, dtype=np.float64)
@@ -279,16 +278,16 @@ class DegradeSet:
         )
 
 
-def degrade_set(encoder: ToyTextEncoder, rows: Iterable[tuple], d_x: int) -> DegradeSet:
+def degrade_set(states: dict[tuple, PromptState], rows: Iterable[tuple], d_x: int) -> DegradeSet:
     """The DegradeSet of rows (label, tokens, condition embeddings, ratios,
     block, latent); the one place that decides whether a row ranks.
 
     A row at the ratio-1.0 boundary gets key -1: its mask needs no
-    ranking. Another row ranks from the state of its (token ids, block),
-    fetched from the encoder once per key (its store serves the repeats)
-    and held by the set. The latent is any value naming the latent and
-    sigma a row is ranked at, such as a chain's seed at the sampler's
-    first step: rows of one (token ids, block, latent) share a key.
+    ranking. Another row ranks from the state of its (token ids, block,
+    d_x) in states, the prompt states the caller's encode_stack call
+    returned, which the set holds. The latent is any value naming the
+    latent and sigma a row is ranked at, such as a chain's seed at the
+    sampler's first step: rows of one (token ids, block, latent) share a key.
     """
     labels, tokens, conditions, ratios, blocks, latents = zip(*rows)
     index: dict[tuple, int] = {}
@@ -298,7 +297,7 @@ def degrade_set(encoder: ToyTextEncoder, rows: Iterable[tuple], d_x: int) -> Deg
         if ratio.ranks:
             k = index.setdefault((t.ids, block, latent), len(firsts))
             if k == len(firsts):
-                key_states.append(encoder.prompt_state(t, block, d_x))
+                key_states.append(states[t.ids, block, d_x])
                 firsts.append(r)
         keys.append(k)
     extents = np.array([mask_extent(t, ratio) for t, ratio in zip(tokens, ratios)])
@@ -461,6 +460,7 @@ def sample_batch(
     degraded one's again only when its mask changes. The trajectories are
     row views of one (steps + 1, B, d_x) array, a row per chain.
 
+    The distinct prompts take one encode_stack walk, which also builds the call's prompt states.
     Masks for the degradation modes are built from the intervention block's
     attention map, by one degrade_rows call per step over the rows that
     build one then; with reuse_first_step_mask the importance ranking is
@@ -517,10 +517,16 @@ def _integrate(
     n = len(chains)
     d_c = model.d_c
 
-    conditions: dict[tuple[int, ...], np.ndarray] = {}
+    # one walk over the distinct prompts, a row at each block some chain
+    # ranks one at, or at None; the call holds the states it returns
+    wanted: dict[tuple[int, ...], tuple[TokenSequence, dict]] = {}
     for chain in chains:
-        if chain.tokens.ids not in conditions:
-            conditions[chain.tokens.ids] = encoder.encode(chain.tokens)
+        blocks = wanted.setdefault(chain.tokens.ids, (chain.tokens, {}))[1]
+        if chain.config.mode.uses_degradation and chain.config.ratios.ranks:
+            blocks[chain.config.lambda_block] = None
+    walked = [(t, block) for t, blocks in wanted.values() for block in blocks or [None]]
+    embeddings, states = encoder.encode_stack(*zip(*walked), model.d_x)
+    conditions = {t.ids: c for (t, _), c in zip(walked, embeddings)}
     modes = [chain.config.mode for chain in chains]
 
     # chains at w = 1 stay out of the combine, which would turn a -0.0 of
@@ -550,12 +556,11 @@ def _integrate(
 
     # the chains degrading at step 0, ranked once per (prompt, block, seed),
     # as they share their latent there, and those of them ranking tokens
-    # again at every later step, each under its own key; the set holds
-    # the prompt states for the whole call
+    # again at every later step, each under its own key
     degrading = [b for b, mode in enumerate(modes) if mode.uses_degradation]
     degraded_at = [((), None, None)] * 2
     if degrading:
-        rows = degrade_set(encoder, [
+        rows = degrade_set(states, [
             (f"chain {labels[b]}", c.tokens, conditions[c.tokens.ids],
              c.config.ratios, c.config.lambda_block, c.seed)
             for b, c in enumerate(chains) if c.config.mode.uses_degradation

@@ -2,7 +2,8 @@
 
 Turns a prompt into a fixed-length token sequence with content /
 context-aggregating type tags, runs a small multi-head self-attention stack
-over seeded embeddings, and exposes the per-head attention maps of any block.
+over seeded embeddings, and, in the same pass, keeps any block's per-head
+attention logits as a prompt state.
 All randomness comes from the seed in EncoderParams, so the same prompt
 always produces the same condition embeddings.
 """
@@ -10,6 +11,7 @@ always produces the same condition embeddings.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -161,26 +163,23 @@ class ToyTextEncoder:
     def d_head(self) -> int:
         return self.params.d_model // self.params.n_heads
 
-    def _walk(self, x: np.ndarray, stop: int, tap: int | None, rows: list[int] | None):
-        """The one block walker: hidden states of x (..., N, d_model) after
-        blocks 0..stop-1 (stop >= tap), and block tap's scaled logits and
-        scaled K^T at x[rows] (all of x for None), or () for tap None. A
-        stack walks as its sequences would one by one, bit for bit."""
-        p, dh, tapped = self.params, self.d_head, ()
-        if tap is not None and not 0 <= tap < p.n_blocks:
-            raise InvalidInputError(f"block {tap} out of range")
+    def _walk(self, x: np.ndarray, taps: dict[int, list[int]]):
+        """The one block walker: the hidden state of x (..., N, d_model) after
+        the last block, and for each block b in taps, its scaled logits and
+        scaled K^T at the ascending rows taps[b] of a stack x. A stack walks
+        as its sequences would one by one, bit for bit."""
+        p, dh, tapped = self.params, self.d_head, {}
         heads = (*x.shape[:-1], p.n_heads, dh)
-        for b in range(stop if tap is None else max(stop, tap + 1)):
+        for b in range(p.n_blocks):
             q = (x @ self.w_q[b]).reshape(heads).swapaxes(-3, -2)
             k = (x @ self.w_k[b]).reshape(heads).swapaxes(-3, -2)
-            if b == tap:
-                qh, kh = (q, k) if rows is None else (q[rows], k[rows])
+            if (rows := taps.get(b)) is not None:
+                qh, kh = (q, k) if len(rows) == len(x) else (q[rows], k[rows])
                 kt_scaled = np.ascontiguousarray(kh.swapaxes(-1, -2)) / np.sqrt(dh)
-                tapped = qh @ kt_scaled, kt_scaled
-            if b < stop:
-                v = (x @ self.w_v[b]).reshape(heads).swapaxes(-3, -2)
-                attn = _softmax_rows(q @ k.swapaxes(-1, -2) / np.sqrt(dh))
-                x = x + (attn @ v).swapaxes(-3, -2).reshape(x.shape) @ self.w_o[b]
+                tapped[b] = qh @ kt_scaled, kt_scaled
+            v = (x @ self.w_v[b]).reshape(heads).swapaxes(-3, -2)
+            attn = _softmax_rows(q @ k.swapaxes(-1, -2) / np.sqrt(dh))
+            x = x + (attn @ v).swapaxes(-3, -2).reshape(x.shape) @ self.w_o[b]
         return x, tapped
 
     def _embed(self, tokens: TokenSequence) -> np.ndarray:
@@ -196,37 +195,35 @@ class ToyTextEncoder:
 
     def encode(self, tokens: TokenSequence) -> np.ndarray:
         """Condition embeddings (N, d_model): the hidden state after the last block."""
-        return self._walk(self._embed(tokens), self.params.n_blocks, None, None)[0]
+        return self._walk(self._embed(tokens), {})[0]
 
-    def encode_stack(self, tokens: list[TokenSequence], block: int | None, d_x: int):
+    def encode_stack(self, tokens: Sequence[TokenSequence], blocks: Sequence[int | None], d_x: int):
         """Condition embeddings (P, N, d_model) of P sequences from one walk,
-        row p bit for bit encode(tokens[p]). Unless block is None, the walk
-        builds each (ids, block, d_x) state the store lacks, once, and the
-        store ends as prompt_state calls over tokens would leave it."""
-        keys = [] if block is None else [(t.ids, block, d_x) for t in tokens]
-        # held for the call, as the store may drop a state before its last row
-        states = {key: self._states.get(key) for key in keys}
-        first = {key: r for r, key in reversed(list(enumerate(keys)))}
-        rows = [first[key] for key, state in states.items() if state is None]
-        x, tapped = self._walk(
-            np.array([self._embed(t) for t in tokens]), self.params.n_blocks,
-            block if rows else None, None if len(rows) == len(keys) else rows,
-        )
-        for r, logits, kt_scaled in zip(rows, *tapped):
-            states[keys[r]] = self._build_state(keys[r], logits, kt_scaled)
+        row p bit for bit encode(tokens[p]), and the call's prompt states:
+        the state of (tokens[p].ids, blocks[p], d_x) for every p whose block
+        is not None. The walk builds each state the store lacks, once, and
+        the store ends as prompt_state calls over those rows would leave it;
+        the returned states stay the call's whatever the store later drops."""
+        if not tokens or len(blocks) != len(tokens):
+            raise InvalidInputError(f"a non-empty stack needs one block a sequence, got"
+                                    f" {len(tokens)} sequences and {len(blocks)} blocks")
+        keys, states, taps = [], {}, {}
+        for r, (t, block) in enumerate(zip(tokens, blocks)):
+            if block is not None:
+                if not 0 <= block < self.params.n_blocks:
+                    raise InvalidInputError(f"block {block} out of range")
+                keys.append(key := (t.ids, block, d_x))
+                # held for the call, as the store may drop a state before its last row
+                if key not in states and states.setdefault(key, self._states.get(key)) is None:
+                    taps.setdefault(block, []).append(r)
+        x, tapped = self._walk(np.array([self._embed(t) for t in tokens]), taps)
+        for block, rows in taps.items():
+            for r, logits, kt_scaled in zip(rows, *tapped[block]):
+                key = (tokens[r].ids, block, d_x)
+                states[key] = self._build_state(key, logits, kt_scaled)
         for key in keys:
             self._keep(key, states[key])
-        return x
-
-    def attention_at_block(self, tokens: TokenSequence, block: int) -> np.ndarray:
-        """Attention of one block (H x N x N)."""
-        return _softmax_rows(self.attention_logits(tokens, block)[0])
-
-    def attention_logits(
-        self, tokens: TokenSequence, block: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled logits (H, N, N) of one block and its scaled K^T (H, d_head, N)."""
-        return self._walk(self._embed(tokens), block, block, None)[1]
+        return x, states
 
     def _build_state(self, key: tuple, logits: np.ndarray, kt_scaled: np.ndarray) -> PromptState:
         """The PromptState of key (ids, block, d_x) from its block's logits and scaled K^T."""
@@ -248,15 +245,12 @@ class ToyTextEncoder:
         self._states[key] = state
 
     def prompt_state(self, tokens: TokenSequence, block: int, d_x: int) -> PromptState:
-        """The PromptState of (tokens, block, d_x), built on first use.
-
-        The query bias is a fixed seeded linear map of (x, sigma). The
-        encoder keeps the PROMPT_STATE_CAP most recently used states, which
-        every caller shares, so their arrays are read-only.
-        """
+        """The PromptState of (tokens, block, d_x), built by encode_stack on
+        first use. The encoder keeps the PROMPT_STATE_CAP most recently used
+        states, which every caller shares, so their arrays are read-only."""
         key = (tokens.ids, block, d_x)
         if (state := self._states.get(key)) is None:
-            state = self._build_state(key, *self.attention_logits(tokens, block))
+            return self.encode_stack([tokens], [block], d_x)[1][key]
         self._keep(key, state)
         return state
 

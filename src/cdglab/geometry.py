@@ -285,12 +285,12 @@ def run_geometry_sweep(
         if k < 1:
             raise RankDeficientError(f"k must be >= 1, got {k}")
     ratios = map_ratio(r_deg)
-    conditions = encoder.encode_stack(
-        prompts_tokens, lambda_block if ratios.ranks else None, model.d_x
+    conditions, states = encoder.encode_stack(
+        prompts_tokens, [lambda_block if ratios.ranks else None] * n_prompts, model.d_x
     )
     e_c = encoder.pool(conditions, model.d_c)
     e_null = encoder.pool(encoder.null_condition(), model.d_c)
-    rows = degrade_set(encoder, [
+    rows = degrade_set(states, [
         (f"prompt {p}", t, c, ratios, lambda_block, p)
         for p, (t, c) in enumerate(zip(prompts_tokens, conditions))
     ], model.d_x)

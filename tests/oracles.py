@@ -3,7 +3,9 @@
 None of these has a caller in the package. `wpr_single_head` is the
 power iteration whose limit `stationary_scores` solves for, and
 `attention_maps` runs the encoder's blocks one by one and keeps each
-block's attention, and `state_weights` takes a `PromptState` to its
+block's attention, `block_logits` and `block_static` give a block's
+logits and a prompt state's static map in the state's own arithmetic,
+and `state_weights` takes a `PromptState` to its
 attention weights at one latent, the one-key product the sampler's
 stacked weights must equal bit for bit. `PredictionStack`,
 `estimate_subspace` and `orthonormal_basis` build subspace bases from
@@ -101,6 +103,14 @@ def block_logits(
     kt = np.ascontiguousarray((x @ encoder.w_k[block]).reshape(n, h, dh).transpose(1, 2, 0))
     kt_scaled = kt / np.sqrt(dh)
     return q @ kt_scaled, kt_scaled
+
+
+def block_static(encoder: ToyTextEncoder, tokens: TokenSequence, block: int) -> np.ndarray:
+    """exp of one block's scaled logits (H, N, N), each row less its max: the
+    `static` of the (tokens, block) prompt state, whose rows normalized are
+    the block's attention."""
+    logits, _ = block_logits(encoder, forward(encoder, tokens)[0][block], block)
+    return np.exp(logits - logits.max(axis=-1, keepdims=True))
 
 
 def attention_maps(encoder: ToyTextEncoder, tokens: TokenSequence) -> list[np.ndarray]:

@@ -32,7 +32,7 @@ from cdglab.errors import (
 )
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 from cdglab.importance import FusionConfig, stationary_scores
-from oracles import replaced, state_weights
+from oracles import block_static, replaced, state_weights
 
 CFG = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
 UNGUIDED = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
@@ -48,6 +48,19 @@ def recorded_solves(monkeypatch) -> list[tuple[int, ...]]:
 
     monkeypatch.setattr(diffusion, "stationary_scores", recording)
     return shapes
+
+
+def record_walks(encoder, monkeypatch) -> list[tuple[list, list]]:
+    """The (token ids, blocks) of every encode_stack call the encoder makes from now on."""
+    walks = []
+    walk = encoder.encode_stack
+
+    def recording(tokens, blocks, d_x):
+        walks.append(([t.ids for t in tokens], list(blocks)))
+        return walk(tokens, blocks, d_x)
+
+    monkeypatch.setattr(encoder, "encode_stack", recording)
+    return walks
 
 
 def head_variances(encoder, tokens) -> np.ndarray:
@@ -196,6 +209,29 @@ class TestDenoise:
         with pytest.raises(InvalidInputError):
             denoise(model, np.zeros((2, model.d_x)), np.array(column), np.zeros((2, model.d_c)))
 
+    def test_log_density_sigma_column_matches_per_row(self, model):
+        # sigma 0, the clean density, is a valid entry
+        rng = np.random.default_rng(2)
+        column = np.array([[5.0], [0.7], [0.0], [0.02]])
+        x = rng.normal(size=(len(column), model.d_x))
+        e = rng.normal(size=(len(column), model.d_c))
+        out = log_density(model, x, column, e)
+        for b, sigma in enumerate(column[:, 0]):
+            np.testing.assert_array_equal(
+                out[b : b + 1], log_density(model, x[b : b + 1], sigma, e[b : b + 1])
+            )
+
+    @pytest.mark.parametrize("fn", [denoise, log_density, score])
+    @pytest.mark.parametrize(
+        "column",
+        [[[1.0], [float("nan")]], [[1.0], [-1.0]], [[1.0], [float("inf")]],
+         [1.0, 1.0], [[1.0], [1.0], [1.0]]],
+        ids=["nan", "negative", "inf", "flat", "too-long"],
+    )
+    def test_bad_sigma_column_rejected_by_every_entry_point(self, model, fn, column):
+        with pytest.raises(InvalidInputError, match="sigma"):
+            fn(model, np.zeros((2, model.d_x)), np.array(column), np.zeros((2, model.d_c)))
+
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_log_density_rejects_bad_sigma(self, model, sigma):
         # sigma enters only squared, so -1.0 would return the value at 1.0
@@ -323,9 +359,10 @@ class TestAttentionProvider:
 
     def test_zero_bias_equals_static(self, encoder, tokens):
         state = encoder.prompt_state(tokens, 1, 8)
+        static = block_static(encoder, tokens, 1)
         np.testing.assert_array_equal(
             _row_normalized(state_weights(state, np.zeros(8), 1.0, 0.0)),
-            encoder.attention_at_block(tokens, 1),
+            static / static.sum(axis=-1, keepdims=True),
         )
 
     def test_latent_dependence(self, encoder, tokens):
@@ -722,15 +759,58 @@ class TestSample:
 
         encoder = ToyTextEncoder(params)
         encoder.null_condition()  # encoded once per encoder, not per batch
-        calls = []
-        original = encoder.encode
-        monkeypatch.setattr(encoder, "encode", lambda t: calls.append(t) or original(t))
+        walks = record_walks(encoder, monkeypatch)
         cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
         tokens = [tokenize(p, params) for p in ("a man is cooking", "a dog")]
         sample_batch(
             model, schedule, encoder, [Chain(t, cdg, s) for s in range(3) for t in tokens]
         )
-        assert sorted(t.ids for t in calls) == sorted(t.ids for t in tokens)
+        # one walk over the distinct prompts, at the one block
+        assert walks == [([t.ids for t in tokens], [cdg.lambda_block] * len(tokens))]
+
+    def test_batch_ranking_at_two_blocks_matches_per_chain(
+        self, model, schedule, params, monkeypatch
+    ):
+        # one prompt ranked at blocks 0 and 1, another at block 0, and one
+        # that no chain ranks: CFG and the unranked R=1.0 mask
+        from cdglab.encoder import ToyTextEncoder
+
+        a, b, c = (
+            tokenize(p, params)
+            for p in ("a man is cooking", "a cat sits on the mat", "the dog runs")
+        )
+
+        def cdg(block: int, r_deg: float = 0.5, reuse: bool = True) -> GuidanceConfig:
+            return GuidanceConfig(
+                mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=r_deg,
+                lambda_block=block, reuse_first_step_mask=reuse,
+            )
+
+        chains = [
+            Chain(a, cdg(0), 0), Chain(c, CFG, 1), Chain(a, cdg(1, reuse=False), 2),
+            Chain(b, cdg(0, reuse=False), 3), Chain(c, cdg(1, r_deg=1.0), 4),
+            Chain(a, cdg(1), 5),
+        ]
+        encoder = ToyTextEncoder(params)
+        walks = record_walks(encoder, monkeypatch)
+        built = []
+        build = encoder._build_state
+        monkeypatch.setattr(
+            encoder, "_build_state",
+            lambda key, *arrays: built.append(key) or build(key, *arrays),
+        )
+        batch = sample_batch(model, schedule, encoder, chains)
+        assert len(walks) == 1
+        assert sorted(built) == sorted(
+            [(a.ids, 0, model.d_x), (a.ids, 1, model.d_x), (b.ids, 0, model.d_x)]
+        )
+        for chain, run in zip(chains, batch):
+            alone = sample(
+                model, schedule, ToyTextEncoder(params), chain.tokens, chain.config, chain.seed
+            )
+            np.testing.assert_array_equal(run.trajectory, alone.trajectory)
+            assert run.wpr_call_count == alone.wpr_call_count
+            _assert_same_masks(chain, run, alone, schedule.steps)
 
     def test_empty_batch(self, model, schedule, encoder):
         assert sample_batch(model, schedule, encoder, []) == []
@@ -818,13 +898,20 @@ def _degrade_case(encoder, params, data):
     ], fusion, bias
 
 
+def degrade_set_of(encoder, rows, d_x: int) -> diffusion.DegradeSet:
+    """degrade_set over rows, from the prompt states of one encode_stack
+    call over their tokens and blocks, as a caller takes them."""
+    _, states = encoder.encode_stack([r[1] for r in rows], [r[4] for r in rows], d_x)
+    return diffusion.degrade_set(states, rows, d_x)
+
+
 def _degrade_per_sigma(encoder, blocks, fusion, bias, previous):
     """degrade_rows once per sigma, its results laid end to end."""
     masks, changed, embeddings, start = [], [], [], 0
     for sigma, rows, x in blocks:
         prev = None if previous is None else previous[start : start + len(rows)]
         m, c, e = diffusion.degrade_rows(
-            encoder, diffusion.degrade_set(encoder, rows, 8), x, sigma, 8, fusion, bias, prev
+            encoder, degrade_set_of(encoder, rows, 8), x, sigma, 8, fusion, bias, prev
         )
         masks.append(m)
         changed += [start + r for r in c]
@@ -843,7 +930,7 @@ class TestDegradeRows:
     @given(data=st.data())
     def test_sigma_column_matches_per_sigma_calls(self, encoder, params, data):
         blocks, fusion, bias = _degrade_case(encoder, params, data)
-        rows = diffusion.degrade_set(encoder, [row for _, b, _ in blocks for row in b], 8)
+        rows = degrade_set_of(encoder, [row for _, b, _ in blocks for row in b], 8)
         x = np.concatenate([x for *_, x in blocks])
         column = np.concatenate([np.full((len(b), 1), s) for s, b, _ in blocks])
         # each call's masks once without a previous step, and once against
@@ -894,7 +981,7 @@ class TestDegradeRows:
         sigmas = [0.05, 20.0]
         alone = [
             diffusion.degrade_rows(
-                encoder, diffusion.degrade_set(encoder, [row], 8), x[:1], s, 8, FusionConfig(), 0.5
+                encoder, degrade_set_of(encoder, [row], 8), x[:1], s, 8, FusionConfig(), 0.5
             )[0][0]
             for s in sigmas
         ]
@@ -903,7 +990,7 @@ class TestDegradeRows:
         assert (alone[0] != alone[1]).any()
         # the geometry sweep's rows: one prompt at two sigmas, each ranked
         # under its own key
-        both = diffusion.degrade_set(encoder, [row], 8).subset([0, 0])
+        both = degrade_set_of(encoder, [row], 8).subset([0, 0])
         assert both.keys == [0, 1]
         masks = diffusion.degrade_rows(
             encoder, both, x, np.array(sigmas)[:, None], 8, FusionConfig(), 0.5
@@ -913,7 +1000,7 @@ class TestDegradeRows:
     def test_all_heads_filtered_names_row_and_its_sigma(self, encoder, params):
         keep, drop = (tokenize(p, params) for p in ("a man is cooking", "a dog"))
         fusion = window_around_first_head(encoder, keep, drop)
-        rows = diffusion.degrade_set(
+        rows = degrade_set_of(
             encoder,
             [
                 (label, t, encoder.encode(t), map_ratio(0.5), 1, r)
@@ -929,7 +1016,7 @@ class TestDegradeRows:
     @pytest.mark.parametrize("shape", [(2, 1), (3,), (1, 3), (3, 2)])
     def test_bad_sigma_column_rejected(self, encoder, tokens, shape):
         row = ("row", tokens, encoder.encode(tokens), map_ratio(0.5), 1, 0)
-        rows = diffusion.degrade_set(encoder, [row], 8).subset([0] * 3)
+        rows = degrade_set_of(encoder, [row], 8).subset([0] * 3)
         with pytest.raises(InvalidInputError):
             diffusion.degrade_rows(
                 encoder, rows, np.zeros((3, 8)), np.ones(shape), 8, FusionConfig(), 0.1

@@ -22,7 +22,14 @@ from cdglab.encoder import (
 from cdglab.errors import InvalidInputError, PromptTooLongError
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 
-from oracles import attention_maps, block_logits, forward, replaced, state_weights
+from oracles import (
+    attention_maps,
+    block_logits,
+    block_static,
+    forward,
+    replaced,
+    state_weights,
+)
 
 words_strategy = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8),
@@ -119,11 +126,10 @@ class TestEncode:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda enc, t: enc.attention_logits(t, 1),
-            lambda enc, t: enc.attention_at_block(t, 1),
+            lambda enc, t: enc.encode_stack([t], [1], 8),
             lambda enc, t: enc.prompt_state(t, 1, 8),
         ],
-        ids=["attention_logits", "attention_at_block", "prompt_state"],
+        ids=["encode_stack", "prompt_state"],
     )
     def test_length_mismatch_rejected_by_attention(self, params, call):
         encoder = ToyTextEncoder(params)
@@ -139,7 +145,7 @@ class TestEncode:
         bad = TokenSequence(ids=ids, types=good.types, texts=good.texts)
         for call in (
             encoder.encode,
-            lambda t: encoder.attention_logits(t, 1),
+            lambda t: encoder.encode_stack([t], [1], 8),
             lambda t: encoder.prompt_state(t, 1, 8),
         ):
             with pytest.raises(InvalidInputError, match="token id"):
@@ -181,13 +187,11 @@ class TestAttention:
         encoder = ToyTextEncoder(params)  # fresh cache
         full = attention_maps(encoder, tokens)
         for b in range(params.n_blocks):
-            np.testing.assert_allclose(
-                encoder.attention_at_block(tokens, b), full[b], atol=1e-12
-            )
+            np.testing.assert_allclose(block_attention(encoder, tokens, b), full[b], atol=1e-12)
 
     def test_query_bias_changes_map(self, encoder, params, tokens):
         # the query bias is the prompt state's latent-dependent logit shift
-        base = encoder.attention_at_block(tokens, 1)
+        base = block_attention(encoder, tokens, 1)
         weights = state_weights(encoder.prompt_state(tokens, 1, 8), np.ones(8), 1.0, 0.5)
         biased = weights / weights.sum(axis=2, keepdims=True)
         assert np.abs(base - biased).max() > 0
@@ -195,15 +199,16 @@ class TestAttention:
 
     def test_bad_block_rejected(self, encoder, params, tokens):
         with pytest.raises(InvalidInputError):
-            encoder.attention_at_block(tokens, params.n_blocks)
+            encoder.prompt_state(tokens, params.n_blocks, 8)
         with pytest.raises(InvalidInputError):
-            encoder.attention_logits(tokens, -1)
+            encoder.encode_stack([tokens], [-1], 8)
 
-    def test_cached_logits_bitwise_stable(self, encoder, tokens):
-        first_logits, first_keys = encoder.attention_logits(tokens, 1)
-        second_logits, second_keys = encoder.attention_logits(tokens, 1)
-        np.testing.assert_array_equal(first_logits, second_logits)
-        np.testing.assert_array_equal(first_keys, second_keys)
+    def test_cached_logits_bitwise_stable(self, encoder, params, tokens):
+        # a stored state and one built again by another walk
+        first = encoder.prompt_state(tokens, 1, 8)
+        second = ToyTextEncoder(params).encode_stack([tokens], [1], 8)[1][tokens.ids, 1, 8]
+        np.testing.assert_array_equal(first.static, second.static)
+        np.testing.assert_array_equal(first.shift_map, second.shift_map)
 
 
 def distinct_prompts(params, count: int) -> list:
@@ -215,6 +220,27 @@ def distinct_prompts(params, count: int) -> list:
         seen.setdefault(t.ids, t)
         i += 1
     return list(seen.values())
+
+
+def block_attention(encoder, tokens, block: int) -> np.ndarray:
+    """The block's attention (H, N, N) as the CLI ranks tokens from it: the
+    prompt state's static map, each row normalized."""
+    static = encoder.prompt_state(tokens, block, 8).static
+    return static / static.sum(axis=-1, keepdims=True)
+
+
+def record_taps(encoder, monkeypatch) -> dict[tuple, tuple]:
+    """The logits and scaled K^T each prompt state the encoder builds from
+    now on is built from, by its (ids, block, d_x) key."""
+    taps = {}
+    build = encoder._build_state
+
+    def recording(key, *arrays):
+        taps[key] = arrays
+        return build(key, *arrays)
+
+    monkeypatch.setattr(encoder, "_build_state", recording)
+    return taps
 
 
 def count_builds(encoder, monkeypatch) -> list[tuple]:
@@ -315,12 +341,17 @@ class TestPromptState:
         assert encoder.prompt_state(prompts[1], 1, 8) is not second
 
 
-def one_by_one(params, tokens, block: int, d_x: int = 8) -> ToyTextEncoder:
-    """A fresh encoder after one prompt_state call per sequence, in order."""
+def one_by_one_at(params, rows, d_x: int = 8) -> ToyTextEncoder:
+    """A fresh encoder after one prompt_state call per (tokens, block) row, in order."""
     encoder = ToyTextEncoder(params)
-    for t in tokens:
+    for t, block in rows:
         encoder.prompt_state(t, block, d_x)
     return encoder
+
+
+def one_by_one(params, tokens, block: int, d_x: int = 8) -> ToyTextEncoder:
+    """A fresh encoder after one prompt_state call per sequence at block, in order."""
+    return one_by_one_at(params, [(t, block) for t in tokens], d_x)
 
 
 def assert_same_store(encoder: ToyTextEncoder, other: ToyTextEncoder) -> None:
@@ -333,14 +364,15 @@ def assert_same_store(encoder: ToyTextEncoder, other: ToyTextEncoder) -> None:
 
 class TestWalk:
     @pytest.mark.parametrize("block", [0, 1])
-    def test_one_sequence_is_the_reference_arithmetic(self, params, block):
+    def test_one_sequence_is_the_reference_arithmetic(self, params, monkeypatch, block):
         encoder = ToyTextEncoder(params)
+        taps = record_taps(encoder, monkeypatch)
         for t in distinct_prompts(params, 3) + [tokenize("", params)]:
             hidden, _ = forward(encoder, t)
             np.testing.assert_array_equal(encoder.encode(t), hidden[-1])
-            for got, want in zip(
-                encoder.attention_logits(t, block), block_logits(encoder, hidden[block], block)
-            ):
+            encoder.prompt_state(t, block, 8)
+            reference = block_logits(encoder, hidden[block], block)
+            for got, want in zip(taps[t.ids, block, 8], reference):
                 np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("size", [1, 2, 9])
@@ -349,33 +381,48 @@ class TestWalk:
         prompts = distinct_prompts(params, size)
         encoder = ToyTextEncoder(params)
         built = count_builds(encoder, monkeypatch)
-        stacked = encoder.encode_stack(prompts, block, 8)
+        stacked, states = encoder.encode_stack(prompts, [block] * size, 8)
         assert stacked.shape == (size, params.seq_len, params.d_model)
         assert built == [(t.ids, block, 8) for t in prompts]
-        single = ToyTextEncoder(params)
+        # the store's own states, in its order
+        assert list(states) == list(encoder._states)
+        assert all(state is encoder._states[key] for key, state in states.items())
         for t, row in zip(prompts, stacked):
-            np.testing.assert_array_equal(row, single.encode(t))
-            logits, _ = single.attention_logits(t, block)
+            np.testing.assert_array_equal(row, encoder.encode(t))
             np.testing.assert_array_equal(
-                encoder._states[(t.ids, block, 8)].static,
-                np.exp(logits - logits.max(axis=2, keepdims=True)),
+                states[t.ids, block, 8].static, block_static(encoder, t, block)
             )
         assert_same_store(encoder, one_by_one(params, prompts, block))
+
+    def test_rows_at_several_blocks_in_one_walk(self, params, monkeypatch):
+        # a prompt at two blocks, one at block 0 only, and one at none
+        a, b, c = distinct_prompts(params, 3)
+        rows = [(a, 1), (b, 0), (c, None), (a, 0)]
+        encoder = ToyTextEncoder(params)
+        built = count_builds(encoder, monkeypatch)
+        stacked, states = encoder.encode_stack(*zip(*rows), 8)
+        ranked = [(t, block) for t, block in rows if block is not None]
+        keys = [(t.ids, block, 8) for t, block in ranked]
+        assert sorted(built) == sorted(keys) and list(states) == keys
+        for (t, _), row in zip(rows, stacked):
+            np.testing.assert_array_equal(row, encoder.encode(t))
+        assert_same_store(encoder, one_by_one_at(params, ranked))
 
     def test_without_a_block_builds_no_state(self, params, monkeypatch):
         prompts = distinct_prompts(params, 3)
         encoder = ToyTextEncoder(params)
         built = count_builds(encoder, monkeypatch)
-        stacked = encoder.encode_stack(prompts, None, 8)
-        assert built == [] and encoder._states == {}
+        stacked, states = encoder.encode_stack(prompts, [None] * 3, 8)
+        assert built == [] and states == {} and encoder._states == {}
         np.testing.assert_array_equal(stacked, [encoder.encode(t) for t in prompts])
 
     def test_repeated_sequence_built_once(self, params, monkeypatch):
         a, b = distinct_prompts(params, 2)
         encoder = ToyTextEncoder(params)
         built = count_builds(encoder, monkeypatch)
-        stacked = encoder.encode_stack([a, b, a], 1, 8)
+        stacked, states = encoder.encode_stack([a, b, a], [1] * 3, 8)
         assert built == [(a.ids, 1, 8), (b.ids, 1, 8)]
+        assert list(states) == built
         np.testing.assert_array_equal(stacked[2], stacked[0])
         assert_same_store(encoder, one_by_one(params, [a, b, a], 1))  # a most recent
 
@@ -384,12 +431,12 @@ class TestWalk:
         encoder = one_by_one(params, [a, b], 1)
         first = encoder._states[(a.ids, 1, 8)]
         built = count_builds(encoder, monkeypatch)
-        encoder.encode_stack([a, c], 1, 8)
+        _, states = encoder.encode_stack([a, c], [1, 1], 8)
         assert built == [(c.ids, 1, 8)]
-        assert encoder._states[(a.ids, 1, 8)] is first
+        assert states[a.ids, 1, 8] is first and encoder._states[(a.ids, 1, 8)] is first
         assert list(encoder._states) == [(t.ids, 1, 8) for t in (b, a, c)]
         # a stack the store holds whole walks without building
-        encoder.encode_stack([c, b], 1, 8)
+        encoder.encode_stack([c, b], [1, 1], 8)
         assert built == [(c.ids, 1, 8)]
         assert list(encoder._states) == [(t.ids, 1, 8) for t in (a, c, b)]
 
@@ -401,14 +448,23 @@ class TestWalk:
         stack = [prompts[1]] + rest + [prompts[0], rest[0]]
         encoder = one_by_one(params, before, 1)
         built = count_builds(encoder, monkeypatch)
-        stacked = encoder.encode_stack(stack, 1, 8)
+        stacked, states = encoder.encode_stack(stack, [1] * len(stack), 8)
         assert built == [(t.ids, 1, 8) for t in rest]
         assert len(encoder._states) == PROMPT_STATE_CAP
+        # the call holds every row's state, more than the store keeps
+        assert len(states) == len(rest) + 2
         assert_same_store(encoder, one_by_one(params, before + stack, 1))
         np.testing.assert_array_equal(stacked[-2], encoder.encode(prompts[0]))
+
+    def test_empty_stack_rejected(self, params, tokens):
+        encoder = ToyTextEncoder(params)
+        with pytest.raises(InvalidInputError, match="empty"):
+            encoder.encode_stack([], [], 8)
+        with pytest.raises(InvalidInputError, match="one block a sequence"):
+            encoder.encode_stack([tokens], [], 8)
 
     def test_bad_block_rejected(self, params, tokens):
         encoder = ToyTextEncoder(params)
         for block in (-1, params.n_blocks):
             with pytest.raises(InvalidInputError, match="out of range"):
-                encoder.encode_stack([tokens], block, 8)
+                encoder.encode_stack([tokens], [block], 8)

@@ -231,8 +231,9 @@ def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
     conditions = [encoder.encode(t) for t in tokens]
     e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
     e_null = np.tile(encoder.pool(encoder.null_condition(), model.d_c), (n, 1))
+    states = {(t.ids, 1, model.d_x): encoder.prompt_state(t, 1, model.d_x) for t in tokens}
     rows = degrade_set(
-        encoder,
+        states,
         [
             (f"prompt {p}", t, c, ratios, 1, p)
             for p, (t, c) in enumerate(zip(tokens, conditions))
