@@ -132,7 +132,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list], force: bool) -> 
 
 def _fused_importance(cfg: RunConfig, encoder, tokens):
     # the block's attention: static is exp of its logits less each row's max
-    static = encoder.prompt_state(tokens, cfg.guidance.lambda_block, cfg.model.d_x).static
+    _, states = encoder.encode_stack([tokens], [cfg.guidance.lambda_block], cfg.model.d_x)
+    (state,) = states.values()
+    static = state.static
     per_head = importance.stationary_scores(static / static.sum(axis=-1, keepdims=True))
     return per_head, importance.fuse_head_stacks(per_head[None], cfg.fusion)[0]
 

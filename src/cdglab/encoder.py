@@ -1,8 +1,9 @@
 """Deterministic toy self-attention text encoder.
 
 Turns a prompt into a fixed-length token sequence with content /
-context-aggregating type tags, runs a small multi-head self-attention stack
-over seeded embeddings, and, in the same pass, keeps any block's per-head
+context-aggregating type tags and runs a small multi-head self-attention stack
+over seeded embeddings. Its one forward, `ToyTextEncoder.encode_stack`, walks
+a stack of sequences and, in the same pass, keeps any block's per-head
 attention logits as a prompt state.
 All randomness comes from the seed in EncoderParams, so the same prompt
 always produces the same condition embeddings.
@@ -135,6 +136,12 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _check_width(name: str, width) -> None:
+    """Rejects a latent or condition width that is not an int >= 1."""
+    if isinstance(width, bool) or not isinstance(width, int | np.integer) or width < 1:
+        raise InvalidInputError(f"{name} must be an int >= 1, got {width!r}")
+
+
 class ToyTextEncoder:
     """Seeded multi-head self-attention encoder with residual connections."""
 
@@ -193,17 +200,15 @@ class ToyTextEncoder:
             raise InvalidInputError(f"token id outside [0, {p.vocab_size})")
         return self.tok_emb[list(tokens.ids)] + self.pos_emb
 
-    def encode(self, tokens: TokenSequence) -> np.ndarray:
-        """Condition embeddings (N, d_model): the hidden state after the last block."""
-        return self._walk(self._embed(tokens), {})[0]
-
     def encode_stack(self, tokens: Sequence[TokenSequence], blocks: Sequence[int | None], d_x: int):
         """Condition embeddings (P, N, d_model) of P sequences from one walk,
-        row p bit for bit encode(tokens[p]), and the call's prompt states:
-        the state of (tokens[p].ids, blocks[p], d_x) for every p whose block
-        is not None. The walk builds each state the store lacks, once, and
-        the store ends as prompt_state calls over those rows would leave it;
-        the returned states stay the call's whatever the store later drops."""
+        row p bit for bit that of a one-row walk of tokens[p], and the call's
+        prompt states: the state of (tokens[p].ids, blocks[p], d_x) for every
+        p whose block is not None. The walk builds each state the store
+        lacks, once, and the store ends as one-row calls over those rows
+        would leave it: it keeps the PROMPT_STATE_CAP most recently used
+        states, which every caller shares, so their arrays are read-only.
+        The returned states stay the call's whatever the store later drops."""
         if not tokens or len(blocks) != len(tokens):
             raise InvalidInputError(f"a non-empty stack needs one block a sequence, got"
                                     f" {len(tokens)} sequences and {len(blocks)} blocks")
@@ -231,6 +236,7 @@ class ToyTextEncoder:
         static = np.exp(logits - logits.max(axis=2, keepdims=True))
         static.flags.writeable = False
         if d_x not in self._bias_maps:
+            _check_width("d_x", d_x)
             rng = np.random.default_rng([p.seed, 3, d_x])
             self._bias_maps[d_x] = rng.normal(size=(p.d_model, d_x + 1)) / np.sqrt(d_x + 1)
         m = self._bias_maps[d_x].reshape(p.n_heads, self.d_head, d_x + 1)
@@ -244,20 +250,10 @@ class ToyTextEncoder:
             del self._states[next(iter(self._states))]
         self._states[key] = state
 
-    def prompt_state(self, tokens: TokenSequence, block: int, d_x: int) -> PromptState:
-        """The PromptState of (tokens, block, d_x), built by encode_stack on
-        first use. The encoder keeps the PROMPT_STATE_CAP most recently used
-        states, which every caller shares, so their arrays are read-only."""
-        key = (tokens.ids, block, d_x)
-        if (state := self._states.get(key)) is None:
-            return self.encode_stack([tokens], [block], d_x)[1][key]
-        self._keep(key, state)
-        return state
-
     def null_condition(self) -> np.ndarray:
         """Embeddings (N, d_model) of the empty prompt: computed once, shared, read-only."""
         if self._null is None:
-            self._null = self.encode(tokenize("", self.params))
+            self._null = self._walk(self._embed(tokenize("", self.params)), {})[0]
             self._null.flags.writeable = False
         return self._null
 
@@ -270,6 +266,7 @@ class ToyTextEncoder:
         round differently).
         """
         if d_c not in self._pool_maps:
+            _check_width("d_c", d_c)
             rng = np.random.default_rng([self.params.seed, 1, d_c])
             self._pool_maps[d_c] = rng.normal(
                 size=(self.params.d_model, d_c)

@@ -41,3 +41,13 @@ def random_prompt(rng: np.random.Generator, max_words: int) -> str:
         for _ in range(n_words)
     ]
     return " ".join(words)
+
+
+def encode_one(encoder: ToyTextEncoder, tokens) -> np.ndarray:
+    """One sequence's condition embeddings (N, d_model), from a one-row encode_stack walk."""
+    return encoder.encode_stack([tokens], [None], 8)[0][0]
+
+
+def state_of(encoder: ToyTextEncoder, tokens, block: int, d_x: int = 8):
+    """The prompt state of (tokens, block, d_x), from a one-row encode_stack call."""
+    return encoder.encode_stack([tokens], [block], d_x)[1][tokens.ids, block, d_x]

@@ -35,7 +35,7 @@ from cdglab.importance import (
     ranking,
 )
 
-from conftest import random_prompt
+from conftest import encode_one, random_prompt
 from oracles import denoiser_to_score, replaced, wpr_single_head
 
 
@@ -217,7 +217,7 @@ def test_criterion_5_sampler_statistics(encoder, params):
     maps[0, :, 0] = [40.0, 0.0]
     maps[1, :, 0] = [-40.0, 0.0]
     tokens = tokenize("a man is cooking", params)
-    e = encoder.pool(encoder.encode(tokens), 8)
+    e = encoder.pool(encode_one(encoder, tokens), 8)
     scale = 4.0 / abs(40.0 * e[0])  # separate the two means by ~8 units
     model = GmmConditionalModel(
         maps=maps * scale,

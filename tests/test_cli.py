@@ -17,10 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdglab import cli, geometry
+from cdglab import encoder as encoder_module
 from cdglab.cli import _write_json, main
 from cdglab.config import RunConfig, config_echo, parse_config
 from cdglab.diffusion import sample
-from cdglab.encoder import tokenize
+from cdglab.encoder import ToyTextEncoder, tokenize
 from cdglab.errors import NumericalError
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 from oracles import replaced
@@ -430,6 +431,27 @@ class TestBuildMask:
         mask = json.loads((out / "mask.json").read_text())
         assert mask["k_content"] == 4 and mask["k_ctxagg"] == 1
         assert len(mask["replaced_indices"]) == 5
+
+
+@pytest.mark.parametrize("command", [["rank-tokens"], ["build-mask", "--r-deg", "0.5"]])
+def test_rank_from_one_walk_and_one_state(config_file, tmp_path, monkeypatch, command):
+    passes, built = [], []
+    # each block pass takes one softmax of its attention logits
+    softmax, build = encoder_module._softmax_rows, ToyTextEncoder._build_state
+    monkeypatch.setattr(
+        encoder_module, "_softmax_rows", lambda a: passes.append(a.shape) or softmax(a)
+    )
+    monkeypatch.setattr(
+        ToyTextEncoder, "_build_state",
+        lambda self, key, *a: built.append(key) or build(self, key, *a),
+    )
+    assert main([*command, "--config", str(config_file), "--prompt", "a man is cooking",
+                 "--out", str(tmp_path / "out")]) == 0
+    cfg = parse_config(BASE_CONFIG)
+    n, h = cfg.encoder.seq_len, cfg.encoder.n_heads
+    assert passes == [(1, h, n, n)] * cfg.encoder.n_blocks
+    tokens = tokenize("a man is cooking", cfg.encoder)
+    assert built == [(tokens.ids, cfg.guidance.lambda_block, cfg.model.d_x)]
 
 
 class TestSample:

@@ -19,6 +19,7 @@ from cdglab.degradation import (
 )
 from cdglab.encoder import EncoderParams, TokenType, tokenize
 from cdglab.errors import InvalidInputError, InvalidRatioError
+from conftest import encode_one
 from oracles import replaced
 
 
@@ -254,19 +255,19 @@ class TestBuildMasks:
 
 class TestApplyMask:
     def test_all_ones_keeps_condition(self, encoder, tokens):
-        c = encoder.encode(tokens)
+        c = encode_one(encoder, tokens)
         null = encoder.null_condition()
         keep = build_mask(tokens, _importance(0, len(tokens)), map_ratio(0.0))
         np.testing.assert_array_equal(apply_mask(c[None], null, keep[None])[0], c)
 
     def test_all_zeros_yields_null(self, encoder, tokens):
-        c = encoder.encode(tokens)
+        c = encode_one(encoder, tokens)
         null = encoder.null_condition()
         keep = build_mask(tokens, _importance(0, len(tokens)), map_ratio(2.0))
         np.testing.assert_array_equal(apply_mask(c[None], null, keep[None])[0], null)
 
     def test_single_replacement(self, encoder, tokens):
-        c = encoder.encode(tokens)
+        c = encode_one(encoder, tokens)
         null = encoder.null_condition()
         keep = np.ones(len(tokens), dtype=bool)
         keep[2] = False
@@ -276,7 +277,7 @@ class TestApplyMask:
         np.testing.assert_array_equal(out[rest], c[rest])
 
     def test_idempotent(self, encoder, tokens):
-        c = encoder.encode(tokens)
+        c = encode_one(encoder, tokens)
         null = encoder.null_condition()
         keep = build_mask(tokens, None, map_ratio(1.0))[None]
         once = apply_mask(c[None], null, keep)[0]
@@ -284,7 +285,7 @@ class TestApplyMask:
         np.testing.assert_array_equal(once, twice)
 
     def test_shape_mismatch_rejected(self, encoder, tokens):
-        c = encoder.encode(tokens)
+        c = encode_one(encoder, tokens)
         null = encoder.null_condition()
         with pytest.raises(InvalidInputError):
             apply_mask(c[None], null[:-1], build_mask(tokens, None, map_ratio(1.0))[None])
@@ -292,14 +293,14 @@ class TestApplyMask:
     def test_stack_matches_one_at_a_time(self, encoder, params):
         seqs = [tokenize(p, params) for p in ("a red cat", "the dog runs home")]
         masks = np.array([build_mask(t, None, map_ratio(1.0)) for t in seqs])
-        conds = [encoder.encode(t) for t in seqs]
+        conds = [encode_one(encoder, t) for t in seqs]
         null = encoder.null_condition()
         stack = apply_mask(np.array(conds), null, masks)
         for row, c, m in zip(stack, conds, masks):
             np.testing.assert_array_equal(row, apply_mask(c[None], null, m[None])[0])
 
     def test_stack_needs_one_mask_per_condition(self, encoder, tokens):
-        c = encoder.encode(tokens)
+        c = encode_one(encoder, tokens)
         stack = np.array([c, c])
         null = encoder.null_condition()
         keep = build_mask(tokens, None, map_ratio(1.0))

@@ -32,6 +32,7 @@ from cdglab.errors import (
 )
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 from cdglab.importance import FusionConfig, stationary_scores
+from conftest import encode_one, state_of
 from oracles import block_static, replaced, state_weights
 
 CFG = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
@@ -66,7 +67,7 @@ def record_walks(encoder, monkeypatch) -> list[tuple[list, list]]:
 def head_variances(encoder, tokens) -> np.ndarray:
     """Each head's score variance at attention bias 0, where the attention,
     and so the variance, does not depend on the latent."""
-    static = encoder.prompt_state(tokens, 1, 8).static
+    static = state_of(encoder, tokens, 1, 8).static
     return np.var(stationary_scores(static), axis=1)
 
 
@@ -358,7 +359,7 @@ class TestAttentionProvider:
     """
 
     def test_zero_bias_equals_static(self, encoder, tokens):
-        state = encoder.prompt_state(tokens, 1, 8)
+        state = state_of(encoder, tokens, 1, 8)
         static = block_static(encoder, tokens, 1)
         np.testing.assert_array_equal(
             _row_normalized(state_weights(state, np.zeros(8), 1.0, 0.0)),
@@ -366,13 +367,13 @@ class TestAttentionProvider:
         )
 
     def test_latent_dependence(self, encoder, tokens):
-        state = encoder.prompt_state(tokens, 1, 8)
+        state = state_of(encoder, tokens, 1, 8)
         a = _row_normalized(state_weights(state, np.zeros(8), 1.0, 0.1))
         b = _row_normalized(state_weights(state, np.ones(8), 1.0, 0.1))
         assert np.abs(a - b).max() > 0
 
     def test_rows_stochastic(self, encoder, tokens):
-        state = encoder.prompt_state(tokens, 0, 8)
+        state = state_of(encoder, tokens, 0, 8)
         heads = _row_normalized(
             state_weights(state, np.random.default_rng(0).normal(size=8), 0.5, 0.1)
         )
@@ -381,7 +382,7 @@ class TestAttentionProvider:
 
     def test_bad_block_rejected(self, encoder, tokens):
         with pytest.raises(InvalidInputError):
-            encoder.prompt_state(tokens, 5, 8)
+            encoder.encode_stack([tokens], [5], 8)
 
 
 def _assert_same_masks(chain, got, want, steps):
@@ -888,7 +889,7 @@ def _degrade_case(encoder, params, data):
         (
             sigma,
             [
-                (f"row {si}.{r}", tokens[p], encoder.encode(tokens[p]),
+                (f"row {si}.{r}", tokens[p], encode_one(encoder, tokens[p]),
                  map_ratio(r_deg), 1, latent)
                 for r, ((p, r_deg), latent) in enumerate(zip(block, latents))
             ],
@@ -976,7 +977,7 @@ class TestDegradeRows:
 
     def test_same_state_and_latent_at_two_sigmas_ranked_apart(self, encoder, params):
         tokens = tokenize("the old man and the young woman cook dinner", params)
-        row = ("row", tokens, encoder.encode(tokens), map_ratio(0.5), 1, 0)
+        row = ("row", tokens, encode_one(encoder, tokens), map_ratio(0.5), 1, 0)
         x = np.tile(np.random.default_rng(4).normal(size=8) * 3.0, (2, 1))
         sigmas = [0.05, 20.0]
         alone = [
@@ -1003,7 +1004,7 @@ class TestDegradeRows:
         rows = degrade_set_of(
             encoder,
             [
-                (label, t, encoder.encode(t), map_ratio(0.5), 1, r)
+                (label, t, encode_one(encoder, t), map_ratio(0.5), 1, r)
                 for r, (label, t) in enumerate((("first", keep), ("second", keep), ("third", drop)))
             ],
             8,
@@ -1015,7 +1016,7 @@ class TestDegradeRows:
 
     @pytest.mark.parametrize("shape", [(2, 1), (3,), (1, 3), (3, 2)])
     def test_bad_sigma_column_rejected(self, encoder, tokens, shape):
-        row = ("row", tokens, encoder.encode(tokens), map_ratio(0.5), 1, 0)
+        row = ("row", tokens, encode_one(encoder, tokens), map_ratio(0.5), 1, 0)
         rows = degrade_set_of(encoder, [row], 8).subset([0] * 3)
         with pytest.raises(InvalidInputError):
             diffusion.degrade_rows(

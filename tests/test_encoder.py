@@ -22,6 +22,7 @@ from cdglab.encoder import (
 from cdglab.errors import InvalidInputError, PromptTooLongError
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 
+from conftest import encode_one, state_of
 from oracles import (
     attention_maps,
     block_logits,
@@ -94,22 +95,22 @@ class TestTokenize:
 
 class TestEncode:
     def test_determinism(self, encoder, params):
-        a = encoder.encode(tokenize("a man is cooking", params))
-        b = encoder.encode(tokenize("a man is cooking", params))
+        a = encode_one(encoder, tokenize("a man is cooking", params))
+        b = encode_one(encoder, tokenize("a man is cooking", params))
         np.testing.assert_array_equal(a, b)
 
     def test_fresh_encoder_matches(self, encoder, params, tokens):
         other = ToyTextEncoder(EncoderParams())
-        np.testing.assert_array_equal(encoder.encode(tokens), other.encode(tokens))
+        np.testing.assert_array_equal(encode_one(encoder, tokens), encode_one(other, tokens))
 
     def test_one_word_difference_changes_rows(self, encoder, params):
-        a = encoder.encode(tokenize("a man is cooking", params))
-        b = encoder.encode(tokenize("a man is painting", params))
+        a = encode_one(encoder, tokenize("a man is cooking", params))
+        b = encode_one(encoder, tokenize("a man is painting", params))
         assert np.abs(a - b).max() > 0
 
     def test_null_condition_is_empty_prompt(self, encoder, params):
         null = encoder.null_condition()
-        direct = encoder.encode(tokenize("", params))
+        direct = forward(encoder, tokenize("", params))[0][-1]
         np.testing.assert_array_equal(null, direct)
 
     def test_null_condition_is_read_only(self, encoder):
@@ -121,15 +122,10 @@ class TestEncode:
     def test_length_mismatch_rejected(self, encoder):
         small = tokenize("", EncoderParams(seq_len=8))
         with pytest.raises(InvalidInputError):
-            encoder.encode(small)
+            encoder.encode_stack([small], [None], 8)
 
     @pytest.mark.parametrize(
-        "call",
-        [
-            lambda enc, t: enc.encode_stack([t], [1], 8),
-            lambda enc, t: enc.prompt_state(t, 1, 8),
-        ],
-        ids=["encode_stack", "prompt_state"],
+        "call", [lambda enc, t: enc.encode_stack([t], [1], 8)], ids=["encode_stack"]
     )
     def test_length_mismatch_rejected_by_attention(self, params, call):
         encoder = ToyTextEncoder(params)
@@ -143,13 +139,9 @@ class TestEncode:
         good = tokenize("a man is cooking", params)
         ids = (good.ids[0], bad_id) + good.ids[2:]
         bad = TokenSequence(ids=ids, types=good.types, texts=good.texts)
-        for call in (
-            encoder.encode,
-            lambda t: encoder.encode_stack([t], [1], 8),
-            lambda t: encoder.prompt_state(t, 1, 8),
-        ):
+        for block in (None, 1):
             with pytest.raises(InvalidInputError, match="token id"):
-                call(bad)
+                encoder.encode_stack([bad], [block], 8)
 
 
 class TestPool:
@@ -161,15 +153,28 @@ class TestPool:
 
     def test_stack_pools_like_its_rows(self, encoder, params):
         prompts = ("a red cat", "the dog runs home", "")
-        stack = np.array([encoder.encode(tokenize(p, params)) for p in prompts])
+        stack = np.array([encode_one(encoder, tokenize(p, params)) for p in prompts])
         np.testing.assert_array_equal(encoder.pool(stack, 8), [encoder.pool(c, 8) for c in stack])
 
     def test_null_pool_defined(self, encoder):
         out = encoder.pool(encoder.null_condition(), 8)
         assert out.shape == (8,) and np.isfinite(out).all()
 
+    @pytest.mark.parametrize("d_c", [-1, 0, 2.5, True, "8"])
+    def test_bad_width_rejected(self, params, d_c):
+        encoder = ToyTextEncoder(params)
+        with pytest.raises(InvalidInputError, match="d_c"):
+            encoder.pool(encoder.null_condition(), d_c)
+        assert encoder._pool_maps == {}
+
+    def test_numpy_int_width_accepted(self, params, encoder):
+        c = encoder.null_condition()
+        np.testing.assert_array_equal(
+            ToyTextEncoder(params).pool(c, np.int64(8)), ToyTextEncoder(params).pool(c, 8)
+        )
+
     def test_sensitive_to_single_row_replacement(self, encoder, params, tokens):
-        c = encoder.encode(tokens)
+        c = encode_one(encoder, tokens)
         null = encoder.null_condition()
         changed = c.copy()
         changed[1] = null[1]  # first content row
@@ -192,20 +197,20 @@ class TestAttention:
     def test_query_bias_changes_map(self, encoder, params, tokens):
         # the query bias is the prompt state's latent-dependent logit shift
         base = block_attention(encoder, tokens, 1)
-        weights = state_weights(encoder.prompt_state(tokens, 1, 8), np.ones(8), 1.0, 0.5)
+        weights = state_weights(state_of(encoder, tokens, 1, 8), np.ones(8), 1.0, 0.5)
         biased = weights / weights.sum(axis=2, keepdims=True)
         assert np.abs(base - biased).max() > 0
         np.testing.assert_allclose(biased.sum(axis=2), 1.0, atol=1e-9)
 
     def test_bad_block_rejected(self, encoder, params, tokens):
         with pytest.raises(InvalidInputError):
-            encoder.prompt_state(tokens, params.n_blocks, 8)
+            encoder.encode_stack([tokens], [params.n_blocks], 8)
         with pytest.raises(InvalidInputError):
             encoder.encode_stack([tokens], [-1], 8)
 
     def test_cached_logits_bitwise_stable(self, encoder, params, tokens):
         # a stored state and one built again by another walk
-        first = encoder.prompt_state(tokens, 1, 8)
+        first = state_of(encoder, tokens, 1, 8)
         second = ToyTextEncoder(params).encode_stack([tokens], [1], 8)[1][tokens.ids, 1, 8]
         np.testing.assert_array_equal(first.static, second.static)
         np.testing.assert_array_equal(first.shift_map, second.shift_map)
@@ -225,7 +230,7 @@ def distinct_prompts(params, count: int) -> list:
 def block_attention(encoder, tokens, block: int) -> np.ndarray:
     """The block's attention (H, N, N) as the CLI ranks tokens from it: the
     prompt state's static map, each row normalized."""
-    static = encoder.prompt_state(tokens, block, 8).static
+    static = state_of(encoder, tokens, block, 8).static
     return static / static.sum(axis=-1, keepdims=True)
 
 
@@ -256,11 +261,11 @@ def count_builds(encoder, monkeypatch) -> list[tuple]:
 class TestPromptState:
     def test_reused_across_calls(self, params, tokens):
         encoder = ToyTextEncoder(params)
-        assert encoder.prompt_state(tokens, 1, 8) is encoder.prompt_state(tokens, 1, 8)
-        assert encoder.prompt_state(tokens, 1, 8) is not encoder.prompt_state(tokens, 0, 8)
+        assert state_of(encoder, tokens, 1, 8) is state_of(encoder, tokens, 1, 8)
+        assert state_of(encoder, tokens, 1, 8) is not state_of(encoder, tokens, 0, 8)
 
     def test_static_weights_read_only(self, encoder, tokens):
-        state = encoder.prompt_state(tokens, 1, 8)
+        state = state_of(encoder, tokens, 1, 8)
         with pytest.raises(ValueError):
             state_weights(state, np.zeros(8), 1.0, 0.0)[0, 0, 0] = 1.0
 
@@ -331,26 +336,26 @@ class TestPromptState:
     def test_least_recently_used_dropped_first(self, params):
         encoder = ToyTextEncoder(params)
         prompts = distinct_prompts(params, PROMPT_STATE_CAP + 1)
-        first = encoder.prompt_state(prompts[0], 1, 8)
-        second = encoder.prompt_state(prompts[1], 1, 8)
+        first = state_of(encoder, prompts[0], 1, 8)
+        second = state_of(encoder, prompts[1], 1, 8)
         for t in prompts[2:-1]:
-            encoder.prompt_state(t, 1, 8)
-        assert encoder.prompt_state(prompts[0], 1, 8) is first  # now most recent
-        encoder.prompt_state(prompts[-1], 1, 8)  # evicts prompts[1]
-        assert encoder.prompt_state(prompts[0], 1, 8) is first
-        assert encoder.prompt_state(prompts[1], 1, 8) is not second
+            state_of(encoder, t, 1, 8)
+        assert state_of(encoder, prompts[0], 1, 8) is first  # now most recent
+        state_of(encoder, prompts[-1], 1, 8)  # evicts prompts[1]
+        assert state_of(encoder, prompts[0], 1, 8) is first
+        assert state_of(encoder, prompts[1], 1, 8) is not second
 
 
 def one_by_one_at(params, rows, d_x: int = 8) -> ToyTextEncoder:
-    """A fresh encoder after one prompt_state call per (tokens, block) row, in order."""
+    """A fresh encoder after one one-row encode_stack call per (tokens, block) row, in order."""
     encoder = ToyTextEncoder(params)
     for t, block in rows:
-        encoder.prompt_state(t, block, d_x)
+        state_of(encoder, t, block, d_x)
     return encoder
 
 
 def one_by_one(params, tokens, block: int, d_x: int = 8) -> ToyTextEncoder:
-    """A fresh encoder after one prompt_state call per sequence at block, in order."""
+    """A fresh encoder after one one-row encode_stack call per sequence at block, in order."""
     return one_by_one_at(params, [(t, block) for t in tokens], d_x)
 
 
@@ -369,8 +374,8 @@ class TestWalk:
         taps = record_taps(encoder, monkeypatch)
         for t in distinct_prompts(params, 3) + [tokenize("", params)]:
             hidden, _ = forward(encoder, t)
-            np.testing.assert_array_equal(encoder.encode(t), hidden[-1])
-            encoder.prompt_state(t, block, 8)
+            row, _ = encoder.encode_stack([t], [block], 8)
+            np.testing.assert_array_equal(row[0], hidden[-1])
             reference = block_logits(encoder, hidden[block], block)
             for got, want in zip(taps[t.ids, block, 8], reference):
                 np.testing.assert_array_equal(got, want)
@@ -388,7 +393,7 @@ class TestWalk:
         assert list(states) == list(encoder._states)
         assert all(state is encoder._states[key] for key, state in states.items())
         for t, row in zip(prompts, stacked):
-            np.testing.assert_array_equal(row, encoder.encode(t))
+            np.testing.assert_array_equal(row, encode_one(encoder, t))
             np.testing.assert_array_equal(
                 states[t.ids, block, 8].static, block_static(encoder, t, block)
             )
@@ -405,7 +410,7 @@ class TestWalk:
         keys = [(t.ids, block, 8) for t, block in ranked]
         assert sorted(built) == sorted(keys) and list(states) == keys
         for (t, _), row in zip(rows, stacked):
-            np.testing.assert_array_equal(row, encoder.encode(t))
+            np.testing.assert_array_equal(row, encode_one(encoder, t))
         assert_same_store(encoder, one_by_one_at(params, ranked))
 
     def test_without_a_block_builds_no_state(self, params, monkeypatch):
@@ -414,7 +419,7 @@ class TestWalk:
         built = count_builds(encoder, monkeypatch)
         stacked, states = encoder.encode_stack(prompts, [None] * 3, 8)
         assert built == [] and states == {} and encoder._states == {}
-        np.testing.assert_array_equal(stacked, [encoder.encode(t) for t in prompts])
+        np.testing.assert_array_equal(stacked, [encode_one(encoder, t) for t in prompts])
 
     def test_repeated_sequence_built_once(self, params, monkeypatch):
         a, b = distinct_prompts(params, 2)
@@ -454,7 +459,7 @@ class TestWalk:
         # the call holds every row's state, more than the store keeps
         assert len(states) == len(rest) + 2
         assert_same_store(encoder, one_by_one(params, before + stack, 1))
-        np.testing.assert_array_equal(stacked[-2], encoder.encode(prompts[0]))
+        np.testing.assert_array_equal(stacked[-2], encode_one(encoder, prompts[0]))
 
     def test_empty_stack_rejected(self, params, tokens):
         encoder = ToyTextEncoder(params)
@@ -462,6 +467,19 @@ class TestWalk:
             encoder.encode_stack([], [], 8)
         with pytest.raises(InvalidInputError, match="one block a sequence"):
             encoder.encode_stack([tokens], [], 8)
+
+    @pytest.mark.parametrize("d_x", [-1, 0, 2.5, True, "8"])
+    def test_bad_width_rejected(self, params, tokens, d_x):
+        encoder = ToyTextEncoder(params)
+        with pytest.raises(InvalidInputError, match="d_x"):
+            encoder.encode_stack([tokens], [1], d_x)
+        assert encoder._states == {} and encoder._bias_maps == {}
+
+    def test_numpy_int_width_accepted(self, params, tokens):
+        state = state_of(ToyTextEncoder(params), tokens, 1, np.int64(8))
+        want = state_of(ToyTextEncoder(params), tokens, 1, 8)
+        np.testing.assert_array_equal(state.static, want.static)
+        np.testing.assert_array_equal(state.shift_map, want.shift_map)
 
     def test_bad_block_rejected(self, params, tokens):
         encoder = ToyTextEncoder(params)

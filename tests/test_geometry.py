@@ -36,6 +36,7 @@ from cdglab.geometry import (
 from cdglab.guidance import denoiser_to_eps
 from cdglab.importance import FusionConfig, stationary_scores
 from cdglab.linalg import thin_svd
+from conftest import encode_one, state_of
 from oracles import (
     PredictionStack,
     estimate_subspace,
@@ -228,10 +229,10 @@ def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
     """
     n = len(tokens)
     ratios = map_ratio(r_deg)
-    conditions = [encoder.encode(t) for t in tokens]
+    conditions = [encode_one(encoder, t) for t in tokens]
     e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
     e_null = np.tile(encoder.pool(encoder.null_condition(), model.d_c), (n, 1))
-    states = {(t.ids, 1, model.d_x): encoder.prompt_state(t, 1, model.d_x) for t in tokens}
+    states = {(t.ids, 1, model.d_x): state_of(encoder, t, 1, model.d_x) for t in tokens}
     rows = degrade_set(
         states,
         [
@@ -429,7 +430,7 @@ class TestSweep:
     def test_all_heads_filtered_names_prompt_and_sigma(self, model, encoder, params):
         tokens = self._tokens(params)
         variances = [
-            np.var(stationary_scores(encoder.prompt_state(t, 1, model.d_x).static), axis=1)
+            np.var(stationary_scores(state_of(encoder, t, 1, model.d_x).static), axis=1)
             for t in tokens
         ]
         v = variances[0][0]
