@@ -29,6 +29,10 @@
 #     rank-tokens, build-mask at R=0.4 and sample, whose attention and prompt states come from the stacked walk
 #   three_block_diagnose: diagnose, a 3-block encoder at lambda_block 1: states taken between two blocks;
 #     rank-tokens, build-mask at R=0.4 and sample, as block_zero_diagnose
+#   scalar_wide: sample, sweep and diagnose, 9 components and d_x 1: sums over the components in
+#     the order of a contiguous last axis (pairwise from 9 terms), the posterior-mean sum included
+#   many_components: sample, sweep and diagnose, 12 components and d_x 8: the weight normalizer
+#     pairwise over the components, the posterior-mean sum one component after another
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -268,6 +272,36 @@ cat >"$tmp/three_block_diagnose_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/scalar_wide_config.json" <<'JSON'
+{
+  "model": {"n_components": 9, "d_x": 1, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5,
+               "reuse_first_step_mask": false},
+  "prompts": [
+    "a man is cooking",
+    "the dog runs in a park",
+    "a woman paints the old wall"
+  ],
+  "seed": 0
+}
+JSON
+
+cat >"$tmp/many_components_config.json" <<'JSON'
+{
+  "model": {"n_components": 12, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cfg_star", "guidance_scale": 2.5, "r_deg": 0.5,
+               "reuse_first_step_mask": false},
+  "prompts": [
+    "a man is cooking",
+    "the dog runs in a park",
+    "a woman paints the old wall"
+  ],
+  "seed": 0
+}
+JSON
+
 # run_all CODE_ROOT OUT: the commands listed above, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
@@ -320,6 +354,12 @@ run_all() {
         "$tmp/bias_zero_diagnose_config.json" "$tmp/block_zero_diagnose_config.json" \
         "$tmp/three_block_diagnose_config.json"; do
         name=$(basename "$config" .json)
+        cli diagnose diagnose
+    done
+    for config in "$tmp/scalar_wide_config.json" "$tmp/many_components_config.json"; do
+        name=$(basename "$config" .json)
+        cli sample sample
+        cli sweep sweep
         cli diagnose diagnose
     done
     for config in "$tmp/block_zero_diagnose_config.json" "$tmp/three_block_diagnose_config.json"; do

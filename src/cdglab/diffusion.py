@@ -124,45 +124,59 @@ class SigmaSchedule:
 def _posterior_stats(
     model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, m: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log joint weights (..., J) and per-component posterior means (..., J, d_x).
+    """Log joint weights (J, B) and per-component posterior means (J, B, d_x)
+    of latents x (B, d_x), component-major: each (J, B, d_x) pass is
+    contiguous and a reduction over J runs over the leading axis.
 
-    m holds the component means of one embedding (J, d_x), shared by every
-    latent, or of one embedding per latent (B, J, d_x): model.means(e).
-    sigma is one float for every latent, or a (B, 1) column of one per
-    latent row; each row's arithmetic is the same either way.
+    m is model.means(e) with its component axis first: (J, 1, d_x) for one
+    embedding, (J, B, d_x) for one per latent. sigma is one float, or a
+    (B, 1) column of one per latent; each row's arithmetic is the same.
+    numpy adds a contiguous last axis pairwise and other axes in sequence,
+    so callers keep the bits of the row-major (B, J, d_x) sums: weights
+    over J as a contiguous axis (_sum_components), posterior means over J
+    in sequence, but pairwise at d_x 1, where J was the contiguous axis.
     """
     s2 = sigma * sigma
-    var = model.variances + s2  # (J,), or (B, J) for a column
-    xe = x[..., None, :]  # (..., 1, d_x)
-    diff = xe - m
-    sq = (diff * diff).sum(axis=-1)  # (..., J)
+    var = model.variances[:, None] + (s2.T if isinstance(s2, np.ndarray) else s2)  # (J, 1 or B)
+    diff = x - m
+    diff *= diff
+    sq = diff.sum(axis=-1)  # (J, B)
     logw = (
-        model.log_weights
+        model.log_weights[:, None]
         - 0.5 * model.d_x * np.log(2.0 * np.pi * var)
         - sq / (2.0 * var)
     )
-    if isinstance(s2, np.ndarray):
-        s2 = s2[..., None]  # (B, 1, 1), against m's (B, J, d_x)
-    comp = model.variances[:, None] * xe + s2 * m
+    comp = model.variances[:, None, None] * x
+    comp += s2 * m
     comp /= var[..., None]
     return logw, comp
+
+
+def _sum_components(w: np.ndarray) -> np.ndarray:
+    """w (J, B) summed over J as a contiguous last axis: pairwise, as row-major."""
+    return np.ascontiguousarray(w.T).sum(axis=-1)
 
 
 def _denoise(
     model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, m: np.ndarray
 ) -> np.ndarray:
-    """denoise at the component means m = model.means(e), for a checked sigma."""
+    """denoise of latents x (B, d_x) at component-major means m (see
+    _posterior_stats), for a checked sigma."""
     logw, comp = _posterior_stats(model, x, sigma, m)
-    logw = logw - logw.max(axis=-1, keepdims=True)
-    g = np.exp(logw)
-    g = g / g.sum(axis=-1, keepdims=True)
-    return (g[..., None] * comp).sum(axis=-2)
+    logw -= logw.max(axis=0)
+    g = np.exp(logw, out=logw)
+    g /= _sum_components(g)
+    comp *= g[..., None]
+    if model.d_x == 1:
+        return _sum_components(comp[..., 0])[:, None]
+    return comp.sum(axis=0)
 
 
 def _checked(model: GmmConditionalModel, x, e) -> tuple[np.ndarray, np.ndarray]:
-    """x and e as float64 arrays, finite and of matching shapes: latents
-    (..., d_x) under one embedding e (d_c,), or one embedding per row,
-    x (B, d_x) under e (B, d_c)."""
+    """x as a float64 array and the component-major means of e (see
+    _posterior_stats), both finite and of matching shapes: latents (..., d_x)
+    under one embedding e (d_c,), or one embedding per row, x (B, d_x)
+    under e (B, d_c)."""
     x = np.asarray(x, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
     widths = x.shape[-1:] == (model.d_x,) and e.shape[-1:] == (model.d_c,)
@@ -174,7 +188,8 @@ def _checked(model: GmmConditionalModel, x, e) -> tuple[np.ndarray, np.ndarray]:
         )
     if not (all_finite(x) and all_finite(e)):
         raise InvalidInputError("latents and embeddings must be finite")
-    return x, e
+    m = model.means(e)
+    return x, m[:, None] if e.ndim == 1 else m.swapaxes(0, 1)
 
 
 def _check_sigma(sigma: float | np.ndarray, x: np.ndarray, allow_zero: bool) -> None:
@@ -195,9 +210,9 @@ def denoise(
 
     sigma is one noise level, or a (B, 1) column of one per row of x (B, d_x).
     """
-    x, e = _checked(model, x, e)
+    x, m = _checked(model, x, e)
     _check_sigma(sigma, x, allow_zero=False)
-    return _denoise(model, x, sigma, model.means(e))
+    return _denoise(model, x.reshape(-1, model.d_x), sigma, m).reshape(x.shape)
 
 
 def log_density(
@@ -205,11 +220,12 @@ def log_density(
 ) -> np.ndarray:
     """log p(x; sigma | e) of the sigma-smoothed mixture; sigma 0 is the clean
     one. sigma is one noise level, or a (B, 1) column as in denoise."""
-    x, e = _checked(model, x, e)
+    x, m = _checked(model, x, e)
     _check_sigma(sigma, x, allow_zero=True)
-    logw, _ = _posterior_stats(model, x, sigma, model.means(e))
-    peak = logw.max(axis=-1, keepdims=True)
-    return peak[..., 0] + np.log(np.exp(logw - peak).sum(axis=-1))
+    logw, _ = _posterior_stats(model, x.reshape(-1, model.d_x), sigma, m)
+    peak = logw.max(axis=0)
+    # [()] keeps one latent's density a numpy float, as for the row-major sum
+    return (peak + np.log(_sum_components(np.exp(logw - peak)))).reshape(x.shape[:-1])[()]
 
 
 def score(
@@ -279,28 +295,29 @@ class DegradeSet:
 
 
 def degrade_set(states: dict[tuple, PromptState], rows: Iterable[tuple], d_x: int) -> DegradeSet:
-    """The DegradeSet of rows (label, tokens, condition embeddings, ratios,
-    block, latent); the one place that decides whether a row ranks.
+    """The DegradeSet of rows (label, tokens, condition embeddings, extent,
+    block, latent), each extent a row's mask_extent.
 
-    A row at the ratio-1.0 boundary gets key -1: its mask needs no
-    ranking. Another row ranks from the state of its (token ids, block,
-    d_x) in states, the prompt states the caller's encode_stack call
-    returned, which the set holds. The latent is any value naming the
-    latent and sigma a row is ranked at, such as a chain's seed at the
-    sampler's first step: rows of one (token ids, block, latent) share a key.
+    A row at block None, as at the ratio-1.0 boundary, gets key -1: its
+    mask needs no ranking. Another row ranks from the state of its (token
+    ids, block, d_x) in states, the prompt states the caller's encode_stack
+    call returned at the same blocks, which the set holds. The latent is any
+    value naming the latent and sigma a row is ranked at, such as a chain's
+    seed at the sampler's first step: rows of one (token ids, block, latent)
+    share a key.
     """
-    labels, tokens, conditions, ratios, blocks, latents = zip(*rows)
+    labels, tokens, conditions, extents, blocks, latents = zip(*rows)
     index: dict[tuple, int] = {}
     keys, key_states, firsts = [], [], []
-    for r, (t, ratio, block, latent) in enumerate(zip(tokens, ratios, blocks, latents)):
+    for r, (t, block, latent) in enumerate(zip(tokens, blocks, latents)):
         k = -1
-        if ratio.ranks:
+        if block is not None:
             k = index.setdefault((t.ids, block, latent), len(firsts))
             if k == len(firsts):
                 key_states.append(states[t.ids, block, d_x])
                 firsts.append(r)
         keys.append(k)
-    extents = np.array([mask_extent(t, ratio) for t, ratio in zip(tokens, ratios)])
+    extents = np.array(extents)
     return DegradeSet(labels, tokens, conditions, extents, keys, key_states, _rows(firsts))
 
 
@@ -409,8 +426,9 @@ class Chain:
     seed: int
 
 
-def _chain_key(chain: Chain) -> tuple:
-    """Everything that decides a chain's trajectory within one sample_batch call.
+def _chain_key(chain: Chain, extent: tuple[int, int] | None) -> tuple:
+    """Everything that decides a chain's trajectory within one sample_batch
+    call; extent is its mask_extent, None when it does not degrade.
 
     A degradation mode's ratio enters only through the mask's extent: the
     same prompt at the same latent ranks its tokens the same way, so equal
@@ -419,14 +437,9 @@ def _chain_key(chain: Chain) -> tuple:
     """
     config = chain.config
     key = (chain.tokens.ids, chain.seed, config.mode, config.guidance_scale)
-    if not config.mode.uses_degradation:
+    if extent is None:
         return key
-    return key + (
-        config.lambda_block,
-        config.reuse_first_step_mask,
-        config.ratios.ranks,
-        mask_extent(chain.tokens, config.ratios),
-    )
+    return key + (config.lambda_block, config.reuse_first_step_mask, config.ratios.ranks, extent)
 
 
 def _rankings(config: GuidanceConfig, steps: int) -> int:
@@ -474,15 +487,18 @@ def sample_batch(
         return []
     # each distinct chain is integrated once, as the row of its first
     # occurrence: firsts[u] is row u's first chain, row_at[b] chain b's row
-    firsts, row_at = [], []
+    firsts, row_at, extents = [], [], []
     index: dict[tuple, int] = {}
     for b, chain in enumerate(chains):
-        u = index.setdefault(_chain_key(chain), len(firsts))
+        degrades = chain.config.mode.uses_degradation
+        extent = mask_extent(chain.tokens, chain.config.ratios) if degrades else None
+        u = index.setdefault(_chain_key(chain, extent), len(firsts))
         if u == len(firsts):
             firsts.append(b)
+            extents.append(extent)
         row_at.append(u)
     trajectory, ledger = _integrate(
-        model, schedule, encoder, [chains[b] for b in firsts], firsts,
+        model, schedule, encoder, [chains[b] for b in firsts], firsts, extents,
         fusion, attention_bias_weight,
     )
     if len(firsts) < len(chains):
@@ -505,13 +521,14 @@ def _integrate(
     encoder: ToyTextEncoder,
     chains: Sequence[Chain],
     labels: Sequence[int],
+    extents: Sequence[tuple[int, int] | None],
     fusion: FusionConfig,
     attention_bias_weight: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trajectories (steps + 1, B, d_x) of distinct chains and the read-only
     ledger (steps, B, N) of their keep bits per step, all True for a chain
     that does not degrade; labels[b] is the batch index naming chain b in
-    errors."""
+    errors, and extents[b] its mask_extent (None if it does not degrade)."""
     sigmas = schedule.sigmas
     steps = len(sigmas) - 1
     n = len(chains)
@@ -539,20 +556,23 @@ def _integrate(
     w_col = np.array([[chains[b].config.guidance_scale] for b in guided])
 
     # each chain denoises at the component means of one positive embedding
-    # and, when guided, one negative, both in the chain's row; the degraded
+    # and, when guided, one negative: the chain's row of pos_m and neg_m,
+    # component-major (J, B, d_x) sides 0 and 1 of one array. The degraded
     # embedding is CFG*'s positive and CDG's negative, and its means are
     # filled in when its mask changes
-    shape = (model.n_components, model.d_x)
-    pos_m = np.empty((n, *shape))
-    neg_m = np.empty((n, *shape))
-    prompt_pos = [b for b, mode in enumerate(modes) if mode is not GuidanceMode.CFG_STAR]
+    means = np.empty((model.n_components, 2, n, model.d_x))
+    pos_m, neg_m = means[:, 0], means[:, 1]
+    side = [int(mode is not GuidanceMode.CFG_STAR) for mode in modes]
+    prompt_pos = [b for b, s in enumerate(side) if s]
     if prompt_pos:
-        pos_m[prompt_pos] = model.means(encoder.pool(
+        pos_m[:, prompt_pos] = model.means(encoder.pool(
             np.array([conditions[chains[b].tokens.ids] for b in prompt_pos]), d_c
-        ))
+        )).swapaxes(0, 1)
     null_neg = [b for b in guided if modes[b] is not GuidanceMode.CDG]
     if null_neg:
-        neg_m[null_neg] = model.means(encoder.pool(encoder.null_condition(), d_c)[None])
+        neg_m[:, null_neg] = model.means(
+            encoder.pool(encoder.null_condition(), d_c)[None]
+        ).swapaxes(0, 1)
 
     # the chains degrading at step 0, ranked once per (prompt, block, seed),
     # as they share their latent there, and those of them ranking tokens
@@ -561,8 +581,8 @@ def _integrate(
     degraded_at = [((), None, None)] * 2
     if degrading:
         rows = degrade_set(states, [
-            (f"chain {labels[b]}", c.tokens, conditions[c.tokens.ids],
-             c.config.ratios, c.config.lambda_block, c.seed)
+            (f"chain {labels[b]}", c.tokens, conditions[c.tokens.ids], extents[b],
+             c.config.lambda_block if c.config.ratios.ranks else None, c.seed)
             for b, c in enumerate(chains) if c.config.mode.uses_degradation
         ], model.d_x)
         degraded_at[0] = (degrading, _rows(degrading), rows)
@@ -600,15 +620,15 @@ def _integrate(
                 ledger[i, index] = keep
             else:  # a chain keeps its step-0 mask until a later step rebuilds it
                 ledger[:, index] = keep
-            if changed:
+            if changed:  # a row at a time: at one row, a fancy-indexed write costs 4x
                 for r, m in zip(changed, model.means(e_deg)):
                     b = active[r]
-                    (pos_m if modes[b] is GuidanceMode.CFG_STAR else neg_m)[b] = m
+                    means[:, side[b], b] = m
 
         eps_hat = denoiser_to_eps(_denoise(model, x, sigma, pos_m), x, sigma)
         if guided:
             xg = x[guided_rows]
-            d_neg = _denoise(model, xg, sigma, neg_m[guided_rows])
+            d_neg = _denoise(model, xg, sigma, neg_m[:, guided_rows])
             eps_neg = denoiser_to_eps(d_neg, xg, sigma)
             eps_hat[guided_rows] = combine(eps_hat[guided_rows], eps_neg, w_col)
         # PF-ODE: dx/dsigma = -sigma * score = (x - D) / sigma = eps

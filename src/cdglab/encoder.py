@@ -136,9 +136,14 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, int | np.integer) and not isinstance(value, bool)
+
+
 def _check_width(name: str, width) -> None:
     """Rejects a latent or condition width that is not an int >= 1."""
-    if isinstance(width, bool) or not isinstance(width, int | np.integer) or width < 1:
+    if not (_is_int(width) and width >= 1):
         raise InvalidInputError(f"{name} must be an int >= 1, got {width!r}")
 
 
@@ -208,15 +213,18 @@ class ToyTextEncoder:
         lacks, once, and the store ends as one-row calls over those rows
         would leave it: it keeps the PROMPT_STATE_CAP most recently used
         states, which every caller shares, so their arrays are read-only.
-        The returned states stay the call's whatever the store later drops."""
+        The returned states stay the call's whatever the store later drops.
+        A d_x that is not an int >= 1, or a block neither None nor an int in
+        [0, n_blocks), raises InvalidInputError; numpy integers are ints."""
         if not tokens or len(blocks) != len(tokens):
             raise InvalidInputError(f"a non-empty stack needs one block a sequence, got"
                                     f" {len(tokens)} sequences and {len(blocks)} blocks")
+        _check_width("d_x", d_x)
         keys, states, taps = [], {}, {}
         for r, (t, block) in enumerate(zip(tokens, blocks)):
             if block is not None:
-                if not 0 <= block < self.params.n_blocks:
-                    raise InvalidInputError(f"block {block} out of range")
+                if not (_is_int(block) and 0 <= block < self.params.n_blocks):
+                    raise InvalidInputError(f"block {block!r} out of range")
                 keys.append(key := (t.ids, block, d_x))
                 # held for the call, as the store may drop a state before its last row
                 if key not in states and states.setdefault(key, self._states.get(key)) is None:
@@ -236,7 +244,6 @@ class ToyTextEncoder:
         static = np.exp(logits - logits.max(axis=2, keepdims=True))
         static.flags.writeable = False
         if d_x not in self._bias_maps:
-            _check_width("d_x", d_x)
             rng = np.random.default_rng([p.seed, 3, d_x])
             self._bias_maps[d_x] = rng.normal(size=(p.d_model, d_x + 1)) / np.sqrt(d_x + 1)
         m = self._bias_maps[d_x].reshape(p.n_heads, self.d_head, d_x + 1)
@@ -265,8 +272,8 @@ class ToyTextEncoder:
         does not depend on the rest of the stack (a (B, d_model) GEMM would
         round differently).
         """
+        _check_width("d_c", d_c)
         if d_c not in self._pool_maps:
-            _check_width("d_c", d_c)
             rng = np.random.default_rng([self.params.seed, 1, d_c])
             self._pool_maps[d_c] = rng.normal(
                 size=(self.params.d_model, d_c)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degradation import map_ratio
+from .degradation import map_ratio, mask_extent
 from .diffusion import (
     DEFAULT_ATTENTION_BIAS_WEIGHT,
     GmmConditionalModel,
@@ -285,13 +285,12 @@ def run_geometry_sweep(
         if k < 1:
             raise RankDeficientError(f"k must be >= 1, got {k}")
     ratios = map_ratio(r_deg)
-    conditions, states = encoder.encode_stack(
-        prompts_tokens, [lambda_block if ratios.ranks else None] * n_prompts, model.d_x
-    )
+    ranked_at = lambda_block if ratios.ranks else None
+    conditions, states = encoder.encode_stack(prompts_tokens, [ranked_at] * n_prompts, model.d_x)
     e_c = encoder.pool(conditions, model.d_c)
     e_null = encoder.pool(encoder.null_condition(), model.d_c)
     rows = degrade_set(states, [
-        (f"prompt {p}", t, c, ratios, lambda_block, p)
+        (f"prompt {p}", t, c, mask_extent(t, ratios), ranked_at, p)
         for p, (t, c) in enumerate(zip(prompts_tokens, conditions))
     ], model.d_x)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cdglab.degradation import map_ratio, mask_extent
 from cdglab.diffusion import GmmConditionalModel, SigmaSchedule
 from cdglab.encoder import EncoderParams, ToyTextEncoder, tokenize
 
@@ -46,6 +47,14 @@ def random_prompt(rng: np.random.Generator, max_words: int) -> str:
 def encode_one(encoder: ToyTextEncoder, tokens) -> np.ndarray:
     """One sequence's condition embeddings (N, d_model), from a one-row encode_stack walk."""
     return encoder.encode_stack([tokens], [None], 8)[0][0]
+
+
+def degrade_row(label, tokens, condition, r_deg: float, block: int, latent) -> tuple:
+    """A degrade_set row of tokens at ratio r_deg: its mask extent, and its
+    block, or None at the ratio-1.0 boundary, which does not rank."""
+    ratios = map_ratio(r_deg)
+    return (label, tokens, condition, mask_extent(tokens, ratios),
+            block if ratios.ranks else None, latent)
 
 
 def state_of(encoder: ToyTextEncoder, tokens, block: int, d_x: int = 8):

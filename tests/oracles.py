@@ -15,7 +15,10 @@ geometry metrics, which the stacked path must match bit for bit.
 `per_sigma_report` builds a geometry report one sigma at a time, the
 reference for `geometry._report`'s passes over every sigma at once.
 `replaced` splits a mask's keep bits into its replaced positions and their
-count per token type, position by position. `eps_to_denoiser` and
+count per token type, position by position. `row_major_denoise` and
+`row_major_log_density` are the exact denoiser and density in the
+row-major (..., J, d_x) arithmetic that the component-major
+`diffusion._posterior_stats` must match bit for bit. `eps_to_denoiser` and
 `denoiser_to_score` convert a denoiser output to the
 other two parametrizations the guidance identities are stated in.
 """
@@ -27,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cdglab.diffusion import GmmConditionalModel
 from cdglab.encoder import PromptState, TokenSequence, ToyTextEncoder
 from cdglab.errors import InvalidInputError, RankDeficientError
 from cdglab.geometry import (
@@ -279,6 +283,45 @@ def per_sigma_report(
     for (record, _, _), (dec, intf) in zip(pooled, metrics):
         record["decoupling_pooled"], record["interference_pooled"] = dec, intf
     return report
+
+
+def _row_major_stats(
+    model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log joint weights (..., J) and posterior means (..., J, d_x) at
+    component means m = model.means(e), (J, d_x) or (B, J, d_x)."""
+    s2 = sigma * sigma
+    var = model.variances + s2  # (J,), or (B, J) for a column
+    xe = x[..., None, :]
+    diff = xe - m
+    sq = (diff * diff).sum(axis=-1)
+    logw = model.log_weights - 0.5 * model.d_x * np.log(2.0 * np.pi * var) - sq / (2.0 * var)
+    if isinstance(s2, np.ndarray):
+        s2 = s2[..., None]
+    comp = model.variances[:, None] * xe + s2 * m
+    comp /= var[..., None]
+    return logw, comp
+
+
+def row_major_denoise(
+    model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """Posterior mean at component means m: weights normalized over a
+    contiguous J, the weighted means summed over axis -2."""
+    logw, comp = _row_major_stats(model, x, sigma, m)
+    logw = logw - logw.max(axis=-1, keepdims=True)
+    g = np.exp(logw)
+    g = g / g.sum(axis=-1, keepdims=True)
+    return (g[..., None] * comp).sum(axis=-2)
+
+
+def row_major_log_density(
+    model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """log p(x; sigma) at component means m, a log-sum-exp over a contiguous J."""
+    logw, _ = _row_major_stats(model, x, sigma, m)
+    peak = logw.max(axis=-1, keepdims=True)
+    return peak[..., 0] + np.log(np.exp(logw - peak).sum(axis=-1))
 
 
 def eps_to_denoiser(eps: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdglab import diffusion
-from cdglab.degradation import map_ratio
 from cdglab.diffusion import (
     DEFAULT_ATTENTION_BIAS_WEIGHT,
     Chain,
@@ -32,8 +31,14 @@ from cdglab.errors import (
 )
 from cdglab.guidance import GuidanceConfig, GuidanceMode
 from cdglab.importance import FusionConfig, stationary_scores
-from conftest import encode_one, state_of
-from oracles import block_static, replaced, state_weights
+from conftest import degrade_row, encode_one, state_of
+from oracles import (
+    block_static,
+    replaced,
+    row_major_denoise,
+    row_major_log_density,
+    state_weights,
+)
 
 CFG = GuidanceConfig(mode=GuidanceMode.CFG, guidance_scale=3.0)
 UNGUIDED = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
@@ -291,6 +296,69 @@ class TestDenoise:
             )
             np.testing.assert_allclose(
                 batched[i], denoise(model, xs[i], 0.8, es[i]), atol=1e-14
+            )
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestComponentMajor:
+    """The component-major denoiser against the row-major oracle, bit for
+    bit: from J 9 on, and at d_x 1, a sum in another order would differ."""
+
+    @pytest.fixture(params=[1, 4, 7, 8, 9, 130], ids=lambda j: f"J{j}")
+    def n_components(self, request):
+        return request.param
+
+    @pytest.fixture(params=[1, 2, 8, 9], ids=lambda d: f"dx{d}")
+    def wide(self, request, n_components):
+        return GmmConditionalModel.random(n_components, request.param, 5, seed=n_components)
+
+    @staticmethod
+    def _cases(model):
+        """(latents, sigma, embeddings): 1-D, 2-D and 3-D latents under one
+        embedding, and rows under one embedding each, at scalar sigmas and a
+        (B, 1) column; latents far from some means give peaked weights."""
+        rng = np.random.default_rng(model.n_components * 10 + model.d_x)
+        d_x, d_c = model.d_x, model.d_c
+        column = rng.uniform(0.01, 6.0, size=(7, 1))
+        for sigma in (0.05, 0.7, 6.0):
+            yield rng.normal(size=d_x) * 3, sigma, rng.normal(size=d_c)
+            yield rng.normal(size=(3, 5, d_x)) * 3, sigma, rng.normal(size=d_c)
+        for sigma in (0.7, column):
+            yield rng.normal(size=(7, d_x)) * 3, sigma, rng.normal(size=d_c)
+            yield rng.normal(size=(7, d_x)) * 3, sigma, rng.normal(size=(7, d_c))
+
+    def test_denoise_matches_row_major(self, wide):
+        for x, sigma, e in self._cases(wide):
+            want = row_major_denoise(wide, x, sigma, wide.means(e))
+            _assert_same_bits(denoise(wide, x, sigma, e), want)
+
+    def test_log_density_matches_row_major(self, wide):
+        for x, sigma, e in self._cases(wide):
+            for s in (sigma, 0.0 * sigma):  # sigma 0 is the clean density
+                want = row_major_log_density(wide, x, s, wide.means(e))
+                got = log_density(wide, x, s, e)
+                assert type(got) is type(want)
+                _assert_same_bits(got, want)
+
+    def test_sampler_layout_matches_row_major(self, wide):
+        """_denoise at the means as the sampler holds them: rows of a
+        (J, 2, B, d_x) array, a side a strided view, and a gathered copy."""
+        rng = np.random.default_rng(wide.n_components)
+        x = rng.normal(size=(6, wide.d_x)) * 3
+        rows = wide.means(rng.normal(size=(6, wide.d_c)))
+        means = np.empty((wide.n_components, 2, 6, wide.d_x))
+        means[:, 1] = rows.swapaxes(0, 1)
+        for sigma in (0.05, 0.7, 6.0):
+            want = row_major_denoise(wide, x, sigma, rows)
+            _assert_same_bits(diffusion._denoise(wide, x, sigma, means[:, 1]), want)
+            picked = [0, 2, 5]
+            _assert_same_bits(
+                diffusion._denoise(wide, x[picked], sigma, means[:, 1, picked]), want[picked]
             )
 
 
@@ -682,6 +750,24 @@ class TestSample:
         positives = sum(c.config.mode is not GuidanceMode.CFG_STAR for c in chains)
         assert sum(seen) == positives + 1 + changed
 
+    def test_mask_extent_once_per_degrading_chain(
+        self, model, schedule, encoder, params, monkeypatch
+    ):
+        seen: list[tuple[int, ...]] = []
+        real = diffusion.mask_extent
+
+        def counting(tokens, ratios):
+            seen.append(tokens.ids)
+            return real(tokens, ratios)
+
+        monkeypatch.setattr(diffusion, "mask_extent", counting)
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
+        prompts = [tokenize(p, params) for p in ("a man is cooking", "a cat sits on the mat")]
+        # a duplicate chain is a chain too; the CFG chains do not degrade
+        chains = [Chain(t, c, 0) for t in prompts for c in (CFG, cdg, cdg)]
+        sample_batch(model, schedule, encoder, chains)
+        assert seen == [t.ids for t in prompts for _ in range(2)]
+
     def test_unit_scale_skips_negative(self, model, schedule, encoder, tokens, monkeypatch):
         rows: list[int] = []
         real = diffusion._denoise
@@ -889,8 +975,8 @@ def _degrade_case(encoder, params, data):
         (
             sigma,
             [
-                (f"row {si}.{r}", tokens[p], encode_one(encoder, tokens[p]),
-                 map_ratio(r_deg), 1, latent)
+                degrade_row(f"row {si}.{r}", tokens[p], encode_one(encoder, tokens[p]),
+                            r_deg, 1, latent)
                 for r, ((p, r_deg), latent) in enumerate(zip(block, latents))
             ],
             x,
@@ -977,7 +1063,7 @@ class TestDegradeRows:
 
     def test_same_state_and_latent_at_two_sigmas_ranked_apart(self, encoder, params):
         tokens = tokenize("the old man and the young woman cook dinner", params)
-        row = ("row", tokens, encode_one(encoder, tokens), map_ratio(0.5), 1, 0)
+        row = degrade_row("row", tokens, encode_one(encoder, tokens), 0.5, 1, 0)
         x = np.tile(np.random.default_rng(4).normal(size=8) * 3.0, (2, 1))
         sigmas = [0.05, 20.0]
         alone = [
@@ -1004,7 +1090,7 @@ class TestDegradeRows:
         rows = degrade_set_of(
             encoder,
             [
-                (label, t, encode_one(encoder, t), map_ratio(0.5), 1, r)
+                degrade_row(label, t, encode_one(encoder, t), 0.5, 1, r)
                 for r, (label, t) in enumerate((("first", keep), ("second", keep), ("third", drop)))
             ],
             8,
@@ -1016,7 +1102,7 @@ class TestDegradeRows:
 
     @pytest.mark.parametrize("shape", [(2, 1), (3,), (1, 3), (3, 2)])
     def test_bad_sigma_column_rejected(self, encoder, tokens, shape):
-        row = ("row", tokens, encode_one(encoder, tokens), map_ratio(0.5), 1, 0)
+        row = degrade_row("row", tokens, encode_one(encoder, tokens), 0.5, 1, 0)
         rows = degrade_set_of(encoder, [row], 8).subset([0] * 3)
         with pytest.raises(InvalidInputError):
             diffusion.degrade_rows(

@@ -160,12 +160,20 @@ class TestPool:
         out = encoder.pool(encoder.null_condition(), 8)
         assert out.shape == (8,) and np.isfinite(out).all()
 
-    @pytest.mark.parametrize("d_c", [-1, 0, 2.5, True, "8"])
+    @pytest.mark.parametrize("d_c", [-1, 0, 2.5, True, "8", [8]])
     def test_bad_width_rejected(self, params, d_c):
         encoder = ToyTextEncoder(params)
         with pytest.raises(InvalidInputError, match="d_c"):
             encoder.pool(encoder.null_condition(), d_c)
         assert encoder._pool_maps == {}
+
+    @pytest.mark.parametrize("d_c", [8.0, np.float64(8.0)], ids=["float", "numpy_float"])
+    def test_float_width_rejected_in_use(self, params, d_c):
+        # equal to the int width 8 as a dict key, so a lookup alone would accept it
+        encoder = ToyTextEncoder(params)
+        encoder.pool(encoder.null_condition(), 8)
+        with pytest.raises(InvalidInputError, match="d_c"):
+            encoder.pool(encoder.null_condition(), d_c)
 
     def test_numpy_int_width_accepted(self, params, encoder):
         c = encoder.null_condition()
@@ -468,12 +476,20 @@ class TestWalk:
         with pytest.raises(InvalidInputError, match="one block a sequence"):
             encoder.encode_stack([tokens], [], 8)
 
-    @pytest.mark.parametrize("d_x", [-1, 0, 2.5, True, "8"])
+    @pytest.mark.parametrize("d_x", [-1, 0, 2.5, True, "8", [8]])
     def test_bad_width_rejected(self, params, tokens, d_x):
         encoder = ToyTextEncoder(params)
         with pytest.raises(InvalidInputError, match="d_x"):
             encoder.encode_stack([tokens], [1], d_x)
         assert encoder._states == {} and encoder._bias_maps == {}
+
+    @pytest.mark.parametrize("d_x", [8.0, np.float64(8.0)], ids=["float", "numpy_float"])
+    def test_float_width_rejected_in_use(self, params, tokens, d_x):
+        # equal to the stored state's int width as a dict key
+        encoder = ToyTextEncoder(params)
+        state_of(encoder, tokens, 1, 8)
+        with pytest.raises(InvalidInputError, match="d_x"):
+            encoder.encode_stack([tokens], [1], d_x)
 
     def test_numpy_int_width_accepted(self, params, tokens):
         state = state_of(ToyTextEncoder(params), tokens, 1, np.int64(8))
@@ -486,3 +502,19 @@ class TestWalk:
         for block in (-1, params.n_blocks):
             with pytest.raises(InvalidInputError, match="out of range"):
                 encoder.encode_stack([tokens], [block], 8)
+
+    @pytest.mark.parametrize(
+        "block", [1.0, np.float64(1.0), True, "1", [1]],
+        ids=["float", "numpy_float", "bool", "str", "list"],
+    )
+    def test_non_int_block_rejected(self, params, tokens, block):
+        encoder = ToyTextEncoder(params)
+        with pytest.raises(InvalidInputError, match="block"):
+            encoder.encode_stack([tokens], [block], 8)
+        assert encoder._states == {}
+
+    def test_numpy_int_block_accepted(self, params, tokens):
+        encoder = ToyTextEncoder(params)
+        states = encoder.encode_stack([tokens], [np.int64(1)], 8)[1]
+        want = state_of(ToyTextEncoder(params), tokens, 1, 8)
+        np.testing.assert_array_equal(states[tokens.ids, 1, 8].static, want.static)

@@ -36,7 +36,7 @@ from cdglab.geometry import (
 from cdglab.guidance import denoiser_to_eps
 from cdglab.importance import FusionConfig, stationary_scores
 from cdglab.linalg import thin_svd
-from conftest import encode_one, state_of
+from conftest import degrade_row, encode_one, state_of
 from oracles import (
     PredictionStack,
     estimate_subspace,
@@ -228,7 +228,6 @@ def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
     sigma, and takes each prompt's decoupling from its principal angle.
     """
     n = len(tokens)
-    ratios = map_ratio(r_deg)
     conditions = [encode_one(encoder, t) for t in tokens]
     e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
     e_null = np.tile(encoder.pool(encoder.null_condition(), model.d_c), (n, 1))
@@ -236,7 +235,7 @@ def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
     rows = degrade_set(
         states,
         [
-            (f"prompt {p}", t, c, ratios, 1, p)
+            degrade_row(f"prompt {p}", t, c, r_deg, 1, p)
             for p, (t, c) in enumerate(zip(tokens, conditions))
         ],
         model.d_x,
