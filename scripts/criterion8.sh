@@ -7,7 +7,8 @@
 # in 2N fresh processes: N with the src/ of REV and N with the working tree's
 # src/, alternating which side runs first in each pair. Prints each run's
 # estimate, as the test reports it on its PASS line or in its failure, then
-# each side's median and maximum. A run over the test's 10% bound still
+# each side's median, quartiles (inclusive method, as scripts/bench_pairs.sh
+# takes them) and maximum. A run over the test's 10% bound still
 # counts. Exits 0 when every run gave an estimate, 1 when one did not, and 2
 # on a usage error.
 set -euo pipefail
@@ -60,6 +61,7 @@ python3 - "$rev" "$tmp" <<'PY'
 import statistics, sys
 for side, label in (("rev", sys.argv[1]), ("tree", "working tree")):
     values = [float(line) for line in open(f"{sys.argv[2]}/{side}.txt")]
-    print(f"{label}: median {statistics.median(values):.2f}%, "
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    print(f"{label}: median {statistics.median(values):.2f}%, quartiles {q1:.2f}-{q3:.2f}%, "
           f"max {max(values):.2f}% over {len(values)} processes")
 PY

@@ -132,7 +132,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list], force: bool) -> 
 
 def _fused_importance(cfg: RunConfig, encoder, tokens):
     # the block's attention: static is exp of its logits less each row's max
-    _, states = encoder.encode_stack([tokens], [cfg.guidance.lambda_block], cfg.model.d_x)
+    _, states = encoder.encode_stack([tokens], [cfg.guidance.lambda_block])
     (state,) = states.values()
     static = state.static
     per_head = importance.stationary_scores(static / static.sum(axis=-1, keepdims=True))

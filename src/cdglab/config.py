@@ -99,7 +99,7 @@ class RunConfig:
         return out
 
     def build_encoder(self) -> ToyTextEncoder:
-        return ToyTextEncoder(self.encoder)
+        return ToyTextEncoder(self.encoder, self.model.d_x, self.model.d_c)
 
     def build_model(self) -> GmmConditionalModel:
         m = self.model

@@ -73,10 +73,14 @@ class GmmConditionalModel:
 
         The batched form is a stack of one matrix-vector product per row and
         component, so a row's means do not depend on the rest of the batch.
+        Any other shape raises InvalidInputError.
         """
         e = np.asarray(e, dtype=np.float64)
-        if e.ndim == 1:
+        d_c = self.maps.shape[2]
+        if e.shape == (d_c,):
             return self.maps @ e
+        if e.ndim != 2 or e.shape[1] != d_c:
+            raise InvalidInputError(f"embeddings of shape {e.shape}, not ({d_c},) or (B, {d_c})")
         return (self.maps @ e[:, None, :, None])[..., 0]
 
     @classmethod
@@ -121,12 +125,12 @@ class SigmaSchedule:
         return cls(sigmas=tuple(float(s) for s in grid) + (0.0,))
 
 
-def _posterior_stats(
+def _log_weights(
     model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log joint weights (J, B) and per-component posterior means (J, B, d_x)
-    of latents x (B, d_x), component-major: each (J, B, d_x) pass is
-    contiguous and a reduction over J runs over the leading axis.
+) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
+    """Log joint weights (J, B) of latents x (B, d_x), with sigma squared and
+    the (J, 1 or B) smoothed variances, component-major: each (J, B, d_x)
+    pass is contiguous and a reduction over J runs over the leading axis.
 
     m is model.means(e) with its component axis first: (J, 1, d_x) for one
     embedding, (J, B, d_x) for one per latent. sigma is one float, or a
@@ -146,10 +150,7 @@ def _posterior_stats(
         - 0.5 * model.d_x * np.log(2.0 * np.pi * var)
         - sq / (2.0 * var)
     )
-    comp = model.variances[:, None, None] * x
-    comp += s2 * m
-    comp /= var[..., None]
-    return logw, comp
+    return logw, s2, var
 
 
 def _sum_components(w: np.ndarray) -> np.ndarray:
@@ -161,8 +162,11 @@ def _denoise(
     model: GmmConditionalModel, x: np.ndarray, sigma: float | np.ndarray, m: np.ndarray
 ) -> np.ndarray:
     """denoise of latents x (B, d_x) at component-major means m (see
-    _posterior_stats), for a checked sigma."""
-    logw, comp = _posterior_stats(model, x, sigma, m)
+    _log_weights), for a checked sigma."""
+    logw, s2, var = _log_weights(model, x, sigma, m)
+    comp = model.variances[:, None, None] * x
+    comp += s2 * m
+    comp /= var[..., None]
     logw -= logw.max(axis=0)
     g = np.exp(logw, out=logw)
     g /= _sum_components(g)
@@ -174,21 +178,19 @@ def _denoise(
 
 def _checked(model: GmmConditionalModel, x, e) -> tuple[np.ndarray, np.ndarray]:
     """x as a float64 array and the component-major means of e (see
-    _posterior_stats), both finite and of matching shapes: latents (..., d_x)
+    _log_weights), both finite and of matching shapes: latents (..., d_x)
     under one embedding e (d_c,), or one embedding per row, x (B, d_x)
     under e (B, d_c)."""
     x = np.asarray(x, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    widths = x.shape[-1:] == (model.d_x,) and e.shape[-1:] == (model.d_c,)
-    per_row = e.ndim == 2 and x.shape == (len(e), model.d_x)
-    if not widths or (e.ndim > 1 and not per_row):
+    if x.shape[-1:] != (model.d_x,) or (e.ndim > 1 and x.shape != (len(e), model.d_x)):
         raise InvalidInputError(
             f"latents of shape {x.shape} and embeddings of shape {e.shape}"
             f" for d_x {model.d_x}, d_c {model.d_c}"
         )
+    m = model.means(e)  # which rejects any other shape of e
     if not (all_finite(x) and all_finite(e)):
         raise InvalidInputError("latents and embeddings must be finite")
-    m = model.means(e)
     return x, m[:, None] if e.ndim == 1 else m.swapaxes(0, 1)
 
 
@@ -222,7 +224,7 @@ def log_density(
     one. sigma is one noise level, or a (B, 1) column as in denoise."""
     x, m = _checked(model, x, e)
     _check_sigma(sigma, x, allow_zero=True)
-    logw, _ = _posterior_stats(model, x.reshape(-1, model.d_x), sigma, m)
+    logw = _log_weights(model, x.reshape(-1, model.d_x), sigma, m)[0]
     peak = logw.max(axis=0)
     # [()] keeps one latent's density a numpy float, as for the row-major sum
     return (peak + np.log(_sum_components(np.exp(logw - peak)))).reshape(x.shape[:-1])[()]
@@ -294,14 +296,14 @@ class DegradeSet:
         )
 
 
-def degrade_set(states: dict[tuple, PromptState], rows: Iterable[tuple], d_x: int) -> DegradeSet:
+def degrade_set(states: dict[tuple, PromptState], rows: Iterable[tuple]) -> DegradeSet:
     """The DegradeSet of rows (label, tokens, condition embeddings, extent,
     block, latent), each extent a row's mask_extent.
 
     A row at block None, as at the ratio-1.0 boundary, gets key -1: its
     mask needs no ranking. Another row ranks from the state of its (token
-    ids, block, d_x) in states, the prompt states the caller's encode_stack
-    call returned at the same blocks, which the set holds. The latent is any
+    ids, block) in states, the prompt states the caller's encode_stack call
+    returned at the same blocks, which the set holds. The latent is any
     value naming the latent and sigma a row is ranked at, such as a chain's
     seed at the sampler's first step: rows of one (token ids, block, latent)
     share a key.
@@ -314,7 +316,7 @@ def degrade_set(states: dict[tuple, PromptState], rows: Iterable[tuple], d_x: in
         if block is not None:
             k = index.setdefault((t.ids, block, latent), len(firsts))
             if k == len(firsts):
-                key_states.append(states[t.ids, block, d_x])
+                key_states.append(states[t.ids, block])
                 firsts.append(r)
         keys.append(k)
     extents = np.array(extents)
@@ -351,7 +353,6 @@ def degrade_rows(
     rows: DegradeSet,
     x: np.ndarray,
     sigma: float | np.ndarray,
-    d_c: int,
     fusion: FusionConfig,
     bias_weight: float,
     previous: np.ndarray | None = None,
@@ -366,8 +367,8 @@ def degrade_rows(
     that rejects every head of a key names that row and its sigma.
     Returns every row's keep bits, the indices of the rows whose bits differ
     from `previous` (every row when it is None), and those rows' pooled
-    degraded embeddings (C, d_c), or None when no row changed; the other
-    rows' embeddings still hold.
+    degraded embeddings (C, encoder.d_c), or None when no row changed; the
+    other rows' embeddings still hold.
     """
     column = isinstance(sigma, np.ndarray)
     if column and sigma.shape != (len(rows), 1):
@@ -400,7 +401,14 @@ def degrade_rows(
         encoder.null_condition(),
         keep[changed],
     )
-    return keep, changed, encoder.pool(degraded, d_c)
+    return keep, changed, encoder.pool(degraded)
+
+
+def check_widths(model: GmmConditionalModel, encoder: ToyTextEncoder) -> None:
+    """Raises InvalidInputError unless encoder was built for model's widths."""
+    if (encoder.d_x, encoder.d_c) != (model.d_x, model.d_c):
+        raise InvalidInputError(f"encoder built for (d_x, d_c) = ({encoder.d_x}, {encoder.d_c}),"
+                                f" model has ({model.d_x}, {model.d_c})")
 
 
 def _rows(indices: list[int]) -> slice | np.ndarray:
@@ -480,9 +488,11 @@ def sample_batch(
     computed once at the first step and reused, and at the ratio-1.0
     boundary the unranked mask bypasses importance computation entirely.
     The degraded embedding is re-pooled only when a row's mask changes.
-    Raises NumericalError at the first non-finite latent, naming the
-    first chain of its row.
+    Raises InvalidInputError, before any work, unless encoder was built for
+    model's widths, and NumericalError at the first non-finite latent,
+    naming the first chain of its row.
     """
+    check_widths(model, encoder)
     if not chains:
         return []
     # each distinct chain is integrated once, as the row of its first
@@ -532,7 +542,6 @@ def _integrate(
     sigmas = schedule.sigmas
     steps = len(sigmas) - 1
     n = len(chains)
-    d_c = model.d_c
 
     # one walk over the distinct prompts, a row at each block some chain
     # ranks one at, or at None; the call holds the states it returns
@@ -542,7 +551,7 @@ def _integrate(
         if chain.config.mode.uses_degradation and chain.config.ratios.ranks:
             blocks[chain.config.lambda_block] = None
     walked = [(t, block) for t, blocks in wanted.values() for block in blocks or [None]]
-    embeddings, states = encoder.encode_stack(*zip(*walked), model.d_x)
+    embeddings, states = encoder.encode_stack(*zip(*walked))
     conditions = {t.ids: c for (t, _), c in zip(walked, embeddings)}
     modes = [chain.config.mode for chain in chains]
 
@@ -566,13 +575,12 @@ def _integrate(
     prompt_pos = [b for b, s in enumerate(side) if s]
     if prompt_pos:
         pos_m[:, prompt_pos] = model.means(encoder.pool(
-            np.array([conditions[chains[b].tokens.ids] for b in prompt_pos]), d_c
+            np.array([conditions[chains[b].tokens.ids] for b in prompt_pos])
         )).swapaxes(0, 1)
     null_neg = [b for b in guided if modes[b] is not GuidanceMode.CDG]
     if null_neg:
-        neg_m[:, null_neg] = model.means(
-            encoder.pool(encoder.null_condition(), d_c)[None]
-        ).swapaxes(0, 1)
+        null = encoder.pool(encoder.null_condition())[None]
+        neg_m[:, null_neg] = model.means(null).swapaxes(0, 1)
 
     # the chains degrading at step 0, ranked once per (prompt, block, seed),
     # as they share their latent there, and those of them ranking tokens
@@ -584,7 +592,7 @@ def _integrate(
             (f"chain {labels[b]}", c.tokens, conditions[c.tokens.ids], extents[b],
              c.config.lambda_block if c.config.ratios.ranks else None, c.seed)
             for b, c in enumerate(chains) if c.config.mode.uses_degradation
-        ], model.d_x)
+        ])
         degraded_at[0] = (degrading, _rows(degrading), rows)
         again = [
             r for r, b in enumerate(degrading)
@@ -613,7 +621,7 @@ def _integrate(
         active, index, active_rows = degraded_at[i > 0]
         if active:
             keep, changed, e_deg = degrade_rows(
-                encoder, active_rows, x[index], sigma, d_c, fusion, attention_bias_weight,
+                encoder, active_rows, x[index], sigma, fusion, attention_bias_weight,
                 ledger[i - 1, index] if i else None,
             )
             if i:

@@ -2,11 +2,11 @@
 
 Turns a prompt into a fixed-length token sequence with content /
 context-aggregating type tags and runs a small multi-head self-attention stack
-over seeded embeddings. Its one forward, `ToyTextEncoder.encode_stack`, walks
-a stack of sequences and, in the same pass, keeps any block's per-head
-attention logits as a prompt state.
-All randomness comes from the seed in EncoderParams, so the same prompt
-always produces the same condition embeddings.
+over seeded embeddings, for one model's latent and condition widths. Its one
+forward, `ToyTextEncoder.encode_stack`, walks a stack of sequences and, in the
+same pass, keeps any block's per-head attention logits as a prompt state.
+All randomness comes from the seed in EncoderParams and the widths, so the
+same prompt always produces the same condition embeddings.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def tokenize(prompt: str, params: EncoderParams) -> TokenSequence:
 
 @dataclass(frozen=True)
 class PromptState:
-    """Latent-independent attention data of one (tokens, block, d_x).
+    """Latent-independent attention data of one (tokens, block).
 
     The query bias is a linear map of the latent state (x, sigma), shared by
     every query row, so it shifts each head's logit rows by one per-key
@@ -148,10 +148,14 @@ def _check_width(name: str, width) -> None:
 
 
 class ToyTextEncoder:
-    """Seeded multi-head self-attention encoder with residual connections."""
+    """Seeded multi-head self-attention encoder with residual connections,
+    built for a model's latent width d_x and condition width d_c, each an int
+    >= 1 (a numpy integer, not a bool or float) or InvalidInputError."""
 
-    def __init__(self, params: EncoderParams):
-        self.params = params
+    def __init__(self, params: EncoderParams, d_x: int, d_c: int):
+        _check_width("d_x", d_x)
+        _check_width("d_c", d_c)
+        self.params, self.d_x, self.d_c = params, int(d_x), int(d_c)
         p = params
         rng = np.random.default_rng([p.seed, 0])
         scale = 1.0 / np.sqrt(p.d_model)
@@ -165,10 +169,13 @@ class ToyTextEncoder:
         self.w_k = rng.normal(size=(p.n_blocks, p.d_model, p.d_model)) * scale
         self.w_v = rng.normal(size=(p.n_blocks, p.d_model, p.d_model)) * scale
         self.w_o = rng.normal(size=(p.n_blocks, p.d_model, p.d_model)) * scale
+        # pool's map to d_c, and the query bias map of (x, sigma), held per head
+        pool = np.random.default_rng([p.seed, 1, self.d_c]).normal(size=(p.d_model, self.d_c))
+        self.pool_map = pool / np.sqrt(p.d_model)
+        bias = np.random.default_rng([p.seed, 3, self.d_x]).normal(size=(p.d_model, self.d_x + 1))
+        self.bias_map = (bias / np.sqrt(self.d_x + 1)).reshape(p.n_heads, self.d_head, -1)
         self._null: np.ndarray | None = None
-        self._pool_maps: dict[int, np.ndarray] = {}
-        self._bias_maps: dict[int, np.ndarray] = {}
-        # (token ids, block, d_x) -> PromptState, least recently used first
+        # (token ids, block) -> PromptState, least recently used first
         self._states: dict[tuple, PromptState] = {}
 
     @property
@@ -205,49 +212,43 @@ class ToyTextEncoder:
             raise InvalidInputError(f"token id outside [0, {p.vocab_size})")
         return self.tok_emb[list(tokens.ids)] + self.pos_emb
 
-    def encode_stack(self, tokens: Sequence[TokenSequence], blocks: Sequence[int | None], d_x: int):
+    def encode_stack(self, tokens: Sequence[TokenSequence], blocks: Sequence[int | None]):
         """Condition embeddings (P, N, d_model) of P sequences from one walk,
         row p bit for bit that of a one-row walk of tokens[p], and the call's
-        prompt states: the state of (tokens[p].ids, blocks[p], d_x) for every
-        p whose block is not None. The walk builds each state the store
+        prompt states: the state of (tokens[p].ids, blocks[p]) for every p
+        whose block is not None. The walk builds each state the store
         lacks, once, and the store ends as one-row calls over those rows
         would leave it: it keeps the PROMPT_STATE_CAP most recently used
         states, which every caller shares, so their arrays are read-only.
         The returned states stay the call's whatever the store later drops.
-        A d_x that is not an int >= 1, or a block neither None nor an int in
-        [0, n_blocks), raises InvalidInputError; numpy integers are ints."""
+        A block neither None nor an int in [0, n_blocks) raises
+        InvalidInputError; numpy integers are ints."""
         if not tokens or len(blocks) != len(tokens):
             raise InvalidInputError(f"a non-empty stack needs one block a sequence, got"
                                     f" {len(tokens)} sequences and {len(blocks)} blocks")
-        _check_width("d_x", d_x)
         keys, states, taps = [], {}, {}
         for r, (t, block) in enumerate(zip(tokens, blocks)):
             if block is not None:
                 if not (_is_int(block) and 0 <= block < self.params.n_blocks):
                     raise InvalidInputError(f"block {block!r} out of range")
-                keys.append(key := (t.ids, block, d_x))
+                keys.append(key := (t.ids, block))
                 # held for the call, as the store may drop a state before its last row
                 if key not in states and states.setdefault(key, self._states.get(key)) is None:
                     taps.setdefault(block, []).append(r)
         x, tapped = self._walk(np.array([self._embed(t) for t in tokens]), taps)
         for block, rows in taps.items():
             for r, logits, kt_scaled in zip(rows, *tapped[block]):
-                key = (tokens[r].ids, block, d_x)
+                key = (tokens[r].ids, block)
                 states[key] = self._build_state(key, logits, kt_scaled)
         for key in keys:
             self._keep(key, states[key])
         return x, states
 
     def _build_state(self, key: tuple, logits: np.ndarray, kt_scaled: np.ndarray) -> PromptState:
-        """The PromptState of key (ids, block, d_x) from its block's logits and scaled K^T."""
-        p, d_x = self.params, key[2]
+        """The PromptState of key (ids, block) from its block's logits and scaled K^T."""
         static = np.exp(logits - logits.max(axis=2, keepdims=True))
         static.flags.writeable = False
-        if d_x not in self._bias_maps:
-            rng = np.random.default_rng([p.seed, 3, d_x])
-            self._bias_maps[d_x] = rng.normal(size=(p.d_model, d_x + 1)) / np.sqrt(d_x + 1)
-        m = self._bias_maps[d_x].reshape(p.n_heads, self.d_head, d_x + 1)
-        shift_map = np.ascontiguousarray(np.einsum("hdm,hdn->hnm", m, kt_scaled))
+        shift_map = np.ascontiguousarray(np.einsum("hdm,hdn->hnm", self.bias_map, kt_scaled))
         shift_map.flags.writeable = False
         return PromptState(static=static, shift_map=shift_map)
 
@@ -264,20 +265,18 @@ class ToyTextEncoder:
             self._null.flags.writeable = False
         return self._null
 
-    def pool(self, c: np.ndarray, d_c: int) -> np.ndarray:
+    def pool(self, c: np.ndarray) -> np.ndarray:
         """Mean over token rows followed by a fixed seeded linear map to d_c.
 
         Embeddings c (N, d_model) pool to (d_c,), and a stack (B, N, d_model)
         to (B, d_c) as one vector-matrix product per row, so a row's result
         does not depend on the rest of the stack (a (B, d_model) GEMM would
-        round differently).
+        round differently). Any other shape, or N = 0, raises InvalidInputError.
         """
-        _check_width("d_c", d_c)
-        if d_c not in self._pool_maps:
-            rng = np.random.default_rng([self.params.seed, 1, d_c])
-            self._pool_maps[d_c] = rng.normal(
-                size=(self.params.d_model, d_c)
-            ) / np.sqrt(self.params.d_model)
+        c, d = np.asarray(c), self.params.d_model
+        if c.ndim not in (2, 3) or c.shape[-1] != d or not c.shape[-2]:
+            raise InvalidInputError(f"embeddings of shape {c.shape}, not (N, {d}) or (B, N, {d})"
+                                    " with N >= 1")
         # the sum and division of ndarray.mean, without its Python wrapper
         mean = c.sum(axis=-2) / c.shape[-2]
-        return (mean[..., None, :] @ self._pool_maps[d_c])[..., 0, :]
+        return (mean[..., None, :] @ self.pool_map)[..., 0, :]

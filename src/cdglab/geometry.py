@@ -20,6 +20,7 @@ from .diffusion import (
     DEFAULT_ATTENTION_BIAS_WEIGHT,
     GmmConditionalModel,
     SigmaSchedule,
+    check_widths,
     degrade_rows,
     degrade_set,
     denoise,
@@ -267,8 +268,9 @@ def run_geometry_sweep(
     projection of the per-prompt deltas per distinct k, and the means from
     (S, 2P) arrays. The pooled CFG and CDG spans of every sigma take one SVD
     per valid prompt count and one per (count, rank, k) for their principal
-    angles. A k that is not an int raises InvalidInputError, and a k below 1
-    RankDeficientError, before any work. The degrade step ranks its rows in
+    angles. An encoder not built for model's widths or a k that is not an
+    int raises InvalidInputError, and a k below 1 RankDeficientError, before
+    any work. The degrade step ranks its rows in
     one stationary solve and holds their attention weights, H * N^2 floats a
     row, at once: 1.8 MB for all 224 rows at 28 sigmas, 8 prompts, 4 heads and
     16 tokens. Longer schedules or more prompts take the rows in blocks of at
@@ -276,6 +278,7 @@ def run_geometry_sweep(
     arithmetic is that of a per-sigma computation, so the report does not
     depend on the stacking or the blocks.
     """
+    check_widths(model, encoder)
     n_prompts = len(prompts_tokens)
     if n_prompts < 2:
         raise InvalidInputError("need at least 2 prompts")
@@ -286,13 +289,13 @@ def run_geometry_sweep(
             raise RankDeficientError(f"k must be >= 1, got {k}")
     ratios = map_ratio(r_deg)
     ranked_at = lambda_block if ratios.ranks else None
-    conditions, states = encoder.encode_stack(prompts_tokens, [ranked_at] * n_prompts, model.d_x)
-    e_c = encoder.pool(conditions, model.d_c)
-    e_null = encoder.pool(encoder.null_condition(), model.d_c)
+    conditions, states = encoder.encode_stack(prompts_tokens, [ranked_at] * n_prompts)
+    e_c = encoder.pool(conditions)
+    e_null = encoder.pool(encoder.null_condition())
     rows = degrade_set(states, [
         (f"prompt {p}", t, c, mask_extent(t, ratios), ranked_at, p)
         for p, (t, c) in enumerate(zip(prompts_tokens, conditions))
-    ], model.d_x)
+    ])
 
     sigmas = schedule.sigmas[:-1]
     n_sigmas = len(sigmas)
@@ -306,8 +309,7 @@ def run_geometry_sweep(
     e_deg = np.concatenate([
         degrade_rows(
             encoder, rows.subset([r % n_prompts for r in range(i, min(i + block, len(x)))]),
-            x[i : i + block], sigma_col[i : i + block],
-            model.d_c, fusion, attention_bias_weight,
+            x[i : i + block], sigma_col[i : i + block], fusion, attention_bias_weight,
         )[2]
         for i in range(0, len(x), block)
     ])

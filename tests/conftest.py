@@ -17,7 +17,7 @@ def params() -> EncoderParams:
 
 @pytest.fixture(scope="session")
 def encoder(params) -> ToyTextEncoder:
-    return ToyTextEncoder(params)
+    return ToyTextEncoder(params, 8, 8)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def random_prompt(rng: np.random.Generator, max_words: int) -> str:
 
 def encode_one(encoder: ToyTextEncoder, tokens) -> np.ndarray:
     """One sequence's condition embeddings (N, d_model), from a one-row encode_stack walk."""
-    return encoder.encode_stack([tokens], [None], 8)[0][0]
+    return encoder.encode_stack([tokens], [None])[0][0]
 
 
 def degrade_row(label, tokens, condition, r_deg: float, block: int, latent) -> tuple:
@@ -57,6 +57,6 @@ def degrade_row(label, tokens, condition, r_deg: float, block: int, latent) -> t
             block if ratios.ranks else None, latent)
 
 
-def state_of(encoder: ToyTextEncoder, tokens, block: int, d_x: int = 8):
-    """The prompt state of (tokens, block, d_x), from a one-row encode_stack call."""
-    return encoder.encode_stack([tokens], [block], d_x)[1][tokens.ids, block, d_x]
+def state_of(encoder: ToyTextEncoder, tokens, block: int):
+    """The prompt state of (tokens, block), from a one-row encode_stack call."""
+    return encoder.encode_stack([tokens], [block])[1][tokens.ids, block]

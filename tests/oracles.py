@@ -18,7 +18,7 @@ reference for `geometry._report`'s passes over every sigma at once.
 count per token type, position by position. `row_major_denoise` and
 `row_major_log_density` are the exact denoiser and density in the
 row-major (..., J, d_x) arithmetic that the component-major
-`diffusion._posterior_stats` must match bit for bit. `eps_to_denoiser` and
+`diffusion._log_weights` and `diffusion._denoise` must match bit for bit. `eps_to_denoiser` and
 `denoiser_to_score` convert a denoiser output to the
 other two parametrizations the guidance identities are stated in.
 """

@@ -27,7 +27,7 @@ from cdglab.diffusion import (
     sample,
     sample_batch,
 )
-from cdglab.encoder import EncoderParams, TokenType, tokenize
+from cdglab.encoder import EncoderParams, TokenType, ToyTextEncoder, tokenize
 from cdglab.geometry import decoupling, interference, run_geometry_sweep
 from cdglab.guidance import GuidanceConfig, GuidanceMode, combine
 from cdglab.importance import (
@@ -211,13 +211,14 @@ def test_criterion_4_denoiser_correctness():
 # 5. Sampler correctness
 
 
-def test_criterion_5_sampler_statistics(encoder, params):
+def test_criterion_5_sampler_statistics(params):
     rng = np.random.default_rng(500)
+    encoder = ToyTextEncoder(params, 2, 8)  # built for the model's widths
     maps = np.zeros((2, 2, 8))
     maps[0, :, 0] = [40.0, 0.0]
     maps[1, :, 0] = [-40.0, 0.0]
     tokens = tokenize("a man is cooking", params)
-    e = encoder.pool(encode_one(encoder, tokens), 8)
+    e = encoder.pool(encode_one(encoder, tokens))
     scale = 4.0 / abs(40.0 * e[0])  # separate the two means by ~8 units
     model = GmmConditionalModel(
         maps=maps * scale,

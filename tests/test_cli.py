@@ -451,7 +451,7 @@ def test_rank_from_one_walk_and_one_state(config_file, tmp_path, monkeypatch, co
     n, h = cfg.encoder.seq_len, cfg.encoder.n_heads
     assert passes == [(1, h, n, n)] * cfg.encoder.n_blocks
     tokens = tokenize("a man is cooking", cfg.encoder)
-    assert built == [(tokens.ids, cfg.guidance.lambda_block, cfg.model.d_x)]
+    assert built == [(tokens.ids, cfg.guidance.lambda_block)]
 
 
 class TestSample:

@@ -22,7 +22,7 @@ from cdglab.diffusion import (
     sample_batch,
     score,
 )
-from cdglab.encoder import tokenize
+from cdglab.encoder import ToyTextEncoder, tokenize
 from cdglab.errors import (
     AllHeadsFilteredError,
     DegenerateGraphError,
@@ -61,9 +61,9 @@ def record_walks(encoder, monkeypatch) -> list[tuple[list, list]]:
     walks = []
     walk = encoder.encode_stack
 
-    def recording(tokens, blocks, d_x):
+    def recording(tokens, blocks):
         walks.append(([t.ids for t in tokens], list(blocks)))
-        return walk(tokens, blocks, d_x)
+        return walk(tokens, blocks)
 
     monkeypatch.setattr(encoder, "encode_stack", recording)
     return walks
@@ -72,7 +72,7 @@ def record_walks(encoder, monkeypatch) -> list[tuple[list, list]]:
 def head_variances(encoder, tokens) -> np.ndarray:
     """Each head's score variance at attention bias 0, where the attention,
     and so the variance, does not depend on the latent."""
-    static = state_of(encoder, tokens, 1, 8).static
+    static = state_of(encoder, tokens, 1).static
     return np.var(stationary_scores(static), axis=1)
 
 
@@ -139,6 +139,14 @@ class TestModelValidation:
         m = GmmConditionalModel.random(3, 4, 5, seed=7)
         assert m.n_components == 3 and m.d_x == 4 and m.d_c == 5
         assert abs(m.weights.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "shape", [(5,), (2, 3), (2, 3, 8), (), (1, 1, 1, 8)],
+        ids=["width", "rows_width", "three_axes", "scalar", "four_axes"],
+    )
+    def test_misshapen_embeddings_rejected_by_means(self, model, shape):
+        with pytest.raises(InvalidInputError, match="shape"):
+            model.means(np.zeros(shape))
 
 
 class TestSchedule:
@@ -427,7 +435,7 @@ class TestAttentionProvider:
     """
 
     def test_zero_bias_equals_static(self, encoder, tokens):
-        state = state_of(encoder, tokens, 1, 8)
+        state = state_of(encoder, tokens, 1)
         static = block_static(encoder, tokens, 1)
         np.testing.assert_array_equal(
             _row_normalized(state_weights(state, np.zeros(8), 1.0, 0.0)),
@@ -435,13 +443,13 @@ class TestAttentionProvider:
         )
 
     def test_latent_dependence(self, encoder, tokens):
-        state = state_of(encoder, tokens, 1, 8)
+        state = state_of(encoder, tokens, 1)
         a = _row_normalized(state_weights(state, np.zeros(8), 1.0, 0.1))
         b = _row_normalized(state_weights(state, np.ones(8), 1.0, 0.1))
         assert np.abs(a - b).max() > 0
 
     def test_rows_stochastic(self, encoder, tokens):
-        state = state_of(encoder, tokens, 0, 8)
+        state = state_of(encoder, tokens, 0)
         heads = _row_normalized(
             state_weights(state, np.random.default_rng(0).normal(size=8), 0.5, 0.1)
         )
@@ -450,7 +458,7 @@ class TestAttentionProvider:
 
     def test_bad_block_rejected(self, encoder, tokens):
         with pytest.raises(InvalidInputError):
-            encoder.encode_stack([tokens], [5], 8)
+            encoder.encode_stack([tokens], [5])
 
 
 def _assert_same_masks(chain, got, want, steps):
@@ -465,6 +473,18 @@ def _assert_same_masks(chain, got, want, steps):
 
 
 class TestSample:
+    @pytest.mark.parametrize("widths", [(2, 8), (8, 3), (3, 2)])
+    def test_encoder_for_other_widths_rejected_before_any_work(
+        self, model, schedule, params, tokens, monkeypatch, widths
+    ):
+        encoder = ToyTextEncoder(params, *widths)
+        walks = record_walks(encoder, monkeypatch)
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
+        with pytest.raises(InvalidInputError) as exc:
+            sample_batch(model, schedule, encoder, [Chain(tokens, cdg, 0)])
+        assert f"{widths}" in str(exc.value) and "(8, 8)" in str(exc.value)
+        assert walks == [] and encoder._null is None
+
     def test_trajectory_shape(self, model, schedule, encoder, tokens):
         run = sample(model, schedule, encoder, tokens, CFG, seed=0)
         assert len(run.trajectory) == schedule.steps + 1
@@ -842,9 +862,7 @@ class TestSample:
             )
 
     def test_batch_encodes_each_prompt_once(self, model, schedule, params, monkeypatch):
-        from cdglab.encoder import ToyTextEncoder
-
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         encoder.null_condition()  # encoded once per encoder, not per batch
         walks = record_walks(encoder, monkeypatch)
         cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
@@ -860,8 +878,6 @@ class TestSample:
     ):
         # one prompt ranked at blocks 0 and 1, another at block 0, and one
         # that no chain ranks: CFG and the unranked R=1.0 mask
-        from cdglab.encoder import ToyTextEncoder
-
         a, b, c = (
             tokenize(p, params)
             for p in ("a man is cooking", "a cat sits on the mat", "the dog runs")
@@ -878,7 +894,7 @@ class TestSample:
             Chain(b, cdg(0, reuse=False), 3), Chain(c, cdg(1, r_deg=1.0), 4),
             Chain(a, cdg(1), 5),
         ]
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         walks = record_walks(encoder, monkeypatch)
         built = []
         build = encoder._build_state
@@ -889,11 +905,11 @@ class TestSample:
         batch = sample_batch(model, schedule, encoder, chains)
         assert len(walks) == 1
         assert sorted(built) == sorted(
-            [(a.ids, 0, model.d_x), (a.ids, 1, model.d_x), (b.ids, 0, model.d_x)]
+            [(a.ids, 0), (a.ids, 1), (b.ids, 0)]
         )
         for chain, run in zip(chains, batch):
             alone = sample(
-                model, schedule, ToyTextEncoder(params), chain.tokens, chain.config, chain.seed
+                model, schedule, ToyTextEncoder(params, 8, 8), chain.tokens, chain.config, chain.seed
             )
             np.testing.assert_array_equal(run.trajectory, alone.trajectory)
             assert run.wpr_call_count == alone.wpr_call_count
@@ -985,11 +1001,11 @@ def _degrade_case(encoder, params, data):
     ], fusion, bias
 
 
-def degrade_set_of(encoder, rows, d_x: int) -> diffusion.DegradeSet:
+def degrade_set_of(encoder, rows) -> diffusion.DegradeSet:
     """degrade_set over rows, from the prompt states of one encode_stack
     call over their tokens and blocks, as a caller takes them."""
-    _, states = encoder.encode_stack([r[1] for r in rows], [r[4] for r in rows], d_x)
-    return diffusion.degrade_set(states, rows, d_x)
+    _, states = encoder.encode_stack([r[1] for r in rows], [r[4] for r in rows])
+    return diffusion.degrade_set(states, rows)
 
 
 def _degrade_per_sigma(encoder, blocks, fusion, bias, previous):
@@ -998,7 +1014,7 @@ def _degrade_per_sigma(encoder, blocks, fusion, bias, previous):
     for sigma, rows, x in blocks:
         prev = None if previous is None else previous[start : start + len(rows)]
         m, c, e = diffusion.degrade_rows(
-            encoder, degrade_set_of(encoder, rows, 8), x, sigma, 8, fusion, bias, prev
+            encoder, degrade_set_of(encoder, rows), x, sigma, fusion, bias, prev
         )
         masks.append(m)
         changed += [start + r for r in c]
@@ -1017,7 +1033,7 @@ class TestDegradeRows:
     @given(data=st.data())
     def test_sigma_column_matches_per_sigma_calls(self, encoder, params, data):
         blocks, fusion, bias = _degrade_case(encoder, params, data)
-        rows = degrade_set_of(encoder, [row for _, b, _ in blocks for row in b], 8)
+        rows = degrade_set_of(encoder, [row for _, b, _ in blocks for row in b])
         x = np.concatenate([x for *_, x in blocks])
         column = np.concatenate([np.full((len(b), 1), s) for s, b, _ in blocks])
         # each call's masks once without a previous step, and once against
@@ -1026,13 +1042,13 @@ class TestDegradeRows:
             first = _degrade_per_sigma(encoder, blocks, fusion, bias, None)[0]
         except AllHeadsFilteredError as exc:
             with pytest.raises(AllHeadsFilteredError, match=re.escape(str(exc))):
-                diffusion.degrade_rows(encoder, rows, x, column, 8, fusion, bias)
+                diffusion.degrade_rows(encoder, rows, x, column, fusion, bias)
             return
         shifted = np.roll(first, -len(blocks[0][1]), axis=0)
         for previous in (None, shifted):
             expected = _degrade_per_sigma(encoder, blocks, fusion, bias, previous)
             masks, changed, e = diffusion.degrade_rows(
-                encoder, rows, x, column, 8, fusion, bias, previous
+                encoder, rows, x, column, fusion, bias, previous
             )
             assert changed == expected[1]
             _assert_masks_equal(masks, expected[0])
@@ -1043,7 +1059,7 @@ class TestDegradeRows:
         # a row gets the same mask alone, ranked under its own key
         for r, mask in enumerate(masks):
             alone = diffusion.degrade_rows(
-                encoder, rows.subset([r]), x[r : r + 1], column[r, 0], 8, fusion, bias
+                encoder, rows.subset([r]), x[r : r + 1], column[r, 0], fusion, bias
             )[0]
             _assert_masks_equal(alone, mask[None])
         # every key's weights, in the one-key form and in the stacked form,
@@ -1068,7 +1084,7 @@ class TestDegradeRows:
         sigmas = [0.05, 20.0]
         alone = [
             diffusion.degrade_rows(
-                encoder, degrade_set_of(encoder, [row], 8), x[:1], s, 8, FusionConfig(), 0.5
+                encoder, degrade_set_of(encoder, [row]), x[:1], s, FusionConfig(), 0.5
             )[0][0]
             for s in sigmas
         ]
@@ -1077,10 +1093,10 @@ class TestDegradeRows:
         assert (alone[0] != alone[1]).any()
         # the geometry sweep's rows: one prompt at two sigmas, each ranked
         # under its own key
-        both = degrade_set_of(encoder, [row], 8).subset([0, 0])
+        both = degrade_set_of(encoder, [row]).subset([0, 0])
         assert both.keys == [0, 1]
         masks = diffusion.degrade_rows(
-            encoder, both, x, np.array(sigmas)[:, None], 8, FusionConfig(), 0.5
+            encoder, both, x, np.array(sigmas)[:, None], FusionConfig(), 0.5
         )[0]
         _assert_masks_equal(masks, np.array(alone))
 
@@ -1093,20 +1109,19 @@ class TestDegradeRows:
                 degrade_row(label, t, encode_one(encoder, t), 0.5, 1, r)
                 for r, (label, t) in enumerate((("first", keep), ("second", keep), ("third", drop)))
             ],
-            8,
         )
         x = np.random.default_rng(0).normal(size=(3, 8))
         column = np.array([[5.0], [2.5], [0.75]])
         with pytest.raises(AllHeadsFilteredError, match="for third at sigma 0.75"):
-            diffusion.degrade_rows(encoder, rows, x, column, 8, fusion, 0.0)
+            diffusion.degrade_rows(encoder, rows, x, column, fusion, 0.0)
 
     @pytest.mark.parametrize("shape", [(2, 1), (3,), (1, 3), (3, 2)])
     def test_bad_sigma_column_rejected(self, encoder, tokens, shape):
         row = degrade_row("row", tokens, encode_one(encoder, tokens), 0.5, 1, 0)
-        rows = degrade_set_of(encoder, [row], 8).subset([0] * 3)
+        rows = degrade_set_of(encoder, [row]).subset([0] * 3)
         with pytest.raises(InvalidInputError):
             diffusion.degrade_rows(
-                encoder, rows, np.zeros((3, 8)), np.ones(shape), 8, FusionConfig(), 0.1
+                encoder, rows, np.zeros((3, 8)), np.ones(shape), FusionConfig(), 0.1
             )
 
 

@@ -100,7 +100,7 @@ class TestEncode:
         np.testing.assert_array_equal(a, b)
 
     def test_fresh_encoder_matches(self, encoder, params, tokens):
-        other = ToyTextEncoder(EncoderParams())
+        other = ToyTextEncoder(EncoderParams(), 8, 8)
         np.testing.assert_array_equal(encode_one(encoder, tokens), encode_one(other, tokens))
 
     def test_one_word_difference_changes_rows(self, encoder, params):
@@ -122,71 +122,97 @@ class TestEncode:
     def test_length_mismatch_rejected(self, encoder):
         small = tokenize("", EncoderParams(seq_len=8))
         with pytest.raises(InvalidInputError):
-            encoder.encode_stack([small], [None], 8)
+            encoder.encode_stack([small], [None])
 
     @pytest.mark.parametrize(
-        "call", [lambda enc, t: enc.encode_stack([t], [1], 8)], ids=["encode_stack"]
+        "call", [lambda enc, t: enc.encode_stack([t], [1])], ids=["encode_stack"]
     )
     def test_length_mismatch_rejected_by_attention(self, params, call):
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         for seq_len in (8, params.seq_len + 4):
             with pytest.raises(InvalidInputError, match="length"):
                 call(encoder, tokenize("a dog", EncoderParams(seq_len=seq_len)))
 
     @pytest.mark.parametrize("bad_id", [-1, 256, 10**6])
     def test_out_of_vocabulary_id_rejected(self, params, bad_id):
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         good = tokenize("a man is cooking", params)
         ids = (good.ids[0], bad_id) + good.ids[2:]
         bad = TokenSequence(ids=ids, types=good.types, texts=good.texts)
         for block in (None, 1):
             with pytest.raises(InvalidInputError, match="token id"):
-                encoder.encode_stack([bad], [block], 8)
+                encoder.encode_stack([bad], [block])
+
+
+class TestWidths:
+    """An encoder is built for one model's latent and condition widths."""
+
+    def test_held_maps_are_their_seeded_draws(self, params, tokens):
+        encoder = ToyTextEncoder(params, 3, 5)
+        pool_map = np.random.default_rng([params.seed, 1, 5]).normal(
+            size=(params.d_model, 5)
+        ) / np.sqrt(params.d_model)
+        bias_map = np.random.default_rng([params.seed, 3, 3]).normal(
+            size=(params.d_model, 4)
+        ) / np.sqrt(4)
+        np.testing.assert_array_equal(encoder.pool_map, pool_map)
+        np.testing.assert_array_equal(
+            encoder.bias_map, bias_map.reshape(params.n_heads, encoder.d_head, 4)
+        )
+        _, states = encoder.encode_stack([tokens], [1])
+        assert states[tokens.ids, 1].shift_map.shape == (params.n_heads, params.seq_len, 4)
+        assert encoder.pool(encoder.null_condition()).shape == (5,)
 
 
 class TestPool:
     def test_identical_rows(self, encoder, params):
         row = np.random.default_rng(0).normal(size=params.d_model)
-        pooled = encoder.pool(np.tile(row, (params.seq_len, 1)), 8)
-        expected = row @ encoder._pool_maps[8]
+        pooled = encoder.pool(np.tile(row, (params.seq_len, 1)))
+        expected = row @ encoder.pool_map
         np.testing.assert_allclose(pooled, expected, atol=1e-12)
 
     def test_stack_pools_like_its_rows(self, encoder, params):
         prompts = ("a red cat", "the dog runs home", "")
         stack = np.array([encode_one(encoder, tokenize(p, params)) for p in prompts])
-        np.testing.assert_array_equal(encoder.pool(stack, 8), [encoder.pool(c, 8) for c in stack])
+        np.testing.assert_array_equal(encoder.pool(stack), [encoder.pool(c) for c in stack])
 
     def test_null_pool_defined(self, encoder):
-        out = encoder.pool(encoder.null_condition(), 8)
+        out = encoder.pool(encoder.null_condition())
         assert out.shape == (8,) and np.isfinite(out).all()
 
+    # pool maps to the encoder's d_c, which its constructor checks once
     @pytest.mark.parametrize("d_c", [-1, 0, 2.5, True, "8", [8]])
     def test_bad_width_rejected(self, params, d_c):
-        encoder = ToyTextEncoder(params)
         with pytest.raises(InvalidInputError, match="d_c"):
-            encoder.pool(encoder.null_condition(), d_c)
-        assert encoder._pool_maps == {}
+            ToyTextEncoder(params, 8, d_c)
 
     @pytest.mark.parametrize("d_c", [8.0, np.float64(8.0)], ids=["float", "numpy_float"])
     def test_float_width_rejected_in_use(self, params, d_c):
-        # equal to the int width 8 as a dict key, so a lookup alone would accept it
-        encoder = ToyTextEncoder(params)
-        encoder.pool(encoder.null_condition(), 8)
+        # equal to the int width 8 in use, so an equality check alone would accept it
         with pytest.raises(InvalidInputError, match="d_c"):
-            encoder.pool(encoder.null_condition(), d_c)
+            ToyTextEncoder(params, 8, d_c)
 
     def test_numpy_int_width_accepted(self, params, encoder):
+        other = ToyTextEncoder(params, 8, np.int64(8))
+        assert type(other.d_c) is int
         c = encoder.null_condition()
-        np.testing.assert_array_equal(
-            ToyTextEncoder(params).pool(c, np.int64(8)), ToyTextEncoder(params).pool(c, 8)
-        )
+        np.testing.assert_array_equal(other.pool_map, encoder.pool_map)
+        np.testing.assert_array_equal(other.pool(c), encoder.pool(c))
+
+    @pytest.mark.parametrize(
+        "shape", [(16, 5), (32,), (0, 32), (2, 0, 32), (), (1, 2, 16, 32)],
+        ids=["width", "one_row", "no_rows", "stack_no_rows", "scalar", "four_axes"],
+    )
+    def test_misshapen_embeddings_rejected(self, encoder, shape):
+        with pytest.raises(InvalidInputError, match="shape"):
+            encoder.pool(np.zeros(shape))
 
     def test_sensitive_to_single_row_replacement(self, encoder, params, tokens):
         c = encode_one(encoder, tokens)
         null = encoder.null_condition()
         changed = c.copy()
         changed[1] = null[1]  # first content row
-        assert np.abs(encoder.pool(changed, 8) - encoder.pool(c, 8)).max() > 0
+        assert np.abs(encoder.pool(changed) - encoder.pool(c)).max() > 0
 
 
 class TestAttention:
@@ -197,7 +223,7 @@ class TestAttention:
             np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-9)
 
     def test_block_extraction_matches_forward(self, params, tokens):
-        encoder = ToyTextEncoder(params)  # fresh cache
+        encoder = ToyTextEncoder(params, 8, 8)  # fresh cache
         full = attention_maps(encoder, tokens)
         for b in range(params.n_blocks):
             np.testing.assert_allclose(block_attention(encoder, tokens, b), full[b], atol=1e-12)
@@ -205,21 +231,21 @@ class TestAttention:
     def test_query_bias_changes_map(self, encoder, params, tokens):
         # the query bias is the prompt state's latent-dependent logit shift
         base = block_attention(encoder, tokens, 1)
-        weights = state_weights(state_of(encoder, tokens, 1, 8), np.ones(8), 1.0, 0.5)
+        weights = state_weights(state_of(encoder, tokens, 1), np.ones(8), 1.0, 0.5)
         biased = weights / weights.sum(axis=2, keepdims=True)
         assert np.abs(base - biased).max() > 0
         np.testing.assert_allclose(biased.sum(axis=2), 1.0, atol=1e-9)
 
     def test_bad_block_rejected(self, encoder, params, tokens):
         with pytest.raises(InvalidInputError):
-            encoder.encode_stack([tokens], [params.n_blocks], 8)
+            encoder.encode_stack([tokens], [params.n_blocks])
         with pytest.raises(InvalidInputError):
-            encoder.encode_stack([tokens], [-1], 8)
+            encoder.encode_stack([tokens], [-1])
 
     def test_cached_logits_bitwise_stable(self, encoder, params, tokens):
         # a stored state and one built again by another walk
-        first = state_of(encoder, tokens, 1, 8)
-        second = ToyTextEncoder(params).encode_stack([tokens], [1], 8)[1][tokens.ids, 1, 8]
+        first = state_of(encoder, tokens, 1)
+        second = ToyTextEncoder(params, 8, 8).encode_stack([tokens], [1])[1][tokens.ids, 1]
         np.testing.assert_array_equal(first.static, second.static)
         np.testing.assert_array_equal(first.shift_map, second.shift_map)
 
@@ -238,13 +264,13 @@ def distinct_prompts(params, count: int) -> list:
 def block_attention(encoder, tokens, block: int) -> np.ndarray:
     """The block's attention (H, N, N) as the CLI ranks tokens from it: the
     prompt state's static map, each row normalized."""
-    static = state_of(encoder, tokens, block, 8).static
+    static = state_of(encoder, tokens, block).static
     return static / static.sum(axis=-1, keepdims=True)
 
 
 def record_taps(encoder, monkeypatch) -> dict[tuple, tuple]:
     """The logits and scaled K^T each prompt state the encoder builds from
-    now on is built from, by its (ids, block, d_x) key."""
+    now on is built from, by its (ids, block) key."""
     taps = {}
     build = encoder._build_state
 
@@ -257,7 +283,7 @@ def record_taps(encoder, monkeypatch) -> dict[tuple, tuple]:
 
 
 def count_builds(encoder, monkeypatch) -> list[tuple]:
-    """The (ids, block, d_x) keys of the prompt states the encoder builds from now on, in order."""
+    """The (ids, block) keys of the prompt states the encoder builds from now on, in order."""
     built = []
     build = encoder._build_state
     monkeypatch.setattr(
@@ -268,18 +294,18 @@ def count_builds(encoder, monkeypatch) -> list[tuple]:
 
 class TestPromptState:
     def test_reused_across_calls(self, params, tokens):
-        encoder = ToyTextEncoder(params)
-        assert state_of(encoder, tokens, 1, 8) is state_of(encoder, tokens, 1, 8)
-        assert state_of(encoder, tokens, 1, 8) is not state_of(encoder, tokens, 0, 8)
+        encoder = ToyTextEncoder(params, 8, 8)
+        assert state_of(encoder, tokens, 1) is state_of(encoder, tokens, 1)
+        assert state_of(encoder, tokens, 1) is not state_of(encoder, tokens, 0)
 
     def test_static_weights_read_only(self, encoder, tokens):
-        state = state_of(encoder, tokens, 1, 8)
+        state = state_of(encoder, tokens, 1)
         with pytest.raises(ValueError):
             state_weights(state, np.zeros(8), 1.0, 0.0)[0, 0, 0] = 1.0
 
     def test_store_stays_at_cap(self, params, model):
         # one chain per new prompt, as a long-lived service samples them
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         schedule = SigmaSchedule.log_spaced(3, 10.0, 0.01)
         cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
         for i, t in enumerate(distinct_prompts(params, PROMPT_STATE_CAP + 10)):
@@ -288,7 +314,7 @@ class TestPromptState:
 
     def test_batch_builds_each_state_once(self, params, model, monkeypatch):
         # more per-step chains than the store keeps, one prompt each
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         built = count_builds(encoder, monkeypatch)
         cdg = GuidanceConfig(
             mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
@@ -300,14 +326,14 @@ class TestPromptState:
             [Chain(t, cdg, i) for i, t in enumerate(prompts)],
         )
         assert all(run.wpr_call_count == 4 for run in runs)
-        assert sorted(built) == sorted((t.ids, 1, model.d_x) for t in prompts)
+        assert sorted(built) == sorted((t.ids, 1) for t in prompts)
 
     def test_batch_builds_one_state_for_a_prompt_under_many_seeds(
         self, params, model, monkeypatch
     ):
         # each seed ranks the prompt at its own latent, under its own key,
         # and every key takes the one (prompt, block) state
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         built = count_builds(encoder, monkeypatch)
         cdg = GuidanceConfig(
             mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
@@ -319,13 +345,13 @@ class TestPromptState:
             [Chain(tokens, cdg, seed) for seed in range(5)],
         )
         assert all(run.wpr_call_count == 4 for run in runs)
-        assert built == [(tokens.ids, cdg.lambda_block, model.d_x)]
+        assert built == [(tokens.ids, cdg.lambda_block)]
 
     def test_batch_builds_each_state_once_across_ratios(self, params, model, monkeypatch):
         # every prompt at one ratio, then every prompt at another, as a sweep
         # orders them: by the second ratio the store has dropped the first
         # prompts' states, so only the call's own hold keeps them
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         built = count_builds(encoder, monkeypatch)
         prompts = distinct_prompts(params, PROMPT_STATE_CAP + 1)
         configs = [
@@ -339,32 +365,32 @@ class TestPromptState:
         # the two ratios give different masks, so no chain stands in for another
         assert replaced(prompts[0], runs[0].masks[0]).k_ctxagg == 0
         assert replaced(prompts[0], runs[len(prompts)].masks[0]).k_ctxagg > 0
-        assert sorted(built) == sorted((t.ids, 1, model.d_x) for t in prompts)
+        assert sorted(built) == sorted((t.ids, 1) for t in prompts)
 
     def test_least_recently_used_dropped_first(self, params):
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         prompts = distinct_prompts(params, PROMPT_STATE_CAP + 1)
-        first = state_of(encoder, prompts[0], 1, 8)
-        second = state_of(encoder, prompts[1], 1, 8)
+        first = state_of(encoder, prompts[0], 1)
+        second = state_of(encoder, prompts[1], 1)
         for t in prompts[2:-1]:
-            state_of(encoder, t, 1, 8)
-        assert state_of(encoder, prompts[0], 1, 8) is first  # now most recent
-        state_of(encoder, prompts[-1], 1, 8)  # evicts prompts[1]
-        assert state_of(encoder, prompts[0], 1, 8) is first
-        assert state_of(encoder, prompts[1], 1, 8) is not second
+            state_of(encoder, t, 1)
+        assert state_of(encoder, prompts[0], 1) is first  # now most recent
+        state_of(encoder, prompts[-1], 1)  # evicts prompts[1]
+        assert state_of(encoder, prompts[0], 1) is first
+        assert state_of(encoder, prompts[1], 1) is not second
 
 
-def one_by_one_at(params, rows, d_x: int = 8) -> ToyTextEncoder:
+def one_by_one_at(params, rows) -> ToyTextEncoder:
     """A fresh encoder after one one-row encode_stack call per (tokens, block) row, in order."""
-    encoder = ToyTextEncoder(params)
+    encoder = ToyTextEncoder(params, 8, 8)
     for t, block in rows:
-        state_of(encoder, t, block, d_x)
+        state_of(encoder, t, block)
     return encoder
 
 
-def one_by_one(params, tokens, block: int, d_x: int = 8) -> ToyTextEncoder:
+def one_by_one(params, tokens, block: int) -> ToyTextEncoder:
     """A fresh encoder after one one-row encode_stack call per sequence at block, in order."""
-    return one_by_one_at(params, [(t, block) for t in tokens], d_x)
+    return one_by_one_at(params, [(t, block) for t in tokens])
 
 
 def assert_same_store(encoder: ToyTextEncoder, other: ToyTextEncoder) -> None:
@@ -378,32 +404,32 @@ def assert_same_store(encoder: ToyTextEncoder, other: ToyTextEncoder) -> None:
 class TestWalk:
     @pytest.mark.parametrize("block", [0, 1])
     def test_one_sequence_is_the_reference_arithmetic(self, params, monkeypatch, block):
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         taps = record_taps(encoder, monkeypatch)
         for t in distinct_prompts(params, 3) + [tokenize("", params)]:
             hidden, _ = forward(encoder, t)
-            row, _ = encoder.encode_stack([t], [block], 8)
+            row, _ = encoder.encode_stack([t], [block])
             np.testing.assert_array_equal(row[0], hidden[-1])
             reference = block_logits(encoder, hidden[block], block)
-            for got, want in zip(taps[t.ids, block, 8], reference):
+            for got, want in zip(taps[t.ids, block], reference):
                 np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("size", [1, 2, 9])
     @pytest.mark.parametrize("block", [0, 1])
     def test_stack_equals_one_by_one_calls(self, params, monkeypatch, size, block):
         prompts = distinct_prompts(params, size)
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         built = count_builds(encoder, monkeypatch)
-        stacked, states = encoder.encode_stack(prompts, [block] * size, 8)
+        stacked, states = encoder.encode_stack(prompts, [block] * size)
         assert stacked.shape == (size, params.seq_len, params.d_model)
-        assert built == [(t.ids, block, 8) for t in prompts]
+        assert built == [(t.ids, block) for t in prompts]
         # the store's own states, in its order
         assert list(states) == list(encoder._states)
         assert all(state is encoder._states[key] for key, state in states.items())
         for t, row in zip(prompts, stacked):
             np.testing.assert_array_equal(row, encode_one(encoder, t))
             np.testing.assert_array_equal(
-                states[t.ids, block, 8].static, block_static(encoder, t, block)
+                states[t.ids, block].static, block_static(encoder, t, block)
             )
         assert_same_store(encoder, one_by_one(params, prompts, block))
 
@@ -411,11 +437,11 @@ class TestWalk:
         # a prompt at two blocks, one at block 0 only, and one at none
         a, b, c = distinct_prompts(params, 3)
         rows = [(a, 1), (b, 0), (c, None), (a, 0)]
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         built = count_builds(encoder, monkeypatch)
-        stacked, states = encoder.encode_stack(*zip(*rows), 8)
+        stacked, states = encoder.encode_stack(*zip(*rows))
         ranked = [(t, block) for t, block in rows if block is not None]
-        keys = [(t.ids, block, 8) for t, block in ranked]
+        keys = [(t.ids, block) for t, block in ranked]
         assert sorted(built) == sorted(keys) and list(states) == keys
         for (t, _), row in zip(rows, stacked):
             np.testing.assert_array_equal(row, encode_one(encoder, t))
@@ -423,18 +449,18 @@ class TestWalk:
 
     def test_without_a_block_builds_no_state(self, params, monkeypatch):
         prompts = distinct_prompts(params, 3)
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         built = count_builds(encoder, monkeypatch)
-        stacked, states = encoder.encode_stack(prompts, [None] * 3, 8)
+        stacked, states = encoder.encode_stack(prompts, [None] * 3)
         assert built == [] and states == {} and encoder._states == {}
         np.testing.assert_array_equal(stacked, [encode_one(encoder, t) for t in prompts])
 
     def test_repeated_sequence_built_once(self, params, monkeypatch):
         a, b = distinct_prompts(params, 2)
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         built = count_builds(encoder, monkeypatch)
-        stacked, states = encoder.encode_stack([a, b, a], [1] * 3, 8)
-        assert built == [(a.ids, 1, 8), (b.ids, 1, 8)]
+        stacked, states = encoder.encode_stack([a, b, a], [1] * 3)
+        assert built == [(a.ids, 1), (b.ids, 1)]
         assert list(states) == built
         np.testing.assert_array_equal(stacked[2], stacked[0])
         assert_same_store(encoder, one_by_one(params, [a, b, a], 1))  # a most recent
@@ -442,16 +468,16 @@ class TestWalk:
     def test_stored_state_kept_and_made_most_recent(self, params, monkeypatch):
         a, b, c = distinct_prompts(params, 3)
         encoder = one_by_one(params, [a, b], 1)
-        first = encoder._states[(a.ids, 1, 8)]
+        first = encoder._states[(a.ids, 1)]
         built = count_builds(encoder, monkeypatch)
-        _, states = encoder.encode_stack([a, c], [1, 1], 8)
-        assert built == [(c.ids, 1, 8)]
-        assert states[a.ids, 1, 8] is first and encoder._states[(a.ids, 1, 8)] is first
-        assert list(encoder._states) == [(t.ids, 1, 8) for t in (b, a, c)]
+        _, states = encoder.encode_stack([a, c], [1, 1])
+        assert built == [(c.ids, 1)]
+        assert states[a.ids, 1] is first and encoder._states[(a.ids, 1)] is first
+        assert list(encoder._states) == [(t.ids, 1) for t in (b, a, c)]
         # a stack the store holds whole walks without building
-        encoder.encode_stack([c, b], [1, 1], 8)
-        assert built == [(c.ids, 1, 8)]
-        assert list(encoder._states) == [(t.ids, 1, 8) for t in (a, c, b)]
+        encoder.encode_stack([c, b], [1, 1])
+        assert built == [(c.ids, 1)]
+        assert list(encoder._states) == [(t.ids, 1) for t in (a, c, b)]
 
     def test_stack_across_the_cap_evicts_as_one_by_one(self, params, monkeypatch):
         prompts = distinct_prompts(params, PROMPT_STATE_CAP + 3)
@@ -461,8 +487,8 @@ class TestWalk:
         stack = [prompts[1]] + rest + [prompts[0], rest[0]]
         encoder = one_by_one(params, before, 1)
         built = count_builds(encoder, monkeypatch)
-        stacked, states = encoder.encode_stack(stack, [1] * len(stack), 8)
-        assert built == [(t.ids, 1, 8) for t in rest]
+        stacked, states = encoder.encode_stack(stack, [1] * len(stack))
+        assert built == [(t.ids, 1) for t in rest]
         assert len(encoder._states) == PROMPT_STATE_CAP
         # the call holds every row's state, more than the store keeps
         assert len(states) == len(rest) + 2
@@ -470,51 +496,51 @@ class TestWalk:
         np.testing.assert_array_equal(stacked[-2], encode_one(encoder, prompts[0]))
 
     def test_empty_stack_rejected(self, params, tokens):
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         with pytest.raises(InvalidInputError, match="empty"):
-            encoder.encode_stack([], [], 8)
+            encoder.encode_stack([], [])
         with pytest.raises(InvalidInputError, match="one block a sequence"):
-            encoder.encode_stack([tokens], [], 8)
+            encoder.encode_stack([tokens], [])
 
+    # the prompt states are built for the encoder's d_x, which its
+    # constructor checks once
     @pytest.mark.parametrize("d_x", [-1, 0, 2.5, True, "8", [8]])
-    def test_bad_width_rejected(self, params, tokens, d_x):
-        encoder = ToyTextEncoder(params)
+    def test_bad_width_rejected(self, params, d_x):
         with pytest.raises(InvalidInputError, match="d_x"):
-            encoder.encode_stack([tokens], [1], d_x)
-        assert encoder._states == {} and encoder._bias_maps == {}
+            ToyTextEncoder(params, d_x, 8)
 
     @pytest.mark.parametrize("d_x", [8.0, np.float64(8.0)], ids=["float", "numpy_float"])
-    def test_float_width_rejected_in_use(self, params, tokens, d_x):
-        # equal to the stored state's int width as a dict key
-        encoder = ToyTextEncoder(params)
-        state_of(encoder, tokens, 1, 8)
+    def test_float_width_rejected_in_use(self, params, d_x):
+        # equal to the int width 8 in use, so an equality check alone would accept it
         with pytest.raises(InvalidInputError, match="d_x"):
-            encoder.encode_stack([tokens], [1], d_x)
+            ToyTextEncoder(params, d_x, 8)
 
     def test_numpy_int_width_accepted(self, params, tokens):
-        state = state_of(ToyTextEncoder(params), tokens, 1, np.int64(8))
-        want = state_of(ToyTextEncoder(params), tokens, 1, 8)
-        np.testing.assert_array_equal(state.static, want.static)
-        np.testing.assert_array_equal(state.shift_map, want.shift_map)
+        encoder, want = ToyTextEncoder(params, np.int64(8), 8), ToyTextEncoder(params, 8, 8)
+        assert type(encoder.d_x) is int
+        np.testing.assert_array_equal(encoder.bias_map, want.bias_map)
+        state, want_state = state_of(encoder, tokens, 1), state_of(want, tokens, 1)
+        np.testing.assert_array_equal(state.static, want_state.static)
+        np.testing.assert_array_equal(state.shift_map, want_state.shift_map)
 
     def test_bad_block_rejected(self, params, tokens):
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         for block in (-1, params.n_blocks):
             with pytest.raises(InvalidInputError, match="out of range"):
-                encoder.encode_stack([tokens], [block], 8)
+                encoder.encode_stack([tokens], [block])
 
     @pytest.mark.parametrize(
         "block", [1.0, np.float64(1.0), True, "1", [1]],
         ids=["float", "numpy_float", "bool", "str", "list"],
     )
     def test_non_int_block_rejected(self, params, tokens, block):
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         with pytest.raises(InvalidInputError, match="block"):
-            encoder.encode_stack([tokens], [block], 8)
+            encoder.encode_stack([tokens], [block])
         assert encoder._states == {}
 
     def test_numpy_int_block_accepted(self, params, tokens):
-        encoder = ToyTextEncoder(params)
-        states = encoder.encode_stack([tokens], [np.int64(1)], 8)[1]
-        want = state_of(ToyTextEncoder(params), tokens, 1, 8)
-        np.testing.assert_array_equal(states[tokens.ids, 1, 8].static, want.static)
+        encoder = ToyTextEncoder(params, 8, 8)
+        states = encoder.encode_stack([tokens], [np.int64(1)])[1]
+        want = state_of(ToyTextEncoder(params, 8, 8), tokens, 1)
+        np.testing.assert_array_equal(states[tokens.ids, 1].static, want.static)

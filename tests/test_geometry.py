@@ -229,16 +229,15 @@ def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
     """
     n = len(tokens)
     conditions = [encode_one(encoder, t) for t in tokens]
-    e_c = np.stack([encoder.pool(c, model.d_c) for c in conditions])
-    e_null = np.tile(encoder.pool(encoder.null_condition(), model.d_c), (n, 1))
-    states = {(t.ids, 1, model.d_x): state_of(encoder, t, 1, model.d_x) for t in tokens}
+    e_c = np.stack([encoder.pool(c) for c in conditions])
+    e_null = np.tile(encoder.pool(encoder.null_condition()), (n, 1))
+    states = {(t.ids, 1): state_of(encoder, t, 1) for t in tokens}
     rows = degrade_set(
         states,
         [
             degrade_row(f"prompt {p}", t, c, r_deg, 1, p)
             for p, (t, c) in enumerate(zip(tokens, conditions))
         ],
-        model.d_x,
     )
     detail = []
     for si, sigma in enumerate(schedule.sigmas[:-1]):
@@ -246,7 +245,7 @@ def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
             np.random.default_rng([seed, si, p]).normal(size=model.d_x) * sigma
             for p in range(n)
         ])
-        e_deg = degrade_rows(encoder, rows, x, sigma, model.d_c, FusionConfig(), 0.1)[2]
+        e_deg = degrade_rows(encoder, rows, x, sigma, FusionConfig(), 0.1)[2]
         eps_c, eps_null, eps_deg = (
             denoiser_to_eps(denoise(model, x, sigma, e), x, sigma)
             for e in (e_c, e_null, e_deg)
@@ -316,6 +315,19 @@ class TestSweep:
                 model, schedule, encoder, self._tokens(params)[:1], 1.0
             )
 
+    @pytest.mark.parametrize("widths", [(2, 8), (8, 3)])
+    def test_encoder_for_other_widths_rejected_before_any_work(
+        self, model, schedule, params, monkeypatch, widths
+    ):
+        def no_work(*args):
+            raise AssertionError("the sweep started before checking the widths")
+
+        monkeypatch.setattr(geometry, "map_ratio", no_work)
+        encoder = ToyTextEncoder(params, *widths)
+        with pytest.raises(InvalidInputError) as exc:
+            run_geometry_sweep(model, schedule, encoder, self._tokens(params), 0.5)
+        assert f"{widths}" in str(exc.value) and "(8, 8)" in str(exc.value)
+
     def test_invalid_ratio_rejected(self, model, schedule, encoder, params):
         with pytest.raises(InvalidRatioError):
             run_geometry_sweep(model, schedule, encoder, self._tokens(params), 2.5)
@@ -381,7 +393,7 @@ class TestSweep:
         # the benchmark's 8 prompts once took 26 block passes and 3 denoise calls
         tokens = [tokenize(f"prompt number {i}", params) for i in range(8)]
         assert len({t.ids for t in tokens}) == 8
-        encoder = ToyTextEncoder(params)
+        encoder = ToyTextEncoder(params, 8, 8)
         passes, built, denoised = [], [], []
         # each block pass takes one softmax of its attention logits
         softmax, build = encoder_module._softmax_rows, encoder._build_state
@@ -399,7 +411,7 @@ class TestSweep:
         assert passes == [(len(tokens), *one)] * params.n_blocks + [one] * params.n_blocks
         # each state once, in that walk: every lookup of degrade_set hits the store
         ranks = map_ratio(r_deg).ranks
-        assert built == [(t.ids, lambda_block, model.d_x) for t in tokens if ranks]
+        assert built == [(t.ids, lambda_block) for t in tokens if ranks]
         assert len(denoised) == 1
 
     def test_long_schedule_runs_in_blocks(self, model, encoder, params, monkeypatch):
@@ -429,7 +441,7 @@ class TestSweep:
     def test_all_heads_filtered_names_prompt_and_sigma(self, model, encoder, params):
         tokens = self._tokens(params)
         variances = [
-            np.var(stationary_scores(state_of(encoder, t, 1, model.d_x).static), axis=1)
+            np.var(stationary_scores(state_of(encoder, t, 1).static), axis=1)
             for t in tokens
         ]
         v = variances[0][0]
@@ -555,9 +567,10 @@ class TestReportReference:
         _same_report(report, per_sigma_report(*args))
 
     @pytest.mark.parametrize("k", [None, 3])
-    def test_rank_limited_stack_matches_per_sigma_loop(self, encoder, params, monkeypatch, k):
+    def test_rank_limited_stack_matches_per_sigma_loop(self, params, monkeypatch, k):
         # one component and d_c 1: every delta lies on one line
         model = GmmConditionalModel.random(1, 4, 1, seed=0)
+        encoder = ToyTextEncoder(params, 4, 1)
         tokens = [tokenize(p, params) for p in PROMPTS[:3]]
         short = SigmaSchedule.log_spaced(6, 10.0, 0.01)
         report, args = self._recorded(monkeypatch, model, short, encoder, tokens, 0.5, k=k)
