@@ -3,9 +3,11 @@
 #
 # Usage: scripts/criterion8.sh REV N
 #
-# Runs the working tree's tests/test_acceptance.py::test_criterion_8_efficiency
-# in 2N fresh processes: N with the src/ of REV and N with the working tree's
-# src/, alternating which side runs first in each pair. Prints each run's
+# Runs tests/test_acceptance.py::test_criterion_8_efficiency in 2N fresh
+# processes: N in REV's src/, tests/ and pyproject.toml (extracted with `git
+# archive`) and N in the working tree's, each side's pytest from its own root,
+# so each side runs its own tests and fixtures under its own pytest settings,
+# alternating which side runs first in each pair. Prints each run's
 # estimate, as the test reports it on its PASS line or in its failure, then
 # each side's median, quartiles (inclusive method, as scripts/bench_pairs.sh
 # takes them) and maximum. A run over the test's 10% bound still
@@ -29,14 +31,14 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/rev"
-git archive "$rev" src | tar -x -C "$tmp/rev"
+git archive "$rev" src tests pyproject.toml | tar -x -C "$tmp/rev"
 
-# estimate CODE_ROOT SIDE: one fresh process, its estimate appended to $tmp/SIDE.txt
+# estimate CODE_ROOT SIDE: one fresh process in CODE_ROOT, its estimate appended to $tmp/SIDE.txt
 estimate() {
     local value
     # the test exits 1 over its bound, and its estimate still counts
-    PYTHONPATH="$1/src" python3 -m pytest -q -s -p no:cacheprovider \
-        tests/test_acceptance.py::test_criterion_8_efficiency >"$tmp/run.log" 2>&1 || true
+    (cd "$1" && PYTHONPATH="$1/src" python3 -m pytest -q -s -p no:cacheprovider \
+        tests/test_acceptance.py::test_criterion_8_efficiency) >"$tmp/run.log" 2>&1 || true
     value=$(sed -n '/overhead -\{0,1\}[0-9.]*%/{s/.*overhead \(-\{0,1\}[0-9.]*\)%.*/\1/p;q;}' "$tmp/run.log")
     if [ -z "$value" ]; then
         cat "$tmp/run.log" >&2

@@ -55,8 +55,14 @@ def mask_extent(tokens: TokenSequence, ratios: DegradationRatios) -> tuple[int, 
 def type_order(tokens: TokenSequence, scores: np.ndarray, ttype: TokenType) -> list[int]:
     """Positions of one token type by descending score: the type's part of
     the ranking, so ties still go to the lower position."""
-    types = tokens.types
-    return [p for p in ranking(scores).tolist() if types[p] is ttype]
+    return _ranked_positions(tokens.positions_of(ttype), scores).tolist()
+
+
+def _ranked_positions(positions: Sequence[int], scores: np.ndarray) -> np.ndarray:
+    """positions (intp) by descending score. A stable sort restricted to a
+    subset of positions keeps their order in the full ranking."""
+    positions = np.array(positions, dtype=np.intp)
+    return positions[ranking(scores[positions])]
 
 
 def build_mask(
@@ -69,27 +75,31 @@ def build_mask(
     None unless a type is replaced in part (never at ratio 1.0). This is
     build_masks' one-row rule, which it applies to a lone row and to rows
     without scores; cdglab build-mask calls it directly."""
+    _check_row_scores(tokens, scores)
     return _row_bits(tokens, scores, mask_extent(tokens, ratios))
+
+
+def _check_row_scores(tokens: TokenSequence, scores: np.ndarray | None) -> None:
+    """Raises InvalidInputError unless scores is None or one finite value a token."""
+    n = len(tokens)
+    if scores is not None and (scores.shape != (n,) or not all_finite(scores)):
+        raise InvalidInputError(f"importance must be {n} finite values, one per token")
 
 
 def _row_bits(
     tokens: TokenSequence, scores: np.ndarray | None, extent: Sequence[int]
 ) -> np.ndarray:
-    """build_mask at extent [k_content, k_ctxagg]."""
-    n = len(tokens)
-    if scores is not None and (scores.shape != (n,) or not all_finite(scores)):
-        raise InvalidInputError(f"importance must be {n} finite values, one per token")
-    bits = [True] * n
+    """build_mask at extent [k_content, k_ctxagg], for scores already checked."""
+    keep = np.ones(len(tokens), dtype=bool)
     for ttype, k in zip((TokenType.CONTENT, TokenType.CTX_AGG), extent):
         if k:
             positions = tokens.positions_of(ttype)
             if k < len(positions):  # part of the type: its top k by score
                 if scores is None:
                     raise InvalidInputError(f"a partial {ttype.value} mask needs scores")
-                positions = type_order(tokens, scores, ttype)[:k]
-            for p in positions:
-                bits[p] = False
-    return np.array(bits)
+                positions = _ranked_positions(positions, scores)[:k]
+            keep[positions] = False
+    return keep
 
 
 def build_masks(
@@ -101,24 +111,44 @@ def build_masks(
     """Keep bits (B, N) of B rows: tokens[b] at extents[b] (a (B, 2) array),
     ranked by scores[keys[b]].
 
-    scores is (K, N), or None when every key is -1. A row with key -1 needs
-    no ranking, and build_mask's rule masks it without scores. It also masks a
-    lone row, ranked or not, where its loop costs about a fifth of the
-    stacked form. The stacked form ranks the ranked rows of any other call
-    at once: one stable sort by the tie rule of `ranking`, and a stable order restricted
-    to one type keeps it, so a row's replaced positions of a type are its
-    first k of that type in rank order, found by per-type cumulative counts
-    against (R, 1) extent columns. Both forms give the same bits.
+    scores is (K, N), or None when every key is -1. This entry checks that
+    a ranked row's scores are finite and one a token, as build_mask does for
+    a lone row; the sampler, whose scores come from its own checked solve,
+    calls _masks.
+    """
+    if len(keys) == 1:
+        _check_row_scores(tokens[0], None if keys[0] < 0 else scores[keys[0]])
+    elif scores is not None:
+        n = scores.shape[1]
+        if any(len(tokens[b]) != n for b, k in enumerate(keys) if k >= 0):
+            raise InvalidInputError("importance length does not match token count")
+        if not all_finite(scores):
+            raise InvalidInputError("importance scores must be finite")
+    return _masks(tokens, scores, keys, extents)
+
+
+def _masks(
+    tokens: Sequence[TokenSequence],
+    scores: np.ndarray | None,
+    keys: Sequence[int],
+    extents: np.ndarray,
+) -> np.ndarray:
+    """build_masks of checked scores.
+
+    A row with key -1 needs no ranking, and build_mask's rule masks it
+    without scores. It also masks a lone row, ranked or not, where ranking
+    one type's positions costs less than the stacked form. The stacked form
+    ranks the ranked rows of any other call at once: one stable sort by the
+    tie rule of `ranking`, and a stable order restricted to one type keeps
+    it, so a row's replaced positions of a type are its first k of that type
+    in rank order, found by per-type cumulative counts against (R, 1) extent
+    columns. Both forms give the same bits.
     """
     if len(keys) == 1:
         k = keys[0]
         return _row_bits(tokens[0], None if k < 0 else scores[k], extents[0].tolist())[None]
     ranked = [b for b, k in enumerate(keys) if k >= 0]
     n = len(tokens[0]) if scores is None else scores.shape[1]
-    if any(len(tokens[b]) != n for b in ranked):
-        raise InvalidInputError("importance length does not match token count")
-    if scores is not None and not all_finite(scores):
-        raise InvalidInputError("importance scores must be finite")
     keep = np.empty((len(keys), n), dtype=bool)
     for b, k in enumerate(keys):
         if k < 0:

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degradation import apply_mask, build_masks, mask_extent
+from .degradation import _masks, apply_mask, mask_extent
 from .encoder import PromptState, TokenSequence, ToyTextEncoder
 from .errors import AllHeadsFilteredError, InvalidInputError, NumericalError
 from .guidance import GuidanceConfig, GuidanceMode, combine, denoiser_to_eps
-from .importance import FusionConfig, fuse_head_stacks, stationary_scores
+from .importance import FusionConfig, _fuse_heads, _normalize_rows, _stationary_solve
 from .linalg import all_finite
 
 DEFAULT_ATTENTION_BIAS_WEIGHT = 0.1
@@ -256,12 +256,15 @@ def _compute_importance(weights: np.ndarray) -> np.ndarray:
     """Per-head token importance (K, H, N) of K attention stacks (K, H, N, N).
 
     One stationary solve covers every head of every stack; a head's result
-    does not depend on the rest of the stack. The solve normalizes weights,
-    the caller's own fresh float64 array, in place and then overwrites it.
+    does not depend on the rest of the stack. The weights are the caller's
+    own fresh float64 array of products of exps, never negative, so
+    stationary_scores' shape and sign checks have nothing to find: its
+    kernels normalize the array in place, still rejecting a weight that is
+    not finite or a row of zeros, and the solve overwrites it.
     """
     k, h, n = weights.shape[:3]
     # in place: a copy of the weights per call cost diagnose ~10% of its items_per_s
-    return stationary_scores(weights.reshape(k * h, n, n), overwrite_weights=True).reshape(k, h, n)
+    return _stationary_solve(_normalize_rows(weights.reshape(k * h, n, n))).reshape(k, h, n)
 
 
 class DegradeSet:
@@ -362,9 +365,14 @@ def degrade_rows(
     sigma is one noise level for every row, or a (B, 1) column of one per
     row, as in denoise. Each key is ranked at its first row's latent and
     sigma: the keys' attention weights are one (K, H, N, N) array, which
-    one stationary solve normalizes in place and one stacked call fuses,
-    and build_masks masks every row from its key's scores. A head filter
-    that rejects every head of a key names that row and its sigma.
+    one stationary solve normalizes in place and one stacked fusion fuses,
+    and one masking pass masks every row from its key's scores. These are
+    the kernels behind stationary_scores, fuse_head_stacks and build_masks,
+    called directly on arrays this call made, so each check that can fail
+    here runs once: weights that are not finite or a row of zeros, a
+    singular system or a solution that is not finite, a head filter that
+    rejects every head of a key (named by that key's first row and its
+    sigma), and a partial mask without scores.
     Returns every row's keep bits, the indices of the rows whose bits differ
     from `previous` (every row when it is None), and those rows' pooled
     degraded embeddings (C, encoder.d_c), or None when no row changed; the
@@ -377,7 +385,7 @@ def degrade_rows(
     if rows.key_states:
         at = rows.at
         try:
-            scores = fuse_head_stacks(
+            scores = _fuse_heads(
                 _compute_importance(_stacked_weights(
                     rows.key_states, x[at], sigma[at] if column else sigma, bias_weight
                 )),
@@ -389,13 +397,15 @@ def degrade_rows(
             raise AllHeadsFilteredError(
                 f"{exc} for {rows.labels[r]} at sigma {at_sigma}", exc.index
             ) from exc
-    keep = build_masks(rows.tokens, scores, rows.keys, rows.extents)
+    keep = _masks(rows.tokens, scores, rows.keys, rows.extents)
     if previous is None:
         changed = list(range(len(rows)))
     else:
-        changed = (keep != previous).any(axis=1).nonzero()[0].tolist()
-    if not changed:
-        return keep, changed, None
+        differs = keep != previous
+        # most later steps leave every mask as it was
+        if not np.count_nonzero(differs):
+            return keep, [], None
+        changed = differs.any(axis=1).nonzero()[0].tolist()
     degraded = apply_mask(
         np.array([rows.conditions[r] for r in changed]),
         encoder.null_condition(),

@@ -26,27 +26,29 @@ def ranking(scores: np.ndarray) -> np.ndarray:
     return (-scores).argsort(kind="stable")
 
 
-def _row_normalized(a: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """Checked attention weights of a stack of heads, each row scaled to sum to 1.
-
-    In place, a float64 array is scaled where it is, with the same bits as a copy.
-    """
+def _row_normalized(a: np.ndarray) -> np.ndarray:
+    """Checked attention weights of a stack of heads, each row of a copy
+    scaled to sum to 1."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 3 or a.shape[-1] != a.shape[-2] or 0 in a.shape:
         raise InvalidInputError("expected attention of shape (heads, N, N), N >= 1")
-    lo = a.min()
-    if lo < 0:
+    if a.min() < 0:
         raise InvalidInputError("attention weights must be >= 0")
+    return _normalize_rows(a.copy())
+
+
+def _normalize_rows(a: np.ndarray) -> np.ndarray:
+    """Scales each row of a, a float64 stack (heads, N, N) of weights >= 0,
+    to sum to 1, in place. Raises DegenerateGraphError for a weight that is
+    not finite or a row of zeros."""
     row_sums = a.sum(axis=-1, keepdims=True)
     # a NaN or infinite weight, e.g. one overflowed by a huge attention bias,
     # makes its row sum non-finite
     if not all_finite(row_sums):
         raise DegenerateGraphError("attention weights are not finite")
-    # only a zero weight can leave a row summing to zero
-    if lo == 0 and np.count_nonzero(row_sums) < row_sums.size:
+    # no weight is negative, so only a row of zeros sums to zero
+    if np.count_nonzero(row_sums) < row_sums.size:
         raise DegenerateGraphError("attention matrix has an all-zero row")
-    if not in_place:
-        return a / row_sums
     a /= row_sums
     return a
 
@@ -64,7 +66,7 @@ class FusionConfig:
             raise InvalidInputError("need 0 <= v_min <= v_max when enabled")
 
 
-def stationary_scores(weights: np.ndarray, overwrite_weights: bool = False) -> np.ndarray:
+def stationary_scores(weights: np.ndarray) -> np.ndarray:
     """Exact WPR fixed points of a stack of attention heads, shape (H, N).
 
     The power iteration's limit is the stationary vector of the
@@ -72,21 +74,29 @@ def stationary_scores(weights: np.ndarray, overwrite_weights: bool = False) -> n
     (B - I) s = 0 with sum(s) = 1. One batched linear solve finds it for
     every head at machine precision. Rows need not be normalized on input:
     the row normalization absorbs any per-row scale, such as the softmax's.
-    With overwrite_weights, a caller that hands over its own float64 array
-    lets the solve use it as its workspace instead of a copy; the array's
-    contents are then undefined.
+    This entry checks the weights' shape and sign and solves on a copy; the
+    sampler, whose weights are fresh products of exps, calls _normalize_rows
+    and _stationary_solve on its own array instead.
     """
-    # a fresh array, so B - I is built in place: B is its transpose per head
-    p = np.ascontiguousarray(_row_normalized(weights, overwrite_weights))
-    h, n = p.shape[0], p.shape[1]
-    p.reshape(h, n * n)[:, :: n + 1] -= 1.0
+    return _stationary_solve(_row_normalized(weights))
+
+
+def _stationary_solve(p: np.ndarray) -> np.ndarray:
+    """WPR fixed points (H, N) of p, a stack (H, N, N) of row-normalized
+    float64 weights, which the solve overwrites (or a copy, if p is not
+    contiguous). Raises DegenerateGraphError for a singular system or a
+    solution that is not finite."""
+    h, n = p.shape[:2]
+    # flat rows of p: B - I is built in place, as B is p's transpose per head
+    flat = p.reshape(h, n * n)
+    flat[:, :: n + 1] -= 1.0
     # (B - I) has rank n-1; the normalization constraint replaces its last
     # row, which is the last column of p
-    p[:, :, -1] = 1.0
+    flat[:, n - 1 :: n] = 1.0
     rhs = np.zeros((h, n, 1))
     rhs[:, -1] = 1.0
     try:
-        out = np.linalg.solve(p.transpose(0, 2, 1), rhs)[..., 0]
+        out = np.linalg.solve(flat.reshape(h, n, n).transpose(0, 2, 1), rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateGraphError("stationary system is singular") from exc
     if not all_finite(out):
@@ -103,11 +113,17 @@ def fuse_head_stacks(scores: np.ndarray, cfg: FusionConfig = FusionConfig()) -> 
     head. A dropped head adds an exact zero to its row's sum of
     squares, so each row equals the fusion of its own stack alone. Raises
     AllHeadsFilteredError, with the index of the first stack whose every
-    head the filter rejects.
+    head the filter rejects. This entry checks the stack's shape; the
+    sampler calls _fuse_heads on its own solve's float64 output instead.
     """
     stack = np.asarray(scores, dtype=np.float64)
     if stack.ndim != 3 or 0 in stack.shape[:2]:
         raise InvalidInputError("expected a non-empty (stacks, heads, N) score stack")
+    return _fuse_heads(stack, cfg)
+
+
+def _fuse_heads(stack: np.ndarray, cfg: FusionConfig) -> np.ndarray:
+    """fuse_head_stacks of a non-empty float64 stack (K, H, N)."""
     squares = stack**2
     kept = stack.shape[1]
     if cfg.enabled:

@@ -2,7 +2,10 @@
 
 None of these has a caller in the package. `wpr_single_head` is the
 power iteration whose limit `stationary_scores` solves for, and
-`attention_maps` runs the encoder's blocks one by one and keeps each
+`stationary_solve_columns` is that solve on a normalized copy, with
+B - I and its ones column built through 3-d views and one public
+`np.linalg.solve` against an (H, N, 1) column right-hand side, which the
+package's in-place kernels must match bit for bit. `attention_maps` runs the encoder's blocks one by one and keeps each
 block's attention, `block_logits` and `block_static` give a block's
 logits and a prompt state's static map in the state's own arithmetic,
 and `state_weights` takes a `PromptState` to its
@@ -70,6 +73,20 @@ def wpr_single_head(
         if change < epsilon:
             return s, True
     return s, False
+
+
+def stationary_solve_columns(weights: np.ndarray) -> np.ndarray:
+    """Exact WPR fixed points (H, N) of a stack of weights (H, N, N), each
+    row positive somewhere: one public np.linalg.solve of every head's
+    (B - I), its last row replaced by ones, against an (H, N, 1) stack of
+    e_N columns."""
+    p = np.ascontiguousarray(weights / weights.sum(axis=-1, keepdims=True))
+    h, n = p.shape[:2]
+    p.reshape(h, n * n)[:, :: n + 1] -= 1.0
+    p[:, :, -1] = 1.0
+    rhs = np.zeros((h, n, 1))
+    rhs[:, -1] = 1.0
+    return np.linalg.solve(p.transpose(0, 2, 1), rhs)[..., 0]
 
 
 def forward(

@@ -47,12 +47,13 @@ UNGUIDED = GuidanceConfig(mode=GuidanceMode.NONE, guidance_scale=1.0)
 def recorded_solves(monkeypatch) -> list[tuple[int, ...]]:
     """The input shape of every stationary solve the sampler makes from now on."""
     shapes = []
+    solve = diffusion._stationary_solve
 
-    def recording(weights, **kwargs):
-        shapes.append(np.shape(weights))
-        return stationary_scores(weights, **kwargs)
+    def recording(p):
+        shapes.append(np.shape(p))
+        return solve(p)
 
-    monkeypatch.setattr(diffusion, "stationary_scores", recording)
+    monkeypatch.setattr(diffusion, "_stationary_solve", recording)
     return shapes
 
 
@@ -860,6 +861,12 @@ class TestSample:
                 model, schedule, encoder, [Chain(keep, cdg, 0), Chain(drop, cdg, 1)],
                 fusion=fusion, attention_bias_weight=0.0,
             )
+        # a lone row: the one-key weights and the one-row mask
+        with pytest.raises(
+            AllHeadsFilteredError,
+            match=r"^variance filter rejected every head for chain 0 at sigma 10\.0$",
+        ):
+            sample(model, schedule, encoder, drop, cdg, 0, fusion=fusion, attention_bias_weight=0.0)
 
     def test_batch_encodes_each_prompt_once(self, model, schedule, params, monkeypatch):
         encoder = ToyTextEncoder(params, 8, 8)
@@ -942,10 +949,14 @@ class TestSample:
             sample(model, schedule, encoder, tokens, CFG, -1)
 
     def test_overflowing_attention_bias_rejected(self, model, schedule, encoder, tokens):
-        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
-        with np.errstate(all="ignore"):
-            with pytest.raises(DegenerateGraphError):
-                sample(model, schedule, encoder, tokens, cdg, 0, attention_bias_weight=1e6)
+        # a chain that reuses its first step's mask, and one that ranks at every step
+        for reuse, bias in [(True, 1e6), (False, 1e3)]:
+            cdg = GuidanceConfig(
+                mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5, reuse_first_step_mask=reuse
+            )
+            with np.errstate(all="ignore"):
+                with pytest.raises(DegenerateGraphError, match="^attention weights are not finite$"):
+                    sample(model, schedule, encoder, tokens, cdg, 0, attention_bias_weight=bias)
 
 
 DEGRADE_PROMPTS = ["a man is cooking", "a cat sits on the mat", "", "the dog runs in a park"]

@@ -377,12 +377,13 @@ class TestSweep:
 
     def test_one_solve_per_call(self, model, encoder, params, monkeypatch):
         shapes = []
+        solve = diffusion._stationary_solve
 
-        def recording(weights, **kwargs):
-            shapes.append(np.shape(weights))
-            return stationary_scores(weights, **kwargs)
+        def recording(p):
+            shapes.append(np.shape(p))
+            return solve(p)
 
-        monkeypatch.setattr(diffusion, "stationary_scores", recording)
+        monkeypatch.setattr(diffusion, "_stationary_solve", recording)
         short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
         run_geometry_sweep(model, short, encoder, self._tokens(params), 0.5)
         n, h = params.seq_len, params.n_heads

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdglab.diffusion import _compute_importance
 from cdglab.errors import (
     AllHeadsFilteredError,
     DegenerateGraphError,
@@ -20,13 +21,15 @@ from cdglab.errors import (
 )
 from cdglab.importance import (
     FusionConfig,
+    _normalize_rows,
+    _stationary_solve,
     cross_attention_baseline,
     fuse_head_stacks,
     ranking,
     stationary_scores,
 )
 
-from oracles import wpr_single_head
+from oracles import stationary_solve_columns, wpr_single_head
 
 
 def positive_matrix(seed: int, n: int) -> np.ndarray:
@@ -67,11 +70,11 @@ class TestWprSingleHead:
     def test_zero_row_rejected(self):
         a = np.ones((4, 4))
         a[1] = 0.0
-        with pytest.raises(DegenerateGraphError):
+        with pytest.raises(DegenerateGraphError, match="all-zero row"):
             wpr_single_head(a)
 
     def test_non_square_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="expected attention of shape"):
             wpr_single_head(np.ones((3, 4)))
 
     def test_budget_exhaustion_sets_flag(self):
@@ -151,16 +154,16 @@ class TestWprAllHeads:
     def test_zero_row_rejected(self):
         heads = np.ones((2, 4, 4))
         heads[1, 2] = 0.0
-        with pytest.raises(DegenerateGraphError):
+        with pytest.raises(DegenerateGraphError, match="all-zero row"):
             stationary_scores(heads)
 
     def test_attention_map_validation(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="expected attention of shape"):
             stationary_scores(np.ones((2, 3, 4)))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="must be >= 0"):
             stationary_scores(-np.ones((2, 3, 3)))
         for shape in [(4, 4), (0, 3, 3), (2, 0, 0)]:
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InvalidInputError, match="expected attention of shape"):
                 stationary_scores(np.ones(shape))
 
 
@@ -177,7 +180,9 @@ class TestStationaryScores:
         # solve accepts without reporting a singular system
         stack = np.stack([positive_matrix(s, 5) for s in range(2)])
         stack[1, 2, 3] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(DegenerateGraphError):
+        with np.errstate(invalid="ignore"), pytest.raises(
+            DegenerateGraphError, match="attention weights are not finite"
+        ):
             stationary_scores(stack)
 
     def test_row_scale_invariant(self):
@@ -189,12 +194,35 @@ class TestStationaryScores:
             stationary_scores(stack * scale), stationary_scores(stack), atol=1e-14
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.sampled_from([1, 4, 64]),
+        n=st.sampled_from([4, 16]),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.booleans(),
+    )
+    @example(h=4, n=16, seed=0, zeros=True)
+    def test_solve_matches_oracle(self, h, n, seed, zeros):
+        # the in-place normalization and the flat view of B - I round as the
+        # plain solve on a copy does, for the entry and the sampler's kernels
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.05, 1.0, size=(h, n, n))
+        if zeros:
+            # zero weights in every row, each keeping a positive weight into one
+            # shared column: one closed class a head, so a unique fixed point
+            weights[rng.random((h, n, n)) < 0.5] = 0.0
+            weights[:, :, rng.integers(n)] = rng.uniform(0.05, 1.0, size=(h, n))
+        expected = stationary_solve_columns(weights)
+        np.testing.assert_array_equal(stationary_scores(weights), expected)
+        np.testing.assert_array_equal(_stationary_solve(_normalize_rows(weights.copy())), expected)
+        np.testing.assert_array_equal(_compute_importance(weights[None].copy())[0], expected)
+
     def test_singular_system_rejected(self):
         # two disconnected components: the stationary vector is not unique
         a = np.zeros((4, 4))
         a[:2, :2] = 1.0
         a[2:, 2:] = 1.0
-        with pytest.raises(DegenerateGraphError):
+        with pytest.raises(DegenerateGraphError, match="stationary system is singular"):
             stationary_scores(a[None])
 
 
