@@ -33,6 +33,10 @@
 #     the order of a contiguous last axis (pairwise from 9 terms), the posterior-mean sum included
 #   many_components: sample, sweep and diagnose, 12 components and d_x 8: the weight normalizer
 #     pairwise over the components, the posterior-mean sum one component after another
+#   long_schedule: sample and sweep, CDG R=1.3 per-step over 200 steps at attention_bias_weight 1.0,
+#     a 1-, 5- and 12-word prompt: context-aggregating tokens ranked in part at every step, among
+#     near-tied PADs, and late steps that barely move, where a later step most often keeps its
+#     mask without a solve
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -302,6 +306,22 @@ cat >"$tmp/many_components_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/long_schedule_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 200, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 1.3,
+               "reuse_first_step_mask": false},
+  "attention_bias_weight": 1.0,
+  "prompts": [
+    "dog",
+    "a woman paints the wall",
+    "the old man and the young woman cook dinner in a kitchen"
+  ],
+  "seed": 0
+}
+JSON
+
 # run_all CODE_ROOT OUT: the commands listed above, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
@@ -362,6 +382,10 @@ run_all() {
         cli sweep sweep
         cli diagnose diagnose
     done
+    config=$tmp/long_schedule_config.json
+    name=long_schedule_config
+    cli sample sample
+    cli sweep sweep
     for config in "$tmp/block_zero_diagnose_config.json" "$tmp/three_block_diagnose_config.json"; do
         name=$(basename "$config" .json)
         cli rank-tokens rank-tokens --prompt "a man is cooking"

@@ -80,12 +80,18 @@ class RunConfig:
             raise ConfigError("attention_bias_weight must be finite")
         if not 0 <= self.guidance.lambda_block < self.encoder.n_blocks:
             raise ConfigError(f"lambda_block must be in [0, n_blocks = {self.encoder.n_blocks})")
+        self._schedule  # a schedule that rounds to one not decreasing fails here
+        self.tokens  # a prompt too long for the encoder fails here, at load
+
+    @cached_property
+    def _schedule(self) -> SigmaSchedule:
+        """The checked schedule, built once; not a field, so not in the echo."""
+        s = self.schedule
         try:
             # close sigma bounds can round to a schedule that is not decreasing
-            self.build_schedule()
+            return SigmaSchedule.log_spaced(s.steps, s.sigma_max, s.sigma_min)
         except CdgError as exc:
             raise ConfigError(f"invalid section 'schedule': {exc}") from exc
-        self.tokens  # a prompt too long for the encoder fails here, at load
 
     @cached_property
     def tokens(self) -> list[TokenSequence]:
@@ -109,8 +115,8 @@ class RunConfig:
         )
 
     def build_schedule(self) -> SigmaSchedule:
-        s = self.schedule
-        return SigmaSchedule.log_spaced(s.steps, s.sigma_max, s.sigma_min)
+        """The schedule checked at load: one frozen object, shared by every call."""
+        return self._schedule
 
 
 # the JSON values a field accepts, by the name of its annotated type; the

@@ -11,14 +11,14 @@ mask computation.
 
 from __future__ import annotations
 
-import operator
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .degradation import _masks, apply_mask, mask_extent
-from .encoder import PromptState, TokenSequence, ToyTextEncoder
+from .encoder import PromptState, TokenSequence, ToyTextEncoder, _is_int
 from .errors import AllHeadsFilteredError, InvalidInputError, NumericalError
 from .guidance import GuidanceConfig, GuidanceMode, combine, denoiser_to_eps
 from .importance import FusionConfig, _fuse_heads, _normalize_rows, _stationary_solve
@@ -252,19 +252,19 @@ class SamplerRun:
         return self.trajectory[-1]
 
 
-def _compute_importance(weights: np.ndarray) -> np.ndarray:
-    """Per-head token importance (K, H, N) of K attention stacks (K, H, N, N).
+def _compute_importance(p: np.ndarray) -> np.ndarray:
+    """Per-head token importance (K, H, N) of K stacks (K, H, N, N) of
+    row-normalized attention weights, which the solve overwrites.
 
     One stationary solve covers every head of every stack; a head's result
-    does not depend on the rest of the stack. The weights are the caller's
-    own fresh float64 array of products of exps, never negative, so
-    stationary_scores' shape and sign checks have nothing to find: its
-    kernels normalize the array in place, still rejecting a weight that is
-    not finite or a row of zeros, and the solve overwrites it.
+    does not depend on the rest of the stack. degrade_rows normalizes its
+    own fresh weights in place (a copy per call cost diagnose ~10% of its
+    items_per_s) and calls this at most once a call: over every key, or at a
+    later step over the keys it could not certify. So every solve the
+    sampler and the geometry sweep make runs here, and only those.
     """
-    k, h, n = weights.shape[:3]
-    # in place: a copy of the weights per call cost diagnose ~10% of its items_per_s
-    return _stationary_solve(_normalize_rows(weights.reshape(k * h, n, n))).reshape(k, h, n)
+    k, h, n = p.shape[:3]
+    return _stationary_solve(p.reshape(k * h, n, n)).reshape(k, h, n)
 
 
 class DegradeSet:
@@ -276,18 +276,25 @@ class DegradeSet:
     keys[r], or not at all at key -1. The rows of a key share one ranking,
     made from key_states[k], the key's prompt state, at the latent and
     sigma of its first row; `at` indexes each key's first row.
+
+    heads is None, or for a set ranking again at the sampler's later steps,
+    each key's last per-head scores (K, H, N): those of its last solve, or
+    its last certified power iterate, which degrade_rows keeps up to date
+    and certifies the next step's ranking from.
     """
 
-    def __init__(self, labels, tokens, conditions, extents, keys, key_states, at):
+    def __init__(self, labels, tokens, conditions, extents, keys, key_states, at, heads=None):
         self.labels, self.tokens, self.conditions = labels, tokens, conditions
         self.extents, self.keys, self.key_states, self.at = extents, keys, key_states, at
+        self.heads = heads
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def subset(self, rows: Sequence[int]) -> DegradeSet:
+    def subset(self, rows: Sequence[int], heads: np.ndarray | None = None) -> DegradeSet:
         """These rows of the set, each ranked under its own key, from the
-        prompt states the set already holds."""
+        prompt states the set already holds; heads, if given, is the
+        subset's per-head scores to certify from, (K, H, N), a row a key."""
         ranked = [i for i, r in enumerate(rows) if self.keys[r] >= 0]
         keys = [-1] * len(rows)
         for k, i in enumerate(ranked):
@@ -295,7 +302,7 @@ class DegradeSet:
         return DegradeSet(
             [self.labels[r] for r in rows], [self.tokens[r] for r in rows],
             [self.conditions[r] for r in rows], self.extents[rows],
-            keys, [self.key_states[self.keys[rows[i]]] for i in ranked], _rows(ranked),
+            keys, [self.key_states[self.keys[rows[i]]] for i in ranked], _rows(ranked), heads,
         )
 
 
@@ -351,6 +358,73 @@ def _stacked_weights(
     return weights
 
 
+# the later-step certificate (see _certify): its power steps, each by P^2,
+# and the least gap it accepts beyond its bound
+_CERTIFY_STEPS = 4
+_CERTIFY_MARGIN = 1e-9
+
+
+def _certify(
+    p: np.ndarray, rows: DegradeSet, previous: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """Each key's power iterate (K, H, N) from rows.heads, and the keys
+    whose ranking it cannot certify to give their rows' previous bits.
+
+    p holds the keys' row-normalized weights P (K, H, N, N), and Q = P^2,
+    one product, is row-stochastic with P's stationary vector. From y_0, a
+    key's last per-head scores, _CERTIFY_STEPS power steps y_j+1 = y_j Q
+    reach y_m, which is y_0 P^2m. Doeblin's coefficient c_h, the sum over
+    columns of Q_h's column minimum, bounds 1 - tau_1(Q_h) from below, so
+    the stationary vector lies within e_h = (1 - c_h) / c_h * |y_m -
+    y_m-1|_1 of y_m in l1 (Seneta 1988), each of its scores within e_h / 2,
+    and each unnormalized root-mean-square fused score within beta =
+    sqrt(sum_h (e_h / 2)^2 / H) of y_m's. The normalization by the total
+    does not change the ranking. A row keeps its previous bits, the mask of
+    an earlier ranking, if for each type it replaces in part every replaced
+    position of that type outscores every kept one by more than 2 beta +
+    _CERTIFY_MARGIN in y_m's fusion; the margin covers the rounding of the
+    solve and of Q. A row replacing no type in part always keeps its bits.
+    A key is certified when every row of it is; a c_h of 0, or a bound that
+    is not finite, certifies nothing. The bound and the gaps are Python
+    floats, a few a key, so they raise no floating-point warning.
+
+    Q mixes faster than P, so its coefficient is the larger: on per_step
+    inputs it certifies 90% of later steps, where 8 steps by P with P's own
+    coefficient certified 86%, at a higher cost than the product and 4
+    steps by Q.
+    """
+    q = p @ p
+    y = rows.heads[:, :, None]  # (K, H, 1, N)
+    for _ in range(_CERTIFY_STEPS):
+        last, y = y, y @ q
+    moved = np.abs(y - last).sum(axis=3)[..., 0].tolist()  # (K, H)
+    doeblin = q.min(axis=2).sum(axis=2).tolist()  # (K, H)
+    y = y[:, :, 0]
+    h = y.shape[1]
+    squares = (y * y).sum(axis=1).tolist()  # (K, N): H times each fused score squared
+    needed = []  # 2 beta + margin a key, as 4 beta^2 = sum_h e_h^2 / H; NaN certifies nothing
+    for c, m in zip(doeblin, moved):
+        if all(ch > 0.0 for ch in c):
+            e = [(1.0 - ch) / ch * mh for ch, mh in zip(c, m)]
+            needed.append(math.sqrt(sum(eh * eh for eh in e) / h) + _CERTIFY_MARGIN)
+        else:
+            needed.append(math.nan)
+    uncertain = set()
+    for r, k in enumerate(rows.keys):
+        if k < 0 or k in uncertain:
+            continue
+        tokens, bits, sq = rows.tokens[r], previous[r].tolist(), squares[k]
+        for positions, count in zip(
+            (tokens.content_positions, tokens.ctxagg_positions), rows.extents[r].tolist()
+        ):
+            if 0 < count < len(positions):
+                replaced = min(sq[i] for i in positions if not bits[i])
+                kept = max(sq[i] for i in positions if bits[i])
+                if not math.sqrt(replaced / h) - math.sqrt(kept / h) > needed[k]:
+                    uncertain.add(k)
+    return y, sorted(uncertain)
+
+
 def degrade_rows(
     encoder: ToyTextEncoder,
     rows: DegradeSet,
@@ -359,59 +433,91 @@ def degrade_rows(
     fusion: FusionConfig,
     bias_weight: float,
     previous: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[int], np.ndarray | None]:
+) -> tuple[np.ndarray, list[int], np.ndarray | None, np.ndarray | None]:
     """Degradation masks (B, N) of rows at latents x (B, d_x) and noise levels sigma.
 
     sigma is one noise level for every row, or a (B, 1) column of one per
     row, as in denoise. Each key is ranked at its first row's latent and
-    sigma: the keys' attention weights are one (K, H, N, N) array, which
-    one stationary solve normalizes in place and one stacked fusion fuses,
-    and one masking pass masks every row from its key's scores. These are
-    the kernels behind stationary_scores, fuse_head_stacks and build_masks,
+    sigma: the keys' attention weights are one (K, H, N, N) array, each row
+    of which is normalized in place, one stationary solve ranks the keys
+    (through _compute_importance), one stacked fusion fuses them, and one
+    masking pass masks their rows from their keys' scores. These are the
+    kernels behind stationary_scores, fuse_head_stacks and build_masks,
     called directly on arrays this call made, so each check that can fail
     here runs once: weights that are not finite or a row of zeros, a
     singular system or a solution that is not finite, a head filter that
     rejects every head of a key (named by that key's first row and its
     sigma), and a partial mask without scores.
+
+    A later step, one given `previous`, the rows' bits from the step
+    before, on a set holding heads (see DegradeSet) and with the variance
+    filter off, first tries to certify each key from its weights (see
+    _certify). A certified key keeps its rows' previous bits and is neither
+    solved, fused nor masked; the solve, the fusion and the masking run over
+    the other keys alone, and give each of them the bits a full step would,
+    as each key's are its own. The set's heads then hold each key's new
+    per-head scores.
+
     Returns every row's keep bits, the indices of the rows whose bits differ
-    from `previous` (every row when it is None), and those rows' pooled
-    degraded embeddings (C, encoder.d_c), or None when no row changed; the
-    other rows' embeddings still hold.
+    from `previous` (every row when it is None), those rows' pooled
+    degraded embeddings (C, encoder.d_c), or None when no row changed (the
+    other rows' embeddings still hold), and each key's per-head scores
+    (K, H, N), or None when no row ranks.
     """
     column = isinstance(sigma, np.ndarray)
     if column and sigma.shape != (len(rows), 1):
         raise InvalidInputError(f"sigma column of shape {sigma.shape} for {len(rows)} rows")
-    scores = None
+    heads, scores, redo = None, None, None
     if rows.key_states:
         at = rows.at
+        p = _normalize_rows(_stacked_weights(
+            rows.key_states, x[at], sigma[at] if column else sigma, bias_weight
+        ))
+        unsure = range(len(p))  # the keys solved: every one, unless certified
+        if previous is not None and rows.heads is not None and not fusion.enabled:
+            heads, unsure = _certify(p, rows, previous)
+        if len(unsure) == len(p):
+            heads = solved = _compute_importance(p)
+        elif unsure:
+            solved = heads[unsure] = _compute_importance(p[unsure])
+            redo = [r for r, k in enumerate(rows.keys) if k in unsure]
+        else:
+            solved = None
+        if rows.heads is not None:
+            rows.heads = heads
+        del p  # the weights live no longer than the solve
+        if solved is None:  # every key certified: every row keeps its bits
+            return previous, [], None, heads
         try:
-            scores = _fuse_heads(
-                _compute_importance(_stacked_weights(
-                    rows.key_states, x[at], sigma[at] if column else sigma, bias_weight
-                )),
-                fusion,
-            )
+            scores = _fuse_heads(solved, fusion)
         except AllHeadsFilteredError as exc:
             r = rows.keys.index(exc.index)
             at_sigma = float(sigma[r, 0]) if column else sigma
             raise AllHeadsFilteredError(
                 f"{exc} for {rows.labels[r]} at sigma {at_sigma}", exc.index
             ) from exc
-    keep = _masks(rows.tokens, scores, rows.keys, rows.extents)
+    if redo is None:
+        keep = _masks(rows.tokens, scores, rows.keys, rows.extents)
+    else:  # the rows of the keys solved again; the others keep their bits
+        keep = previous.copy()
+        keep[redo] = _masks(
+            [rows.tokens[r] for r in redo], scores,
+            [unsure.index(rows.keys[r]) for r in redo], rows.extents[redo],
+        )
     if previous is None:
         changed = list(range(len(rows)))
     else:
         differs = keep != previous
         # most later steps leave every mask as it was
         if not np.count_nonzero(differs):
-            return keep, [], None
+            return keep, [], None, heads
         changed = differs.any(axis=1).nonzero()[0].tolist()
     degraded = apply_mask(
         np.array([rows.conditions[r] for r in changed]),
         encoder.null_condition(),
         keep[changed],
     )
-    return keep, changed, encoder.pool(degraded)
+    return keep, changed, encoder.pool(degraded), heads
 
 
 def check_widths(model: GmmConditionalModel, encoder: ToyTextEncoder) -> None:
@@ -499,10 +605,16 @@ def sample_batch(
     boundary the unranked mask bypasses importance computation entirely.
     The degraded embedding is re-pooled only when a row's mask changes.
     Raises InvalidInputError, before any work, unless encoder was built for
-    model's widths, and NumericalError at the first non-finite latent,
+    model's widths and every chain's seed is an int >= 0 (a numpy integer,
+    not a bool or float), and NumericalError at the first non-finite latent,
     naming the first chain of its row.
     """
     check_widths(model, encoder)
+    for b, chain in enumerate(chains):
+        if not _is_int(chain.seed):
+            raise InvalidInputError(f"chain {b}: seed must be an int, got {chain.seed!r}")
+        if chain.seed < 0:
+            raise InvalidInputError(f"chain {b}: seed must be >= 0")
     if not chains:
         return []
     # each distinct chain is integrated once, as the row of its first
@@ -593,10 +705,12 @@ def _integrate(
         neg_m[:, null_neg] = model.means(null).swapaxes(0, 1)
 
     # the chains degrading at step 0, ranked once per (prompt, block, seed),
-    # as they share their latent there, and those of them ranking tokens
-    # again at every later step, each under its own key
+    # as they share their latent there, and the rows of them ranking tokens
+    # again at every later step: step 0 gives those a set of their own, a
+    # key a row, holding its solve's per-head scores to certify from
     degrading = [b for b, mode in enumerate(modes) if mode.uses_degradation]
     degraded_at = [((), None, None)] * 2
+    again = []
     if degrading:
         rows = degrade_set(states, [
             (f"chain {labels[b]}", c.tokens, conditions[c.tokens.ids], extents[b],
@@ -608,16 +722,11 @@ def _integrate(
             r for r, b in enumerate(degrading)
             if rows.keys[r] >= 0 and not chains[b].config.reuse_first_step_mask
         ]
-        if again:
-            active = [degrading[r] for r in again]
-            degraded_at[1] = (active, _rows(active), rows.subset(again))
 
     # one draw per distinct seed
     noise: dict[int, np.ndarray] = {}
-    for label, chain in zip(labels, chains):
+    for chain in chains:
         if chain.seed not in noise:
-            if operator.index(chain.seed) < 0:
-                raise InvalidInputError(f"chain {label}: seed must be >= 0")
             noise[chain.seed] = np.random.default_rng(chain.seed).normal(size=model.d_x)
     trajectory = np.empty((steps + 1, n, model.d_x))
     trajectory[0] = np.stack([noise[chain.seed] for chain in chains]) * sigmas[0]
@@ -630,7 +739,7 @@ def _integrate(
         sigma = sigmas[i]
         active, index, active_rows = degraded_at[i > 0]
         if active:
-            keep, changed, e_deg = degrade_rows(
+            keep, changed, e_deg, heads = degrade_rows(
                 encoder, active_rows, x[index], sigma, fusion, attention_bias_weight,
                 ledger[i - 1, index] if i else None,
             )
@@ -638,6 +747,11 @@ def _integrate(
                 ledger[i, index] = keep
             else:  # a chain keeps its step-0 mask until a later step rebuilds it
                 ledger[:, index] = keep
+                if again:
+                    ranked = [degrading[r] for r in again]
+                    degraded_at[1] = (ranked, _rows(ranked), rows.subset(
+                        again, heads[[rows.keys[r] for r in again]]
+                    ))
             if changed:  # a row at a time: at one row, a fancy-indexed write costs 4x
                 for r, m in zip(changed, model.means(e_deg)):
                     b = active[r]

@@ -25,7 +25,7 @@ from .diffusion import (
     degrade_set,
     denoise,
 )
-from .encoder import TokenSequence, ToyTextEncoder
+from .encoder import TokenSequence, ToyTextEncoder, _is_int
 from .errors import InvalidInputError, RankDeficientError, UndefinedMetricError
 from .guidance import denoiser_to_eps
 from .importance import FusionConfig
@@ -268,8 +268,9 @@ def run_geometry_sweep(
     projection of the per-prompt deltas per distinct k, and the means from
     (S, 2P) arrays. The pooled CFG and CDG spans of every sigma take one SVD
     per valid prompt count and one per (count, rank, k) for their principal
-    angles. An encoder not built for model's widths or a k that is not an
-    int raises InvalidInputError, and a k below 1 RankDeficientError, before
+    angles. An encoder not built for model's widths, a k or seed that is
+    not an int (a numpy integer, not a bool or float) or a negative seed
+    raises InvalidInputError, and a k below 1 RankDeficientError, before
     any work. The degrade step ranks its rows in
     one stationary solve and holds their attention weights, H * N^2 floats a
     row, at once: 1.8 MB for all 224 rows at 28 sigmas, 8 prompts, 4 heads and
@@ -283,10 +284,14 @@ def run_geometry_sweep(
     if n_prompts < 2:
         raise InvalidInputError("need at least 2 prompts")
     if k is not None:
-        if isinstance(k, bool) or not isinstance(k, int | np.integer):
+        if not _is_int(k):
             raise InvalidInputError(f"k must be an int or None, got {k!r}")
         if k < 1:
             raise RankDeficientError(f"k must be >= 1, got {k}")
+    if not _is_int(seed):
+        raise InvalidInputError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise InvalidInputError("seed must be >= 0")
     ratios = map_ratio(r_deg)
     ranked_at = lambda_block if ratios.ranks else None
     conditions, states = encoder.encode_stack(prompts_tokens, [ranked_at] * n_prompts)

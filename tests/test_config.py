@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdglab.config import RunConfig, config_echo, parse_config
+from cdglab.config import RunConfig, ScheduleConfig, config_echo, parse_config
+from cdglab.diffusion import SigmaSchedule
 from cdglab.errors import ConfigError
 
 SECTIONS = {
@@ -180,3 +181,24 @@ def test_echo_round_trips(doc):
         return  # an echo that JSON cannot hold, such as an infinite bound
     # the echo drops out_dir, so it reads back with the default one
     assert parse_config(json.loads(text)) == replace(cfg, out_dir=RunConfig().out_dir)
+
+
+def test_schedule_built_once():
+    cfg = parse_config({"schedule": {"steps": 5}})
+    schedule = cfg.build_schedule()
+    assert cfg.build_schedule() is schedule
+    assert schedule == SigmaSchedule.log_spaced(5, 10.0, 0.01)
+    assert "_schedule" not in config_echo(cfg)
+
+
+def test_replaced_config_checks_its_own_schedule():
+    cfg = parse_config({"schedule": {"steps": 5}})
+    assert replace(cfg, seed=3).build_schedule() == cfg.build_schedule()
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        replace(cfg, seed=-1)
+    longer = replace(cfg, schedule=ScheduleConfig(steps=7))
+    assert longer.build_schedule().steps == 7
+    # bounds so close that the log-spaced grid rounds to equal sigmas
+    close = ScheduleConfig(steps=3, sigma_max=1.0 + 2e-16, sigma_min=1.0)
+    with pytest.raises(ConfigError, match="invalid section 'schedule'"):
+        replace(cfg, schedule=close)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdglab import diffusion
+from cdglab.degradation import build_mask, build_masks, map_ratio
 from cdglab.diffusion import (
     DEFAULT_ATTENTION_BIAS_WEIGHT,
     Chain,
@@ -30,7 +31,7 @@ from cdglab.errors import (
     NumericalError,
 )
 from cdglab.guidance import GuidanceConfig, GuidanceMode
-from cdglab.importance import FusionConfig, stationary_scores
+from cdglab.importance import FusionConfig, fuse_head_stacks, stationary_scores
 from conftest import degrade_row, encode_one, state_of
 from oracles import (
     block_static,
@@ -55,6 +56,35 @@ def recorded_solves(monkeypatch) -> list[tuple[int, ...]]:
 
     monkeypatch.setattr(diffusion, "_stationary_solve", recording)
     return shapes
+
+
+def record_certified_solves(monkeypatch) -> list[tuple]:
+    """The sampler's certificates and solves from now on, in call order:
+    ("certify", (normalized weights, uncertified keys)) and ("solve", weights)."""
+    events = []
+    certify, solve = diffusion._certify, diffusion._compute_importance
+
+    def certifying(p, rows, previous):
+        y, unsure = certify(p, rows, previous)
+        events.append(("certify", (p.copy(), unsure)))
+        return y, unsure
+
+    def solving(p):
+        events.append(("solve", p.copy()))
+        return solve(p)
+
+    monkeypatch.setattr(diffusion, "_certify", certifying)
+    monkeypatch.setattr(diffusion, "_compute_importance", solving)
+    return events
+
+
+def no_certificate(p, rows, previous):
+    raise AssertionError("this call has no later ranking step to certify")
+
+
+def certify_none(p, rows, previous):
+    """A certificate that certifies no key, so every later step solves every key."""
+    return rows.heads, list(range(len(p)))
 
 
 def record_walks(encoder, monkeypatch) -> list[tuple[list, list]]:
@@ -832,10 +862,10 @@ class TestSample:
         # one stacked call at step 0; the R=1 boundary needs no solve
         assert shapes == [(len(prompts) * h, n, n)]
 
-    def test_per_step_batch_one_solve_per_step(
+    def test_per_step_batch_solves_only_uncertified_keys(
         self, model, schedule, encoder, params, monkeypatch
     ):
-        shapes = recorded_solves(monkeypatch)
+        events = record_certified_solves(monkeypatch)
         per_step = GuidanceConfig(
             mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
             reuse_first_step_mask=False,
@@ -844,9 +874,56 @@ class TestSample:
         runs = sample_batch(
             model, schedule, encoder, [Chain(t, per_step, i) for i, t in enumerate(prompts)]
         )
-        n, h = params.seq_len, params.n_heads
-        assert shapes == [(len(prompts) * h, n, n)] * schedule.steps
+        # step 0 solves every key in one call
+        kind, solved = events.pop(0)
+        assert kind == "solve" and solved.shape[0] == len(prompts)
+        # each later step certifies every key, then solves the keys it could
+        # not certify, and only those, in at most one stacked solve
+        later, solved_keys = 0, 0
+        while events:
+            kind, (p, unsure) = events.pop(0)
+            assert kind == "certify" and p.shape[0] == len(prompts)
+            later += 1
+            if unsure:
+                kind, solved = events.pop(0)
+                assert kind == "solve"
+                np.testing.assert_array_equal(solved, p[unsure])
+                solved_keys += len(unsure)
+        assert later == schedule.steps - 1
+        assert solved_keys < later * len(prompts)  # some key was certified
         assert all(run.wpr_call_count == schedule.steps for run in runs)
+
+    def test_per_step_with_variance_filter_solves_every_step(
+        self, model, schedule, encoder, tokens, params, monkeypatch
+    ):
+        shapes = recorded_solves(monkeypatch)
+        monkeypatch.setattr(diffusion, "_certify", no_certificate)
+        per_step = GuidanceConfig(
+            mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
+            reuse_first_step_mask=False,
+        )
+        keep_all = FusionConfig(v_min=0.0, v_max=1.0, enabled=True)
+        run = sample(model, schedule, encoder, tokens, per_step, 0, fusion=keep_all)
+        assert shapes == [(params.n_heads, len(tokens), len(tokens))] * schedule.steps
+        assert run.wpr_call_count == schedule.steps
+
+    def test_reuse_chains_and_step_zero_never_certify(
+        self, model, schedule, encoder, params, monkeypatch
+    ):
+        monkeypatch.setattr(diffusion, "_certify", no_certificate)
+        prompts = [tokenize(p, params) for p in ("a man is cooking", "a dog")]
+        sample_batch(model, schedule, encoder, [
+            Chain(t, GuidanceConfig(mode=mode, guidance_scale=3.0, r_deg=r), 0)
+            for t in prompts for mode in (GuidanceMode.CDG, GuidanceMode.CFG_STAR)
+            for r in (0.3, 1.0, 1.7)
+        ])
+        # a one-step chain has no later step
+        one = SigmaSchedule.log_spaced(1, 10.0, 0.01)
+        per_step = GuidanceConfig(
+            mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5,
+            reuse_first_step_mask=False,
+        )
+        sample(model, one, encoder, prompts[0], per_step, 0)
 
     def test_all_heads_filtered_names_chain(self, model, schedule, encoder, params):
         keep, drop = (tokenize(p, params) for p in ("a man is cooking", "a dog"))
@@ -948,6 +1025,35 @@ class TestSample:
         with pytest.raises(InvalidInputError, match="chain 0.*seed"):
             sample(model, schedule, encoder, tokens, CFG, -1)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            *[(seed, f"seed must be an int, got {seed!r}")
+              for seed in (1.5, np.float64(2.0), True, np.bool_(False))],
+            (-1, "seed must be >= 0"),
+        ],
+        ids=["float", "numpy_float", "bool", "numpy_bool", "negative"],
+    )
+    def test_bad_seed_rejected_before_any_work(
+        self, model, schedule, params, tokens, seed, message
+    ):
+        encoder = ToyTextEncoder(params, 8, 8)
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
+        chains = [Chain(tokens, cdg, 0), Chain(tokens, cdg, seed)]
+        with pytest.raises(InvalidInputError, match=f"^chain 1: {re.escape(message)}$"):
+            sample_batch(model, schedule, encoder, chains)
+        with pytest.raises(InvalidInputError, match=f"^chain 0: {re.escape(message)}$"):
+            sample(model, schedule, encoder, tokens, cdg, seed)
+        # rejected before the encoder walk, which would have stored the prompt's state
+        assert encoder._states == {}
+
+    def test_numpy_int_seed_is_an_int(self, model, schedule, encoder, tokens):
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.5)
+        ref = sample(model, schedule, encoder, tokens, cdg, 3)
+        run = sample(model, schedule, encoder, tokens, cdg, np.int64(3))
+        assert np.array_equal(run.trajectory, ref.trajectory)
+        assert np.array_equal(run.masks, ref.masks)
+
     def test_overflowing_attention_bias_rejected(self, model, schedule, encoder, tokens):
         # a chain that reuses its first step's mask, and one that ranks at every step
         for reuse, bias in [(True, 1e6), (False, 1e3)]:
@@ -1024,7 +1130,7 @@ def _degrade_per_sigma(encoder, blocks, fusion, bias, previous):
     masks, changed, embeddings, start = [], [], [], 0
     for sigma, rows, x in blocks:
         prev = None if previous is None else previous[start : start + len(rows)]
-        m, c, e = diffusion.degrade_rows(
+        m, c, e, _ = diffusion.degrade_rows(
             encoder, degrade_set_of(encoder, rows), x, sigma, fusion, bias, prev
         )
         masks.append(m)
@@ -1058,7 +1164,7 @@ class TestDegradeRows:
         shifted = np.roll(first, -len(blocks[0][1]), axis=0)
         for previous in (None, shifted):
             expected = _degrade_per_sigma(encoder, blocks, fusion, bias, previous)
-            masks, changed, e = diffusion.degrade_rows(
+            masks, changed, e, _ = diffusion.degrade_rows(
                 encoder, rows, x, column, fusion, bias, previous
             )
             assert changed == expected[1]
@@ -1134,6 +1240,108 @@ class TestDegradeRows:
             diffusion.degrade_rows(
                 encoder, rows, np.zeros((3, 8)), np.ones(shape), FusionConfig(), 0.1
             )
+
+
+CERTIFY_WORDS = "a man is cooking the dog runs in park old woman paints blue wall at dusk".split()
+
+
+def _pi_rows(pi: np.ndarray, heads: int) -> np.ndarray:
+    """A (1, heads, N, N) stack whose every row is pi: pi is its exact stationary
+    vector, and its Doeblin coefficient is sum(pi) = 1, so the bound is ~0."""
+    return np.tile(pi, (1, heads, len(pi), 1))
+
+
+class TestCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_certified_rows_keep_their_solved_bits(self, model, schedule, encoder, params, data):
+        bias = data.draw(st.sampled_from([0.0, DEFAULT_ATTENTION_BIAS_WEIGHT, 1.0]))
+
+        def chain() -> Chain:
+            words = data.draw(st.lists(st.sampled_from(CERTIFY_WORDS), max_size=14))
+            config = GuidanceConfig(
+                mode=data.draw(st.sampled_from([GuidanceMode.CDG, GuidanceMode.CFG_STAR])),
+                guidance_scale=3.0, r_deg=data.draw(st.sampled_from([0.3, 0.7, 1.3, 1.7])),
+                reuse_first_step_mask=False,
+            )
+            return Chain(tokenize(" ".join(words), params), config, data.draw(st.integers(0, 2**16)))
+
+        chains = [chain() for _ in range(data.draw(st.integers(1, 4)))]
+        certify = diffusion._certify
+        rows_seen = [0]
+
+        def checking(p, rows, previous):
+            # the full step beside the certificate: every key solved, fused and masked
+            y, unsure = certify(p, rows, previous)
+            solved = diffusion._compute_importance(p.copy())
+            bits = build_masks(rows.tokens, fuse_head_stacks(solved), rows.keys, rows.extents)
+            for r, k in enumerate(rows.keys):
+                rows_seen[0] += 1
+                if k not in unsure:
+                    np.testing.assert_array_equal(bits[r], previous[r])
+            return y, unsure
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffusion, "_certify", checking)
+            runs = sample_batch(model, schedule, encoder, chains, attention_bias_weight=bias)
+            mp.setattr(diffusion, "_certify", certify_none)
+            solved = sample_batch(model, schedule, encoder, chains, attention_bias_weight=bias)
+        # every later step tried every distinct chain
+        assert rows_seen[0] and rows_seen[0] % (schedule.steps - 1) == 0
+        for run, ref in zip(runs, solved):
+            np.testing.assert_array_equal(run.trajectory, ref.trajectory)
+            np.testing.assert_array_equal(run.masks, ref.masks)
+            assert run.wpr_call_count == ref.wpr_call_count == schedule.steps
+
+    def _row(self, encoder, tokens, r_deg, heads):
+        rows = degrade_set_of(encoder, [
+            degrade_row("row", tokens, encode_one(encoder, tokens), r_deg, 1, 0)
+        ])
+        return rows.subset([0], heads)
+
+    @pytest.mark.parametrize("gap, certified", [(5e-10, False), (2e-9, True)])
+    def test_near_tied_pads_certify_only_beyond_the_margin(
+        self, encoder, params, tokens, gap, certified
+    ):
+        # R=1.3 replaces 3 of the 12 context-aggregating positions: the
+        # third and fourth of them by score are two PADs a gap apart
+        ctxagg = tokens.ctxagg_positions
+        pi = np.zeros(len(tokens))
+        pi[tokens.content_positions] = 0.1
+        pi[ctxagg] = np.linspace(0.05, 0.01, len(ctxagg))
+        pi[[ctxagg[-1], ctxagg[-2]]] = 0.045
+        pi /= pi.sum()
+        pi[ctxagg[-1]] += gap / 2
+        pi[ctxagg[-2]] -= gap / 2
+        h = params.n_heads
+        rows = self._row(encoder, tokens, 1.3, np.tile(pi, (1, h, 1)))
+        previous = build_mask(tokens, pi, map_ratio(1.3))[None]
+        assert not previous[0, ctxagg[-1]] and previous[0, ctxagg[-2]]
+        y, unsure = diffusion._certify(_pi_rows(pi, h), rows, previous)
+        assert unsure == ([] if certified else [0])
+        np.testing.assert_allclose(y[0], np.tile(pi, (h, 1)), rtol=1e-12)
+        # bits that the ranking does not give never certify
+        swapped = previous.copy()
+        swapped[0, [ctxagg[-1], ctxagg[-2]]] = swapped[0, [ctxagg[-2], ctxagg[-1]]]
+        assert diffusion._certify(_pi_rows(pi, h), rows, swapped)[1] == [0]
+
+    def test_row_replacing_no_type_in_part_certifies(self, encoder, params, tokens):
+        pi = np.full(len(tokens), 1.0 / len(tokens))
+        h = params.n_heads
+        for r_deg in (0.0, 2.0):
+            rows = self._row(encoder, tokens, r_deg, np.tile(pi, (1, h, 1)))
+            previous = build_mask(tokens, None, map_ratio(r_deg))[None]
+            assert diffusion._certify(_pi_rows(pi, h), rows, previous)[1] == []
+
+    def test_zero_doeblin_coefficient_certifies_nothing(self, encoder, params, tokens):
+        # each row moves to the next position: every column has a zero, so
+        # c = 0; the bound would divide by it, and must raise no warning
+        n, h = len(tokens), params.n_heads
+        shift = np.roll(np.eye(n), 1, axis=1)
+        pi = np.full(n, 1.0 / n)
+        rows = self._row(encoder, tokens, 0.5, np.tile(pi, (1, h, 1)))
+        previous = build_mask(tokens, np.arange(n, 0, -1.0), map_ratio(0.5))[None]
+        assert diffusion._certify(np.tile(shift, (1, h, 1, 1)), rows, previous)[1] == [0]
 
 
 class TestSamplerStatistics:

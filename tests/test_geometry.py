@@ -516,6 +516,39 @@ class TestSweep:
         with pytest.raises(error, match=re.escape(message)):
             run_geometry_sweep(model, schedule, encoder, self._tokens(params), 1.0, k=k)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            *[(seed, f"seed must be an int, got {seed!r}")
+              for seed in (1.5, np.float64(2.0), True, np.bool_(False))],
+            (-1, "seed must be >= 0"),
+        ],
+        ids=["float", "numpy_float", "bool", "numpy_bool", "negative"],
+    )
+    def test_bad_seed_rejected_before_any_work(self, model, schedule, params, seed, message):
+        encoder = ToyTextEncoder(params, 8, 8)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            run_geometry_sweep(model, schedule, encoder, self._tokens(params), 0.5, seed=seed)
+        # rejected before the encoder walk, which would have stored the prompts' states
+        assert encoder._states == {}
+
+    def test_numpy_int_seed_is_an_int(self, model, encoder, params):
+        short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
+        tokens = self._tokens(params)
+        ref = run_geometry_sweep(model, short, encoder, tokens, 0.5, seed=3)
+        report = run_geometry_sweep(model, short, encoder, tokens, 0.5, seed=np.int64(3))
+        assert report.records == ref.records
+        assert report.detail == ref.detail
+
+    def test_degrade_step_never_certifies(self, model, encoder, params, monkeypatch):
+        # every (sigma, prompt) row is ranked at its own latent, with no previous bits
+        def no_certificate(*args):
+            raise AssertionError("the sweep has no later ranking step to certify")
+
+        monkeypatch.setattr(diffusion, "_certify", no_certificate)
+        short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
+        run_geometry_sweep(model, short, encoder, self._tokens(params), 1.5)
+
     def test_numpy_int_k_is_an_int(self, model, encoder, params):
         short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
         tokens = self._tokens(params)

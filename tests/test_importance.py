@@ -215,7 +215,9 @@ class TestStationaryScores:
         expected = stationary_solve_columns(weights)
         np.testing.assert_array_equal(stationary_scores(weights), expected)
         np.testing.assert_array_equal(_stationary_solve(_normalize_rows(weights.copy())), expected)
-        np.testing.assert_array_equal(_compute_importance(weights[None].copy())[0], expected)
+        np.testing.assert_array_equal(
+            _compute_importance(_normalize_rows(weights[None].copy()))[0], expected
+        )
 
     def test_singular_system_rejected(self):
         # two disconnected components: the stationary vector is not unique
