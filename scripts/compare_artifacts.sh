@@ -22,7 +22,8 @@
 #   collinear_diagnose: diagnose, one component and d_c 1, so rank-1 pooled spans whose basis is a strided slice of u
 #   boundary_diagnose: diagnose at R=1.0, where no row ranks and the degrade step makes no solve
 #   big_seed_diagnose: diagnose, the diagnose config at seed 2**64 + 5 (five 32-bit entropy words a latent), no fusion filter (it rejects every head there)
-#   one_prompt: sweep, one prompt over the default 21-point grid: one ranking key shared by 15 rows beside an R=1.0 row (the one-key weights inside a many-row call)
+#   one_prompt: sweep, one prompt over the default 21-point grid: one ranking key shared by 12 rows beside 3 that
+#     replace no type in part (R=0; R=1.0 to 1.2, one row; R=2) (the one-key weights inside a many-row call)
 #   bias_zero: sample, CDG R=0.5 per-step over two prompts at attention_bias_weight 0.0 (the keys' static attention)
 #   bias_zero_diagnose: diagnose, three prompts at attention_bias_weight 0.0
 #   block_zero_diagnose: diagnose at lambda_block 0, a prompt repeated: states taken from the embeddings, before any block;
@@ -37,6 +38,9 @@
 #     a 1-, 5- and 12-word prompt: context-aggregating tokens ranked in part at every step, among
 #     near-tied PADs, and late steps that barely move, where a later step most often keeps its
 #     mask without a solve
+#   unranked: sample and sweep, CDG R=0.3 per-step over a 1-, 2-, 3- and 4-word prompt: the first three replace
+#     no type in part at R=0.3, so their chains take no prompt state, no solve and no certificate beside a ranked one
+#   unranked_diagnose: diagnose at R=0.5, a 1-word prompt among three: its rows take no prompt state and no solve
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -322,6 +326,27 @@ cat >"$tmp/long_schedule_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/unranked_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.3,
+               "reuse_first_step_mask": false},
+  "prompts": ["dog", "red car", "a red car", "a man is cooking"],
+  "seed": 0
+}
+JSON
+
+cat >"$tmp/unranked_diagnose_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5},
+  "prompts": ["dog", "the dog runs in a park", "a woman paints the old wall"],
+  "seed": 0
+}
+JSON
+
 # run_all CODE_ROOT OUT: the commands listed above, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
@@ -386,6 +411,13 @@ run_all() {
     name=long_schedule_config
     cli sample sample
     cli sweep sweep
+    config=$tmp/unranked_config.json
+    name=unranked_config
+    cli sample sample
+    cli sweep sweep
+    config=$tmp/unranked_diagnose_config.json
+    name=unranked_diagnose_config
+    cli diagnose diagnose
     for config in "$tmp/block_zero_diagnose_config.json" "$tmp/three_block_diagnose_config.json"; do
         name=$(basename "$config" .json)
         cli rank-tokens rank-tokens --prompt "a man is cooking"

@@ -26,12 +26,6 @@ class DegradationRatios:
     r_content: float
     r_ctxagg: float
 
-    @property
-    def ranks(self) -> bool:
-        """Whether a chain at these ratios ranks its tokens: all but the 1.0
-        boundary, whose mask is every content position (R=0 and R=2 do rank)."""
-        return self.r_deg != 1.0
-
 
 def map_ratio(r_deg: float) -> DegradationRatios:
     """Split the unified ratio into per-type replacement ratios."""
@@ -49,6 +43,15 @@ def mask_extent(tokens: TokenSequence, ratios: DegradationRatios) -> tuple[int, 
     return (
         math.floor(ratios.r_content * len(tokens.content_positions)),
         math.floor(ratios.r_ctxagg * len(tokens.ctxagg_positions)),
+    )
+
+
+def needs_ranking(tokens: TokenSequence, extent: Sequence[int]) -> bool:
+    """Whether a mask at extent (k_content, k_ctxagg) replaces some type in
+    part, so that its bits depend on the importance ranking."""
+    return any(
+        0 < k < len(positions)
+        for positions, k in zip((tokens.content_positions, tokens.ctxagg_positions), extent)
     )
 
 
@@ -72,18 +75,12 @@ def build_mask(
     ranked by importance (N finite scores), True elsewhere.
 
     A type replaced wholly or not at all needs no ranking, so scores may be
-    None unless a type is replaced in part (never at ratio 1.0). This is
-    build_masks' one-row rule, which it applies to a lone row and to rows
-    without scores; cdglab build-mask calls it directly."""
-    _check_row_scores(tokens, scores)
-    return _row_bits(tokens, scores, mask_extent(tokens, ratios))
-
-
-def _check_row_scores(tokens: TokenSequence, scores: np.ndarray | None) -> None:
-    """Raises InvalidInputError unless scores is None or one finite value a token."""
+    None unless a type is replaced in part (see needs_ranking). scores,
+    when given, must be one finite value a token."""
     n = len(tokens)
     if scores is not None and (scores.shape != (n,) or not all_finite(scores)):
         raise InvalidInputError(f"importance must be {n} finite values, one per token")
+    return _row_bits(tokens, scores, mask_extent(tokens, ratios))
 
 
 def _row_bits(
@@ -102,38 +99,15 @@ def _row_bits(
     return keep
 
 
-def build_masks(
-    tokens: Sequence[TokenSequence],
-    scores: np.ndarray | None,
-    keys: Sequence[int],
-    extents: np.ndarray,
-) -> np.ndarray:
-    """Keep bits (B, N) of B rows: tokens[b] at extents[b] (a (B, 2) array),
-    ranked by scores[keys[b]].
-
-    scores is (K, N), or None when every key is -1. This entry checks that
-    a ranked row's scores are finite and one a token, as build_mask does for
-    a lone row; the sampler, whose scores come from its own checked solve,
-    calls _masks.
-    """
-    if len(keys) == 1:
-        _check_row_scores(tokens[0], None if keys[0] < 0 else scores[keys[0]])
-    elif scores is not None:
-        n = scores.shape[1]
-        if any(len(tokens[b]) != n for b, k in enumerate(keys) if k >= 0):
-            raise InvalidInputError("importance length does not match token count")
-        if not all_finite(scores):
-            raise InvalidInputError("importance scores must be finite")
-    return _masks(tokens, scores, keys, extents)
-
-
 def _masks(
     tokens: Sequence[TokenSequence],
     scores: np.ndarray | None,
     keys: Sequence[int],
     extents: np.ndarray,
 ) -> np.ndarray:
-    """build_masks of checked scores.
+    """Keep bits (B, N) of B rows: tokens[b] at extents[b] (a (B, 2) array),
+    ranked by the checked scores[keys[b]] of a (K, N) array, None when every
+    key is -1.
 
     A row with key -1 needs no ranking, and build_mask's rule masks it
     without scores. It also masks a lone row, ranked or not, where ranking

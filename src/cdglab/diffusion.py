@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degradation import _masks, apply_mask, mask_extent
+from .degradation import _masks, apply_mask, mask_extent, needs_ranking
 from .encoder import PromptState, TokenSequence, ToyTextEncoder, _is_int
 from .errors import AllHeadsFilteredError, InvalidInputError, NumericalError
 from .guidance import GuidanceConfig, GuidanceMode, combine, denoiser_to_eps
@@ -277,10 +277,9 @@ class DegradeSet:
     made from key_states[k], the key's prompt state, at the latent and
     sigma of its first row; `at` indexes each key's first row.
 
-    heads is None, or for a set ranking again at the sampler's later steps,
-    each key's last per-head scores (K, H, N): those of its last solve, or
-    its last certified power iterate, which degrade_rows keeps up to date
-    and certifies the next step's ranking from.
+    heads is each key's per-head scores (K, H, N) from the set's last
+    degrade_rows call, those of its solve or its certified power iterate,
+    or None before one; a later step certifies its ranking from them.
     """
 
     def __init__(self, labels, tokens, conditions, extents, keys, key_states, at, heads=None):
@@ -310,13 +309,13 @@ def degrade_set(states: dict[tuple, PromptState], rows: Iterable[tuple]) -> Degr
     """The DegradeSet of rows (label, tokens, condition embeddings, extent,
     block, latent), each extent a row's mask_extent.
 
-    A row at block None, as at the ratio-1.0 boundary, gets key -1: its
-    mask needs no ranking. Another row ranks from the state of its (token
-    ids, block) in states, the prompt states the caller's encode_stack call
-    returned at the same blocks, which the set holds. The latent is any
-    value naming the latent and sigma a row is ranked at, such as a chain's
-    seed at the sampler's first step: rows of one (token ids, block, latent)
-    share a key.
+    A row at block None, which callers give a row whose extent needs no
+    ranking (see needs_ranking), gets key -1. Another row ranks from the
+    state of its (token ids, block) in states, the prompt states the
+    caller's encode_stack call returned at the same blocks, which the set
+    holds. The latent is any value naming the latent and sigma a row is
+    ranked at, such as a chain's seed at the sampler's first step: rows of
+    one (token ids, block, latent) share a key.
     """
     labels, tokens, conditions, extents, blocks, latents = zip(*rows)
     index: dict[tuple, int] = {}
@@ -383,10 +382,10 @@ def _certify(
     an earlier ranking, if for each type it replaces in part every replaced
     position of that type outscores every kept one by more than 2 beta +
     _CERTIFY_MARGIN in y_m's fusion; the margin covers the rounding of the
-    solve and of Q. A row replacing no type in part always keeps its bits.
-    A key is certified when every row of it is; a c_h of 0, or a bound that
-    is not finite, certifies nothing. The bound and the gaps are Python
-    floats, a few a key, so they raise no floating-point warning.
+    solve and of Q. A key is certified when every row of it is; a c_h of 0,
+    or a bound that is not finite, certifies nothing. The bound and the
+    gaps are Python floats, a few a key, so they raise no floating-point
+    warning.
 
     Q mixes faster than P, so its coefficient is the larger: on per_step
     inputs it certifies 90% of later steps, where 8 steps by P with P's own
@@ -433,7 +432,7 @@ def degrade_rows(
     fusion: FusionConfig,
     bias_weight: float,
     previous: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[int], np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, list[int], np.ndarray | None]:
     """Degradation masks (B, N) of rows at latents x (B, d_x) and noise levels sigma.
 
     sigma is one noise level for every row, or a (B, 1) column of one per
@@ -442,7 +441,7 @@ def degrade_rows(
     of which is normalized in place, one stationary solve ranks the keys
     (through _compute_importance), one stacked fusion fuses them, and one
     masking pass masks their rows from their keys' scores. These are the
-    kernels behind stationary_scores, fuse_head_stacks and build_masks,
+    kernels behind stationary_scores, fuse_head_stacks and build_mask,
     called directly on arrays this call made, so each check that can fail
     here runs once: weights that are not finite or a row of zeros, a
     singular system or a solution that is not finite, a head filter that
@@ -459,15 +458,14 @@ def degrade_rows(
     per-head scores.
 
     Returns every row's keep bits, the indices of the rows whose bits differ
-    from `previous` (every row when it is None), those rows' pooled
+    from `previous` (every row when it is None), and those rows' pooled
     degraded embeddings (C, encoder.d_c), or None when no row changed (the
-    other rows' embeddings still hold), and each key's per-head scores
-    (K, H, N), or None when no row ranks.
+    other rows' embeddings still hold).
     """
     column = isinstance(sigma, np.ndarray)
     if column and sigma.shape != (len(rows), 1):
         raise InvalidInputError(f"sigma column of shape {sigma.shape} for {len(rows)} rows")
-    heads, scores, redo = None, None, None
+    scores, redo = None, None
     if rows.key_states:
         at = rows.at
         p = _normalize_rows(_stacked_weights(
@@ -475,19 +473,17 @@ def degrade_rows(
         ))
         unsure = range(len(p))  # the keys solved: every one, unless certified
         if previous is not None and rows.heads is not None and not fusion.enabled:
-            heads, unsure = _certify(p, rows, previous)
+            rows.heads, unsure = _certify(p, rows, previous)
         if len(unsure) == len(p):
-            heads = solved = _compute_importance(p)
+            rows.heads = solved = _compute_importance(p)
         elif unsure:
-            solved = heads[unsure] = _compute_importance(p[unsure])
+            solved = rows.heads[unsure] = _compute_importance(p[unsure])
             redo = [r for r, k in enumerate(rows.keys) if k in unsure]
         else:
             solved = None
-        if rows.heads is not None:
-            rows.heads = heads
         del p  # the weights live no longer than the solve
         if solved is None:  # every key certified: every row keeps its bits
-            return previous, [], None, heads
+            return previous, [], None
         try:
             scores = _fuse_heads(solved, fusion)
         except AllHeadsFilteredError as exc:
@@ -510,14 +506,14 @@ def degrade_rows(
         differs = keep != previous
         # most later steps leave every mask as it was
         if not np.count_nonzero(differs):
-            return keep, [], None, heads
+            return keep, [], None
         changed = differs.any(axis=1).nonzero()[0].tolist()
     degraded = apply_mask(
         np.array([rows.conditions[r] for r in changed]),
         encoder.null_condition(),
         keep[changed],
     )
-    return keep, changed, encoder.pool(degraded), heads
+    return keep, changed, encoder.pool(degraded)
 
 
 def check_widths(model: GmmConditionalModel, encoder: ToyTextEncoder) -> None:
@@ -556,19 +552,22 @@ def _chain_key(chain: Chain, extent: tuple[int, int] | None) -> tuple:
 
     A degradation mode's ratio enters only through the mask's extent: the
     same prompt at the same latent ranks its tokens the same way, so equal
-    extents give equal masks at every step. The ratio-1.0 boundary stays
-    apart, because its mask skips the ranking.
+    extents give equal masks at every step, and whether a chain ranks at
+    all follows from its extent too (see needs_ranking).
     """
     config = chain.config
     key = (chain.tokens.ids, chain.seed, config.mode, config.guidance_scale)
     if extent is None:
         return key
-    return key + (config.lambda_block, config.reuse_first_step_mask, config.ratios.ranks, extent)
+    return key + (config.lambda_block, config.reuse_first_step_mask, extent)
 
 
 def _rankings(config: GuidanceConfig, steps: int) -> int:
-    """How many masks a chain builds by ranking its tokens."""
-    if not config.mode.uses_degradation or not config.ratios.ranks:
+    """The wpr_call_count a chain reports: 1 with first-step reuse, else one
+    a step, and 0 at the ratio-1.0 boundary alone. It is not the solves
+    made: a chain whose extent needs no ranking, or a certified later step,
+    makes none."""
+    if not config.mode.uses_degradation or config.r_deg == 1.0:
         return 0
     return 1 if config.reuse_first_step_mask else steps
 
@@ -587,11 +586,11 @@ def sample_batch(
     arithmetic of a lone chain, so a chain's run does not depend on the
     rest of the batch: sample() is the one-chain case. Chains that agree on
     everything deciding a trajectory (prompt, seed, mode, scale and, for
-    the degradation modes, block, mask reuse, the ratio-1.0 boundary and
-    the mask's extent) are integrated once, as one row. Per step there is
-    one denoise over every row at its positive condition, one over the
-    guided rows at their negative condition, and one combine over the
-    guided rows with a column of their scales. A chain at w = 1 is not
+    the degradation modes, block, mask reuse and the mask's extent) are
+    integrated once, as one row. Per step there is one denoise over every
+    row at its positive condition, one over the guided rows at their
+    negative condition, and one combine over the guided rows with a column
+    of their scales. A chain at w = 1 is not
     guided: its prediction is the positive one, so it skips the negative.
     Each condition's component means are computed once per call, and a
     degraded one's again only when its mask changes. The trajectories are
@@ -601,8 +600,8 @@ def sample_batch(
     Masks for the degradation modes are built from the intervention block's
     attention map, by one degrade_rows call per step over the rows that
     build one then; with reuse_first_step_mask the importance ranking is
-    computed once at the first step and reused, and at the ratio-1.0
-    boundary the unranked mask bypasses importance computation entirely.
+    computed once at the first step and reused, and a mask whose extent
+    replaces no type in part bypasses importance computation entirely.
     The degraded embedding is re-pooled only when a row's mask changes.
     Raises InvalidInputError, before any work, unless encoder was built for
     model's widths and every chain's seed is an int >= 0 (a numpy integer,
@@ -665,13 +664,18 @@ def _integrate(
     steps = len(sigmas) - 1
     n = len(chains)
 
+    # each degrading chain's block, or None when its extent needs no ranking
+    ranked_at = [
+        None if extent is None or not needs_ranking(c.tokens, extent) else c.config.lambda_block
+        for c, extent in zip(chains, extents)
+    ]
     # one walk over the distinct prompts, a row at each block some chain
     # ranks one at, or at None; the call holds the states it returns
     wanted: dict[tuple[int, ...], tuple[TokenSequence, dict]] = {}
-    for chain in chains:
+    for chain, block in zip(chains, ranked_at):
         blocks = wanted.setdefault(chain.tokens.ids, (chain.tokens, {}))[1]
-        if chain.config.mode.uses_degradation and chain.config.ratios.ranks:
-            blocks[chain.config.lambda_block] = None
+        if block is not None:
+            blocks[block] = None
     walked = [(t, block) for t, blocks in wanted.values() for block in blocks or [None]]
     embeddings, states = encoder.encode_stack(*zip(*walked))
     conditions = {t.ids: c for (t, _), c in zip(walked, embeddings)}
@@ -714,7 +718,7 @@ def _integrate(
     if degrading:
         rows = degrade_set(states, [
             (f"chain {labels[b]}", c.tokens, conditions[c.tokens.ids], extents[b],
-             c.config.lambda_block if c.config.ratios.ranks else None, c.seed)
+             ranked_at[b], c.seed)
             for b, c in enumerate(chains) if c.config.mode.uses_degradation
         ])
         degraded_at[0] = (degrading, _rows(degrading), rows)
@@ -739,7 +743,7 @@ def _integrate(
         sigma = sigmas[i]
         active, index, active_rows = degraded_at[i > 0]
         if active:
-            keep, changed, e_deg, heads = degrade_rows(
+            keep, changed, e_deg = degrade_rows(
                 encoder, active_rows, x[index], sigma, fusion, attention_bias_weight,
                 ledger[i - 1, index] if i else None,
             )
@@ -750,7 +754,7 @@ def _integrate(
                 if again:
                     ranked = [degrading[r] for r in again]
                     degraded_at[1] = (ranked, _rows(ranked), rows.subset(
-                        again, heads[[rows.keys[r] for r in again]]
+                        again, rows.heads[[rows.keys[r] for r in again]]
                     ))
             if changed:  # a row at a time: at one row, a fancy-indexed write costs 4x
                 for r, m in zip(changed, model.means(e_deg)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degradation import map_ratio, mask_extent
+from .degradation import map_ratio, mask_extent, needs_ranking
 from .diffusion import (
     DEFAULT_ATTENTION_BIAS_WEIGHT,
     GmmConditionalModel,
@@ -293,13 +293,17 @@ def run_geometry_sweep(
     if seed < 0:
         raise InvalidInputError("seed must be >= 0")
     ratios = map_ratio(r_deg)
-    ranked_at = lambda_block if ratios.ranks else None
-    conditions, states = encoder.encode_stack(prompts_tokens, [ranked_at] * n_prompts)
+    extents = [mask_extent(t, ratios) for t in prompts_tokens]
+    ranked_at = [
+        lambda_block if needs_ranking(t, extent) else None
+        for t, extent in zip(prompts_tokens, extents)
+    ]
+    conditions, states = encoder.encode_stack(prompts_tokens, ranked_at)
     e_c = encoder.pool(conditions)
     e_null = encoder.pool(encoder.null_condition())
     rows = degrade_set(states, [
-        (f"prompt {p}", t, c, mask_extent(t, ratios), ranked_at, p)
-        for p, (t, c) in enumerate(zip(prompts_tokens, conditions))
+        (f"prompt {p}", *row, p)
+        for p, row in enumerate(zip(prompts_tokens, conditions, extents, ranked_at))
     ])
 
     sigmas = schedule.sigmas[:-1]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cdglab.degradation import map_ratio, mask_extent
+from cdglab.degradation import map_ratio, mask_extent, needs_ranking
 from cdglab.diffusion import GmmConditionalModel, SigmaSchedule
 from cdglab.encoder import EncoderParams, ToyTextEncoder, tokenize
 
@@ -51,10 +51,10 @@ def encode_one(encoder: ToyTextEncoder, tokens) -> np.ndarray:
 
 def degrade_row(label, tokens, condition, r_deg: float, block: int, latent) -> tuple:
     """A degrade_set row of tokens at ratio r_deg: its mask extent, and its
-    block, or None at the ratio-1.0 boundary, which does not rank."""
-    ratios = map_ratio(r_deg)
-    return (label, tokens, condition, mask_extent(tokens, ratios),
-            block if ratios.ranks else None, latent)
+    block, or None when that extent needs no ranking."""
+    extent = mask_extent(tokens, map_ratio(r_deg))
+    return (label, tokens, condition, extent,
+            block if needs_ranking(tokens, extent) else None, latent)
 
 
 def state_of(encoder: ToyTextEncoder, tokens, block: int):

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdglab.degradation import (
+    _masks,
     apply_mask,
     build_mask,
-    build_masks,
     map_ratio,
     mask_extent,
+    needs_ranking,
     type_order,
 )
 from cdglab.encoder import EncoderParams, TokenType, tokenize
@@ -35,7 +36,7 @@ PROMPTS = st.lists(
 
 
 def _extents(tokens, ratios) -> np.ndarray:
-    """The (B, 2) extents of rows tokens[b] at ratios[b], as build_masks takes them."""
+    """The (B, 2) extents of rows tokens[b] at ratios[b], as _masks takes them."""
     return np.array([mask_extent(t, r) for t, r in zip(tokens, ratios)])
 
 
@@ -154,12 +155,16 @@ class TestBuildMask:
     )
     def test_unranked_mask_needs_no_scores(self, params, prompt, seed, r):
         # a type replaced wholly or not at all takes its positions without
-        # ranking; only a partly replaced type needs the scores
+        # ranking; only a partly replaced type needs the scores, and
+        # needs_ranking says which extents have one
         tokens = tokenize(prompt, params)
         ratios = map_ratio(r)
         counts = [len(tokens.positions_of(t)) for t in (TokenType.CONTENT, TokenType.CTX_AGG)]
         ranked = build_mask(tokens, _importance(seed, len(tokens)), ratios)
-        if all(k in (0, n) for k, n in zip(mask_extent(tokens, ratios), counts)):
+        extent = mask_extent(tokens, ratios)
+        whole = all(k in (0, n) for k, n in zip(extent, counts))
+        assert needs_ranking(tokens, extent) is not whole
+        if whole:
             np.testing.assert_array_equal(build_mask(tokens, None, ratios), ranked)
         else:
             with pytest.raises(InvalidInputError):
@@ -182,8 +187,8 @@ class TestBuildMask:
 
 
 class TestBuildMasks:
-    """build_masks ranks every keyed row at once; build_mask is its one-row
-    form and masks the rows without a key."""
+    """_masks, the degrade step's masking pass, ranks every keyed row at
+    once; build_mask is its one-row form and masks the rows without a key."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -210,7 +215,7 @@ class TestBuildMasks:
             st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n),
             min_size=n_keys, max_size=n_keys,
         )))
-        got_masks = build_masks(tokens, scores, keys, _extents(tokens, ratios))
+        got_masks = _masks(tokens, scores, keys, _extents(tokens, ratios))
         assert got_masks.shape == (len(tokens), n)
         for got, t, k, r in zip(got_masks, tokens, keys, ratios):
             want = build_mask(t, None if k < 0 else scores[k], r)
@@ -223,34 +228,18 @@ class TestBuildMasks:
         tokens = [tokenize(p, params) for p in ("a man is cooking", "", "the red man")]
         for r in (0.0, 1.0):
             extents = _extents(tokens, [map_ratio(r)] * len(tokens))
-            for got, t in zip(build_masks(tokens, None, [-1] * 3, extents), tokens):
+            for got, t in zip(_masks(tokens, None, [-1] * 3, extents), tokens):
                 np.testing.assert_array_equal(got, build_mask(t, None, map_ratio(r)))
         # "" has no content word, so R=0.5 replaces none of it; the other
         # prompts are replaced in part and need scores
         with pytest.raises(InvalidInputError, match="partial content"):
-            build_masks(tokens, None, [-1] * 3, _extents(tokens, [map_ratio(0.5)] * 3))
+            _masks(tokens, None, [-1] * 3, _extents(tokens, [map_ratio(0.5)] * 3))
         with pytest.raises(InvalidInputError, match="partial ctx_agg"):
-            build_masks(tokens, None, [-1] * 3, _extents(tokens, [map_ratio(1.5)] * 3))
+            _masks(tokens, None, [-1] * 3, _extents(tokens, [map_ratio(1.5)] * 3))
         # beside two ranked rows, an unranked one is still held to the rule
         scores = np.ones((2, len(tokens[0])))
         with pytest.raises(InvalidInputError, match="partial content"):
-            build_masks(tokens, scores, [0, 1, -1], _extents(tokens, [map_ratio(0.5)] * 3))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("row", [0, 1])
-    def test_non_finite_scores_rejected(self, params, row, bad):
-        tokens = [tokenize(p, params) for p in ("a man is cooking", "the dog runs in a park")]
-        scores = np.ones((2, len(tokens[0])))
-        scores[row, 2] = bad
-        extents = _extents(tokens, [map_ratio(0.5)] * 2)
-        with pytest.raises(InvalidInputError, match="finite"):
-            build_masks(tokens, scores, [0, 1], extents)
-
-    def test_score_shape_must_match_rows(self, params):
-        tokens = [tokenize(p, params) for p in ("a man", "the red man")]
-        extents = _extents(tokens, [map_ratio(0.5)] * 2)
-        with pytest.raises(InvalidInputError):
-            build_masks(tokens, np.ones((2, len(tokens[0]) - 1)), [0, 1], extents)
+            _masks(tokens, scores, [0, 1, -1], _extents(tokens, [map_ratio(0.5)] * 3))
 
 
 class TestApplyMask:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdglab import diffusion
-from cdglab.degradation import build_mask, build_masks, map_ratio
+from cdglab.degradation import _masks, build_mask, map_ratio, mask_extent, needs_ranking
 from cdglab.diffusion import (
     DEFAULT_ATTENTION_BIAS_WEIGHT,
     Chain,
@@ -757,9 +757,10 @@ class TestSample:
             Chain(t, replace(cdg, r_deg=r), 0) for r in grid for t in prompts
         ]
         runs = sample_batch(model, schedule, encoder, chains)
+        # the extent alone decides a row: at R=1.0 the empty prompt, which
+        # has no content word, shares R=0.0's
         distinct = {
-            (chain.tokens.ids, chain.config.r_deg == 1.0,
-             *replaced(chain.tokens, run.masks[0])[1:])
+            (chain.tokens.ids, *replaced(chain.tokens, run.masks[0])[1:])
             for chain, run in zip(chains[3:], runs[3:])
         }
         assert len(distinct) < len(grid) * len(prompts)
@@ -874,15 +875,17 @@ class TestSample:
         runs = sample_batch(
             model, schedule, encoder, [Chain(t, per_step, i) for i, t in enumerate(prompts)]
         )
+        # "" has no content word, so R=0.5 replaces none of it: it has no key
+        keys = len(prompts) - 1
         # step 0 solves every key in one call
         kind, solved = events.pop(0)
-        assert kind == "solve" and solved.shape[0] == len(prompts)
+        assert kind == "solve" and solved.shape[0] == keys
         # each later step certifies every key, then solves the keys it could
         # not certify, and only those, in at most one stacked solve
         later, solved_keys = 0, 0
         while events:
             kind, (p, unsure) = events.pop(0)
-            assert kind == "certify" and p.shape[0] == len(prompts)
+            assert kind == "certify" and p.shape[0] == keys
             later += 1
             if unsure:
                 kind, solved = events.pop(0)
@@ -890,8 +893,32 @@ class TestSample:
                 np.testing.assert_array_equal(solved, p[unsure])
                 solved_keys += len(unsure)
         assert later == schedule.steps - 1
-        assert solved_keys < later * len(prompts)  # some key was certified
+        assert solved_keys < later * keys  # some key was certified
         assert all(run.wpr_call_count == schedule.steps for run in runs)
+
+    def test_per_step_chain_replacing_no_type_in_part_never_ranks(
+        self, model, schedule, encoder, params, monkeypatch
+    ):
+        # R=0.3 of 2 content words replaces floor(0.6) = 0 of them: the mask
+        # keeps every position at every step, whatever the ranking
+        tokens = tokenize("red car", params)
+        per_step = GuidanceConfig(
+            mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=0.3,
+            reuse_first_step_mask=False,
+        )
+        events = record_certified_solves(monkeypatch)
+        walks = record_walks(encoder, monkeypatch)
+        run = sample(model, schedule, encoder, tokens, per_step, 0)
+        assert events == [] and walks == [([tokens.ids], [None])]
+        # ranked as if its mask could change: a step-0 solve and a
+        # certificate at every later step, to the same run
+        monkeypatch.setattr(diffusion, "needs_ranking", lambda tokens, extent: True)
+        ranked = sample(model, schedule, encoder, tokens, per_step, 0)
+        assert [kind for kind, _ in events] == ["solve"] + ["certify"] * (schedule.steps - 1)
+        np.testing.assert_array_equal(run.trajectory, ranked.trajectory)
+        np.testing.assert_array_equal(run.masks, ranked.masks)
+        assert run.masks.all()
+        assert run.wpr_call_count == ranked.wpr_call_count == schedule.steps
 
     def test_per_step_with_variance_filter_solves_every_step(
         self, model, schedule, encoder, tokens, params, monkeypatch
@@ -1130,7 +1157,7 @@ def _degrade_per_sigma(encoder, blocks, fusion, bias, previous):
     masks, changed, embeddings, start = [], [], [], 0
     for sigma, rows, x in blocks:
         prev = None if previous is None else previous[start : start + len(rows)]
-        m, c, e, _ = diffusion.degrade_rows(
+        m, c, e = diffusion.degrade_rows(
             encoder, degrade_set_of(encoder, rows), x, sigma, fusion, bias, prev
         )
         masks.append(m)
@@ -1163,8 +1190,11 @@ class TestDegradeRows:
             return
         shifted = np.roll(first, -len(blocks[0][1]), axis=0)
         for previous in (None, shifted):
+            # a set holding heads certifies from them, and shifted is not
+            # these rows' own earlier bits: each pass takes a fresh set
+            rows = degrade_set_of(encoder, [row for _, b, _ in blocks for row in b])
             expected = _degrade_per_sigma(encoder, blocks, fusion, bias, previous)
-            masks, changed, e, _ = diffusion.degrade_rows(
+            masks, changed, e = diffusion.degrade_rows(
                 encoder, rows, x, column, fusion, bias, previous
             )
             assert changed == expected[1]
@@ -1274,7 +1304,7 @@ class TestCertificate:
             # the full step beside the certificate: every key solved, fused and masked
             y, unsure = certify(p, rows, previous)
             solved = diffusion._compute_importance(p.copy())
-            bits = build_masks(rows.tokens, fuse_head_stacks(solved), rows.keys, rows.extents)
+            bits = _masks(rows.tokens, fuse_head_stacks(solved), rows.keys, rows.extents)
             for r, k in enumerate(rows.keys):
                 rows_seen[0] += 1
                 if k not in unsure:
@@ -1286,8 +1316,13 @@ class TestCertificate:
             runs = sample_batch(model, schedule, encoder, chains, attention_bias_weight=bias)
             mp.setattr(diffusion, "_certify", certify_none)
             solved = sample_batch(model, schedule, encoder, chains, attention_bias_weight=bias)
-        # every later step tried every distinct chain
-        assert rows_seen[0] and rows_seen[0] % (schedule.steps - 1) == 0
+        # every later step tried every distinct chain whose extent ranks
+        ranking = set()
+        for c in chains:
+            extent = mask_extent(c.tokens, c.config.ratios)
+            if needs_ranking(c.tokens, extent):
+                ranking.add(diffusion._chain_key(c, extent))
+        assert rows_seen[0] == len(ranking) * (schedule.steps - 1)
         for run, ref in zip(runs, solved):
             np.testing.assert_array_equal(run.trajectory, ref.trajectory)
             np.testing.assert_array_equal(run.masks, ref.masks)
@@ -1325,13 +1360,22 @@ class TestCertificate:
         swapped[0, [ctxagg[-1], ctxagg[-2]]] = swapped[0, [ctxagg[-2], ctxagg[-1]]]
         assert diffusion._certify(_pi_rows(pi, h), rows, swapped)[1] == [0]
 
-    def test_row_replacing_no_type_in_part_certifies(self, encoder, params, tokens):
-        pi = np.full(len(tokens), 1.0 / len(tokens))
-        h = params.n_heads
+    def test_row_replacing_no_type_in_part_gets_no_key(
+        self, encoder, params, tokens, monkeypatch
+    ):
+        # R=0 and R=2 replace every type wholly or not at all: the row has no
+        # key and no prompt state, so a later step keeps its bits with no
+        # certificate and no solve
+        monkeypatch.setattr(diffusion, "_certify", no_certificate)
         for r_deg in (0.0, 2.0):
-            rows = self._row(encoder, tokens, r_deg, np.tile(pi, (1, h, 1)))
+            rows = self._row(encoder, tokens, r_deg, np.empty((0, params.n_heads, len(tokens))))
+            assert rows.keys == [-1] and not rows.key_states
             previous = build_mask(tokens, None, map_ratio(r_deg))[None]
-            assert diffusion._certify(_pi_rows(pi, h), rows, previous)[1] == []
+            keep, changed, e = diffusion.degrade_rows(
+                encoder, rows, np.zeros((1, 8)), 1.0, FusionConfig(), 0.1, previous
+            )
+            _assert_masks_equal(keep, previous)
+            assert changed == [] and e is None
 
     def test_zero_doeblin_coefficient_certifies_nothing(self, encoder, params, tokens):
         # each row moves to the next position: every column has a zero, so

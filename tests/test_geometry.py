@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cdglab import diffusion, geometry, linalg
 from cdglab import encoder as encoder_module
-from cdglab.degradation import map_ratio
+from cdglab.degradation import map_ratio, mask_extent, needs_ranking
 from cdglab.diffusion import (
     GmmConditionalModel,
     SigmaSchedule,
@@ -389,6 +389,31 @@ class TestSweep:
         n, h = params.seq_len, params.n_heads
         assert shapes == [(short.steps * len(PROMPTS) * h, n, n)]
 
+    def test_prompt_replacing_no_type_in_part_never_ranks(self, model, params, monkeypatch):
+        # R=0.5 of one content word replaces floor(0.5) = 0 of it, so "dog"
+        # gets no prompt state and no row of the solve
+        tokens = [tokenize(p, params) for p in ["dog", *PROMPTS[:2]]]
+        encoder = ToyTextEncoder(params, 8, 8)  # its own store: every state is built here
+        shapes, built = [], []
+        solve, build = diffusion._stationary_solve, encoder._build_state
+        monkeypatch.setattr(
+            diffusion, "_stationary_solve", lambda p: shapes.append(np.shape(p)) or solve(p)
+        )
+        monkeypatch.setattr(
+            encoder, "_build_state", lambda key, *a: built.append(key) or build(key, *a)
+        )
+        short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
+        report = run_geometry_sweep(model, short, encoder, tokens, 0.5)
+        n, h = params.seq_len, params.n_heads
+        assert built == [(t.ids, 1) for t in tokens[1:]]
+        assert shapes == [(short.steps * 2 * h, n, n)]
+        # ranked as if its mask could change, it gives the same report
+        monkeypatch.setattr(geometry, "needs_ranking", lambda tokens, extent: True)
+        ranked = run_geometry_sweep(model, short, encoder, tokens, 0.5)
+        assert built[2:] == [(tokens[0].ids, 1)]
+        assert shapes[1:] == [(short.steps * 3 * h, n, n)]
+        assert report.detail == ranked.detail and report.records == ranked.records
+
     @pytest.mark.parametrize("r_deg, lambda_block", [(0.5, 0), (0.5, 1), (1.0, 1)])
     def test_one_walk_and_one_denoise(self, model, params, monkeypatch, r_deg, lambda_block):
         # the benchmark's 8 prompts once took 26 block passes and 3 denoise calls
@@ -411,8 +436,11 @@ class TestSweep:
         one = (params.n_heads, params.seq_len, params.seq_len)
         assert passes == [(len(tokens), *one)] * params.n_blocks + [one] * params.n_blocks
         # each state once, in that walk: every lookup of degrade_set hits the store
-        ranks = map_ratio(r_deg).ranks
-        assert built == [(t.ids, lambda_block) for t in tokens if ranks]
+        ratios = map_ratio(r_deg)
+        assert built == [
+            (t.ids, lambda_block) for t in tokens
+            if needs_ranking(t, mask_extent(t, ratios))
+        ]
         assert len(denoised) == 1
 
     def test_long_schedule_runs_in_blocks(self, model, encoder, params, monkeypatch):
