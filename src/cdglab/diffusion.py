@@ -378,10 +378,12 @@ def _certify(
     y_m-1|_1 of y_m in l1 (Seneta 1988), each of its scores within e_h / 2,
     and each unnormalized root-mean-square fused score within beta =
     sqrt(sum_h (e_h / 2)^2 / H) of y_m's. The normalization by the total
-    does not change the ranking. A row keeps its previous bits, the mask of
-    an earlier ranking, if for each type it replaces in part every replaced
+    does not change the ranking. A row keeps its previous bits if they
+    replace exactly its extent of each type (the two types hold every
+    position) and, for each type it replaces in part, every replaced
     position of that type outscores every kept one by more than 2 beta +
-    _CERTIFY_MARGIN in y_m's fusion; the margin covers the rounding of the
+    _CERTIFY_MARGIN in y_m's fusion: its bits are then the top k a solve
+    gives, whatever `previous` was. The margin covers the rounding of the
     solve and of Q. A key is certified when every row of it is; a c_h of 0,
     or a bound that is not finite, certifies nothing. The bound and the
     gaps are Python floats, a few a key, so they raise no floating-point
@@ -416,11 +418,15 @@ def _certify(
         for positions, count in zip(
             (tokens.content_positions, tokens.ctxagg_positions), rows.extents[r].tolist()
         ):
+            replaced = [sq[i] for i in positions if not bits[i]]
+            if len(replaced) != count:
+                uncertain.add(k)
+                break
             if 0 < count < len(positions):
-                replaced = min(sq[i] for i in positions if not bits[i])
                 kept = max(sq[i] for i in positions if bits[i])
-                if not math.sqrt(replaced / h) - math.sqrt(kept / h) > needed[k]:
+                if not math.sqrt(min(replaced) / h) - math.sqrt(kept / h) > needed[k]:
                     uncertain.add(k)
+                    break
     return y, sorted(uncertain)
 
 
@@ -453,9 +459,9 @@ def degrade_rows(
     filter off, first tries to certify each key from its weights (see
     _certify). A certified key keeps its rows' previous bits and is neither
     solved, fused nor masked; the solve, the fusion and the masking run over
-    the other keys alone, and give each of them the bits a full step would,
-    as each key's are its own. The set's heads then hold each key's new
-    per-head scores.
+    the other keys alone, and the masking over the unranked rows, and give
+    each of them the bits a full step would, as each key's are its own. The
+    set's heads then hold each key's new per-head scores.
 
     Returns every row's keep bits, the indices of the rows whose bits differ
     from `previous` (every row when it is None), and those rows' pooled
@@ -476,16 +482,16 @@ def degrade_rows(
             rows.heads, unsure = _certify(p, rows, previous)
         if len(unsure) == len(p):
             rows.heads = solved = _compute_importance(p)
-        elif unsure:
-            solved = rows.heads[unsure] = _compute_importance(p[unsure])
-            redo = [r for r, k in enumerate(rows.keys) if k in unsure]
-        else:
+        else:  # masked again: the rows of the keys solved, and the unranked rows
+            redo = [r for r, k in enumerate(rows.keys) if k < 0 or k in unsure]
             solved = None
+            if unsure:
+                solved = rows.heads[unsure] = _compute_importance(p[unsure])
         del p  # the weights live no longer than the solve
-        if solved is None:  # every key certified: every row keeps its bits
+        if redo == []:  # every row certified: each keeps its bits
             return previous, [], None
         try:
-            scores = _fuse_heads(solved, fusion)
+            scores = None if solved is None else _fuse_heads(solved, fusion)
         except AllHeadsFilteredError as exc:
             r = rows.keys.index(exc.index)
             at_sigma = float(sigma[r, 0]) if column else sigma
@@ -494,11 +500,12 @@ def degrade_rows(
             ) from exc
     if redo is None:
         keep = _masks(rows.tokens, scores, rows.keys, rows.extents)
-    else:  # the rows of the keys solved again; the others keep their bits
+    else:  # the certified rows keep their bits
         keep = previous.copy()
         keep[redo] = _masks(
             [rows.tokens[r] for r in redo], scores,
-            [unsure.index(rows.keys[r]) for r in redo], rows.extents[redo],
+            [unsure.index(k) if k >= 0 else -1 for k in (rows.keys[r] for r in redo)],
+            rows.extents[redo],
         )
     if previous is None:
         changed = list(range(len(rows)))
@@ -552,13 +559,16 @@ def _chain_key(chain: Chain, extent: tuple[int, int] | None) -> tuple:
 
     A degradation mode's ratio enters only through the mask's extent: the
     same prompt at the same latent ranks its tokens the same way, so equal
-    extents give equal masks at every step, and whether a chain ranks at
-    all follows from its extent too (see needs_ranking).
+    extents give equal masks at every step. Whether a chain ranks at all
+    follows from its extent too (see needs_ranking): the mask of one that
+    does not is fixed, so its block and mask reuse do not enter the key.
     """
     config = chain.config
     key = (chain.tokens.ids, chain.seed, config.mode, config.guidance_scale)
     if extent is None:
         return key
+    if not needs_ranking(chain.tokens, extent):
+        return key + (None, None, extent)
     return key + (config.lambda_block, config.reuse_first_step_mask, extent)
 
 
@@ -586,11 +596,11 @@ def sample_batch(
     arithmetic of a lone chain, so a chain's run does not depend on the
     rest of the batch: sample() is the one-chain case. Chains that agree on
     everything deciding a trajectory (prompt, seed, mode, scale and, for
-    the degradation modes, block, mask reuse and the mask's extent) are
-    integrated once, as one row. Per step there is one denoise over every
-    row at its positive condition, one over the guided rows at their
-    negative condition, and one combine over the guided rows with a column
-    of their scales. A chain at w = 1 is not
+    the degradation modes, the mask's extent and, for a chain that ranks,
+    block and mask reuse) are integrated once, as one row. Per step there
+    is one denoise over every row at its positive condition, one over the
+    guided rows at their negative condition, and one combine over the
+    guided rows with a column of their scales. A chain at w = 1 is not
     guided: its prediction is the positive one, so it skips the negative.
     Each condition's component means are computed once per call, and a
     degraded one's again only when its mask changes. The trajectories are

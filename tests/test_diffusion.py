@@ -920,6 +920,33 @@ class TestSample:
         assert run.masks.all()
         assert run.wpr_call_count == ranked.wpr_call_count == schedule.steps
 
+    def test_unranked_chains_of_any_block_and_reuse_share_a_row(
+        self, model, schedule, encoder, params, monkeypatch
+    ):
+        rows: list[int] = []
+        real = diffusion._denoise
+
+        def counting(model, x, sigma, m):
+            rows.append(x.shape[0])
+            return real(model, x, sigma, m)
+
+        # "red car" at R=0.3 replaces no type in part, so neither its block
+        # nor its mask reuse can change its mask; at R=0.5 both can
+        tokens = tokenize("red car", params)
+        configs = [
+            GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=r,
+                           lambda_block=block, reuse_first_step_mask=reuse)
+            for r in (0.3, 0.5) for block in (0, 1) for reuse in (True, False)
+        ]
+        alone = [sample(model, schedule, encoder, tokens, c, 0) for c in configs]
+        monkeypatch.setattr(diffusion, "_denoise", counting)
+        runs = sample_batch(model, schedule, encoder, [Chain(tokens, c, 0) for c in configs])
+        assert rows == [1 + 4, 1 + 4] * schedule.steps
+        for run, ref in zip(runs, alone):
+            np.testing.assert_array_equal(run.trajectory, ref.trajectory)
+            np.testing.assert_array_equal(run.masks, ref.masks)
+            assert run.wpr_call_count == ref.wpr_call_count
+
     def test_per_step_with_variance_filter_solves_every_step(
         self, model, schedule, encoder, tokens, params, monkeypatch
     ):
@@ -1189,10 +1216,10 @@ class TestDegradeRows:
                 diffusion.degrade_rows(encoder, rows, x, column, fusion, bias)
             return
         shifted = np.roll(first, -len(blocks[0][1]), axis=0)
+        # one set for both passes: from the first call on it holds heads, so
+        # the second certifies from them, against bits that are not its
+        # rows' own, and still gives a full step's bits
         for previous in (None, shifted):
-            # a set holding heads certifies from them, and shifted is not
-            # these rows' own earlier bits: each pass takes a fresh set
-            rows = degrade_set_of(encoder, [row for _, b, _ in blocks for row in b])
             expected = _degrade_per_sigma(encoder, blocks, fusion, bias, previous)
             masks, changed, e = diffusion.degrade_rows(
                 encoder, rows, x, column, fusion, bias, previous
@@ -1355,10 +1382,56 @@ class TestCertificate:
         y, unsure = diffusion._certify(_pi_rows(pi, h), rows, previous)
         assert unsure == ([] if certified else [0])
         np.testing.assert_allclose(y[0], np.tile(pi, (h, 1)), rtol=1e-12)
-        # bits that the ranking does not give never certify
-        swapped = previous.copy()
-        swapped[0, [ctxagg[-1], ctxagg[-2]]] = swapped[0, [ctxagg[-2], ctxagg[-1]]]
-        assert diffusion._certify(_pi_rows(pi, h), rows, swapped)[1] == [0]
+        # bits that the ranking does not give never certify: the pair
+        # swapped, a fourth position replaced, none, and a content one kept
+        for flip in (
+            [ctxagg[-1], ctxagg[-2]], [ctxagg[2]], [ctxagg[0], ctxagg[1], ctxagg[-1]],
+            [tokens.content_positions[0]],
+        ):
+            foreign = previous.copy()
+            foreign[0, flip] = ~foreign[0, flip]
+            assert diffusion._certify(_pi_rows(pi, h), rows, foreign)[1] == [0]
+
+    def test_any_previous_gives_a_full_steps_bits(self, encoder, params, monkeypatch):
+        certify = diffusion._certify
+        unsure_seen = []
+
+        def recording(p, rows, previous):
+            y, unsure = certify(p, rows, previous)
+            unsure_seen.append(unsure)
+            return y, unsure
+
+        monkeypatch.setattr(diffusion, "_certify", recording)
+        short, long = (
+            tokenize(p, params)
+            for p in ("a man is cooking", "the old man and the young woman cook dinner")
+        )
+        rows = degrade_set_of(encoder, [
+            degrade_row(f"row {i}", t, encode_one(encoder, t), r_deg, 1, i)
+            for i, (t, r_deg) in enumerate([(short, 0.5), (long, 1.3), (long, 2.0)])
+        ])
+        assert rows.keys == [0, 1, -1]
+        x = np.random.default_rng(3).normal(size=(3, 8)) * 2.0
+        full = diffusion.degrade_rows(encoder, rows, x, 1.0, FusionConfig(), 0.1)[0]
+        assert unsure_seen == [] and rows.heads is not None
+        # the set now holds heads, so each later call certifies first,
+        # whatever bits it is given
+        coin = np.random.default_rng(5).random(full.shape) < 0.5
+        # the unranked row's bits wrong, with both keys certified, and with
+        # the first key's wrong as well
+        unranked_off = full.copy()
+        unranked_off[2] = True
+        first_off = unranked_off.copy()
+        first_off[0] = ~first_off[0]
+        foreign = [np.ones_like(full), ~full, np.roll(full, 1, axis=1), coin]
+        for previous in foreign + [first_off, unranked_off, full]:
+            keep, changed, e = diffusion.degrade_rows(
+                encoder, rows, x, 1.0, FusionConfig(), 0.1, previous
+            )
+            _assert_masks_equal(keep, full)
+            assert changed == np.flatnonzero((full != previous).any(axis=1)).tolist()
+            assert (e is None) == (not changed)
+        assert unsure_seen[len(foreign):] == [[0], [], []]
 
     def test_row_replacing_no_type_in_part_gets_no_key(
         self, encoder, params, tokens, monkeypatch
