@@ -41,6 +41,9 @@
 #   unranked: sample and sweep, CDG R=0.3 per-step over a 1-, 2-, 3- and 4-word prompt: the first three replace
 #     no type in part at R=0.3, so their chains take no prompt state, no solve and no certificate beside a ranked one
 #   unranked_diagnose: diagnose at R=0.5, a 1-word prompt among three: its rows take no prompt state and no solve
+#   per_prompt: sweep and diagnose at R=0.5, a repeated prompt, a 1-word one and "" beside longer ones: chains
+#     take their prompt's one pooled positive, unranked rows share the stacked masking pass with ranked ones,
+#     and three prompt states come from one stacked build
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -347,6 +350,16 @@ cat >"$tmp/unranked_diagnose_config.json" <<'JSON'
 }
 JSON
 
+cat >"$tmp/per_prompt_config.json" <<'JSON'
+{
+  "model": {"n_components": 4, "d_x": 8, "d_c": 8, "seed": 0},
+  "schedule": {"steps": 28, "sigma_max": 10.0, "sigma_min": 0.01},
+  "guidance": {"mode": "cdg", "guidance_scale": 3.0, "r_deg": 0.5},
+  "prompts": ["a man is cooking", "dog", "", "the dog runs in a park", "a man is cooking"],
+  "seed": 0
+}
+JSON
+
 # run_all CODE_ROOT OUT: the commands listed above, outputs under OUT
 run_all() {
     local code=$1 out=$2 config name
@@ -417,6 +430,10 @@ run_all() {
     cli sweep sweep
     config=$tmp/unranked_diagnose_config.json
     name=unranked_diagnose_config
+    cli diagnose diagnose
+    config=$tmp/per_prompt_config.json
+    name=per_prompt_config
+    cli sweep sweep
     cli diagnose diagnose
     for config in "$tmp/block_zero_diagnose_config.json" "$tmp/three_block_diagnose_config.json"; do
         name=$(basename "$config" .json)

@@ -255,6 +255,13 @@ def cmd_sample(cfg: RunConfig, out: Path, force: bool) -> int:
     return EXIT_OK
 
 
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of g (B, d), bit for bit np.linalg.norm's:
+    each row's (1, d) @ (d, 1) product is the dot product norm takes, which
+    an einsum would sum in another order."""
+    return np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
+
+
 def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
     _check_outputs(out, ["sweep.csv"], force)
     model = cfg.build_model()
@@ -277,25 +284,18 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], out: Path, force: bool) -> int:
         fusion=cfg.fusion, attention_bias_weight=cfg.attention_bias_weight,
     )
     refs, runs = runs[: len(tokens)], runs[len(tokens) :]
+    prompt_of = [p for _, p in cells]
     # how many positions each cell's mask replaces, and how many of them are content tokens
     replaced = ~np.array([run.masks[0] for run in runs])
-    counts = np.count_nonzero(replaced, axis=1).tolist()
-    content = np.array([tokens[p].content_bits for _, p in cells])
-    k_content = np.count_nonzero(replaced & content, axis=1).tolist()
-    rows = []
-    for (r_deg, p), run, count, k in zip(cells, runs, counts, k_content):
-        rows.append(
-            [
-                float(r_deg),
-                p,
-                cfg.prompts[p],
-                count,
-                k,
-                count - k,
-                run.wpr_call_count,
-                float(np.linalg.norm(run.final - refs[p].final)),
-            ]
-        )
+    counts = np.count_nonzero(replaced, axis=1)
+    content = np.array([t.content_bits for t in tokens])[prompt_of]
+    k_content = np.count_nonzero(replaced & content, axis=1)
+    gaps = np.array([run.final for run in runs]) - np.array([ref.final for ref in refs])[prompt_of]
+    rows = list(zip(
+        [float(r_deg) for r_deg, _ in cells], prompt_of, [cfg.prompts[p] for p in prompt_of],
+        counts.tolist(), k_content.tolist(), (counts - k_content).tolist(),
+        [run.wpr_call_count for run in runs], _row_norms(gaps).tolist(),
+    ))
     _write_csv(
         out / "sweep.csv",
         ["r_deg", "prompt_index", "prompt", "replaced_count", "k_content",

@@ -109,38 +109,37 @@ def _masks(
     ranked by the checked scores[keys[b]] of a (K, N) array, None when every
     key is -1.
 
-    A row with key -1 needs no ranking, and build_mask's rule masks it
-    without scores. It also masks a lone row, ranked or not, where ranking
-    one type's positions costs less than the stacked form. The stacked form
-    ranks the ranked rows of any other call at once: one stable sort by the
-    tie rule of `ranking`, and a stable order restricted to one type keeps
-    it, so a row's replaced positions of a type are its first k of that type
-    in rank order, found by per-type cumulative counts against (R, 1) extent
-    columns. Both forms give the same bits.
+    A lone row takes build_mask's rule, where ranking one type's positions
+    costs less than the stacked form. The stacked form ranks every row at
+    once: one stable sort by the tie rule of `ranking`, and a stable order
+    restricted to one type keeps it, so a row's replaced positions of a type
+    are its first k of that type in rank order, found by per-type
+    cumulative counts against (B, 1) extent columns. A row with key -1
+    ranks by zeros: it replaces each type wholly or not at all, so its bits
+    follow from no order. Both forms give the same bits.
     """
     if len(keys) == 1:
         k = keys[0]
         return _row_bits(tokens[0], None if k < 0 else scores[k], extents[0].tolist())[None]
-    ranked = [b for b, k in enumerate(keys) if k >= 0]
-    n = len(tokens[0]) if scores is None else scores.shape[1]
-    keep = np.empty((len(keys), n), dtype=bool)
-    for b, k in enumerate(keys):
-        if k < 0:
-            keep[b] = _row_bits(tokens[b], None, extents[b].tolist())
-    if ranked:
-        order = ranking(scores[[keys[b] for b in ranked]])  # (R, N)
-        extent = extents[ranked]  # (R, 2)
-        # the content bits in rank order, and the content positions ranked at or above
-        content = np.take_along_axis(
-            np.array([tokens[b].content_bits for b in ranked]), order, axis=1
+    n = len(tokens[0])
+    table = np.zeros((1 if scores is None else len(scores) + 1, n))  # key -1: the zero row
+    if scores is not None:
+        table[:-1] = scores
+    order = ranking(table[keys])  # (B, N)
+    # the content bits in rank order, and the content positions ranked at or above
+    content = np.take_along_axis(np.array([t.content_bits for t in tokens]), order, axis=1)
+    seen = content.cumsum(axis=1)
+    sizes = np.stack([seen[:, -1], n - seen[:, -1]], axis=1)  # each row's count of each type
+    partial = ((0 < extents) & (extents < sizes))[np.asarray(keys) < 0].any(axis=0)
+    if partial.any():
+        raise InvalidInputError(
+            f"a partial {('content', 'ctx_agg')[partial.argmax()]} mask needs scores"
         )
-        seen = content.cumsum(axis=1)
-        replaced = np.where(
-            content, seen <= extent[:, :1], np.arange(1, n + 1) - seen <= extent[:, 1:]
-        )
-        ranked_keep = np.empty(order.shape, dtype=bool)
-        np.put_along_axis(ranked_keep, order, ~replaced, axis=1)
-        keep[ranked] = ranked_keep
+    replaced = np.where(
+        content, seen <= extents[:, :1], np.arange(1, n + 1) - seen <= extents[:, 1:]
+    )
+    keep = np.empty(order.shape, dtype=bool)
+    np.put_along_axis(keep, order, ~replaced, axis=1)
     return keep
 
 

@@ -553,9 +553,10 @@ class Chain:
     seed: int
 
 
-def _chain_key(chain: Chain, extent: tuple[int, int] | None) -> tuple:
+def _chain_key(chain: Chain, extent: tuple[int, int] | None, block: int | None) -> tuple:
     """Everything that decides a chain's trajectory within one sample_batch
-    call; extent is its mask_extent, None when it does not degrade.
+    call; extent is its mask_extent, None when it does not degrade, and
+    block the block it ranks at, None when it does not rank.
 
     A degradation mode's ratio enters only through the mask's extent: the
     same prompt at the same latent ranks its tokens the same way, so equal
@@ -567,17 +568,15 @@ def _chain_key(chain: Chain, extent: tuple[int, int] | None) -> tuple:
     key = (chain.tokens.ids, chain.seed, config.mode, config.guidance_scale)
     if extent is None:
         return key
-    if not needs_ranking(chain.tokens, extent):
-        return key + (None, None, extent)
-    return key + (config.lambda_block, config.reuse_first_step_mask, extent)
+    return key + (block, None if block is None else config.reuse_first_step_mask, extent)
 
 
 def _rankings(config: GuidanceConfig, steps: int) -> int:
-    """The wpr_call_count a chain reports: 1 with first-step reuse, else one
-    a step, and 0 at the ratio-1.0 boundary alone. It is not the solves
-    made: a chain whose extent needs no ranking, or a certified later step,
-    makes none."""
-    if not config.mode.uses_degradation or config.r_deg == 1.0:
+    """The wpr_call_count a degrading chain reports: 1 with first-step
+    reuse, else one a step, and 0 at the ratio-1.0 boundary alone. It is not
+    the solves made: a chain whose extent needs no ranking, or a certified
+    later step, makes none."""
+    if config.r_deg == 1.0:
         return 0
     return 1 if config.reuse_first_step_mask else steps
 
@@ -602,9 +601,10 @@ def sample_batch(
     guided rows at their negative condition, and one combine over the
     guided rows with a column of their scales. A chain at w = 1 is not
     guided: its prediction is the positive one, so it skips the negative.
-    Each condition's component means are computed once per call, and a
-    degraded one's again only when its mask changes. The trajectories are
-    row views of one (steps + 1, B, d_x) array, a row per chain.
+    Each distinct prompt is pooled and its component means computed once
+    per call, and a degraded condition's again only when its mask changes.
+    The trajectories are row views of one (steps + 1, B, d_x) array, a row
+    per chain.
 
     The distinct prompts take one encode_stack walk, which also builds the call's prompt states.
     Masks for the degradation modes are built from the intervention block's
@@ -628,18 +628,22 @@ def sample_batch(
         return []
     # each distinct chain is integrated once, as the row of its first
     # occurrence: firsts[u] is row u's first chain, row_at[b] chain b's row
-    firsts, row_at, extents = [], [], []
+    firsts, row_at, extents, blocks = [], [], [], []
     index: dict[tuple, int] = {}
     for b, chain in enumerate(chains):
-        degrades = chain.config.mode.uses_degradation
-        extent = mask_extent(chain.tokens, chain.config.ratios) if degrades else None
-        u = index.setdefault(_chain_key(chain, extent), len(firsts))
+        config, extent, block = chain.config, None, None
+        if config.mode.uses_degradation:
+            extent = mask_extent(chain.tokens, config.ratios)
+            if needs_ranking(chain.tokens, extent):
+                block = config.lambda_block
+        u = index.setdefault(_chain_key(chain, extent, block), len(firsts))
         if u == len(firsts):
             firsts.append(b)
             extents.append(extent)
+            blocks.append(block)
         row_at.append(u)
     trajectory, ledger = _integrate(
-        model, schedule, encoder, [chains[b] for b in firsts], firsts, extents,
+        model, schedule, encoder, [chains[b] for b in firsts], firsts, extents, blocks,
         fusion, attention_bias_weight,
     )
     if len(firsts) < len(chains):
@@ -649,8 +653,8 @@ def sample_batch(
             sigmas=schedule.sigmas,
             trajectory=trajectory[:, b],
             # read-only, so duplicate chains may share their row
-            masks=ledger[:, u] if chain.config.mode.uses_degradation else None,
-            wpr_call_count=_rankings(chain.config, schedule.steps),
+            masks=None if extents[u] is None else ledger[:, u],
+            wpr_call_count=0 if extents[u] is None else _rankings(chain.config, schedule.steps),
         )
         for b, (chain, u) in enumerate(zip(chains, row_at))
     ]
@@ -663,30 +667,27 @@ def _integrate(
     chains: Sequence[Chain],
     labels: Sequence[int],
     extents: Sequence[tuple[int, int] | None],
+    blocks: Sequence[int | None],
     fusion: FusionConfig,
     attention_bias_weight: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trajectories (steps + 1, B, d_x) of distinct chains and the read-only
     ledger (steps, B, N) of their keep bits per step, all True for a chain
     that does not degrade; labels[b] is the batch index naming chain b in
-    errors, and extents[b] its mask_extent (None if it does not degrade)."""
+    errors, extents[b] its mask_extent (None if it does not degrade) and
+    blocks[b] the block it ranks at (None if it does not rank)."""
     sigmas = schedule.sigmas
     steps = len(sigmas) - 1
     n = len(chains)
 
-    # each degrading chain's block, or None when its extent needs no ranking
-    ranked_at = [
-        None if extent is None or not needs_ranking(c.tokens, extent) else c.config.lambda_block
-        for c, extent in zip(chains, extents)
-    ]
     # one walk over the distinct prompts, a row at each block some chain
     # ranks one at, or at None; the call holds the states it returns
     wanted: dict[tuple[int, ...], tuple[TokenSequence, dict]] = {}
-    for chain, block in zip(chains, ranked_at):
-        blocks = wanted.setdefault(chain.tokens.ids, (chain.tokens, {}))[1]
+    for chain, block in zip(chains, blocks):
+        at = wanted.setdefault(chain.tokens.ids, (chain.tokens, {}))[1]
         if block is not None:
-            blocks[block] = None
-    walked = [(t, block) for t, blocks in wanted.values() for block in blocks or [None]]
+            at[block] = None
+    walked = [(t, block) for t, at in wanted.values() for block in at or [None]]
     embeddings, states = encoder.encode_stack(*zip(*walked))
     conditions = {t.ids: c for (t, _), c in zip(walked, embeddings)}
     modes = [chain.config.mode for chain in chains]
@@ -710,9 +711,12 @@ def _integrate(
     side = [int(mode is not GuidanceMode.CFG_STAR) for mode in modes]
     prompt_pos = [b for b, s in enumerate(side) if s]
     if prompt_pos:
-        pos_m[:, prompt_pos] = model.means(encoder.pool(
-            np.array([conditions[chains[b].tokens.ids] for b in prompt_pos])
-        )).swapaxes(0, 1)
+        # pool and map each distinct prompt once; pool and means work row by
+        # row, so a chain's row is its prompt's bit for bit
+        distinct: dict[tuple[int, ...], int] = {}
+        prompt_of = [distinct.setdefault(chains[b].tokens.ids, len(distinct)) for b in prompt_pos]
+        m = model.means(encoder.pool(np.array([conditions[ids] for ids in distinct])))
+        pos_m[:, prompt_pos] = m[prompt_of].swapaxes(0, 1)
     null_neg = [b for b in guided if modes[b] is not GuidanceMode.CDG]
     if null_neg:
         null = encoder.pool(encoder.null_condition())[None]
@@ -722,14 +726,14 @@ def _integrate(
     # as they share their latent there, and the rows of them ranking tokens
     # again at every later step: step 0 gives those a set of their own, a
     # key a row, holding its solve's per-head scores to certify from
-    degrading = [b for b, mode in enumerate(modes) if mode.uses_degradation]
+    degrading = [b for b, extent in enumerate(extents) if extent is not None]
     degraded_at = [((), None, None)] * 2
     again = []
     if degrading:
         rows = degrade_set(states, [
-            (f"chain {labels[b]}", c.tokens, conditions[c.tokens.ids], extents[b],
-             ranked_at[b], c.seed)
-            for b, c in enumerate(chains) if c.config.mode.uses_degradation
+            (f"chain {labels[b]}", chains[b].tokens, conditions[chains[b].tokens.ids],
+             extents[b], blocks[b], chains[b].seed)
+            for b in degrading
         ])
         degraded_at[0] = (degrading, _rows(degrading), rows)
         again = [

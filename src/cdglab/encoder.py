@@ -216,10 +216,11 @@ class ToyTextEncoder:
         """Condition embeddings (P, N, d_model) of P sequences from one walk,
         row p bit for bit that of a one-row walk of tokens[p], and the call's
         prompt states: the state of (tokens[p].ids, blocks[p]) for every p
-        whose block is not None. The walk builds each state the store
-        lacks, once, and the store ends as one-row calls over those rows
-        would leave it: it keeps the PROMPT_STATE_CAP most recently used
-        states, which every caller shares, so their arrays are read-only.
+        whose block is not None. The walk builds the states the store lacks
+        in one stacked build per block, and the store ends as one-row calls
+        over those rows would leave it: it keeps the PROMPT_STATE_CAP most
+        recently used states, which every caller shares, so their arrays are
+        read-only.
         The returned states stay the call's whatever the store later drops.
         A block neither None nor an int in [0, n_blocks) raises
         InvalidInputError; numpy integers are ints."""
@@ -237,20 +238,24 @@ class ToyTextEncoder:
                     taps.setdefault(block, []).append(r)
         x, tapped = self._walk(np.array([self._embed(t) for t in tokens]), taps)
         for block, rows in taps.items():
-            for r, logits, kt_scaled in zip(rows, *tapped[block]):
-                key = (tokens[r].ids, block)
-                states[key] = self._build_state(key, logits, kt_scaled)
+            built = [(tokens[r].ids, block) for r in rows]
+            states.update(self._build_states(built, *tapped[block]))
         for key in keys:
             self._keep(key, states[key])
         return x, states
 
-    def _build_state(self, key: tuple, logits: np.ndarray, kt_scaled: np.ndarray) -> PromptState:
-        """The PromptState of key (ids, block) from its block's logits and scaled K^T."""
-        static = np.exp(logits - logits.max(axis=2, keepdims=True))
+    def _build_states(
+        self, keys: list[tuple], logits: np.ndarray, kt_scaled: np.ndarray
+    ) -> dict[tuple, PromptState]:
+        """The PromptState of each key (ids, block) of one block, from the
+        keys' logits (P, H, N, N) and scaled K^T (P, H, d_head, N) there: one
+        exp and one stacked einsum, whose rows round as one-row builds do.
+        A state's arrays are read-only views of the stacks."""
+        static = np.exp(logits - logits.max(axis=3, keepdims=True))
         static.flags.writeable = False
-        shift_map = np.ascontiguousarray(np.einsum("hdm,hdn->hnm", self.bias_map, kt_scaled))
+        shift_map = np.ascontiguousarray(np.einsum("hdm,phdn->phnm", self.bias_map, kt_scaled))
         shift_map.flags.writeable = False
-        return PromptState(static=static, shift_map=shift_map)
+        return dict(zip(keys, map(PromptState, static, shift_map)))
 
     def _keep(self, key: tuple, state: PromptState) -> None:
         """Stores state under key as the most recent; a full store drops its least recent."""

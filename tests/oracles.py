@@ -134,6 +134,14 @@ def block_static(encoder: ToyTextEncoder, tokens: TokenSequence, block: int) -> 
     return np.exp(logits - logits.max(axis=-1, keepdims=True))
 
 
+def block_shift_map(encoder: ToyTextEncoder, tokens: TokenSequence, block: int) -> np.ndarray:
+    """The `shift_map` (H, N, d_x + 1) of the (tokens, block) prompt state:
+    each head's query bias map against the block's scaled K^T, one
+    sequence's einsum."""
+    _, kt_scaled = block_logits(encoder, forward(encoder, tokens)[0][block], block)
+    return np.einsum("hdm,hdn->hnm", encoder.bias_map, kt_scaled)
+
+
 def attention_maps(encoder: ToyTextEncoder, tokens: TokenSequence) -> list[np.ndarray]:
     """Per-block, per-head row-stochastic attention maps (each H x N x N)."""
     return forward(encoder, tokens)[1]

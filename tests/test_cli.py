@@ -437,13 +437,13 @@ class TestBuildMask:
 def test_rank_from_one_walk_and_one_state(config_file, tmp_path, monkeypatch, command):
     passes, built = [], []
     # each block pass takes one softmax of its attention logits
-    softmax, build = encoder_module._softmax_rows, ToyTextEncoder._build_state
+    softmax, build = encoder_module._softmax_rows, ToyTextEncoder._build_states
     monkeypatch.setattr(
         encoder_module, "_softmax_rows", lambda a: passes.append(a.shape) or softmax(a)
     )
     monkeypatch.setattr(
-        ToyTextEncoder, "_build_state",
-        lambda self, key, *a: built.append(key) or build(self, key, *a),
+        ToyTextEncoder, "_build_states",
+        lambda self, keys, *a: built.extend(keys) or build(self, keys, *a),
     )
     assert main([*command, "--config", str(config_file), "--prompt", "a man is cooking",
                  "--out", str(tmp_path / "out")]) == 0
@@ -511,6 +511,25 @@ class TestSweep:
             assert counts == sorted(counts)  # nestedness
             zero_row = next(r for r in series if float(r["r_deg"]) == 0.0)
             assert float(zero_row["final_distance_to_conditional"]) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 24))
+    def test_distances_are_linalg_norms(self, data, d):
+        # each final_distance_to_conditional, the norm of a (final - reference)
+        # row: rows of magnitude 1e-150 to 1e150, their entries near one
+        # scale, so the order of the sum shows, and zeros
+        def row(scale):
+            entry = st.one_of(
+                st.sampled_from([0.0, -0.0]),
+                st.floats(-10.0, 10.0, allow_nan=False).map(lambda m: m * 10.0**scale),
+            )
+            return st.lists(entry, min_size=d, max_size=d)
+
+        gaps = np.array(data.draw(st.lists(
+            st.integers(-150, 149).flatmap(row), min_size=1, max_size=6
+        )))
+        got = cli._row_norms(gaps).tolist()
+        assert got == [float(np.linalg.norm(g)) for g in gaps]
 
     def test_row_count_on_default_grid(self, tmp_path):
         doc = dict(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cdglab.degradation import (
     _masks,
+    _row_bits,
     apply_mask,
     build_mask,
     map_ratio,
@@ -187,8 +188,8 @@ class TestBuildMask:
 
 
 class TestBuildMasks:
-    """_masks, the degrade step's masking pass, ranks every keyed row at
-    once; build_mask is its one-row form and masks the rows without a key."""
+    """_masks, the degrade step's masking pass, ranks every row of a call
+    at once; _row_bits, build_mask's rule, is its one-row form."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -199,16 +200,15 @@ class TestBuildMasks:
         tokens = [tokenize(p, params) for p in prompts]
         n = len(tokens[0])
         n_keys = data.draw(st.integers(1, len(tokens)))
-        # keys repeat, and a row without one needs no ranking: its ratio
-        # replaces whole types or none
-        keys = data.draw(st.lists(
-            st.integers(-1, n_keys - 1), min_size=len(tokens), max_size=len(tokens)
-        ))
         ratios = [
-            map_ratio(data.draw(st.sampled_from(
-                [0.0, 1.0, 2.0] if k < 0 else [0.0, 0.3, 0.5, 1.0, 1.25, 1.5, 2.0]
-            )))
-            for k in keys
+            map_ratio(data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.25, 1.5, 2.0])))
+            for _ in tokens
+        ]
+        # keys repeat, and a row whose ratio replaces whole types or none (as
+        # a two-word prompt at 0.3) may go without one, beside ranked rows
+        keys = [
+            data.draw(st.integers(0 if needs_ranking(t, mask_extent(t, r)) else -1, n_keys - 1))
+            for t, r in zip(tokens, ratios)
         ]
         # few distinct values, so most scores tie
         scores = np.array(data.draw(st.lists(
@@ -218,7 +218,7 @@ class TestBuildMasks:
         got_masks = _masks(tokens, scores, keys, _extents(tokens, ratios))
         assert got_masks.shape == (len(tokens), n)
         for got, t, k, r in zip(got_masks, tokens, keys, ratios):
-            want = build_mask(t, None if k < 0 else scores[k], r)
+            want = _row_bits(t, None if k < 0 else scores[k], mask_extent(t, r))
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype == bool
             # the extent is the replaced count of each type

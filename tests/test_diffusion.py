@@ -768,6 +768,27 @@ class TestSample:
         # their negative
         assert rows == [len(prompts) + len(distinct), len(distinct)] * schedule.steps
 
+    def test_sweep_batch_pools_each_prompt_once(
+        self, model, schedule, encoder, params, monkeypatch
+    ):
+        pooled: list[int] = []
+        real = encoder.pool
+        monkeypatch.setattr(encoder, "pool", lambda c: pooled.append(len(c)) or real(c))
+        # the benchmark's sweep: 4 references, then 4 prompts x 21 ratios
+        prompts = [tokenize(p, params) for p in ("a man is cooking", "a dog", "", "red car")]
+        cdg = GuidanceConfig(mode=GuidanceMode.CDG, guidance_scale=3.0, r_deg=1.0)
+        chains = [Chain(t, UNGUIDED, 0) for t in prompts] + [
+            Chain(t, replace(cdg, r_deg=i / 10), 0) for i in range(21) for t in prompts
+        ]
+        assert len(chains) == 88
+        runs = sample_batch(model, schedule, encoder, chains)
+        # the 4 positives, then each distinct degraded row once, at step 0
+        rows = {(c.tokens.ids, mask_extent(c.tokens, c.config.ratios)) for c in chains[4:]}
+        assert pooled == [4, len(rows)]
+        for chain, run in zip(chains, runs):
+            alone = sample(model, schedule, encoder, chain.tokens, chain.config, chain.seed)
+            np.testing.assert_array_equal(run.trajectory, alone.trajectory)
+
     def test_means_once_per_embedding(self, model, schedule, encoder, params, monkeypatch):
         seen: list[int] = []
         real = model.means
@@ -797,10 +818,10 @@ class TestSample:
                     not np.array_equal(a, b) for a, b in zip(masks, masks[1:])
                 )
         assert changed > 3 * len(prompts)  # some per-step masks change
-        # each prompt's positive rows (not CFG*'s, which is degraded), the
-        # null negative once, then each degraded embedding whenever it changes
-        positives = sum(c.config.mode is not GuidanceMode.CFG_STAR for c in chains)
-        assert sum(seen) == positives + 1 + changed
+        # each prompt's positive once (CFG*'s is degraded), the null negative
+        # once, then each degraded embedding whenever it changes
+        positives = {c.tokens.ids for c in chains if c.config.mode is not GuidanceMode.CFG_STAR}
+        assert sum(seen) == len(positives) + 1 + changed
 
     def test_mask_extent_once_per_degrading_chain(
         self, model, schedule, encoder, params, monkeypatch
@@ -1035,10 +1056,10 @@ class TestSample:
         encoder = ToyTextEncoder(params, 8, 8)
         walks = record_walks(encoder, monkeypatch)
         built = []
-        build = encoder._build_state
+        build = encoder._build_states
         monkeypatch.setattr(
-            encoder, "_build_state",
-            lambda key, *arrays: built.append(key) or build(key, *arrays),
+            encoder, "_build_states",
+            lambda keys, *arrays: built.extend(keys) or build(keys, *arrays),
         )
         batch = sample_batch(model, schedule, encoder, chains)
         assert len(walks) == 1
@@ -1348,7 +1369,7 @@ class TestCertificate:
         for c in chains:
             extent = mask_extent(c.tokens, c.config.ratios)
             if needs_ranking(c.tokens, extent):
-                ranking.add(diffusion._chain_key(c, extent))
+                ranking.add(diffusion._chain_key(c, extent, c.config.lambda_block))
         assert rows_seen[0] == len(ranking) * (schedule.steps - 1)
         for run, ref in zip(runs, solved):
             np.testing.assert_array_equal(run.trajectory, ref.trajectory)

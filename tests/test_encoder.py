@@ -26,6 +26,7 @@ from conftest import encode_one, state_of
 from oracles import (
     attention_maps,
     block_logits,
+    block_shift_map,
     block_static,
     forward,
     replaced,
@@ -272,22 +273,22 @@ def record_taps(encoder, monkeypatch) -> dict[tuple, tuple]:
     """The logits and scaled K^T each prompt state the encoder builds from
     now on is built from, by its (ids, block) key."""
     taps = {}
-    build = encoder._build_state
+    build = encoder._build_states
 
-    def recording(key, *arrays):
-        taps[key] = arrays
-        return build(key, *arrays)
+    def recording(keys, *arrays):
+        taps.update(zip(keys, zip(*arrays)))
+        return build(keys, *arrays)
 
-    monkeypatch.setattr(encoder, "_build_state", recording)
+    monkeypatch.setattr(encoder, "_build_states", recording)
     return taps
 
 
 def count_builds(encoder, monkeypatch) -> list[tuple]:
     """The (ids, block) keys of the prompt states the encoder builds from now on, in order."""
     built = []
-    build = encoder._build_state
+    build = encoder._build_states
     monkeypatch.setattr(
-        encoder, "_build_state", lambda key, *arrays: built.append(key) or build(key, *arrays)
+        encoder, "_build_states", lambda keys, *arrays: built.extend(keys) or build(keys, *arrays)
     )
     return built
 
@@ -414,24 +415,35 @@ class TestWalk:
             for got, want in zip(taps[t.ids, block], reference):
                 np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("size", [1, 2, 9])
+    @pytest.mark.parametrize("size", [1, 2, 8, 9, PROMPT_STATE_CAP])
     @pytest.mark.parametrize("block", [0, 1])
     def test_stack_equals_one_by_one_calls(self, params, monkeypatch, size, block):
-        prompts = distinct_prompts(params, size)
-        encoder = ToyTextEncoder(params, 8, 8)
-        built = count_builds(encoder, monkeypatch)
+        # three states stored first, which a full stack evicts
+        tokens = distinct_prompts(params, size + 3)
+        before, prompts = tokens[:3], tokens[3:]
+        encoder = one_by_one(params, before, block)
+        builds = []
+        build = encoder._build_states
+        monkeypatch.setattr(
+            encoder, "_build_states", lambda keys, *a: builds.append(keys) or build(keys, *a)
+        )
         stacked, states = encoder.encode_stack(prompts, [block] * size)
         assert stacked.shape == (size, params.seq_len, params.d_model)
-        assert built == [(t.ids, block) for t in prompts]
-        # the store's own states, in its order
-        assert list(states) == list(encoder._states)
+        # one stacked build of every row
+        assert builds == [[(t.ids, block) for t in prompts]]
+        # the store's own states, in its order, after any it keeps from before
+        assert list(states) == list(encoder._states)[-size:]
         assert all(state is encoder._states[key] for key, state in states.items())
         for t, row in zip(prompts, stacked):
             np.testing.assert_array_equal(row, encode_one(encoder, t))
-            np.testing.assert_array_equal(
-                states[t.ids, block].static, block_static(encoder, t, block)
-            )
-        assert_same_store(encoder, one_by_one(params, prompts, block))
+            state = states[t.ids, block]
+            np.testing.assert_array_equal(state.static, block_static(encoder, t, block))
+            np.testing.assert_array_equal(state.shift_map, block_shift_map(encoder, t, block))
+            for array in (state.static, state.shift_map):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0, 0] = 0.0
+        # bit for bit the states, order and evictions of one-row calls
+        assert_same_store(encoder, one_by_one(params, before + prompts, block))
 
     def test_rows_at_several_blocks_in_one_walk(self, params, monkeypatch):
         # a prompt at two blocks, one at block 0 only, and one at none

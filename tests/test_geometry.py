@@ -395,12 +395,12 @@ class TestSweep:
         tokens = [tokenize(p, params) for p in ["dog", *PROMPTS[:2]]]
         encoder = ToyTextEncoder(params, 8, 8)  # its own store: every state is built here
         shapes, built = [], []
-        solve, build = diffusion._stationary_solve, encoder._build_state
+        solve, build = diffusion._stationary_solve, encoder._build_states
         monkeypatch.setattr(
             diffusion, "_stationary_solve", lambda p: shapes.append(np.shape(p)) or solve(p)
         )
         monkeypatch.setattr(
-            encoder, "_build_state", lambda key, *a: built.append(key) or build(key, *a)
+            encoder, "_build_states", lambda keys, *a: built.extend(keys) or build(keys, *a)
         )
         short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
         report = run_geometry_sweep(model, short, encoder, tokens, 0.5)
@@ -422,12 +422,12 @@ class TestSweep:
         encoder = ToyTextEncoder(params, 8, 8)
         passes, built, denoised = [], [], []
         # each block pass takes one softmax of its attention logits
-        softmax, build = encoder_module._softmax_rows, encoder._build_state
+        softmax, build = encoder_module._softmax_rows, encoder._build_states
         monkeypatch.setattr(
             encoder_module, "_softmax_rows", lambda a: passes.append(a.shape) or softmax(a)
         )
         monkeypatch.setattr(
-            encoder, "_build_state", lambda key, *a: built.append(key) or build(key, *a)
+            encoder, "_build_states", lambda keys, *a: built.extend(keys) or build(keys, *a)
         )
         monkeypatch.setattr(geometry, "denoise", lambda *a: denoised.append(a) or denoise(*a))
         short = SigmaSchedule.log_spaced(4, 10.0, 0.01)
