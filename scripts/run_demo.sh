@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end demo: runs all five CLI commands against scripts/demo_config.json.
-# Outputs land under runs/demo/ relative to the current directory.
+# It runs from the repository root, whatever the current directory, so outputs
+# land under runs/demo/ there.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -50,6 +50,15 @@ class ScheduleConfig:
             raise ConfigError("need 0 < sigma_min < sigma_max, both finite")
 
 
+def _allocated(build, *args, **kwargs):
+    """build(*args, **kwargs), with numpy's ValueError for an array size it
+    cannot index raised as the MemoryError of one it cannot allocate."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise MemoryError(exc) from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A run configuration, checked once: its sections by their own classes, the rest here."""
@@ -105,12 +114,12 @@ class RunConfig:
         return out
 
     def build_encoder(self) -> ToyTextEncoder:
-        return ToyTextEncoder(self.encoder, self.model.d_x, self.model.d_c)
+        return _allocated(ToyTextEncoder, self.encoder, self.model.d_x, self.model.d_c)
 
     def build_model(self) -> GmmConditionalModel:
         m = self.model
-        return GmmConditionalModel.random(
-            m.n_components, m.d_x, m.d_c, seed=m.seed,
+        return _allocated(
+            GmmConditionalModel.random, m.n_components, m.d_x, m.d_c, seed=m.seed,
             spread_range=(m.spread_min, m.spread_max),
         )
 

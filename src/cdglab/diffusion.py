@@ -277,31 +277,37 @@ class DegradeSet:
     made from key_states[k], the key's prompt state, at the latent and
     sigma of its first row; `at` indexes each key's first row.
 
-    heads is each key's per-head scores (K, H, N) from the set's last
-    degrade_rows call, those of its solve or its certified power iterate,
-    or None before one; a later step certifies its ranking from them.
+    bits (R, N), each row's keep bits, and heads (K, H, N), each key's
+    per-head scores (its solve's or its certified power iterate's), are
+    those of the set's last degrade_rows call, None before one; a later
+    call certifies its ranking from them.
     """
 
-    def __init__(self, labels, tokens, conditions, extents, keys, key_states, at, heads=None):
+    def __init__(
+        self, labels, tokens, conditions, extents, keys, key_states, at, heads=None, bits=None
+    ):
         self.labels, self.tokens, self.conditions = labels, tokens, conditions
         self.extents, self.keys, self.key_states, self.at = extents, keys, key_states, at
-        self.heads = heads
+        self.heads, self.bits = heads, bits
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def subset(self, rows: Sequence[int], heads: np.ndarray | None = None) -> DegradeSet:
+    def subset(self, rows: Sequence[int]) -> DegradeSet:
         """These rows of the set, each ranked under its own key, from the
-        prompt states the set already holds; heads, if given, is the
-        subset's per-head scores to certify from, (K, H, N), a row a key."""
+        prompt states the set already holds, with each row's bits and its
+        key's heads from the set's last call."""
         ranked = [i for i, r in enumerate(rows) if self.keys[r] >= 0]
         keys = [-1] * len(rows)
         for k, i in enumerate(ranked):
             keys[i] = k
+        owners = [self.keys[rows[i]] for i in ranked]
         return DegradeSet(
             [self.labels[r] for r in rows], [self.tokens[r] for r in rows],
             [self.conditions[r] for r in rows], self.extents[rows],
-            keys, [self.key_states[self.keys[rows[i]]] for i in ranked], _rows(ranked), heads,
+            keys, [self.key_states[k] for k in owners], _rows(ranked),
+            None if self.heads is None else self.heads[owners],
+            None if self.bits is None else self.bits[rows],
         )
 
 
@@ -363,11 +369,9 @@ _CERTIFY_STEPS = 4
 _CERTIFY_MARGIN = 1e-9
 
 
-def _certify(
-    p: np.ndarray, rows: DegradeSet, previous: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
+def _certify(p: np.ndarray, rows: DegradeSet) -> tuple[np.ndarray, list[int]]:
     """Each key's power iterate (K, H, N) from rows.heads, and the keys
-    whose ranking it cannot certify to give their rows' previous bits.
+    whose ranking it cannot certify to give their rows' bits, rows.bits.
 
     p holds the keys' row-normalized weights P (K, H, N, N), and Q = P^2,
     one product, is row-stochastic with P's stationary vector. From y_0, a
@@ -378,16 +382,15 @@ def _certify(
     y_m-1|_1 of y_m in l1 (Seneta 1988), each of its scores within e_h / 2,
     and each unnormalized root-mean-square fused score within beta =
     sqrt(sum_h (e_h / 2)^2 / H) of y_m's. The normalization by the total
-    does not change the ranking. A row keeps its previous bits if they
-    replace exactly its extent of each type (the two types hold every
-    position) and, for each type it replaces in part, every replaced
-    position of that type outscores every kept one by more than 2 beta +
-    _CERTIFY_MARGIN in y_m's fusion: its bits are then the top k a solve
-    gives, whatever `previous` was. The margin covers the rounding of the
-    solve and of Q. A key is certified when every row of it is; a c_h of 0,
-    or a bound that is not finite, certifies nothing. The bound and the
-    gaps are Python floats, a few a key, so they raise no floating-point
-    warning.
+    does not change the ranking. A row's bits, the set's own from its last
+    call, replace exactly its extent of each type (the two types hold every
+    position); the row keeps them if, for each type they replace in part,
+    every replaced position of that type outscores every kept one by more
+    than 2 beta + _CERTIFY_MARGIN in y_m's fusion: its bits are then the
+    top k a solve gives. The margin covers the rounding of the solve and of
+    Q. A key is certified when every row of it is; a c_h of 0, or a bound
+    that is not finite, certifies nothing. The bound and the gaps are
+    Python floats, a few a key, so they raise no floating-point warning.
 
     Q mixes faster than P, so its coefficient is the larger: on per_step
     inputs it certifies 90% of later steps, where 8 steps by P with P's own
@@ -414,17 +417,14 @@ def _certify(
     for r, k in enumerate(rows.keys):
         if k < 0 or k in uncertain:
             continue
-        tokens, bits, sq = rows.tokens[r], previous[r].tolist(), squares[k]
+        tokens, bits, sq = rows.tokens[r], rows.bits[r].tolist(), squares[k]
         for positions, count in zip(
             (tokens.content_positions, tokens.ctxagg_positions), rows.extents[r].tolist()
         ):
-            replaced = [sq[i] for i in positions if not bits[i]]
-            if len(replaced) != count:
-                uncertain.add(k)
-                break
             if 0 < count < len(positions):
+                replaced = min(sq[i] for i in positions if not bits[i])
                 kept = max(sq[i] for i in positions if bits[i])
-                if not math.sqrt(min(replaced) / h) - math.sqrt(kept / h) > needed[k]:
+                if not math.sqrt(replaced / h) - math.sqrt(kept / h) > needed[k]:
                     uncertain.add(k)
                     break
     return y, sorted(uncertain)
@@ -437,7 +437,6 @@ def degrade_rows(
     sigma: float | np.ndarray,
     fusion: FusionConfig,
     bias_weight: float,
-    previous: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[int], np.ndarray | None]:
     """Degradation masks (B, N) of rows at latents x (B, d_x) and noise levels sigma.
 
@@ -454,59 +453,56 @@ def degrade_rows(
     rejects every head of a key (named by that key's first row and its
     sigma), and a partial mask without scores.
 
-    A later step, one given `previous`, the rows' bits from the step
-    before, on a set holding heads (see DegradeSet) and with the variance
-    filter off, first tries to certify each key from its weights (see
-    _certify). A certified key keeps its rows' previous bits and is neither
-    solved, fused nor masked; the solve, the fusion and the masking run over
-    the other keys alone, and the masking over the unranked rows, and give
-    each of them the bits a full step would, as each key's are its own. The
-    set's heads then hold each key's new per-head scores.
+    Any call on a set after its first, with the variance filter off, first
+    tries to certify each key from its weights and the set's last step
+    (see _certify). A certified key keeps its rows' bits and is neither
+    solved, fused nor masked; the solve, the fusion and the masking run
+    over the other keys' rows alone, and give each of them the bits a full
+    step would, as each key's are its own. An unranked row keeps its bits.
+    The set then holds this call's bits and heads (see DegradeSet).
 
-    Returns every row's keep bits, the indices of the rows whose bits differ
-    from `previous` (every row when it is None), and those rows' pooled
-    degraded embeddings (C, encoder.d_c), or None when no row changed (the
-    other rows' embeddings still hold).
+    Returns every row's keep bits, the set's own and read-only, the indices
+    of the rows whose bits differ from the set's last call (every row on its
+    first), and those rows' pooled degraded embeddings (C, encoder.d_c), or
+    None when no row changed (the other rows' embeddings still hold).
     """
     column = isinstance(sigma, np.ndarray)
     if column and sigma.shape != (len(rows), 1):
         raise InvalidInputError(f"sigma column of shape {sigma.shape} for {len(rows)} rows")
-    scores, redo = None, None
+    previous, scores = rows.bits, None
+    solve = range(len(rows.key_states))  # the keys solved: every one, unless certified
     if rows.key_states:
-        at = rows.at
         p = _normalize_rows(_stacked_weights(
-            rows.key_states, x[at], sigma[at] if column else sigma, bias_weight
+            rows.key_states, x[rows.at], sigma[rows.at] if column else sigma, bias_weight
         ))
-        unsure = range(len(p))  # the keys solved: every one, unless certified
-        if previous is not None and rows.heads is not None and not fusion.enabled:
-            rows.heads, unsure = _certify(p, rows, previous)
-        if len(unsure) == len(p):
-            rows.heads = solved = _compute_importance(p)
-        else:  # masked again: the rows of the keys solved, and the unranked rows
-            redo = [r for r, k in enumerate(rows.keys) if k < 0 or k in unsure]
-            solved = None
-            if unsure:
-                solved = rows.heads[unsure] = _compute_importance(p[unsure])
-        del p  # the weights live no longer than the solve
-        if redo == []:  # every row certified: each keeps its bits
+        if previous is not None and not fusion.enabled:
+            rows.heads, solve = _certify(p, rows)
+        if not solve:  # every key certified: each row keeps its bits
             return previous, [], None
+        if len(solve) == len(p):
+            rows.heads = solved = _compute_importance(p)
+        else:
+            solved = rows.heads[solve] = _compute_importance(p[solve])
+        del p  # the weights live no longer than the solve
         try:
-            scores = None if solved is None else _fuse_heads(solved, fusion)
+            scores = _fuse_heads(solved, fusion)
         except AllHeadsFilteredError as exc:
             r = rows.keys.index(exc.index)
             at_sigma = float(sigma[r, 0]) if column else sigma
             raise AllHeadsFilteredError(
                 f"{exc} for {rows.labels[r]} at sigma {at_sigma}", exc.index
             ) from exc
-    if redo is None:
+    if len(solve) == len(rows.key_states):
         keep = _masks(rows.tokens, scores, rows.keys, rows.extents)
-    else:  # the certified rows keep their bits
+    else:  # masked again: the rows of the keys solved
+        redo = [r for r, k in enumerate(rows.keys) if k in solve]
         keep = previous.copy()
         keep[redo] = _masks(
             [rows.tokens[r] for r in redo], scores,
-            [unsure.index(k) if k >= 0 else -1 for k in (rows.keys[r] for r in redo)],
-            rows.extents[redo],
+            [solve.index(rows.keys[r]) for r in redo], rows.extents[redo],
         )
+    keep.flags.writeable = False  # no caller alters the bits the next call certifies
+    rows.bits = keep
     if previous is None:
         changed = list(range(len(rows)))
     else:
@@ -612,7 +608,6 @@ def sample_batch(
     build one then; with reuse_first_step_mask the importance ranking is
     computed once at the first step and reused, and a mask whose extent
     replaces no type in part bypasses importance computation entirely.
-    The degraded embedding is re-pooled only when a row's mask changes.
     Raises InvalidInputError, before any work, unless encoder was built for
     model's widths and every chain's seed is an int >= 0 (a numpy integer,
     not a bool or float), and NumericalError at the first non-finite latent,
@@ -724,18 +719,15 @@ def _integrate(
 
     # the chains degrading at step 0, ranked once per (prompt, block, seed),
     # as they share their latent there, and the rows of them ranking tokens
-    # again at every later step: step 0 gives those a set of their own, a
-    # key a row, holding its solve's per-head scores to certify from
-    degrading = [b for b, extent in enumerate(extents) if extent is not None]
-    degraded_at = [((), None, None)] * 2
-    again = []
+    # again at every later step
+    active = degrading = [b for b, extent in enumerate(extents) if extent is not None]
+    index = _rows(degrading)
     if degrading:
         rows = degrade_set(states, [
             (f"chain {labels[b]}", chains[b].tokens, conditions[chains[b].tokens.ids],
              extents[b], blocks[b], chains[b].seed)
             for b in degrading
         ])
-        degraded_at[0] = (degrading, _rows(degrading), rows)
         again = [
             r for r, b in enumerate(degrading)
             if rows.keys[r] >= 0 and not chains[b].config.reuse_first_step_mask
@@ -755,25 +747,22 @@ def _integrate(
     x = trajectory[0]
     for i in range(steps):
         sigma = sigmas[i]
-        active, index, active_rows = degraded_at[i > 0]
         if active:
             keep, changed, e_deg = degrade_rows(
-                encoder, active_rows, x[index], sigma, fusion, attention_bias_weight,
-                ledger[i - 1, index] if i else None,
+                encoder, rows, x[index], sigma, fusion, attention_bias_weight
             )
-            if i:
-                ledger[i, index] = keep
-            else:  # a chain keeps its step-0 mask until a later step rebuilds it
-                ledger[:, index] = keep
-                if again:
-                    ranked = [degrading[r] for r in again]
-                    degraded_at[1] = (ranked, _rows(ranked), rows.subset(
-                        again, rows.heads[[rows.keys[r] for r in again]]
-                    ))
             if changed:  # a row at a time: at one row, a fancy-indexed write costs 4x
                 for r, m in zip(changed, model.means(e_deg)):
                     b = active[r]
                     means[:, side[b], b] = m
+            if i:
+                ledger[i, index] = keep
+            else:  # a chain keeps its step-0 mask until a later step rebuilds it,
+                # from the step-0 bits and heads of its row of again, a key a row
+                ledger[:, index] = keep
+                active = [degrading[r] for r in again]
+                if again:  # a subset of no rows costs ~10 us, ~1% of a one-row chain
+                    index, rows = _rows(active), rows.subset(again)
 
         eps_hat = denoiser_to_eps(_denoise(model, x, sigma, pos_m), x, sigma)
         if guided:

@@ -113,12 +113,13 @@ def fuse_head_stacks(scores: np.ndarray, cfg: FusionConfig = FusionConfig()) -> 
     head. A dropped head adds an exact zero to its row's sum of
     squares, so each row equals the fusion of its own stack alone. Raises
     AllHeadsFilteredError, with the index of the first stack whose every
-    head the filter rejects. This entry checks the stack's shape; the
-    sampler calls _fuse_heads on its own solve's float64 output instead.
+    head the filter rejects. This entry checks the stack's shape and that
+    every score is finite, before any filter; the sampler calls _fuse_heads
+    on its own solve's float64 output instead.
     """
     stack = np.asarray(scores, dtype=np.float64)
-    if stack.ndim != 3 or 0 in stack.shape[:2]:
-        raise InvalidInputError("expected a non-empty (stacks, heads, N) score stack")
+    if stack.ndim != 3 or 0 in stack.shape[:2] or not all_finite(stack):
+        raise InvalidInputError("expected a non-empty (stacks, heads, N) stack of finite scores")
     return _fuse_heads(stack, cfg)
 
 

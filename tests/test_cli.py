@@ -379,6 +379,29 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "section, size",
+        [
+            # one past numpy's largest dimension
+            ("encoder", {"vocab_size": 10**20}),
+            ("encoder", {"n_blocks": 10**19}),
+            ("encoder", {"d_model": 10**19}),
+            ("model", {"n_components": 10**19}),
+            ("model", {"d_x": 10**19}),
+            ("model", {"d_c": 10**19}),
+            # a dimension numpy takes, whose bytes overflow its largest size
+            ("encoder", {"vocab_size": 2**63 - 1}),
+        ],
+    )
+    def test_size_numpy_cannot_index_exits_1(self, tmp_path, capsys, section, size):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, **{section: size})))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory:") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestRankTokens:
     def test_empty_prompt(self, config_file, tmp_path):

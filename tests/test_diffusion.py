@@ -64,8 +64,8 @@ def record_certified_solves(monkeypatch) -> list[tuple]:
     events = []
     certify, solve = diffusion._certify, diffusion._compute_importance
 
-    def certifying(p, rows, previous):
-        y, unsure = certify(p, rows, previous)
+    def certifying(p, rows):
+        y, unsure = certify(p, rows)
         events.append(("certify", (p.copy(), unsure)))
         return y, unsure
 
@@ -78,11 +78,11 @@ def record_certified_solves(monkeypatch) -> list[tuple]:
     return events
 
 
-def no_certificate(p, rows, previous):
+def no_certificate(p, rows):
     raise AssertionError("this call has no later ranking step to certify")
 
 
-def certify_none(p, rows, previous):
+def certify_none(p, rows):
     """A certificate that certifies no key, so every later step solves every key."""
     return rows.heads, list(range(len(p)))
 
@@ -1200,19 +1200,17 @@ def degrade_set_of(encoder, rows) -> diffusion.DegradeSet:
     return diffusion.degrade_set(states, rows)
 
 
-def _degrade_per_sigma(encoder, blocks, fusion, bias, previous):
-    """degrade_rows once per sigma, its results laid end to end."""
-    masks, changed, embeddings, start = [], [], [], 0
+def _degrade_per_sigma(encoder, blocks, fusion, bias):
+    """degrade_rows once per sigma, on a fresh set, its masks and embeddings
+    laid end to end."""
+    masks, embeddings = [], []
     for sigma, rows, x in blocks:
-        prev = None if previous is None else previous[start : start + len(rows)]
-        m, c, e = diffusion.degrade_rows(
-            encoder, degrade_set_of(encoder, rows), x, sigma, fusion, bias, prev
+        m, _, e = diffusion.degrade_rows(
+            encoder, degrade_set_of(encoder, rows), x, sigma, fusion, bias
         )
         masks.append(m)
-        changed += [start + r for r in c]
         embeddings += [] if e is None else list(e)
-        start += len(rows)
-    return np.concatenate(masks), changed, embeddings
+    return np.concatenate(masks), np.array(embeddings)
 
 
 def _assert_masks_equal(got, want):
@@ -1225,36 +1223,39 @@ class TestDegradeRows:
     @given(data=st.data())
     def test_sigma_column_matches_per_sigma_calls(self, encoder, params, data):
         blocks, fusion, bias = _degrade_case(encoder, params, data)
-        rows = degrade_set_of(encoder, [row for _, b, _ in blocks for row in b])
+        every = [row for _, b, _ in blocks for row in b]
+        rows = degrade_set_of(encoder, every)
         x = np.concatenate([x for *_, x in blocks])
         column = np.concatenate([np.full((len(b), 1), s) for s, b, _ in blocks])
-        # each call's masks once without a previous step, and once against
-        # the masks of the same rows one block later, so some rows change
-        try:
-            first = _degrade_per_sigma(encoder, blocks, fusion, bias, None)[0]
-        except AllHeadsFilteredError as exc:
-            with pytest.raises(AllHeadsFilteredError, match=re.escape(str(exc))):
-                diffusion.degrade_rows(encoder, rows, x, column, fusion, bias)
-            return
-        shifted = np.roll(first, -len(blocks[0][1]), axis=0)
-        # one set for both passes: from the first call on it holds heads, so
-        # the second certifies from them, against bits that are not its
-        # rows' own, and still gives a full step's bits
-        for previous in (None, shifted):
-            expected = _degrade_per_sigma(encoder, blocks, fusion, bias, previous)
-            masks, changed, e = diffusion.degrade_rows(
-                encoder, rows, x, column, fusion, bias, previous
-            )
-            assert changed == expected[1]
-            _assert_masks_equal(masks, expected[0])
-            if changed:
-                np.testing.assert_array_equal(e, np.array(expected[2]))
+        # one set called twice, at the latents and at them negated: each call
+        # gives a fresh set's bits, though the second, with the filter off,
+        # certifies from the first, and it changes the rows whose bits moved
+        last = None
+        for case in (blocks, [(s, b, -xb) for s, b, xb in blocks]):
+            at = np.concatenate([xb for *_, xb in case])
+            try:
+                want, want_e = _degrade_per_sigma(encoder, case, fusion, bias)
+            except AllHeadsFilteredError as exc:
+                with pytest.raises(AllHeadsFilteredError, match=re.escape(str(exc))):
+                    diffusion.degrade_rows(encoder, rows, at, column, fusion, bias)
+                return
+            masks, changed, e = diffusion.degrade_rows(encoder, rows, at, column, fusion, bias)
+            _assert_masks_equal(masks, want)
+            _assert_masks_equal(rows.bits, want)
+            if last is None:
+                assert changed == list(range(len(rows)))
             else:
-                assert e is None and not expected[2]
+                assert changed == np.flatnonzero((want != last).any(axis=1)).tolist()
+            if changed:
+                np.testing.assert_array_equal(e, want_e[changed])
+            else:
+                assert e is None
+            last = want
         # a row gets the same mask alone, ranked under its own key
+        fresh = degrade_set_of(encoder, every)
         for r, mask in enumerate(masks):
             alone = diffusion.degrade_rows(
-                encoder, rows.subset([r]), x[r : r + 1], column[r, 0], fusion, bias
+                encoder, fresh.subset([r]), at[r : r + 1], column[r, 0], fusion, bias
             )[0]
             _assert_masks_equal(alone, mask[None])
         # every key's weights, in the one-key form and in the stacked form,
@@ -1294,6 +1295,33 @@ class TestDegradeRows:
             encoder, both, x, np.array(sigmas)[:, None], FusionConfig(), 0.5
         )[0]
         _assert_masks_equal(masks, np.array(alone))
+
+    def test_subset_carries_each_rows_bits_and_its_keys_heads(self, encoder, params):
+        short, long = (
+            tokenize(p, params)
+            for p in ("a man is cooking", "the old man and the young woman cook dinner")
+        )
+        # rows 0 and 2 share a key at two ratios, as a prompt's chains at step 0
+        specs = [(short, 0.5), (long, 1.3), (short, 0.7), (long, 2.0)]
+        rows = degrade_set_of(encoder, [
+            degrade_row(f"row {r}", t, encode_one(encoder, t), r_deg, 1, 0)
+            for r, (t, r_deg) in enumerate(specs)
+        ])
+        assert rows.keys == [0, 1, 0, -1]
+        before = rows.subset([2, 0])
+        assert before.bits is None and before.heads is None
+        x = np.random.default_rng(3).normal(size=(4, 8)) * 2.0
+        keep = diffusion.degrade_rows(encoder, rows, x, 1.0, FusionConfig(), 0.1)[0]
+        # the call returns the set's own bits, read-only, so a caller cannot
+        # alter the bits its next call certifies
+        assert keep is rows.bits and not keep.flags.writeable
+        later = rows.subset([3, 2, 0, 1])
+        assert later.keys == [-1, 0, 1, 2]
+        _assert_masks_equal(later.bits, keep[[3, 2, 0, 1]])
+        np.testing.assert_array_equal(later.heads, rows.heads[[0, 0, 1]])
+        # the subset holds its own copies: its calls leave the set's last step as it was
+        assert not np.shares_memory(later.bits, rows.bits)
+        assert not np.shares_memory(later.heads, rows.heads)
 
     def test_all_heads_filtered_names_row_and_its_sigma(self, encoder, params):
         keep, drop = (tokenize(p, params) for p in ("a man is cooking", "a dog"))
@@ -1348,15 +1376,15 @@ class TestCertificate:
         certify = diffusion._certify
         rows_seen = [0]
 
-        def checking(p, rows, previous):
+        def checking(p, rows):
             # the full step beside the certificate: every key solved, fused and masked
-            y, unsure = certify(p, rows, previous)
+            y, unsure = certify(p, rows)
             solved = diffusion._compute_importance(p.copy())
             bits = _masks(rows.tokens, fuse_head_stacks(solved), rows.keys, rows.extents)
             for r, k in enumerate(rows.keys):
                 rows_seen[0] += 1
                 if k not in unsure:
-                    np.testing.assert_array_equal(bits[r], previous[r])
+                    np.testing.assert_array_equal(bits[r], rows.bits[r])
             return y, unsure
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1376,11 +1404,13 @@ class TestCertificate:
             np.testing.assert_array_equal(run.masks, ref.masks)
             assert run.wpr_call_count == ref.wpr_call_count == schedule.steps
 
-    def _row(self, encoder, tokens, r_deg, heads):
+    def _row(self, encoder, tokens, r_deg, heads, bits):
+        """A one-row set at ratio r_deg holding heads and bits as its last call's."""
         rows = degrade_set_of(encoder, [
             degrade_row("row", tokens, encode_one(encoder, tokens), r_deg, 1, 0)
         ])
-        return rows.subset([0], heads)
+        rows.heads, rows.bits = heads, bits
+        return rows
 
     @pytest.mark.parametrize("gap, certified", [(5e-10, False), (2e-9, True)])
     def test_near_tied_pads_certify_only_beyond_the_margin(
@@ -1397,79 +1427,33 @@ class TestCertificate:
         pi[ctxagg[-1]] += gap / 2
         pi[ctxagg[-2]] -= gap / 2
         h = params.n_heads
-        rows = self._row(encoder, tokens, 1.3, np.tile(pi, (1, h, 1)))
-        previous = build_mask(tokens, pi, map_ratio(1.3))[None]
-        assert not previous[0, ctxagg[-1]] and previous[0, ctxagg[-2]]
-        y, unsure = diffusion._certify(_pi_rows(pi, h), rows, previous)
+        bits = build_mask(tokens, pi, map_ratio(1.3))[None]
+        assert not bits[0, ctxagg[-1]] and bits[0, ctxagg[-2]]
+        rows = self._row(encoder, tokens, 1.3, np.tile(pi, (1, h, 1)), bits)
+        y, unsure = diffusion._certify(_pi_rows(pi, h), rows)
         assert unsure == ([] if certified else [0])
         np.testing.assert_allclose(y[0], np.tile(pi, (h, 1)), rtol=1e-12)
-        # bits that the ranking does not give never certify: the pair
-        # swapped, a fourth position replaced, none, and a content one kept
-        for flip in (
-            [ctxagg[-1], ctxagg[-2]], [ctxagg[2]], [ctxagg[0], ctxagg[1], ctxagg[-1]],
-            [tokens.content_positions[0]],
-        ):
-            foreign = previous.copy()
-            foreign[0, flip] = ~foreign[0, flip]
-            assert diffusion._certify(_pi_rows(pi, h), rows, foreign)[1] == [0]
-
-    def test_any_previous_gives_a_full_steps_bits(self, encoder, params, monkeypatch):
-        certify = diffusion._certify
-        unsure_seen = []
-
-        def recording(p, rows, previous):
-            y, unsure = certify(p, rows, previous)
-            unsure_seen.append(unsure)
-            return y, unsure
-
-        monkeypatch.setattr(diffusion, "_certify", recording)
-        short, long = (
-            tokenize(p, params)
-            for p in ("a man is cooking", "the old man and the young woman cook dinner")
-        )
-        rows = degrade_set_of(encoder, [
-            degrade_row(f"row {i}", t, encode_one(encoder, t), r_deg, 1, i)
-            for i, (t, r_deg) in enumerate([(short, 0.5), (long, 1.3), (long, 2.0)])
-        ])
-        assert rows.keys == [0, 1, -1]
-        x = np.random.default_rng(3).normal(size=(3, 8)) * 2.0
-        full = diffusion.degrade_rows(encoder, rows, x, 1.0, FusionConfig(), 0.1)[0]
-        assert unsure_seen == [] and rows.heads is not None
-        # the set now holds heads, so each later call certifies first,
-        # whatever bits it is given
-        coin = np.random.default_rng(5).random(full.shape) < 0.5
-        # the unranked row's bits wrong, with both keys certified, and with
-        # the first key's wrong as well
-        unranked_off = full.copy()
-        unranked_off[2] = True
-        first_off = unranked_off.copy()
-        first_off[0] = ~first_off[0]
-        foreign = [np.ones_like(full), ~full, np.roll(full, 1, axis=1), coin]
-        for previous in foreign + [first_off, unranked_off, full]:
-            keep, changed, e = diffusion.degrade_rows(
-                encoder, rows, x, 1.0, FusionConfig(), 0.1, previous
-            )
-            _assert_masks_equal(keep, full)
-            assert changed == np.flatnonzero((full != previous).any(axis=1)).tolist()
-            assert (e is None) == (not changed)
-        assert unsure_seen[len(foreign):] == [[0], [], []]
 
     def test_row_replacing_no_type_in_part_gets_no_key(
         self, encoder, params, tokens, monkeypatch
     ):
         # R=0 and R=2 replace every type wholly or not at all: the row has no
-        # key and no prompt state, so a later step keeps its bits with no
+        # key and no prompt state, so a later call keeps its bits with no
         # certificate and no solve
         monkeypatch.setattr(diffusion, "_certify", no_certificate)
         for r_deg in (0.0, 2.0):
-            rows = self._row(encoder, tokens, r_deg, np.empty((0, params.n_heads, len(tokens))))
+            rows = degrade_set_of(encoder, [
+                degrade_row("row", tokens, encode_one(encoder, tokens), r_deg, 1, 0)
+            ])
             assert rows.keys == [-1] and not rows.key_states
-            previous = build_mask(tokens, None, map_ratio(r_deg))[None]
-            keep, changed, e = diffusion.degrade_rows(
-                encoder, rows, np.zeros((1, 8)), 1.0, FusionConfig(), 0.1, previous
-            )
-            _assert_masks_equal(keep, previous)
-            assert changed == [] and e is None
+            bits = build_mask(tokens, None, map_ratio(r_deg))[None]
+            for changes in ([0], []):
+                keep, changed, e = diffusion.degrade_rows(
+                    encoder, rows, np.zeros((1, 8)), 1.0, FusionConfig(), 0.1
+                )
+                _assert_masks_equal(keep, bits)
+                assert changed == changes and (e is None) == (not changes)
+            assert rows.heads is None
 
     def test_zero_doeblin_coefficient_certifies_nothing(self, encoder, params, tokens):
         # each row moves to the next position: every column has a zero, so
@@ -1477,9 +1461,9 @@ class TestCertificate:
         n, h = len(tokens), params.n_heads
         shift = np.roll(np.eye(n), 1, axis=1)
         pi = np.full(n, 1.0 / n)
-        rows = self._row(encoder, tokens, 0.5, np.tile(pi, (1, h, 1)))
-        previous = build_mask(tokens, np.arange(n, 0, -1.0), map_ratio(0.5))[None]
-        assert diffusion._certify(np.tile(shift, (1, h, 1, 1)), rows, previous)[1] == [0]
+        bits = build_mask(tokens, np.arange(n, 0, -1.0), map_ratio(0.5))[None]
+        rows = self._row(encoder, tokens, 0.5, np.tile(pi, (1, h, 1)), bits)
+        assert diffusion._certify(np.tile(shift, (1, h, 1, 1)), rows)[1] == [0]
 
 
 class TestSamplerStatistics:

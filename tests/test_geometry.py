@@ -232,18 +232,16 @@ def _reference_detail(model, schedule, encoder, tokens, r_deg, seed):
     e_c = np.stack([encoder.pool(c) for c in conditions])
     e_null = np.tile(encoder.pool(encoder.null_condition()), (n, 1))
     states = {(t.ids, 1): state_of(encoder, t, 1) for t in tokens}
-    rows = degrade_set(
-        states,
-        [
-            degrade_row(f"prompt {p}", t, c, r_deg, 1, p)
-            for p, (t, c) in enumerate(zip(tokens, conditions))
-        ],
-    )
     detail = []
     for si, sigma in enumerate(schedule.sigmas[:-1]):
         x = np.stack([
             np.random.default_rng([seed, si, p]).normal(size=model.d_x) * sigma
             for p in range(n)
+        ])
+        # a fresh set a sigma: each ranks every row, with no last step to certify from
+        rows = degrade_set(states, [
+            degrade_row(f"prompt {p}", t, c, r_deg, 1, p)
+            for p, (t, c) in enumerate(zip(tokens, conditions))
         ])
         e_deg = degrade_rows(encoder, rows, x, sigma, FusionConfig(), 0.1)[2]
         eps_c, eps_null, eps_deg = (

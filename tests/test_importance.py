@@ -347,6 +347,15 @@ class TestFuseHeadStacks:
         with pytest.raises(InvalidInputError):
             fuse_head_stacks(np.ones((4, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cfg", [FusionConfig(), FusionConfig(0.0, 1.0, enabled=True)],
+                             ids=["disabled", "filter"])
+    def test_non_finite_score_rejected(self, bad, cfg):
+        # the filter would drop the bad head, whose variance is NaN, and
+        # fuse the other alone
+        with pytest.raises(InvalidInputError, match="finite"):
+            fuse_head_stacks(np.array([[[bad, 1.0], [0.4, 0.6]]]), cfg)
+
 
 class TestCrossAttentionBaseline:
     def test_single_hot_column(self):
